@@ -40,6 +40,7 @@ from .evolve import (  # noqa: F401
     time_average,
 )
 from .hamiltonian import (  # noqa: F401
+    DenseMemoryError,
     SparseAction,
     dense_matrix,
     moment,

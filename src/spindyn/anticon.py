@@ -27,12 +27,8 @@ from .core import (
     hamming_class_members,
     sample_coupling,
 )
-from .evolve import Propagator
+from .evolve import Propagator, natural_basis
 from .hardness import anticoncentration_thresholds
-
-# Sector dimension at n=8 is C(16,8) = 12870: still dense.  n=10 (184756)
-# falls through to Krylov stepping.
-_DENSE_LIMIT = 20000
 
 _MIN_DRAWS = 16
 
@@ -104,14 +100,17 @@ def _draw_tables(
 
     Draws are independent substreams, so threading changes wall time only;
     the caller accumulates in the fixed order this generator provides.
+    Only the X_{n/2} rows are propagated: above the dense limit (n >= 4 in
+    the full basis, n >= 5 in the sector) that is the Chebyshev recurrence,
+    so n = 8 (sector dimension C(16,8) = 12870) costs sparse matvecs and
+    O(order * |X_{n/2}| + dimension) memory per draw, not a 12870-dim eigh.
     """
-    members = hamming_class_members(n, n // 2)
+    basis = natural_basis(kind, n)
+    positions = [basis.index_of(x) for x in hamming_class_members(n, n // 2)]
 
     def one_draw(j: int) -> np.ndarray:
         spec = HamiltonianSpec(kind, sample_coupling(n, rng.substream(j)))
-        prop = Propagator(spec, dense_limit=_DENSE_LIMIT)
-        positions = np.array([prop.basis.index_of(x) for x in members])
-        return prop.all_probabilities_at(times)[positions]
+        return Propagator(spec, basis=basis).all_probabilities_at(times, rows=positions)
 
     if threads <= 1:
         yield from map(one_draw, range(num_J))

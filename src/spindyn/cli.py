@@ -338,6 +338,14 @@ def _cmd_bw_demo(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     planted = ns.errors
     budget = ns.budget if ns.budget is not None else planted
     L = d + 1 + 2 * budget
+    # SampleSet stores floats: a planted value |sum c_k t^k| + 49 <= 9 sum L^k + 49
+    # past 2**53 is no longer carried exactly, and decoding then fails.
+    peak = 9 * sum(L**k for k in range(d + 1)) + 49
+    if peak > 2**53:
+        raise ValueError(
+            f"degree {d} with {L} samples plants values up to {peak:.3g}, "
+            f"beyond 2**53 = {2**53}: float samples cannot carry them exactly"
+        )
     gen = Rng(ns.seed).generator()
     coefficients = [int(v) for v in gen.integers(-9, 10, size=d + 1)]
     nodes = list(range(1, L + 1))

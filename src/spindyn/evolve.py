@@ -2,8 +2,15 @@
 
 Class II models (H3, H4) evolve inside the weight-n sector, class I in
 the full basis.  Dimensions within `dense_limit` use one eigendecomposition
-of the real-symmetric matrix and reuse it for every requested time; larger
-problems step with a Lanczos exponential-times-vector kernel.
+of the real-symmetric matrix and reuse it for every requested time.
+Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a, where a
+is the rigorous spectral bound `coupling_norm_bound`: one real three-term
+recurrence from |y0> serves every requested time at once, keeping only the
+rows the caller asks for, and the Bessel coefficients J_k(a t) carry the
+time dependence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
+The series order is certified by a Bessel tail bound, and the norm of the
+state at the largest |t| is checked, so a wrong spectral bound fails loudly
+instead of returning a wrong table.
 """
 
 from __future__ import annotations
@@ -15,70 +22,109 @@ import numpy as np
 import scipy.linalg
 
 from .core import Basis, BitString, HamiltonianSpec, Kind, StateVector
-from .hamiltonian import SparseAction, dense_matrix
+from .hamiltonian import SparseAction, coupling_norm_bound, dense_matrix
 
 __all__ = ["Propagator", "evolve_exact", "output_probability", "time_average"]
 
-_KRYLOV_DIM = 30
-_STEP_TOL = 1e-12
+# Dense eigh beats the Chebyshev recurrence up to about this dimension
+# (d = 70: 1.5 ms vs 2.0 ms per draw; d = 256: 39 ms vs 6 ms).
+_DENSE_LIMIT = 128
 _NORM_DRIFT_TOL = 1e-9
+_TAIL_TOL = 1e-16  # bound on sum_{k >= K} (2 - delta_k0) |J_k(a t)|
+_MAX_ORDER = 1 << 16
+_TIME_CHUNK = 256  # times per coefficient table
+_BESSEL_RESCALE = 1e150
+_BESSEL_TINY = 1e-20  # below this J_0 = 1, J_1 = z/2 and J_k>1 = 0 to 1e-40
+# (-i)^k is real for even k and imaginary for odd k; this is its sign.
+_PHASE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 class KrylovConvergenceError(RuntimeError):
-    """Raised when the stepping kernel cannot reach its target accuracy."""
+    """Raised when the propagation cannot certify its accuracy."""
 
 
-def natural_basis(spec: HamiltonianSpec) -> Basis:
+def natural_basis(kind: Kind | str, n: int) -> Basis:
     """Sector basis for the U(1) kinds, full basis otherwise."""
-    if spec.kind in (Kind.H3, Kind.H4):
-        return Basis.sector(spec.n)
-    return Basis.full(spec.n)
+    if Kind(kind) in (Kind.H3, Kind.H4):
+        return Basis.sector(n)
+    return Basis.full(n)
 
 
-def _lanczos_expm_step(action: SparseAction, v: np.ndarray, dt: float):
-    """One Krylov step: approximate e^{-iH dt} v and an error estimate."""
-    dim = v.shape[0]
-    m = min(_KRYLOV_DIM, dim)
-    Q = np.zeros((m, dim), dtype=complex)
-    alpha = np.zeros(m)
-    beta = np.zeros(m)
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        return v.copy(), 0.0
-    Q[0] = v / nrm
-    k_used = m
-    residual = 0.0
-    for k in range(m):
-        w = action.apply_array(Q[k])
-        alpha[k] = np.vdot(Q[k], w).real
-        w = w - alpha[k] * Q[k]
-        if k > 0:
-            w = w - beta[k - 1] * Q[k - 1]
-        # full reorthogonalization: m is small and stability is cheap
-        w = w - Q[: k + 1].T @ (Q[: k + 1].conj() @ w)
-        b = float(np.linalg.norm(w))
-        if k + 1 < m:
-            beta[k] = b
-            if b < 1e-14:
-                k_used = k + 1
-                break
-            Q[k + 1] = w / b
-        else:
-            residual = b
-    k = k_used
-    T = np.diag(alpha[:k]) + np.diag(beta[: k - 1], 1) + np.diag(beta[: k - 1], -1)
-    evals, evecs = scipy.linalg.eigh(T)
-    small = evecs @ (np.exp(-1j * evals * dt) * evecs[0])
-    out = nrm * (Q[:k].T @ small)
-    if k < m:
-        return out, 0.0  # invariant subspace: the step is exact
-    # residual estimate, plus a spread guard so one Krylov body is not
-    # stretched over too many oscillation periods
-    spread = float(np.max(np.abs(evals)))
-    err = residual * abs(small[-1]) * nrm
-    if spread * abs(dt) > m:
-        err = max(err, _STEP_TOL * 10)
-    return out, float(err)
+def _bessel_tail_bound(z: float, order: int) -> float:
+    """Upper bound on sum_{k >= order} (2 - delta_k0) |J_k(z)|.
+
+    Uses |J_k(z)| <= (|z|/2)^k / k!, summed as a geometric series.
+    """
+    z = abs(z)
+    if z == 0.0:
+        return 0.0 if order > 0 else 1.0
+    q = z / (2.0 * (order + 1))
+    if q >= 1.0:
+        return math.inf
+    log_half = order * math.log(z / 2.0) - math.lgamma(order + 1) - math.log1p(-q)
+    return 2.0 * math.exp(log_half) if log_half < 700.0 else math.inf
+
+
+def _series_order(z: float) -> int:
+    """Smallest order whose tail bound is within _TAIL_TOL, up to _MAX_ORDER."""
+    order = max(1, math.ceil(abs(z)))
+    while order < _MAX_ORDER and _bessel_tail_bound(z, order) > _TAIL_TOL:
+        order += 1
+    return order
+
+
+def _bessel_table(z: np.ndarray, order: int) -> np.ndarray:
+    """J_k(z) for 0 <= k < order (rows) at each z (columns).
+
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started
+    well above both the order and |z|, normalized by J_0 + 2 sum J_2k = 1
+    and rescaled per column against overflow; J_k(-z) = (-1)^k J_k(z).
+    """
+    z = np.asarray(z, dtype=float)
+    x = np.abs(z)
+    out = np.zeros((order, x.size))
+    out[0] = 1.0
+    small = x < _BESSEL_TINY
+    if order > 1:
+        out[1, small] = x[small] / 2.0
+    live = ~small
+    if live.any():
+        xl = x[live]
+        base = max(order, math.ceil(xl.max()))
+        top = base + 16 + math.isqrt(40 * base)
+        inv = 2.0 / xl
+        tab = np.zeros((order, xl.size))
+        evens = np.zeros(xl.size)  # sum of j_k over even k >= 2
+        nxt, cur = np.zeros(xl.size), np.ones(xl.size)  # j_{k+1}, j_k
+        for k in range(top, 0, -1):
+            if k < order:
+                tab[k] = cur
+            if k % 2 == 0:
+                evens += cur
+            nxt, cur = cur, (k * inv) * cur - nxt
+            # one step grows a column by at most 2 top / _BESSEL_TINY, so
+            # checking every fourth step keeps it far below overflow
+            if k % 4 == 0 and np.abs(cur).max() > _BESSEL_RESCALE:
+                big = np.abs(cur) > _BESSEL_RESCALE
+                for arr in (cur, nxt, evens):
+                    arr[big] /= _BESSEL_RESCALE
+                tab[k:, big] /= _BESSEL_RESCALE
+        tab[0] = cur
+        out[:, live] = tab / (cur + 2.0 * evens)
+    out[1::2, z < 0] *= -1.0
+    return out
+
+
+def _chebyshev_weights(z: np.ndarray, order: int) -> np.ndarray:
+    """Real weights w_k(z) of the Chebyshev series of e^{-izx}.
+
+    e^{-izx} = sum_k (2 - delta_k0) (-i)^k J_k(z) T_k(x); w_k is that
+    coefficient's real part for even k and its imaginary part for odd k.
+    """
+    w = _bessel_table(z, order)
+    w *= 2.0 * np.resize(_PHASE_SIGN, order)[:, None]
+    w[0] /= 2.0
+    return w
 
 
 class Propagator:
@@ -87,11 +133,11 @@ class Propagator:
     def __init__(
         self,
         spec: HamiltonianSpec,
-        dense_limit: int = 4096,
+        dense_limit: int = _DENSE_LIMIT,
         basis: Basis | None = None,
     ):
         self.spec = spec
-        self.basis = basis if basis is not None else natural_basis(spec)
+        self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
         self.action = SparseAction(spec, self.basis)
         self._y0 = BitString.y0(spec.n)
         self._y0_pos = self.basis.index_of(self._y0)
@@ -103,75 +149,96 @@ class Propagator:
             self._evals, self._evecs = scipy.linalg.eigh(h)
             self._c0 = self._evecs[self._y0_pos, :].conj()
 
-    # -- dense path helpers -------------------------------------------------
-    def _dense_amplitudes(self, t: float) -> np.ndarray:
-        return self._evecs @ (np.exp(-1j * self._evals * t) * self._c0)
-
-    def all_probabilities_at(self, times: Sequence[float]) -> np.ndarray:
-        """p(x; t) for every basis state, shape (dimension, len(times))."""
-        ts = np.asarray(times, dtype=float)
+    def all_probabilities_at(
+        self, times: Sequence[float], rows: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """p(x; t) for the basis positions `rows` (default: all), shape
+        (len(rows), len(times))."""
+        ts = np.asarray(times, dtype=float).ravel()
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("times must be finite")
         if not self.dense:
-            cols = [self.state_at(float(t)).probabilities() for t in ts]
-            return np.stack(cols, axis=1)
+            keep = np.arange(self.basis.dimension) if rows is None else rows
+            return self._chebyshev(ts, np.asarray(keep, dtype=np.intp))[0]
+        evecs = self._evecs if rows is None else self._evecs[rows]
         phases = np.exp(-1j * np.outer(self._evals, ts))
-        amps = self._evecs @ (phases * self._c0[:, None])
+        amps = evecs @ (phases * self._c0[:, None])
         return np.abs(amps) ** 2
 
-    # -- generic evolution --------------------------------------------------
-    def _krylov_evolve(self, v: np.ndarray, t: float) -> np.ndarray:
-        sign = 1.0 if t >= 0 else -1.0
-        remaining = abs(t)
-        # start from a step the Taylor series converges fast for
-        dt = remaining
-        guard = 0
-        while remaining > 0:
-            step = min(dt, remaining)
-            out, err = _lanczos_expm_step(self.action, v, sign * step)
-            if err > _STEP_TOL and step > 1e-8 * abs(t):
-                dt = step / 2
-                guard += 1
-                if guard > 200:
-                    raise KrylovConvergenceError(
-                        f"step size collapsed; last error estimate {err:.3e}"
-                    )
-                continue
-            v = out
-            remaining -= step
-        nrm = np.linalg.norm(v)
+    def _chebyshev(
+        self, ts: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(p at `rows` x `ts`, the full state at the time of largest |t|).
+
+        The vectors phi_k = T_k(H/a)|y0> stay real; only phi_k[rows] is
+        kept, so memory is O(order * len(rows) + dimension).
+        """
+        a = coupling_norm_bound(self.spec) or 1.0  # a = 0 means H = 0
+        t_far = float(ts[np.argmax(np.abs(ts))]) if ts.size else 0.0
+        order = _series_order(a * t_far)
+        tail = _bessel_tail_bound(a * t_far, order)
+        if tail > _TAIL_TOL:
+            raise KrylovConvergenceError(
+                f"Chebyshev tail bound {tail:.3e} at order {order} exceeds "
+                f"{_TAIL_TOL} (a*|t| = {a * abs(t_far):.3e})"
+            )
+        # the first chunk of times carries t_far along as its last column
+        first = _chebyshev_weights(a * np.append(ts[:_TIME_CHUNK], t_far), order)
+        w_far = first[:, -1]
+        dim = self.basis.dimension
+        kept = np.empty((order, rows.size))
+        far = np.zeros((2, dim))  # real and imaginary parts at t_far
+        prev, phi = None, np.zeros(dim)
+        phi[self._y0_pos] = 1.0
+        for k in range(order):
+            if k == 1:
+                prev, phi = phi, self.action.apply_array(phi) / a
+            elif k > 1:
+                prev, phi = phi, (2.0 / a) * self.action.apply_array(phi) - prev
+            kept[k] = phi[rows]
+            far[k % 2] += w_far[k] * phi
+        drift = abs(float(np.linalg.norm(far)) - 1.0)
+        if drift > _NORM_DRIFT_TOL:
+            raise KrylovConvergenceError(
+                f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL} "
+                f"at t = {t_far} (series order {order})"
+            )
+        probs = np.empty((rows.size, ts.size))
+        for s in range(0, ts.size, _TIME_CHUNK):
+            if s == 0:
+                w = first[:, :-1]
+            else:
+                w = _chebyshev_weights(a * ts[s : s + _TIME_CHUNK], order)
+            re = kept[0::2].T @ w[0::2]
+            im = kept[1::2].T @ w[1::2]
+            probs[:, s : s + _TIME_CHUNK] = re * re + im * im
+        return probs, far[0] + 1j * far[1]
+
+    def state_at(self, t: float) -> StateVector:
+        if self.dense:
+            amps = self._evecs @ (np.exp(-1j * self._evals * t) * self._c0)
+        else:
+            amps = self._chebyshev(np.array([float(t)]), np.empty(0, dtype=np.intp))[1]
+        nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
             raise KrylovConvergenceError(
                 f"norm drift {abs(nrm - 1.0):.3e} exceeds {_NORM_DRIFT_TOL}"
             )
-        return v / nrm
-
-    def state_at(self, t: float) -> StateVector:
-        if self.dense:
-            amps = self._dense_amplitudes(t)
-            nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
-                raise KrylovConvergenceError(
-                    f"norm drift {abs(nrm - 1.0):.3e} exceeds {_NORM_DRIFT_TOL}"
-                )
-            return StateVector(amps / nrm, self.basis)
-        v = np.zeros(self.basis.dimension, dtype=complex)
-        v[self._y0_pos] = 1.0
-        if t != 0.0:
-            v = self._krylov_evolve(v, t)
-        return StateVector(v, self.basis)
+        return StateVector(amps / nrm, self.basis)
 
     def probability(self, x: BitString, t: float) -> float:
         return self.state_at(t).probability(x)
 
 
 def evolve_exact(
-    spec: HamiltonianSpec, t: float, dense_limit: int = 4096
+    spec: HamiltonianSpec, t: float, dense_limit: int = _DENSE_LIMIT
 ) -> StateVector:
     """e^{-iHt}|y0> with unit norm."""
     return Propagator(spec, dense_limit=dense_limit).state_at(t)
 
 
 def output_probability(
-    spec: HamiltonianSpec, x: BitString, t: float, dense_limit: int = 4096
+    spec: HamiltonianSpec, x: BitString, t: float, dense_limit: int = _DENSE_LIMIT
 ) -> float:
     """p(x; J; t) = |<x| e^{-iHt} |y0>|^2."""
     if x.n != spec.n:
@@ -188,14 +255,9 @@ def time_average(
     if T == 0.0:
         return output_probability(spec, x, 0.0)
     prop = Propagator(spec)
-    ts = np.linspace(0.0, T, grid)
     pos = prop.basis.index_of(x)
     if pos is None:
         return 0.0
-    if prop.dense:
-        z = prop._evecs[pos, :] * prop._c0
-        amps = z @ np.exp(-1j * np.outer(prop._evals, ts))
-        p = np.abs(amps) ** 2
-    else:
-        p = np.array([prop.probability(x, float(t)) for t in ts])
+    ts = np.linspace(0.0, T, grid)
+    p = prop.all_probabilities_at(ts, rows=[pos])[0]
     return float(np.trapezoid(p, ts) / T)

@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, StateVector
 
 __all__ = [
+    "DenseMemoryError",
     "SparseAction",
     "apply",
     "dense_matrix",
@@ -35,6 +36,14 @@ NORM_BOUND_PREFACTOR = {Kind.H1: 1.0, Kind.H2: 2.0, Kind.H3: 1.0, Kind.H4: 1.5}
 
 _DENSE_FULL_MAX_SPINS = 16  # guard: full-basis dense needs 2n <= 16
 _DENSE_SECTOR_MAX_DIM = 20000
+# Cap on the ~3 d^2 float64 working set of a dense matrix plus its eigh
+# (matrix, eigenvectors, workspace): d = 4096 needs 0.4 GB, the n = 8
+# sector (d = 12870) would need 4 GB per caller.
+_DENSE_MAX_BYTES = 1 << 30
+
+
+class DenseMemoryError(RuntimeError):
+    """Raised before a dense matrix whose working set exceeds the cap."""
 
 
 @lru_cache(maxsize=16)
@@ -168,6 +177,12 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     elif basis.dimension > _DENSE_SECTOR_MAX_DIM:
         raise ValueError(
             f"sector dense matrix limited to dimension {_DENSE_SECTOR_MAX_DIM}"
+        )
+    working_set = 3 * 8 * basis.dimension**2
+    if working_set > _DENSE_MAX_BYTES:
+        raise DenseMemoryError(
+            f"dense dimension {basis.dimension} needs ~{working_set / 2**30:.1f} GiB "
+            f"(3 d^2 float64), above the {_DENSE_MAX_BYTES / 2**30:.1f} GiB cap"
         )
     action = SparseAction(spec, basis)
     if basis.kind == "sector":

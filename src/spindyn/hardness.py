@@ -153,7 +153,7 @@ def extract_permanent_from_dynamics(
     nodes = np.linspace(t0 * (1 - delta_window), t0 * (1 + delta_window), K + 1)
     prop = Propagator(spec)
     pos = prop.basis.index_of(x)
-    ps = prop.all_probabilities_at(nodes)[pos]
+    ps = prop.all_probabilities_at(nodes, rows=[pos])[0]
     if mode == "noisy-oracle":
         gen = (rng if rng is not None else Rng(0)).generator()
         ps = ps + gen.uniform(-noise_delta, noise_delta, size=ps.size)

@@ -103,17 +103,17 @@ def test_c02_ising_time_average_matches_parity_formula():
 
 
 def _moment_sweep(kind, n, times, num_j, rng):
-    """Per-time MomentRecord lists over X_{n/2}, one diagonalization per draw."""
+    """Per-time MomentRecord lists over X_{n/2}, one propagation per draw."""
     members = hamming_class_members(n, n // 2)
     sums = np.zeros((len(members), len(times)))
     sums2 = np.zeros_like(sums)
     positions = None
     for j in range(num_j):
         spec = HamiltonianSpec(kind, sample_coupling(n, rng.substream(j)))
-        prop = Propagator(spec, dense_limit=20000)
+        prop = Propagator(spec)
         if positions is None:
             positions = [prop.basis.index_of(x) for x in members]
-        table = prop.all_probabilities_at(times)[positions]
+        table = prop.all_probabilities_at(times, rows=positions)
         sums += table
         sums2 += table**2
     out = []

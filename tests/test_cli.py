@@ -234,3 +234,24 @@ def test_distinct_runs_get_distinct_directories(tmp_path):
     assert run_cli(args, tmp_path) == 0
     assert run_cli(args, tmp_path) == 0
     assert len(list(tmp_path.glob("trotter-plan-*"))) == 2
+
+
+def test_chebyshev_ensemble_threads_are_byte_identical(tmp_path):
+    # H1 at n = 4 runs in the 256-dim full basis, above the dense limit.
+    base = ["anticon", "--model", "H1", "--n", "4", "--num-j", "16", "--seed", "5"]
+    assert run_cli([*base, "--threads", "1"], tmp_path / "a") == 0
+    assert run_cli([*base, "--threads", "2"], tmp_path / "b") == 0
+    da = only_run_dir(tmp_path / "a", "anticon")
+    db = only_run_dir(tmp_path / "b", "anticon")
+    for name in ("moments.csv", "ratio.csv"):
+        assert (da / name).read_bytes() == (db / name).read_bytes()
+
+
+def test_bw_demo_refuses_values_past_float_precision(tmp_path, capsys):
+    rc = run_cli(["bw-demo", "--degree", "16", "--errors", "6", "--exact"], tmp_path / "a")
+    assert rc == 2
+    assert "2**53" in capsys.readouterr().err
+    rc = run_cli(["bw-demo", "--degree", "10", "--errors", "4", "--exact"], tmp_path / "b")
+    assert rc == 0
+    report = json.loads((only_run_dir(tmp_path / "b", "bw-demo") / "bw.json").read_text())
+    assert report["match"] is True

@@ -1,8 +1,11 @@
 """Propagation tests against an independent expm oracle and closed forms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from spindyn.core import (
     Basis,
@@ -13,14 +16,23 @@ from spindyn.core import (
     Rng,
     sample_coupling,
 )
+import spindyn.evolve
 from spindyn.evolve import (
+    KrylovConvergenceError,
     Propagator,
+    _bessel_table,
+    _series_order,
     evolve_exact,
     natural_basis,
     output_probability,
     time_average,
 )
-from spindyn.hamiltonian import SparseAction, dense_matrix
+from spindyn.hamiltonian import (
+    DenseMemoryError,
+    SparseAction,
+    coupling_norm_bound,
+    dense_matrix,
+)
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 
 
@@ -46,7 +58,7 @@ def expm_oracle(spec, basis, t):
 @pytest.mark.parametrize("t", [0.35, 1.7, -2.4])
 def test_dense_path_matches_expm(kind, fields, t):
     spec = random_spec(kind, 3, 41, fields=fields)
-    basis = natural_basis(spec)
+    basis = natural_basis(spec.kind, spec.n)
     got = evolve_exact(spec, t).amplitudes
     want = expm_oracle(spec, basis, t)
     assert np.max(np.abs(got - want)) < 1e-10
@@ -56,7 +68,7 @@ def test_dense_path_matches_expm(kind, fields, t):
 @pytest.mark.parametrize("t", [0.35, 1.7, -2.4])
 def test_krylov_path_matches_expm(kind, t):
     spec = random_spec(kind, 3, 42)
-    basis = natural_basis(spec)
+    basis = natural_basis(spec.kind, spec.n)
     got = Propagator(spec, dense_limit=1).state_at(t).amplitudes
     want = expm_oracle(spec, basis, t)
     assert np.max(np.abs(got - want)) < 1e-8
@@ -64,7 +76,7 @@ def test_krylov_path_matches_expm(kind, t):
 
 def test_krylov_matches_dense_larger_instance():
     spec = random_spec(Kind.H2, 4, 7)  # full basis, dimension 256
-    dense = Propagator(spec)
+    dense = Propagator(spec, dense_limit=4096)
     krylov = Propagator(spec, dense_limit=1)
     assert dense.dense and not krylov.dense
     for t in (0.5, 3.0):
@@ -101,12 +113,97 @@ def test_unit_norm_preserved(dense_limit):
 
 
 def test_krylov_group_property():
+    # e^{-iH(t1+t2)}|y0> = e^{-iH t2} e^{-iH t1}|y0>, the second factor
+    # from the expm oracle.
     spec = random_spec(Kind.H4, 4, 13)
     prop = Propagator(spec, dense_limit=1)
     t1, t2 = 0.9, 1.6
     direct = prop.state_at(t1 + t2).amplitudes
-    stepped = prop._krylov_evolve(prop.state_at(t1).amplitudes.copy(), t2)
-    assert np.max(np.abs(direct - stepped)) < 1e-8
+    h = dense_matrix(spec, prop.basis)
+    stepped = scipy.linalg.expm(-1j * h * t2) @ prop.state_at(t1).amplitudes
+    assert np.max(np.abs(direct - stepped)) < 1e-12
+
+
+_CHEBYSHEV_CASES = [
+    (Kind.H1, "full"),
+    (Kind.H2, "full"),
+    (Kind.H3, "sector"),
+    (Kind.H3, "full"),
+    (Kind.H4, "sector"),
+    (Kind.H4, "full"),
+]
+
+
+@pytest.mark.parametrize("kind,basis_kind", _CHEBYSHEV_CASES)
+@pytest.mark.parametrize("fields", [False, True])
+def test_chebyshev_matches_oracles(kind, basis_kind, fields):
+    spec = random_spec(kind, 3, 61, fields=fields)
+    basis = Basis(basis_kind, 3)
+    prop = Propagator(spec, dense_limit=1, basis=basis)
+    assert not prop.dense
+    for t in (0.0, 0.35, -2.4):
+        got = prop.state_at(t).amplitudes
+        assert np.max(np.abs(got - expm_oracle(spec, basis, t))) <= 1e-12
+    # 33-point grid of mixed sign against the eigh oracle
+    grid = np.linspace(-3.0, 5.0, 33)
+    evals, evecs = np.linalg.eigh(dense_matrix(spec, basis))
+    c0 = evecs[basis.index_of(BitString.y0(3))]
+    want = np.abs(evecs @ (np.exp(-1j * np.outer(evals, grid)) * c0[:, None])) ** 2
+    table = prop.all_probabilities_at(grid)
+    assert table.shape == (basis.dimension, grid.size)
+    assert np.max(np.abs(table - want)) <= 1e-12
+    rows = np.arange(basis.dimension)[::-3]
+    assert np.array_equal(prop.all_probabilities_at(grid, rows=rows), table[rows])
+
+
+def test_bessel_table_matches_scipy():
+    z = np.array([0.0, 1e-30, 1e-9, 1e-3, 0.5, -3.0, 26.0, -103.0, 400.0])
+    order = _series_order(400.0)
+    want = scipy.special.jv(np.arange(order)[:, None], z[None, :])
+    assert np.max(np.abs(_bessel_table(z, order) - want)) <= 5e-14
+
+
+def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
+    # The true norm is half the bound here; at 0.2 x bound the spectrum of
+    # H/a reaches 2.5, where T_k grows like 4.8^k and the series order
+    # chosen for [-1, 1] no longer converges by t = 10.
+    spec = random_spec(Kind.H3, 4, 67)
+    low = 0.2 * coupling_norm_bound(spec)
+    monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", lambda s: low)
+    prop = Propagator(spec, dense_limit=1)
+    with pytest.raises(KrylovConvergenceError, match="norm drift"):
+        prop.all_probabilities_at([0.5, 10.0])
+    with pytest.raises(KrylovConvergenceError, match="norm drift"):
+        prop.state_at(-10.0)
+
+
+def test_chebyshev_uncertifiable_order_fails_before_stepping():
+    prop = Propagator(random_spec(Kind.H1, 2, 71), dense_limit=1)
+    with pytest.raises(KrylovConvergenceError, match="tail bound"):
+        prop.all_probabilities_at([1.0, 1e7])
+
+
+def test_chebyshev_n8_sector_table_is_normalized():
+    spec = random_spec(Kind.H3, 8, 73)
+    prop = Propagator(spec)
+    assert prop.basis.dimension == 12870 and not prop.dense
+    table = prop.all_probabilities_at([0.0, 0.6, 1.5])
+    assert table[prop.basis.index_of(BitString.y0(8)), 0] == 1.0
+    assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-9
+
+
+def test_dense_memory_guard_raises_before_allocating():
+    spec = random_spec(Kind.H3, 8, 73)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError):
+            Propagator(spec, dense_limit=20000)
+        with pytest.raises(DenseMemoryError):
+            dense_matrix(random_spec(Kind.H1, 7, 79), Basis.full(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_energy_is_conserved():
