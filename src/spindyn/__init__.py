@@ -44,6 +44,7 @@ from .hamiltonian import (  # noqa: F401
     SparseAction,
     dense_matrix,
     moment,
+    moment_table,
     operator_norm,
 )
 from .hardness import (  # noqa: F401
@@ -78,6 +79,8 @@ from .trotter import (  # noqa: F401
     estimate_prefactor,
     gate_count_plan,
     l1_unitary_bound_check,
+    symmetry_blocks,
     trotter_operator_error,
+    trotter_operator_errors,
     upsilon,
 )

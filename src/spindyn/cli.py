@@ -42,7 +42,7 @@ from .core import (
     model_class,
     sample_coupling,
 )
-from .hamiltonian import moment
+from .hamiltonian import moment_table
 from .hardness import (
     anticoncentration_thresholds,
     extract_permanent_from_dynamics,
@@ -57,7 +57,12 @@ from .hardness import (
 )
 from .permanent import permanent_ryser, submatrix_for_outcome
 from .polyfit import SampleSet, berlekamp_welch_recover
-from .trotter import CALIBRATED_PREFACTOR, gate_count_plan, trotter_operator_error
+from .trotter import (
+    CALIBRATED_PREFACTOR,
+    gate_count_plan,
+    symmetry_blocks,
+    trotter_operator_errors,
+)
 
 _MOMENT_SUB_TOL = 1e-9
 _MOMENT_REL_TOL = 1e-8
@@ -75,9 +80,11 @@ def _new_run_dir(outdir: str, command: str, seed: int) -> Path:
 
 
 def _git_describe() -> str:
+    """State of the checkout this package was loaded from, not of the cwd."""
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             timeout=10,
@@ -155,19 +162,17 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         writer.writerow(["draw", "m", "x_bits", "max_abs_sub_moment", "mth_rel_error"])
         for draw in range(ns.draws):
             J = sample_coupling(n, Rng(ns.seed).substream(draw))
-            spec = HamiltonianSpec(kind, J)
+            table = moment_table(HamiltonianSpec(kind, J), n)
             for m in range(1, n + 1):
                 for x in hamming_class_members(n, m):
-                    sub = max(
-                        (abs(moment(spec, x, ell)) for ell in range(1, m)),
-                        default=0.0,
-                    )
+                    column = table[:, x.index()]
+                    sub = float(np.abs(column[1:m]).max(initial=0.0))
                     truth = (
                         math.factorial(m)
                         / float(n) ** m
                         * permanent_ryser(submatrix_for_outcome(J, x))
                     )
-                    diff = abs(moment(spec, x, m) - truth)
+                    diff = abs(float(column[m]) - truth)
                     rel = diff / max(abs(truth), 1e-12)
                     bits = "".join(str(b) for b in x.bits)
                     writer.writerow(
@@ -325,11 +330,13 @@ def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         writer = csv.writer(fh)
         writer.writerow(["model", "n", "t", "order", "M", "error"])
         for order in orders:
-            for M in m_grid:
-                err = trotter_operator_error(spec, t, M, order)
+            errs = trotter_operator_errors(spec, t, m_grid, order)
+            for M, err in zip(m_grid, errs):
                 writer.writerow(
                     [kind.value, ns.n, repr(float(t)), order, M, repr(float(err))]
                 )
+    symmetry, sizes = symmetry_blocks(kind, ns.n)
+    print(f"{symmetry} blocks: {len(sizes)}, largest {max(sizes)}", file=sys.stderr)
     return [name]
 
 

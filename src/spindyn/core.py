@@ -396,21 +396,6 @@ class Rng:
     def substream(self, k: int) -> "Rng":
         return Rng(self.seed, self.stream + (k,))
 
-    def gaussian(self, shape: int | tuple[int, ...] | None = None) -> np.ndarray | float:
-        """N(0,1) draw(s) from the start of this stream (one-shot semantics)."""
-        g = self.generator()
-        if shape is None:
-            return float(g.standard_normal())
-        return g.standard_normal(shape)
-
-    def uniform(
-        self, low: float, high: float, shape: int | tuple[int, ...] | None = None
-    ) -> np.ndarray | float:
-        g = self.generator()
-        if shape is None:
-            return float(g.uniform(low, high))
-        return g.uniform(low, high, shape)
-
 
 def sample_coupling(n: int, rng: Rng) -> CouplingMatrix:
     """An n x n matrix of independent standard normal couplings."""

@@ -5,6 +5,10 @@ n+j, both 0-based here).  The exchange pieces are either a plain
 double-flip (sigma_x tau_x) or a hopping term (sigma_x tau_x +
 sigma_y tau_y, nonzero only when the two bits differ, amplitude 2); the
 sigma_z tau_z pieces and any local z fields collapse into one diagonal.
+
+`moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
+the full basis, from k sparse applications; `moment()` reads one entry of
+it, and sweeps over many outcomes x read one table.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, StateVector
 __all__ = [
     "DenseMemoryError",
     "SparseAction",
-    "apply",
     "dense_matrix",
     "moment",
+    "moment_table",
     "operator_norm",
     "coupling_norm_bound",
     "norm_tail_probability",
@@ -162,11 +166,6 @@ class SparseAction:
         return StateVector(self.apply_array(v.amplitudes), self.basis)
 
 
-def apply(action: SparseAction, v: StateVector) -> StateVector:
-    """H applied to v (sparse, linear, Hermitian)."""
-    return action.apply(v)
-
-
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     """The full real-symmetric matrix of H in the given basis (test oracle)."""
     if basis.kind == "full":
@@ -200,24 +199,28 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     return out
 
 
+def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
+    """Real rows H^k |y0> for k = 0..kmax in the full basis, shape (kmax+1, 4^n)."""
+    if kmax < 0:
+        raise ValueError("kmax must be non-negative")
+    action = SparseAction(spec, Basis.full(spec.n))
+    table = np.zeros((kmax + 1, 1 << (2 * spec.n)))
+    table[0, BitString.y0(spec.n).index()] = 1.0
+    for k in range(kmax):
+        table[k + 1] = action.apply_array(table[k])
+    return table
+
+
 def moment(
     spec: HamiltonianSpec, x: BitString, k: int, max_power: int | None = None
 ) -> float:
-    """<x| H^k |y0> by k sparse applications in the full basis."""
+    """<x| H^k |y0>, read from a moment table of order k."""
     cap = max_power if max_power is not None else 2 * spec.n + 4
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > cap:
         raise ValueError(f"moment order {k} exceeds the configured cap {cap}")
-    basis = Basis.full(spec.n)
-    action = SparseAction(spec, basis)
-    v = StateVector.basis_state(BitString.y0(spec.n), basis).amplitudes.copy()
-    for _ in range(k):
-        v = action.apply_array(v)
-    val = v[x.index()]
-    if abs(val.imag) >= 1e-10:
-        raise AssertionError(f"moment came out non-real: {val}")
-    return float(val.real)
+    return float(moment_table(spec, k)[k, x.index()])
 
 
 def operator_norm(

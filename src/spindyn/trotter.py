@@ -2,14 +2,26 @@
 
 A circuit is an ordered list of two-spin rotations, each acting on one
 sigma-site and one tau-site.  Exponentials of the five supported Pauli
-pairs have closed forms, so sequences can be applied to states or
-accumulated into dense unitaries without any series expansion.
+pairs have closed forms: a gate maps each basis state's amplitude to a
+mix of itself and its partner under the double flip, so sequences can be
+applied to states or accumulated into dense unitaries without any series
+expansion.
+
+Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
+conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
+so e^{-iHt} and the product formula are both block-diagonal in that
+partition (2n+1 weight blocks or 2 parity blocks; it depends on (kind, n)
+only and is cached with each gate site's index arrays).  Each diagonal
+block of H is diagonalised once per call and shared by every step count
+M; ||e^{-iHt} - T^M|| is the largest singular value over the blocks of
+U_b - S_b^M, where S_b is one step applied inside block b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -84,54 +96,98 @@ class GateSequence:
         return cls(n, tuple(gates))
 
 
-def _apply_gate(arr: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Gate action on the first axis of a (dim,) or (dim, cols) array."""
-    dim = arr.shape[0]
-    idx = np.arange(dim)
-    flipped = idx ^ ((1 << gate.i) | (1 << (n + gate.j)))
-    b1 = (idx >> gate.i) & 1
-    b2 = (idx >> (n + gate.j)) & 1
-    s = 1.0 - 2.0 * (b1 ^ b2)  # (-1)^{b1+b2}; also the ZZ eigenvalue
-    if arr.ndim == 2:
-        s = s[:, None]
-    th = gate.angle
-    if gate.tag == "XX":
-        return np.cos(th) * arr - 1j * np.sin(th) * arr[flipped]
-    if gate.tag == "YY":
-        return np.cos(th) * arr + 1j * np.sin(th) * s * arr[flipped]
-    if gate.tag == "ZZ":
-        return np.exp(-1j * th * s) * arr
-    diff = (b1 ^ b2) == 1
-    out = arr.astype(complex, copy=True)
-    if gate.tag == "XX+YY":
+class _Block(NamedTuple):
+    """Rows closed under every gate flip, with each site's cached indices."""
+
+    states: np.ndarray  # full-basis indices of the rows, ascending
+    pos: np.ndarray  # full-basis index -> row position, valid on `states`
+    sites: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+def _site_indices(
+    states: np.ndarray, pos: np.ndarray, n: int, i: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip-partner row of each state under (sigma_i, tau_j), and whether its bits differ.
+
+    A partner outside the rows (an equal-bit pair leaving a weight block)
+    is replaced by the row itself; only the hopping gates, which leave
+    equal-bit rows in place, run on such blocks.
+    """
+    partner = states ^ ((1 << i) | (1 << (n + j)))
+    flipped = pos[partner]
+    stray = np.take(states, flipped, mode="clip") != partner
+    flipped[stray] = np.flatnonzero(stray)
+    diff = ((states >> i) ^ (states >> (n + j))) & 1 == 1
+    return flipped, diff
+
+
+def _gate_coefficients(tag: str, th: float) -> tuple[complex, complex, complex, complex]:
+    """(a, b) for rows whose two bits agree, then for rows where they differ."""
+    c, s = math.cos(th), math.sin(th)
+    if tag == "XX":
+        return c, -1j * s, c, -1j * s
+    if tag == "YY":
+        return c, 1j * s, c, -1j * s
+    if tag == "ZZ":
+        return np.exp(-1j * th), 0.0, np.exp(1j * th), 0.0
+    if tag == "XX+YY":
         # pure hopping of amplitude 2 between the two differing states
-        out[diff] = (
-            np.cos(2 * th) * arr[diff] - 1j * np.sin(2 * th) * arr[flipped[diff]]
-        )
-        return out
+        return 1.0, 0.0, math.cos(2 * th), -1j * math.sin(2 * th)
     # XX+YY+ZZ: equal bits pick up e^{-i th}; the differing pair splits
     # into a symmetric (eigenvalue +1) and antisymmetric (-3) combination
-    out[~diff] = np.exp(-1j * th) * arr[~diff]
-    a, b = arr[diff], arr[flipped[diff]]
-    out[diff] = np.exp(-1j * th) * (a + b) / 2 + np.exp(3j * th) * (a - b) / 2
+    lo, hi = np.exp(-1j * th), np.exp(3j * th)
+    return lo, 0.0, (lo + hi) / 2, (lo - hi) / 2
+
+
+def _apply_gate(
+    arr: np.ndarray, gate: Gate, flipped: np.ndarray, diff: np.ndarray
+) -> np.ndarray:
+    """Gate action on the first axis of a (rows,) or (rows, cols) array.
+
+    Every gate maps row r to a_r arr[r] + b_r arr[flipped[r]], where the
+    pair (a_r, b_r) depends only on whether the two addressed bits of
+    state r differ, so the same code acts on the full basis and on any
+    set of rows closed under the flip.
+    """
+    a_eq, b_eq, a_df, b_df = _gate_coefficients(gate.tag, gate.angle)
+    a = np.where(diff, a_df, a_eq)
+    b = np.where(diff, b_df, b_eq)
+    if arr.ndim == 2:
+        a, b = a[:, None], b[:, None]
+    out = a * arr
+    if b_eq or b_df:
+        moved = arr[flipped]
+        moved *= b
+        out += moved
     return out
+
+
+def _apply_gates(arr: np.ndarray, gates: Sequence[Gate], block: _Block) -> np.ndarray:
+    for g in gates:
+        arr = _apply_gate(arr, g, *block.sites[g.i, g.j])
+    return arr
 
 
 def apply_sequence(seq: GateSequence, v: np.ndarray) -> np.ndarray:
     """Apply the gates in order to a full-basis state (or matrix columns)."""
     if v.shape[0] != 1 << (2 * seq.n):
         raise ValueError("state dimension does not match the gate layout")
+    states = np.arange(v.shape[0])
     out = v.astype(complex, copy=True)
     for g in seq.gates:
-        out = _apply_gate(out, g, seq.n)
+        out = _apply_gate(out, g, *_site_indices(states, states, seq.n, g.i, g.j))
     return out
+
+
+def _check_dense_dim(dim: int) -> None:
+    if dim > _DENSE_MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the dense limit {_DENSE_MAX_DIM}")
 
 
 def sequence_unitary(seq: GateSequence) -> np.ndarray:
     """Dense unitary of the whole sequence (dimension-guarded)."""
     dim = 1 << (2 * seq.n)
-    if dim > _DENSE_MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense limit {_DENSE_MAX_DIM}")
+    _check_dense_dim(dim)
     return apply_sequence(seq, np.eye(dim, dtype=complex))
 
 
@@ -175,40 +231,96 @@ def build_trotter(
     return GateSequence(spec.n, tuple(step * M))
 
 
-def _exact_unitary(spec: HamiltonianSpec, t: float) -> np.ndarray:
+# -- block-diagonal error algebra ------------------------------------------
+
+
+def _symmetry(kind: Kind) -> str:
+    """The XX+YY(+ZZ) gates conserve weight; the class-I gates Z-parity."""
+    return "parity" if kind in (Kind.H1, Kind.H2) else "weight"
+
+
+@lru_cache(maxsize=8)
+def _partition(symmetry: str, n: int) -> tuple[_Block, ...]:
+    """The full basis split into weight or Z-parity blocks (J-independent)."""
+    full = np.arange(1 << (2 * n))
+    label = sum((full >> b) & 1 for b in range(2 * n))
+    if symmetry == "parity":
+        label &= 1
+    blocks = [np.flatnonzero(label == v) for v in range(int(label.max()) + 1)]
+    pos = np.empty_like(full)
+    for states in blocks:
+        pos[states] = np.arange(states.size)
+    sites = [(i, j) for i in range(n) for j in range(n)]
+    out = tuple(
+        _Block(states, pos, {ij: _site_indices(states, pos, n, *ij) for ij in sites})
+        for states in blocks
+    )
+    for block in out:  # the cache shares these arrays with every caller
+        for arr in (block.states, block.pos, *sum(block.sites.values(), ())):
+            arr.flags.writeable = False
+    return out
+
+
+def symmetry_blocks(kind: Kind, n: int) -> tuple[str, tuple[int, ...]]:
+    """The symmetry the error algebra splits on, and its block dimensions."""
+    symmetry = _symmetry(Kind(kind))
+    return symmetry, tuple(b.states.size for b in _partition(symmetry, n))
+
+
+def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int):
+    """Per symmetry block: (block, exact U_b, [S_b^M for each M]).
+
+    S_b is one product-formula step of size t/M applied inside the block;
+    the exact part comes from one eigendecomposition per block, shared by
+    every M.
+    """
+    _check_dense_dim(1 << (2 * spec.n))
+    if any(M < 1 for M in Ms):
+        raise ValueError("M must be at least 1")
+    steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
     h = dense_matrix(spec, Basis.full(spec.n))
-    evals, evecs = scipy.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    for block in _partition(_symmetry(spec.kind), spec.n):
+        evals, evecs = scipy.linalg.eigh(h[np.ix_(block.states, block.states)])
+        exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+        eye = np.eye(block.states.size, dtype=complex)
+        powers = [
+            np.linalg.matrix_power(_apply_gates(eye, step, block), M)
+            for step, M in zip(steps, Ms)
+        ]
+        yield block, exact, powers
 
 
-def _trotter_power(spec: HamiltonianSpec, t: float, M: int, order: int) -> np.ndarray:
-    step = build_trotter(spec, t / M, 1, order)
-    return np.linalg.matrix_power(sequence_unitary(step), M)
+def trotter_operator_errors(
+    spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int
+) -> list[float]:
+    """||e^{-iHt} - T^M|| for every M, as the maximum over symmetry blocks."""
+    errs = np.zeros(len(Ms))
+    for _, exact, powers in _block_products(spec, t, Ms, order):
+        block_errs = [scipy.linalg.svdvals(exact - p)[0] for p in powers]
+        errs = np.maximum(errs, block_errs)
+    return [float(e) for e in errs]
 
 
 def trotter_operator_error(
     spec: HamiltonianSpec, t: float, M: int, order: int
 ) -> float:
-    """Spectral norm of e^{-iHt} - T^M, both as dense matrices."""
-    dim = 1 << (2 * spec.n)
-    if dim > _DENSE_MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense limit {_DENSE_MAX_DIM}")
-    diff = _exact_unitary(spec, t) - _trotter_power(spec, t, M, order)
-    return float(scipy.linalg.svdvals(diff)[0])
+    """Spectral norm of e^{-iHt} - T^M (see trotter_operator_errors)."""
+    return trotter_operator_errors(spec, t, [M], order)[0]
 
 
 def l1_unitary_bound_check(
     spec: HamiltonianSpec, t: float, M: int, order: int
 ) -> tuple[float, float]:
     """(sum_x |p - p'|, 4 ||U - T^M||); the first never exceeds the second."""
-    dim = 1 << (2 * spec.n)
-    if dim > _DENSE_MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds the dense limit {_DENSE_MAX_DIM}")
-    U = _exact_unitary(spec, t)
-    TM = _trotter_power(spec, t, M, order)
-    col = BitString.y0(spec.n).index()
-    l1 = float(np.sum(np.abs(np.abs(U[:, col]) ** 2 - np.abs(TM[:, col]) ** 2)))
-    bound = 4.0 * float(scipy.linalg.svdvals(U - TM)[0])
+    y0 = BitString.y0(spec.n).index()
+    l1, norm = 0.0, 0.0
+    for block, exact, (power,) in _block_products(spec, t, [M], order):
+        if y0 in block.states:
+            col = block.pos[y0]
+            p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
+            l1 = float(np.sum(np.abs(p_exact - p_trotter)))
+        norm = max(norm, float(scipy.linalg.svdvals(exact - power)[0]))
+    bound = 4.0 * norm
     if l1 > bound + 1e-9:
         raise RuntimeError(
             f"distribution distance {l1:.3e} exceeds the unitary bound {bound:.3e}"
@@ -339,8 +451,6 @@ def estimate_prefactor(
     estimates = []
     for d in range(draws):
         spec = HamiltonianSpec(kind, sample_coupling(n, base.substream(d)))
-        errs = np.array(
-            [trotter_operator_error(spec, t0, M, 2) for M in M_grid]
-        )
+        errs = np.array(trotter_operator_errors(spec, t0, M_grid, 2))
         estimates.append(float(np.sum(errs * xs) / np.sum(xs * xs)))
     return float(np.mean(estimates))

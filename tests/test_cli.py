@@ -6,6 +6,7 @@ codes / stdout / files are exactly what a shell invocation would see.
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +256,26 @@ def test_bw_demo_refuses_values_past_float_precision(tmp_path, capsys):
     assert rc == 0
     report = json.loads((only_run_dir(tmp_path / "b", "bw-demo") / "bw.json").read_text())
     assert report["match"] is True
+
+
+def test_git_describe_reads_the_package_checkout(tmp_path, monkeypatch):
+    args = ["trotter-plan", "--n", "5", "--t0-mult", "1", "--eps", "1e-2"]
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    assert run_cli(args, tmp_path / "root") == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args, tmp_path / "elsewhere") == 0
+    described = [
+        json.loads((only_run_dir(tmp_path / d, "trotter-plan") / "manifest.json")
+                   .read_text())["git_describe"]
+        for d in ("root", "elsewhere")
+    ]
+    assert described[0] == described[1]
+
+
+def test_trotter_error_reports_its_blocks_on_stderr(tmp_path, capsys):
+    args = ["trotter-error", "--model", "H3", "--n", "3", "--m-grid", "4"]
+    assert run_cli(args, tmp_path) == 0
+    assert capsys.readouterr().err.strip() == "weight blocks: 7, largest 20"
+    args = ["trotter-error", "--model", "H1", "--n", "2", "--m-grid", "4"]
+    assert run_cli(args, tmp_path) == 0
+    assert capsys.readouterr().err.strip() == "parity blocks: 2, largest 8"

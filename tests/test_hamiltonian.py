@@ -20,6 +20,7 @@ from spindyn.hamiltonian import (
     coupling_norm_bound,
     dense_matrix,
     moment,
+    moment_table,
     norm_tail_probability,
     operator_norm,
 )
@@ -208,6 +209,29 @@ def test_moment_trivial_and_cap():
     with pytest.raises(ValueError):
         moment(spec, BitString.y0(2), 2 * 2 + 5)
     assert isinstance(moment(spec, BitString.y0(2), 9, max_power=9), float)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fields", [False, True])
+def test_moment_table_matches_dense_powers(kind, n, fields):
+    spec = random_spec(kind, n, 300 + 10 * n, fields=fields)
+    h = dense_matrix(spec, Basis.full(n))
+    kmax = 2 * n + 1
+    table = moment_table(spec, kmax)
+    assert table.dtype == np.float64 and table.shape == (kmax + 1, 1 << (2 * n))
+    v = np.zeros(1 << (2 * n))
+    v[BitString.y0(n).index()] = 1.0
+    for k in range(kmax + 1):
+        assert np.max(np.abs(table[k] - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
+        v = h @ v
+    x = BitString.x0(n)
+    assert moment(spec, x, kmax, max_power=kmax) == table[kmax, x.index()]
+
+
+def test_moment_table_validation():
+    with pytest.raises(ValueError):
+        moment_table(random_spec(Kind.H3, 2, 5), -1)
 
 
 @pytest.mark.parametrize("kind", list(Kind))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spindyn.core import HamiltonianSpec, Kind, Rng, sample_coupling
+from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
+from spindyn.hamiltonian import dense_matrix
 from spindyn.trotter import (
     CALIBRATED_PREFACTOR,
     Gate,
@@ -17,7 +18,9 @@ from spindyn.trotter import (
     gate_count_plan,
     l1_unitary_bound_check,
     sequence_unitary,
+    symmetry_blocks,
     trotter_operator_error,
+    trotter_operator_errors,
     upsilon,
 )
 
@@ -182,6 +185,52 @@ def test_error_scaling_orders(kind):
     assert abs(slope2 + 2) < 0.15 and abs(slope1 + 1) < 0.15
 
 
+def full_space_pair(spec, t, M, order):
+    """(e^{-iHt}, T^M) on the whole 4^n space: expm and a dense step power."""
+    h = dense_matrix(spec, Basis.full(spec.n))
+    step = sequence_unitary(build_trotter(spec, t / M, 1, order))
+    return scipy.linalg.expm(-1j * h * t), np.linalg.matrix_power(step, M)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_error_matches_full_space_oracle(kind, n):
+    spec = random_spec(kind, n, 83 + n)
+    for order in (1, 2):
+        for M in (1, 3, 8):
+            U, TM = full_space_pair(spec, 1.4, M, order)
+            want = scipy.linalg.svdvals(U - TM)[0]
+            assert abs(trotter_operator_error(spec, 1.4, M, order) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_error_list_equals_singles_bit_for_bit(kind):
+    spec = random_spec(kind, 3, 89)
+    Ms = [1, 3, 8, 16]
+    for order in (1, 2):
+        many = trotter_operator_errors(spec, 2.1, Ms, order)
+        assert many == [trotter_operator_error(spec, 2.1, M, order) for M in Ms]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_step_unitary_is_block_diagonal(kind):
+    n = 3
+    spec = random_spec(kind, n, 97)
+    U = sequence_unitary(build_trotter(spec, 0.9, 1, 2))
+    weight = np.array([bin(s).count("1") for s in range(1 << (2 * n))])
+    label = weight % 2 if kind in (Kind.H1, Kind.H2) else weight
+    off_block = label[:, None] != label[None, :]
+    assert np.all(U[off_block] == 0)
+    symmetry, sizes = symmetry_blocks(kind, n)
+    assert sizes == tuple(np.bincount(label))
+    assert symmetry == ("parity" if kind in (Kind.H1, Kind.H2) else "weight")
+
+
+def test_error_rejects_nonpositive_step_count():
+    with pytest.raises(ValueError):
+        trotter_operator_errors(random_spec(Kind.H3, 2, 101), 1.0, [4, 0], 2)
+
+
 def test_error_dimension_guard():
     spec = random_spec(Kind.H3, 7, 43)
     with pytest.raises(ValueError):
@@ -313,3 +362,16 @@ def test_l1_bound_holds_and_decays():
         assert l1 <= bound
         assert l1 < prev_l1 and bound < prev_bound
         prev_l1, prev_bound = l1, bound
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_l1_bound_matches_full_space_oracle(kind):
+    spec = random_spec(kind, 3, 103)
+    for order, M in ((1, 3), (2, 8)):
+        U, TM = full_space_pair(spec, 1.6, M, order)
+        col = BitString.y0(3).index()
+        want_l1 = np.sum(np.abs(np.abs(U[:, col]) ** 2 - np.abs(TM[:, col]) ** 2))
+        want_bound = 4.0 * scipy.linalg.svdvals(U - TM)[0]
+        l1, bound = l1_unitary_bound_check(spec, 1.6, M, order)
+        assert abs(l1 - want_l1) <= 1e-12
+        assert abs(bound - want_bound) <= 4e-12
