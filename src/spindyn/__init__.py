@@ -63,6 +63,7 @@ from .permanent import (  # noqa: F401
     gaussian_permanent_variance_check,
     permanent_bruteforce,
     permanent_ryser,
+    permanents,
     submatrix_for_outcome,
 )
 from .polyfit import (  # noqa: F401

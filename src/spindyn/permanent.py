@@ -11,77 +11,95 @@ from .core import BitString, CouplingMatrix, Rng, hamming_class
 
 __all__ = [
     "permanent_ryser",
+    "permanents",
     "permanent_bruteforce",
     "submatrix_for_outcome",
     "gaussian_permanent_variance_check",
 ]
 
-_RYSER_MAX = 30
+_GLYNN_MAX = 30
 _BRUTE_MAX = 9
+# Columns whose sign patterns are tabulated at once; the rest are walked in
+# Python.  2^11 subsets keep a table of one matrix near 2^11 * m * 8 bytes.
+_LOW_COLUMNS = 11
+# Matrices per chunk are sized so one chunk's table is about this many bytes,
+# which keeps the table and the doubling's temporaries inside a 2 MiB L2: on
+# a 2-core Xeon a (16000, 8, 8) stack took 0.08-0.11 s with 512 KiB chunks
+# and 0.28-0.36 s with 1 MiB chunks.
+_CHUNK_BYTES = 1 << 19
 
 
 def permanent_ryser(matrix: np.ndarray) -> float:
-    """Permanent of a square real matrix by Ryser's inclusion-exclusion.
+    """Permanent of a square real matrix (Glynn's formula; see `permanents`).
 
-    Column subsets are walked in Gray-code order so each step updates the
-    running row sums by a single column; the alternating series is
-    accumulated with compensated (Kahan) summation.  Cost O(2^m * m).
+    The name is kept from the Ryser kernel this replaced.  A matrix gives
+    the same bits here as inside any stack passed to `permanents`.
+    """
+    return float(_glynn(matrix, 2))
+
+
+def permanents(stack: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of square real matrices, shape (B, m, m) -> (B,).
+
+    Glynn's formula, Per(A) = 2^(1-m) sum over sign vectors d with d_0 = +1
+    of prod(d) * prod_i sum_j d_j a_ij, in O(2^m * m) elementwise work.
+    """
+    return _glynn(stack, 3)
+
+
+def _glynn(matrix: np.ndarray, ndim: int) -> np.ndarray:
+    """The permanent kernel: every guard runs before the kernel allocates.
+
+    Row sums over the first `_LOW_COLUMNS` signed columns are tabulated by
+    doubling, t -> concat(t + a_j, t - a_j), so bit k of a subset index is
+    the sign of column k + 1 and the signs of the products are Thue-Morse;
+    folding p -> p[:h] - p[h:] then applies them.  Column 0, whose sign is
+    fixed at +1, and the higher columns enter as one offset per sign pattern
+    of the higher columns, walked by the same split-and-subtract.  Only
+    elementwise operations act along the batch axis, so the result does
+    not depend on the BLAS thread count or on the other matrices of the
+    stack.
     """
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    m = a.shape[0]
-    if m > _RYSER_MAX:
-        raise ValueError(f"size {m} exceeds the 2^m cost guard ({_RYSER_MAX})")
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        raise ValueError(
+            "permanent shape guard: need a square matrix" if ndim == 2
+            else "permanent shape guard: need a stack of square matrices"
+        )
+    m = a.shape[-1]
+    if m > _GLYNN_MAX:
+        raise ValueError(f"permanent cost guard: size {m} exceeds {_GLYNN_MAX}")
+    if not np.isfinite(a).all():
+        raise ValueError("permanent finite guard: entries must be finite")
     if m == 0:
-        return 1.0
-    cols = a.T.tolist()
-    rowsums = [0.0] * m
-    total = 0.0
-    comp = 0.0
-    for g in range(1, 1 << m):
-        j = (g & -g).bit_length() - 1
-        gray = g ^ (g >> 1)
-        col = cols[j]
-        if (gray >> j) & 1:
-            for i in range(m):
-                rowsums[i] += col[i]
-        else:
-            for i in range(m):
-                rowsums[i] -= col[i]
-        term = math.prod(rowsums)
-        if gray.bit_count() & 1:
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    if m & 1:
-        total = -total
-    return total
+        return np.ones(a.shape[:-2])
+    flat = a.reshape(-1, m, m)
+    low = min(m - 1, _LOW_COLUMNS)
+    step = max(1, _CHUNK_BYTES // ((8 * m) << low))
+    out = np.empty(len(flat))
+    for s0 in range(0, len(flat), step):
+        # cols[j] holds column j of every matrix as (row, 1, batch).
+        cols = flat[s0 : s0 + step].transpose(2, 1, 0)[:, :, None, :].copy()
+        table = np.zeros_like(cols[0])
+        for j in range(1, low + 1):
+            table = np.concatenate((table + cols[j], table - cols[j]), axis=1)
+        out[s0 : s0 + step] = _glynn_high(table, cols[low + 1 :], cols[0])
+    return np.ldexp(out, 1 - m).reshape(a.shape[:-2])
 
 
-def _ryser_batch(a: np.ndarray) -> np.ndarray:
-    """Vectorized Ryser over a stack of matrices, shape (T, m, m) -> (T,)."""
-    t_count, m, _ = a.shape
-    rowsums = np.zeros((t_count, m))
-    total = np.zeros(t_count)
-    comp = np.zeros(t_count)
-    for g in range(1, 1 << m):
-        j = (g & -g).bit_length() - 1
-        gray = g ^ (g >> 1)
-        if (gray >> j) & 1:
-            rowsums += a[:, :, j]
-        else:
-            rowsums -= a[:, :, j]
-        term = rowsums.prod(axis=1)
-        if gray.bit_count() & 1:
-            term = -term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return -total if m & 1 else total
+def _glynn_high(table: np.ndarray, high: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Signed sum over the sign patterns of the `high` columns."""
+    if len(high) == 0:
+        sums = table + offset
+        p = sums[0]
+        for row in sums[1:]:
+            p *= row
+        while len(p) > 1:
+            h = len(p) // 2
+            p = p[:h] - p[h:]
+        return p[0]
+    return (_glynn_high(table, high[1:], offset + high[0])
+            - _glynn_high(table, high[1:], offset - high[0]))
 
 
 def permanent_bruteforce(matrix: np.ndarray) -> float:
@@ -123,5 +141,5 @@ def gaussian_permanent_variance_check(m: int, trials: int, rng: Rng) -> float:
     if trials < 10**3:
         raise ValueError("need at least 10^3 trials for a meaningful mean")
     draws = rng.generator().standard_normal((trials, m, m))
-    pers = _ryser_batch(draws)
+    pers = permanents(draws)
     return float(np.mean(pers**2) / math.factorial(m))
