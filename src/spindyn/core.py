@@ -8,6 +8,11 @@ Conventions fixed here and relied on everywhere else:
   sigma spins occupy the low n bits of the index.
 * The weight-n sector basis lists its states in lexicographic order of the
   bit tuple (x_1 compared first).
+
+`_flip_index` caches, once per set of rows (the full basis, the sector, a
+weight or Z-parity block), which row each sigma_i-tau_j double flip
+reaches; the Hamiltonian's sparse matrix and the Trotter gates both read
+it.
 """
 
 from __future__ import annotations
@@ -196,23 +201,88 @@ class HamiltonianSpec:
         return self.couplings.n
 
 
-@lru_cache(maxsize=32)
-def _sector_states(n: int) -> np.ndarray:
-    """Integer indices of the weight-n states, lexicographic in the bit tuple."""
-    all_idx = np.arange(1 << (2 * n), dtype=np.int64)
-    bits = (all_idx[:, None] >> np.arange(2 * n)) & 1
-    members = all_idx[bits.sum(axis=1) == n]
-    # lexicographic on (x_1, ..., x_2n): x_1 is the most significant key
-    keys = ((members[:, None] >> np.arange(2 * n)) & 1) @ (
-        1 << np.arange(2 * n)[::-1].astype(np.int64)
-    )
-    order = np.argsort(keys, kind="stable")
-    return _freeze(members[order])
+# Cap on any one J-independent build or dense working set; the n = 8
+# sector's dense eigh (d = 12870, ~4 GB) and the full basis's flip index
+# at n = 10 (~2 GB) lie above it.
+_MAX_BYTES = 1 << 30
 
 
-@lru_cache(maxsize=32)
-def _sector_positions(n: int) -> dict[int, int]:
-    return {int(s): i for i, s in enumerate(_sector_states(n))}
+class DenseMemoryError(RuntimeError):
+    """Raised before an allocation whose size exceeds the memory cap."""
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > _MAX_BYTES:
+        raise DenseMemoryError(
+            f"{what} needs ~{nbytes / 2**30:.1f} GiB, above the "
+            f"{_MAX_BYTES / 2**30:.1f} GiB cap"
+        )
+
+
+def _block_states(n: int, symmetry: str, label: int) -> np.ndarray:
+    """Integer indices of a set of rows closed under the double flips.
+
+    "full" is every state in index order, "parity" the states of weight
+    parity `label` in index order, "weight" the states of Hamming weight
+    `label` in lexicographic order of the bit tuple (x_1 compared first);
+    weight n is the sector.
+    """
+    full = np.arange(1 << (2 * n), dtype=np.int64)
+    if symmetry == "full":
+        return full
+    weight = sum((full >> b) & 1 for b in range(2 * n))
+    if symmetry == "parity":
+        return full[weight % 2 == label]
+    members = full[weight == label]
+    # x_1 (bit 0) is the most significant key
+    keys = sum(((members >> b) & 1) << (2 * n - 1 - b) for b in range(2 * n))
+    return members[np.argsort(keys)]
+
+
+@dataclass(frozen=True, eq=False)
+class _FlipIndex:
+    """Which row each sigma_i-tau_j double flip connects to, for one row set.
+
+    Depends on (n, rows) only and is shared by every caller through the
+    cache of `_flip_index`, so all arrays are read-only.
+    """
+
+    n: int
+    states: np.ndarray  # (d,) full-basis index of each row
+    pos: np.ndarray  # (4^n,) row of each full-basis index, -1 outside the rows
+    # (n, n, d) row reached by flipping sigma_i and tau_j; a partner outside
+    # the rows (an equal-bit pair leaving a weight block) is the row itself
+    partner: np.ndarray
+    differ: np.ndarray  # (n, n, d) whether bits i and n+j of the row differ
+    signs: np.ndarray  # (d, 2n) sigma_z eigenvalue of each spin
+
+
+@lru_cache(maxsize=64)
+def _flip_index(n: int, symmetry: str, label: int) -> _FlipIndex:
+    """The cached flip index of one row set (see `_block_states`); pass
+    all three arguments positionally, as the cache keys on their spelling."""
+    dim = {
+        "full": 1 << (2 * n),
+        "parity": 1 << (2 * n - 1),
+        "weight": math.comb(2 * n, label),
+    }[symmetry]
+    # per row: partner (int64, plus its xor source) and differ for each
+    # site, the bits and signs of its 2n spins; plus pos over 4^n states
+    nbytes = dim * (17 * n * n + 32 * n) + (8 << (2 * n))
+    _check_bytes(nbytes, f"flip index of {dim} rows")
+    states = _block_states(n, symmetry, label)
+    rows = np.arange(dim)
+    pos = np.full(1 << (2 * n), -1, dtype=np.intp)
+    pos[states] = rows
+    sites = np.arange(n)
+    masks = (1 << sites)[:, None] | (1 << (n + sites))[None, :]
+    partner = pos[states ^ masks[:, :, None]]
+    np.copyto(partner, rows, where=partner < 0)
+    bits = (states[:, None] >> np.arange(2 * n)) & 1
+    differ = bits.T[:n, None, :] != bits.T[None, n:, :]
+    signs = 1.0 - 2.0 * bits
+    arrays = (states, pos, partner, differ, signs)
+    return _FlipIndex(n, *(_freeze(a) for a in arrays))
 
 
 @dataclass(frozen=True)
@@ -234,11 +304,17 @@ class Basis:
             return 1 << (2 * self.n)
         return math.comb(2 * self.n, self.n)
 
+    @property
+    def _flips(self) -> _FlipIndex:
+        if self.kind == "full":
+            return _flip_index(self.n, "full", 0)
+        return _flip_index(self.n, "weight", self.n)
+
     def states(self) -> np.ndarray:
         """Integer configuration indices in basis order."""
         if self.kind == "full":
             return np.arange(self.dimension, dtype=np.int64)
-        return _sector_states(self.n)
+        return self._flips.states
 
     def index_of(self, x: BitString) -> int | None:
         """Position of x in this basis, or None if x lies outside it."""
@@ -246,7 +322,8 @@ class Basis:
             raise ValueError("bitstring size does not match basis")
         if self.kind == "full":
             return x.index()
-        return _sector_positions(self.n).get(x.index())
+        pos = int(self._flips.pos[x.index()])
+        return pos if pos >= 0 else None
 
     @classmethod
     def full(cls, n: int) -> "Basis":

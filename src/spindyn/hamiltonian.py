@@ -1,10 +1,15 @@
-"""Sparse application of the four bipartite models, moments, and norms.
+"""The four bipartite models as sparse matrices, moments, and norms.
 
 Every model couples sigma site i (index bit i) to tau site j (index bit
 n+j, both 0-based here).  The exchange pieces are either a plain
 double-flip (sigma_x tau_x) or a hopping term (sigma_x tau_x +
 sigma_y tau_y, nonzero only when the two bits differ, amplitude 2); the
 sigma_z tau_z pieces and any local z fields collapse into one diagonal.
+
+`_sparse_matrix` lays H out as CSR from the cached flip index of `core`
+(full basis, sector or Trotter block); the layout is cached too, so a
+coupling draw computes only the stored values and the diagonal.
+`SparseAction` and `dense_matrix` both read that matrix.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; `moment()` reads one entry of
@@ -20,7 +25,16 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, StateVector
+from .core import (
+    Basis,
+    BitString,
+    DenseMemoryError,
+    HamiltonianSpec,
+    Kind,
+    Rng,
+    _check_bytes,
+    _FlipIndex,
+)
 
 __all__ = [
     "DenseMemoryError",
@@ -38,44 +52,11 @@ __all__ = [
 # exposed exactly as printed (no tightening attempted).
 NORM_BOUND_PREFACTOR = {Kind.H1: 1.0, Kind.H2: 2.0, Kind.H3: 1.0, Kind.H4: 1.5}
 
-_DENSE_FULL_MAX_SPINS = 16  # guard: full-basis dense needs 2n <= 16
-_DENSE_SECTOR_MAX_DIM = 20000
-# Cap on the ~3 d^2 float64 working set of a dense matrix plus its eigh
-# (matrix, eigenvectors, workspace): d = 4096 needs 0.4 GB, the n = 8
-# sector (d = 12870) would need 4 GB per caller.
-_DENSE_MAX_BYTES = 1 << 30
 
-
-class DenseMemoryError(RuntimeError):
-    """Raised before a dense matrix whose working set exceeds the cap."""
-
-
-@lru_cache(maxsize=16)
-def _full_bits(n: int) -> np.ndarray:
-    idx = np.arange(1 << (2 * n), dtype=np.int64)
-    bits = ((idx[:, None] >> np.arange(2 * n)) & 1).astype(np.int8)
-    bits.flags.writeable = False
-    return bits
-
-
-def _bits_of(states: np.ndarray, n: int) -> np.ndarray:
-    return ((states[:, None] >> np.arange(2 * n)) & 1).astype(np.int8)
-
-
-def _exchange_terms(spec: HamiltonianSpec) -> list[tuple[int, int, float, bool]]:
-    """(i, j, coefficient, is_hopping) for each coupled pair."""
+def _diag_values(spec: HamiltonianSpec, za: np.ndarray) -> np.ndarray:
+    """The diagonal (z-z couplings plus local z fields) per row, from its signs."""
     n = spec.n
-    J = spec.couplings.entries
-    if spec.kind in (Kind.H1, Kind.H2):
-        return [(i, j, J[i, j] / n, False) for i in range(n) for j in range(n)]
-    return [(i, j, J[i, j] / (2 * n), True) for i in range(n) for j in range(n)]
-
-
-def _diag_values(spec: HamiltonianSpec, bits: np.ndarray) -> np.ndarray:
-    """The diagonal part (z-z couplings plus local z fields) per basis state."""
-    n = spec.n
-    za = (1 - 2 * bits.astype(np.float64))  # sigma_z eigenvalue per bit
-    diag = np.zeros(bits.shape[0])
+    diag = np.zeros(za.shape[0])
     if spec.kind in (Kind.H2, Kind.H4):
         scale = 1.0 / n if spec.kind is Kind.H2 else 1.0 / (2 * n)
         C = spec.couplings.entries * scale
@@ -86,9 +67,54 @@ def _diag_values(spec: HamiltonianSpec, bits: np.ndarray) -> np.ndarray:
     return diag
 
 
+@lru_cache(maxsize=64)
+def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
+    """J-independent CSR layout (indptr, indices, term) of H on the rows.
+
+    Row r stores its diagonal first, then one entry per site (i, j) in
+    row-major site order: every site for class I, whose row sets (the full
+    basis, a parity block) hold every flip partner, and for the hopping
+    kinds only the sites whose two bits differ, which are exactly the
+    flips that stay inside a weight block.  term[e] is the site i*n + j of
+    entry e (0 for a diagonal, whose value each draw writes itself).  H is
+    symmetric, so row r's entries are read off r's own flips and no sort
+    is needed.
+    """
+    n, dim = index.n, index.states.size
+    flips = index.differ if hopping else np.ones_like(index.differ)
+    keep = np.vstack([np.ones((1, dim), dtype=bool), flips.reshape(n * n, dim)]).T
+    nnz = int(keep.sum())
+    # per stored entry: the int64 transients of this build, indices, term,
+    # and a draw's values
+    _check_bytes(36 * nnz, f"sparse layout of {nnz} entries")
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=1), out=indptr[1:])
+    targets = np.vstack([np.arange(dim)[None, :], index.partner.reshape(n * n, dim)])
+    indices = targets.T[keep].astype(np.int32)
+    term = np.broadcast_to(np.r_[0, : n * n], keep.shape)[keep]
+    for arr in (indptr, indices, term):  # the cache shares them with every draw
+        arr.flags.writeable = False
+    return indptr, indices, term
+
+
+def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
+    """H on the index's rows; only the stored values depend on the draw.
+
+    Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
+    J_ij / 2n).  The index arrays are the cached read-only layout: products
+    and toarray() work, scipy's in-place methods (sort_indices,
+    sum_duplicates, and abs() through them) raise.
+    """
+    indptr, indices, term = _layout(index, spec.kind in (Kind.H3, Kind.H4))
+    data = (spec.couplings.entries.ravel() / spec.n)[term]
+    data[indptr[:-1]] = _diag_values(spec, index.signs)  # each row's first entry
+    dim = index.states.size
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
 @dataclass(frozen=True)
 class SparseAction:
-    """H as a linear map on state vectors, without the dense matrix."""
+    """H as a linear map on state vectors, held as a sparse matrix."""
 
     spec: HamiltonianSpec
     basis: Basis
@@ -103,100 +129,24 @@ class SparseAction:
             )
 
     @cached_property
-    def _full_data(self):
-        n = self.spec.n
-        bits = _full_bits(n)
-        diag = _diag_values(self.spec, bits)
-        terms = []
-        for i, j, c, hop in _exchange_terms(self.spec):
-            mask = (1 << i) | (1 << (n + j))
-            if hop:
-                weight = 2.0 * c * (bits[:, i] ^ bits[:, n + j])
-                terms.append((mask, None, weight))
-            else:
-                terms.append((mask, c, None))
-        return diag, terms
-
-    @cached_property
-    def _sector_matrix(self) -> sp.csr_matrix:
-        n = self.spec.n
-        states = self.basis.states()
-        bits = _bits_of(states, n)
-        sorter = np.argsort(states, kind="stable")
-        svals = states[sorter]
-        rows_all, cols_all, data_all = [], [], []
-        for i, j, c, hop in _exchange_terms(self.spec):
-            mask = (1 << i) | (1 << (n + j))
-            src = np.where(bits[:, i] != bits[:, n + j])[0]
-            targets = states[src] ^ mask
-            tpos = sorter[np.searchsorted(svals, targets)]
-            rows_all.append(tpos)
-            cols_all.append(src)
-            data_all.append(np.full(src.size, 2.0 * c))
-        dim = states.size
-        mat = sp.coo_matrix(
-            (np.concatenate(data_all), (np.concatenate(rows_all), np.concatenate(cols_all))),
-            shape=(dim, dim),
-        ).tocsr()
-        diag = _diag_values(self.spec, bits)
-        if np.any(diag):
-            mat = mat + sp.diags(diag)
-        return mat.tocsr()
+    def _matrix(self) -> sp.csr_matrix:
+        return _sparse_matrix(self.spec, self.basis._flips)
 
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         """H @ arr for a raw vector (or stack of column vectors)."""
-        if self.basis.kind == "sector":
-            return self._sector_matrix @ arr
-        diag, terms = self._full_data
-        idx = np.arange(arr.shape[0])
-        out = (diag[:, None] * arr) if arr.ndim == 2 else diag * arr
-        for mask, c, weight in terms:
-            moved = arr[idx ^ mask]
-            if weight is None:
-                out += c * moved
-            elif arr.ndim == 2:
-                out += weight[:, None] * moved
-            else:
-                out += weight * moved
-        return out
-
-    def apply(self, v: StateVector) -> StateVector:
-        if v.basis != self.basis:
-            raise ValueError("state vector basis does not match the action")
-        return StateVector(self.apply_array(v.amplitudes), self.basis)
+        return self._matrix @ arr
 
 
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
-    """The full real-symmetric matrix of H in the given basis (test oracle)."""
-    if basis.kind == "full":
-        if 2 * spec.n > _DENSE_FULL_MAX_SPINS:
-            raise ValueError(
-                f"full-basis dense matrix limited to 2n <= {_DENSE_FULL_MAX_SPINS}"
-            )
-    elif basis.dimension > _DENSE_SECTOR_MAX_DIM:
-        raise ValueError(
-            f"sector dense matrix limited to dimension {_DENSE_SECTOR_MAX_DIM}"
-        )
-    working_set = 3 * 8 * basis.dimension**2
-    if working_set > _DENSE_MAX_BYTES:
-        raise DenseMemoryError(
-            f"dense dimension {basis.dimension} needs ~{working_set / 2**30:.1f} GiB "
-            f"(3 d^2 float64), above the {_DENSE_MAX_BYTES / 2**30:.1f} GiB cap"
-        )
-    action = SparseAction(spec, basis)
-    if basis.kind == "sector":
-        return action._sector_matrix.toarray()
-    dim = basis.dimension
-    idx = np.arange(dim)
-    diag, terms = action._full_data
-    out = np.zeros((dim, dim))
-    out[idx, idx] = diag
-    for mask, c, weight in terms:
-        if weight is None:
-            out[idx ^ mask, idx] += c
-        else:
-            out[idx ^ mask, idx] += weight
-    return out
+    """The full real-symmetric matrix of H in the given basis (test oracle).
+
+    Refuses, before allocating, a dimension whose ~3 d^2 float64 working
+    set (matrix, eigenvectors, eigh workspace) exceeds the memory cap:
+    d = 4096 needs 0.4 GB, the n = 8 sector (d = 12870) 4 GB.
+    """
+    d = basis.dimension
+    _check_bytes(3 * 8 * d * d, f"dense dimension {d} (3 d^2 float64)")
+    return SparseAction(spec, basis)._matrix.toarray()
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:

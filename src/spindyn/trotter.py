@@ -7,13 +7,18 @@ mix of itself and its partner under the double flip, so sequences can be
 applied to states or accumulated into dense unitaries without any series
 expansion.
 
+Gates read each site's flip partners from the cached flip index of
+`core`, the same index the Hamiltonian's sparse matrix is laid out from:
+the full basis's for `apply_sequence`, each symmetry block's for the
+error algebra.
+
 Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
 conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
 so e^{-iHt} and the product formula are both block-diagonal in that
-partition (2n+1 weight blocks or 2 parity blocks; it depends on (kind, n)
-only and is cached with each gate site's index arrays).  Each diagonal
-block of H is diagonalised once per call and shared by every step count
-M; ||e^{-iHt} - T^M|| is the largest singular value over the blocks of
+partition (2n+1 weight blocks or 2 parity blocks).  Each block's H is
+built from its own flip index, never from the whole 4^n matrix, and is
+diagonalised once per call and shared by every step count M;
+||e^{-iHt} - T^M|| is the largest singular value over the blocks of
 U_b - S_b^M, where S_b is one step applied inside block b.
 """
 
@@ -21,14 +26,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from .hamiltonian import dense_matrix
+from .core import (
+    BitString,
+    HamiltonianSpec,
+    Kind,
+    Rng,
+    _flip_index,
+    _FlipIndex,
+    sample_coupling,
+)
+from .hamiltonian import _sparse_matrix
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
@@ -96,31 +108,6 @@ class GateSequence:
         return cls(n, tuple(gates))
 
 
-class _Block(NamedTuple):
-    """Rows closed under every gate flip, with each site's cached indices."""
-
-    states: np.ndarray  # full-basis indices of the rows, ascending
-    pos: np.ndarray  # full-basis index -> row position, valid on `states`
-    sites: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-
-
-def _site_indices(
-    states: np.ndarray, pos: np.ndarray, n: int, i: int, j: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flip-partner row of each state under (sigma_i, tau_j), and whether its bits differ.
-
-    A partner outside the rows (an equal-bit pair leaving a weight block)
-    is replaced by the row itself; only the hopping gates, which leave
-    equal-bit rows in place, run on such blocks.
-    """
-    partner = states ^ ((1 << i) | (1 << (n + j)))
-    flipped = pos[partner]
-    stray = np.take(states, flipped, mode="clip") != partner
-    flipped[stray] = np.flatnonzero(stray)
-    diff = ((states >> i) ^ (states >> (n + j))) & 1 == 1
-    return flipped, diff
-
-
 def _gate_coefficients(tag: str, th: float) -> tuple[complex, complex, complex, complex]:
     """(a, b) for rows whose two bits agree, then for rows where they differ."""
     c, s = math.cos(th), math.sin(th)
@@ -147,7 +134,9 @@ def _apply_gate(
     Every gate maps row r to a_r arr[r] + b_r arr[flipped[r]], where the
     pair (a_r, b_r) depends only on whether the two addressed bits of
     state r differ, so the same code acts on the full basis and on any
-    set of rows closed under the flip.
+    set of rows closed under the flip.  A row whose partner leaves the
+    rows has flipped[r] = r and b_r = 0 (only the hopping gates, which
+    leave equal-bit rows in place, run on such rows).
     """
     a_eq, b_eq, a_df, b_df = _gate_coefficients(gate.tag, gate.angle)
     a = np.where(diff, a_df, a_eq)
@@ -162,9 +151,11 @@ def _apply_gate(
     return out
 
 
-def _apply_gates(arr: np.ndarray, gates: Sequence[Gate], block: _Block) -> np.ndarray:
+def _apply_gates(
+    arr: np.ndarray, gates: Sequence[Gate], index: _FlipIndex
+) -> np.ndarray:
     for g in gates:
-        arr = _apply_gate(arr, g, *block.sites[g.i, g.j])
+        arr = _apply_gate(arr, g, index.partner[g.i, g.j], index.differ[g.i, g.j])
     return arr
 
 
@@ -172,11 +163,8 @@ def apply_sequence(seq: GateSequence, v: np.ndarray) -> np.ndarray:
     """Apply the gates in order to a full-basis state (or matrix columns)."""
     if v.shape[0] != 1 << (2 * seq.n):
         raise ValueError("state dimension does not match the gate layout")
-    states = np.arange(v.shape[0])
-    out = v.astype(complex, copy=True)
-    for g in seq.gates:
-        out = _apply_gate(out, g, *_site_indices(states, states, seq.n, g.i, g.j))
-    return out
+    index = _flip_index(seq.n, "full", 0)
+    return _apply_gates(v.astype(complex, copy=True), seq.gates, index)
 
 
 def _check_dense_dim(dim: int) -> None:
@@ -234,41 +222,24 @@ def build_trotter(
 # -- block-diagonal error algebra ------------------------------------------
 
 
-def _symmetry(kind: Kind) -> str:
-    """The XX+YY(+ZZ) gates conserve weight; the class-I gates Z-parity."""
-    return "parity" if kind in (Kind.H1, Kind.H2) else "weight"
+def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
+    """The symmetry the gates conserve, and the flip index of each block.
 
-
-@lru_cache(maxsize=8)
-def _partition(symmetry: str, n: int) -> tuple[_Block, ...]:
-    """The full basis split into weight or Z-parity blocks (J-independent)."""
-    full = np.arange(1 << (2 * n))
-    label = sum((full >> b) & 1 for b in range(2 * n))
-    if symmetry == "parity":
-        label &= 1
-    blocks = [np.flatnonzero(label == v) for v in range(int(label.max()) + 1)]
-    pos = np.empty_like(full)
-    for states in blocks:
-        pos[states] = np.arange(states.size)
-    sites = [(i, j) for i in range(n) for j in range(n)]
-    out = tuple(
-        _Block(states, pos, {ij: _site_indices(states, pos, n, *ij) for ij in sites})
-        for states in blocks
-    )
-    for block in out:  # the cache shares these arrays with every caller
-        for arr in (block.states, block.pos, *sum(block.sites.values(), ())):
-            arr.flags.writeable = False
-    return out
+    The XX+YY(+ZZ) gates conserve weight; the class-I gates Z-parity.
+    """
+    if Kind(kind) in (Kind.H1, Kind.H2):
+        return "parity", [_flip_index(n, "parity", p) for p in range(2)]
+    return "weight", [_flip_index(n, "weight", w) for w in range(2 * n + 1)]
 
 
 def symmetry_blocks(kind: Kind, n: int) -> tuple[str, tuple[int, ...]]:
     """The symmetry the error algebra splits on, and its block dimensions."""
-    symmetry = _symmetry(Kind(kind))
-    return symmetry, tuple(b.states.size for b in _partition(symmetry, n))
+    symmetry, blocks = _blocks(kind, n)
+    return symmetry, tuple(b.states.size for b in blocks)
 
 
 def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int):
-    """Per symmetry block: (block, exact U_b, [S_b^M for each M]).
+    """Per symmetry block: (block index, exact U_b, [S_b^M for each M]).
 
     S_b is one product-formula step of size t/M applied inside the block;
     the exact part comes from one eigendecomposition per block, shared by
@@ -278,9 +249,8 @@ def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: i
     if any(M < 1 for M in Ms):
         raise ValueError("M must be at least 1")
     steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
-    h = dense_matrix(spec, Basis.full(spec.n))
-    for block in _partition(_symmetry(spec.kind), spec.n):
-        evals, evecs = scipy.linalg.eigh(h[np.ix_(block.states, block.states)])
+    for block in _blocks(spec.kind, spec.n)[1]:
+        evals, evecs = scipy.linalg.eigh(_sparse_matrix(spec, block).toarray())
         exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
         eye = np.eye(block.states.size, dtype=complex)
         powers = [
@@ -315,8 +285,8 @@ def l1_unitary_bound_check(
     y0 = BitString.y0(spec.n).index()
     l1, norm = 0.0, 0.0
     for block, exact, (power,) in _block_products(spec, t, [M], order):
-        if y0 in block.states:
-            col = block.pos[y0]
+        col = block.pos[y0]
+        if col >= 0:
             p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
             l1 = float(np.sum(np.abs(p_exact - p_trotter)))
         norm = max(norm, float(scipy.linalg.svdvals(exact - power)[0]))

@@ -16,6 +16,7 @@ from spindyn.core import (
     hamming_class,
     hamming_class_members,
     model_class,
+    _flip_index,
     sample_coupling,
 )
 
@@ -71,6 +72,42 @@ def test_sector_basis_lexicographic():
     for i, k in enumerate(b.states()):
         assert b.index_of(BitString.from_index(int(k), 2)) == i
     assert b.index_of(BitString((1, 0, 0, 0))) is None
+
+
+@pytest.mark.parametrize(
+    "symmetry, label",
+    [("full", 0), ("parity", 0), ("parity", 1), ("weight", 1), ("weight", 2), ("weight", 3)],
+)
+def test_flip_index_partners_from_bit_strings(symmetry, label):
+    n = 2
+    index = _flip_index(n, symmetry, label)
+    members = [
+        k for k in range(1 << (2 * n))
+        if symmetry == "full"
+        or (symmetry == "parity" and BitString.from_index(k, n).weight() % 2 == label)
+        or (symmetry == "weight" and BitString.from_index(k, n).weight() == label)
+    ]
+    assert sorted(index.states.tolist()) == members
+    if symmetry == "weight":
+        strings = [str(BitString.from_index(int(k), n)) for k in index.states]
+        assert strings == sorted(strings)
+    for r, k in enumerate(index.states.tolist()):
+        bits = BitString.from_index(k, n).bits
+        assert index.pos[k] == r
+        assert index.signs[r].tolist() == [1 - 2 * b for b in bits]
+        for i in range(n):
+            for j in range(n):
+                flipped = list(bits)
+                flipped[i] ^= 1
+                flipped[n + j] ^= 1
+                target = BitString(tuple(flipped)).index()
+                got = int(index.partner[i, j, r])
+                if target in members:
+                    assert index.states[got] == target
+                else:  # a partner outside the rows is the row itself
+                    assert got == r
+                assert index.differ[i, j, r] == (bits[i] != bits[n + j])
+    assert np.all(np.delete(index.pos, index.states) == -1)
 
 
 def test_rng_determinism_and_streams():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spindyn import core
 from spindyn.core import (
     Basis,
     BitString,
@@ -16,7 +18,9 @@ from spindyn.core import (
     sample_coupling,
 )
 from spindyn.hamiltonian import (
+    DenseMemoryError,
     SparseAction,
+    _layout,
     coupling_norm_bound,
     dense_matrix,
     moment,
@@ -84,17 +88,59 @@ def test_dense_matches_kron_oracle(kind, n, fields):
 
 
 @pytest.mark.parametrize("kind", list(Kind))
-def test_apply_matches_dense(kind):
-    n = 2
-    spec = random_spec(kind, n, 31)
-    action = SparseAction(spec, Basis.full(n))
-    h = dense_matrix(spec, Basis.full(n))
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fields", [False, True])
+def test_apply_matches_dense(kind, n, fields):
+    # apply_array and dense_matrix read one sparse builder, so both are
+    # checked against the kron oracle, restricted to each basis H allows
+    spec = random_spec(kind, n, 31 + n, fields=fields)
+    oracle = dense_oracle(spec)
+    bases = [Basis.full(n)]
+    if kind in (Kind.H3, Kind.H4):
+        bases.append(Basis.sector(n))
     g = np.random.default_rng(4)
-    v = g.standard_normal(h.shape[0]) + 1j * g.standard_normal(h.shape[0])
-    assert np.allclose(action.apply_array(v), h @ v, atol=1e-12)
-    # batched columns too
-    vs = g.standard_normal((h.shape[0], 3))
-    assert np.allclose(action.apply_array(vs), h @ vs, atol=1e-12)
+    for basis in bases:
+        rows = basis.states()
+        want = oracle[np.ix_(rows, rows)]
+        assert np.allclose(dense_matrix(spec, basis), want.real, atol=1e-12)
+        action = SparseAction(spec, basis)
+        d = rows.size
+        v = g.standard_normal(d) + 1j * g.standard_normal(d)
+        assert np.allclose(action.apply_array(v), want @ v, atol=1e-12)
+        vs = g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
+        assert np.allclose(action.apply_array(vs), want @ vs, atol=1e-12)
+
+
+@pytest.mark.parametrize("basis", [Basis.full(3), Basis.sector(3)])
+def test_flip_index_is_built_once_and_shared(basis):
+    a, b = (SparseAction(random_spec(Kind.H4, 3, s), basis)._matrix for s in (1, 2))
+    assert np.shares_memory(a.indptr, b.indptr)
+    assert np.shares_memory(a.indices, b.indices)
+    assert not np.shares_memory(a.data, b.data)
+    index = basis._flips
+    assert index is Basis(basis.kind, 3)._flips
+    for arr in (index.states, index.pos, index.partner, index.differ, index.signs,
+                a.indptr, a.indices):
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
+
+
+def test_index_and_layout_builds_are_guarded(monkeypatch):
+    # H1's full basis at n = 10 would need ~2 GiB for its flip index alone
+    spec = random_spec(Kind.H1, 10, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError, match="flip index"):
+            SparseAction(spec, Basis.full(10)).apply_array(np.zeros(1 << 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    index = Basis.full(3)._flips  # 16 KiB; its H1 layout needs ~23 KiB
+    monkeypatch.setattr(core, "_MAX_BYTES", 20000)
+    _layout.cache_clear()
+    with pytest.raises(DenseMemoryError, match="sparse layout"):
+        _layout(index, False)
 
 
 def test_single_term_h1():
@@ -299,7 +345,7 @@ def test_h1_norm_tail_monte_carlo():
 
 def test_dense_guards():
     spec = random_spec(Kind.H3, 9, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DenseMemoryError):
         dense_matrix(spec, Basis.full(9))
-    with pytest.raises(ValueError):
-        dense_matrix(spec, Basis.sector(9))  # C(18,9) = 48620 > 20000
+    with pytest.raises(DenseMemoryError):
+        dense_matrix(spec, Basis.sector(9))  # C(18,9) = 48620: ~53 GiB

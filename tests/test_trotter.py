@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 
 from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.hamiltonian import dense_matrix
+from spindyn.hamiltonian import _sparse_matrix, dense_matrix
 from spindyn.trotter import (
+    _blocks,
     CALIBRATED_PREFACTOR,
     Gate,
     GateSequence,
@@ -224,6 +225,23 @@ def test_step_unitary_is_block_diagonal(kind):
     symmetry, sizes = symmetry_blocks(kind, n)
     assert sizes == tuple(np.bincount(label))
     assert symmetry == ("parity" if kind in (Kind.H1, Kind.H2) else "weight")
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_blocks_share_the_cached_flip_index(kind):
+    n = 3
+    blocks = _blocks(kind, n)[1]
+    assert all(a is b for a, b in zip(blocks, _blocks(kind, n)[1]))
+    states = np.sort(np.concatenate([b.states for b in blocks]))
+    assert np.array_equal(states, np.arange(1 << (2 * n)))
+    if kind in (Kind.H3, Kind.H4):
+        assert blocks[n] is Basis.sector(n)._flips
+    for block in blocks:
+        a, b = (_sparse_matrix(random_spec(kind, n, s), block) for s in (1, 2))
+        assert np.shares_memory(a.indptr, b.indptr)
+        assert np.shares_memory(a.indices, b.indices)
+        with pytest.raises(ValueError, match="read-only"):
+            block.partner.flat[0] = 0
 
 
 def test_error_rejects_nonpositive_step_count():
