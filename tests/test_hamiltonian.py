@@ -88,9 +88,23 @@ def test_dense_matches_kron_oracle(kind, n, fields):
 
 
 @pytest.mark.parametrize("kind", list(Kind))
+def test_apply_matches_dense(kind):
+    n = 2
+    spec = random_spec(kind, n, 31)
+    action = SparseAction(spec, Basis.full(n))
+    h = dense_matrix(spec, Basis.full(n))
+    g = np.random.default_rng(4)
+    v = g.standard_normal(h.shape[0]) + 1j * g.standard_normal(h.shape[0])
+    assert np.allclose(action.apply_array(v), h @ v, atol=1e-12)
+    # batched columns too
+    vs = g.standard_normal((h.shape[0], 3))
+    assert np.allclose(action.apply_array(vs), h @ vs, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("fields", [False, True])
-def test_apply_matches_dense(kind, n, fields):
+def test_apply_and_dense_match_oracle(kind, n, fields):
     # apply_array and dense_matrix read one sparse builder, so both are
     # checked against the kron oracle, restricted to each basis H allows
     spec = random_spec(kind, n, 31 + n, fields=fields)
