@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -79,8 +80,12 @@ def _new_run_dir(outdir: str, command: str, seed: int) -> Path:
     return path
 
 
+@functools.cache
 def _git_describe() -> str:
-    """State of the checkout this package was loaded from, not of the cwd."""
+    """State of the checkout this package was loaded from, not of the cwd.
+
+    Taken once per process: the loaded code does not change under it.
+    """
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -449,7 +454,13 @@ def _add_common(sub: argparse.ArgumentParser, threads: bool = False) -> None:
         )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process.
+
+    parse_args returns a fresh Namespace on every call, so one parser
+    serves every main() call.
+    """
     parser = argparse.ArgumentParser(
         prog="spindyn",
         description="Seeded spin-dynamics experiments with CSV/JSON provenance.",

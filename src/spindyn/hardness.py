@@ -17,11 +17,7 @@ import numpy as np
 from .core import BitString, HamiltonianSpec, Rng, SampleSet, hamming_class
 from .evolve import Propagator
 from .hamiltonian import operator_norm
-from .permanent import (
-    permanent_bruteforce,
-    permanent_ryser,
-    submatrix_for_outcome,
-)
+from .permanent import permanent_ryser, submatrix_for_outcome
 from .polyfit import extract_coefficient, robust_median_fit
 
 _MODES = ("exact-oracle", "noisy-oracle")
@@ -201,6 +197,11 @@ def worst_to_average_demo(
     with bounded noise, fits with the median regression, and evaluates
     at t = 1.  delta_window defaults to the proof's (16m)^{-2}; pass a
     larger window to make the extrapolation numerically benign.
+
+    The returned truth Per(X) is exact: for a 0/1 matrix with m <= 7 every
+    intermediate of Glynn's formula is an integer below 2**53 (row sums at
+    most 7 in absolute value, products at most 7^7, 64 terms, and a final
+    division by a power of two), so the float kernel carries it bit for bit.
     """
     X = np.asarray(X_hard, dtype=float)
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
@@ -227,5 +228,5 @@ def worst_to_average_demo(
         node_count=node_count,
         rng=rng.substream(1),
     )
-    truth = float(permanent_bruteforce(X))
+    truth = permanent_ryser(X)
     return float(fit(1.0)), truth

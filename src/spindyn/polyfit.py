@@ -96,37 +96,57 @@ def extract_coefficient(
     return estimate, bound
 
 
-def _exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; free variables are set to 0.
+def _exact_solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
+    """Solve an integer system exactly; free variables are set to 0.
+
+    Fraction-free Bareiss elimination (Math. Comp. 22, 1968): after the
+    k-th pivot every remaining entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact and no gcd is ever taken.  A
+    column with no nonzero entry at or below the current row is skipped.
+    Back-substitution runs on the pivot columns only, scaled by the last
+    pivot D (the determinant of the pivot block), so each D*x is an integer
+    by Cramer's rule; one Fraction per unknown is formed at the end.
 
     Raises RecoveryError if the system is inconsistent.
     """
     m = len(rows)
     ncols = len(rows[0]) if rows else 0
     aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivot_of_col: dict[int, int] = {}
+    pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, m) if aug[i][c] != 0), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_of_col[c] = r
+        top = aug[r]
+        p = top[c]
+        for i in range(r + 1, m):
+            row = aug[i]
+            f = row[c]
+            row[c + 1:] = [
+                (p * v - f * w) // prev for v, w in zip(row[c + 1:], top[c + 1:])
+            ]
+            row[c] = 0
+        pivots.append(c)
+        prev = p
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if all(v == 0 for v in aug[i][:ncols]) and aug[i][ncols] != 0:
-            raise RecoveryError("sample system is inconsistent")
+    # Rows r.. are zero left of the bar: each column was eliminated or skipped.
+    if any(aug[i][ncols] != 0 for i in range(r, m)):
+        raise RecoveryError("sample system is inconsistent")
+    scaled = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = aug[k]
+        acc = prev * row[ncols]
+        for j in range(k + 1, r):
+            acc -= row[pivots[j]] * scaled[j]
+        scaled[k] = acc // row[pivots[k]]
     x = [Fraction(0)] * ncols
-    for c, i in pivot_of_col.items():
-        x[c] = aug[i][ncols]
+    for c, num in zip(pivots, scaled):
+        x[c] = Fraction(num, prev)
     return x
 
 
@@ -154,9 +174,9 @@ def berlekamp_welch_recover(
 
     Solves Q(t_i) = y_i E(t_i) for a monic error locator E of degree
     e_max and Q of degree d + e_max, then returns Q / E.  In exact mode
-    everything runs over Fraction (true exactness for rational data); in
-    float mode the solve is least-squares and each certificate check is
-    tolerance-gated.
+    the solve runs over the integers and the division and checks over
+    Fraction (true exactness for rational data); in float mode the solve
+    is least-squares and each certificate check is tolerance-gated.
 
     Raises RecoveryError when the corruption budget is exceeded: the
     system is inconsistent, the division leaves a remainder, or the
@@ -200,16 +220,30 @@ def _float_divide(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndar
     return np.atleast_1d(q)[::-1].astype(float), np.atleast_1d(r)[::-1].astype(float)
 
 
-def _bw_exact(samples: SampleSet, d: int, e_max: int, nq: int, ne: int) -> Polynomial:
-    ts = [Fraction(float(t)) for t in samples.t]
-    ys = [Fraction(float(y)) for y in samples.y]
+def _bw_system(
+    ts: list[Fraction], ys: list[Fraction], nq: int, ne: int, e_max: int
+) -> tuple[list[list[int]], list[int]]:
+    """Berlekamp-Welch rows Q(t) - y E_low(t) = y t^e_max over the integers.
+
+    Each row and its right-hand side are scaled by the LCM of their
+    denominators, which for float data is a power of two.
+    """
     rows = []
     rhs = []
     for t, y in zip(ts, ys):
         row = [t**a for a in range(nq)] + [-y * t**b for b in range(ne)]
-        rows.append(row)
-        rhs.append(y * t**e_max)
-    sol = _exact_solve(rows, rhs)
+        row.append(y * t**e_max)
+        scale = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        rows.append(ints[:-1])
+        rhs.append(ints[-1])
+    return rows, rhs
+
+
+def _bw_exact(samples: SampleSet, d: int, e_max: int, nq: int, ne: int) -> Polynomial:
+    ts = [Fraction(float(t)) for t in samples.t]
+    ys = [Fraction(float(y)) for y in samples.y]
+    sol = _exact_solve(*_bw_system(ts, ys, nq, ne, e_max))
     qcoef = sol[:nq]
     ecoef = sol[nq:] + [Fraction(1)]
     quot, rem = _divide_exact(qcoef, ecoef)

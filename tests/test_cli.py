@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spindyn import cli
 from spindyn.cli import main
 
 
@@ -261,8 +262,10 @@ def test_bw_demo_refuses_values_past_float_precision(tmp_path, capsys):
 def test_git_describe_reads_the_package_checkout(tmp_path, monkeypatch):
     args = ["trotter-plan", "--n", "5", "--t0-mult", "1", "--eps", "1e-2"]
     monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    cli._git_describe.cache_clear()
     assert run_cli(args, tmp_path / "root") == 0
     monkeypatch.chdir(tmp_path)
+    cli._git_describe.cache_clear()
     assert run_cli(args, tmp_path / "elsewhere") == 0
     described = [
         json.loads((only_run_dir(tmp_path / d, "trotter-plan") / "manifest.json")
@@ -270,6 +273,22 @@ def test_git_describe_reads_the_package_checkout(tmp_path, monkeypatch):
         for d in ("root", "elsewhere")
     ]
     assert described[0] == described[1]
+
+
+def test_cli_spawns_git_once_per_process(tmp_path, monkeypatch):
+    real_run = cli.subprocess.run
+    spawned = []
+
+    def counting_run(cmd, *args, **kwargs):
+        spawned.append(cmd[0])
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    cli._git_describe.cache_clear()
+    args = ["trotter-plan", "--n", "5", "--t0-mult", "1", "--eps", "1e-2"]
+    for k in range(3):
+        assert run_cli(args, tmp_path / str(k)) == 0
+    assert spawned == ["git"]
 
 
 def test_trotter_error_reports_its_blocks_on_stderr(tmp_path, capsys):

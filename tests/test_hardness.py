@@ -474,6 +474,18 @@ def test_w2a_truth_is_brute_force():
     assert truth == 6.0
 
 
+def test_w2a_truth_is_the_exact_permanent_bit_for_bit():
+    # Glynn on a 0/1 matrix with m <= 7 stays in integers below 2**53.
+    cases = [np.ones((7, 7))]
+    for m in range(1, 8):
+        g = Rng(71, m).generator()
+        cases += [(g.random((m, m)) < g.random()).astype(float) for _ in range(100)]
+    for k, X in enumerate(cases):
+        _, truth = worst_to_average_demo(X, 0.0, Rng(k), repetitions=1)
+        assert truth.hex() == float(permanent_bruteforce(X)).hex(), f"case {k}"
+    assert worst_to_average_demo(cases[0], 0.0, Rng(0), repetitions=1)[1] == 5040.0
+
+
 def test_w2a_deterministic():
     X = np.eye(4)
     assert worst_to_average_demo(X, 1e-6, Rng(21)) == worst_to_average_demo(

@@ -1,6 +1,7 @@
 """Interpolation, bounded-noise extraction, and corrupted-sample recovery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from spindyn.core import Polynomial, Rng, SampleSet
 from spindyn.polyfit import (
     RecoveryError,
+    _bw_system,
+    _exact_solve,
     berlekamp_welch_recover,
     extract_coefficient,
     lagrange_fit,
@@ -197,6 +200,108 @@ def test_bw_exact_mode_is_exact_on_integer_data():
         got = np.zeros(d + 1)
         got[: fit.coefficients.size] = fit.coefficients[: d + 1]
         assert np.array_equal(got, coeffs), f"seed {seed}: {got} != {coeffs}"
+
+
+# -- _exact_solve ----------------------------------------------------------
+
+
+def _pivot_columns(rows):
+    """Column rank profile: the columns outside the span of those before them."""
+    basis = []
+    pivots = []
+    for c in range(len(rows[0])):
+        v = [Fraction(row[c]) for row in rows]
+        for lead, u in basis:
+            if v[lead]:
+                f = v[lead] / u[lead]
+                v = [a - f * b for a, b in zip(v, u)]
+        lead = next((i for i, a in enumerate(v) if a), None)
+        if lead is not None:
+            basis.append((lead, v))
+            pivots.append(c)
+    return pivots
+
+
+def _nodes(g, kind, L):
+    if kind == "float":
+        return [Fraction(float(t)) for t in g.uniform(-1.0, 1.0, size=L)]
+    pool = np.arange(-24, 25)
+    picked = [int(k) for k in g.choice(pool, size=L, replace=False)]
+    denominator = {"int": 1, "half": 2, "eighth": 8}[kind]
+    return [Fraction(k, denominator) for k in picked]
+
+
+def _bw_case(case):
+    """A Berlekamp-Welch integer system: nodes int/float/k/2/k/8, shaped
+    square, overdetermined or rank-deficient (budget above the planted count)."""
+    g = Rng(97, case).generator()
+    kind = ("int", "float", "half", "eighth")[case % 4]
+    shape = ("square", "over", "rank-deficient")[(case // 4) % 3]
+    d = int(g.integers(0, 7))
+    planted = int(g.integers(0, 3))
+    budget = planted + (int(g.integers(1, 3)) if shape == "rank-deficient" else 0)
+    L = d + 1 + 2 * budget + (int(g.integers(1, 5)) if shape == "over" else 0)
+    ts = _nodes(g, kind, L)
+    coeffs = [int(c) for c in g.integers(-9, 10, size=d + 1)]
+    ys = [sum(c * t**k for k, c in enumerate(coeffs)) for t in ts]
+    for i in g.choice(L, size=planted, replace=False):
+        ys[int(i)] += int(g.integers(1, 50))
+    return _bw_system(ts, ys, d + budget + 1, budget, budget)
+
+
+def _low_rank_case(case):
+    """A random integer system of rank below its width, some columns all zero."""
+    g = Rng(98, case).generator()
+    m, n = int(g.integers(2, 12)), int(g.integers(2, 12))
+    k = int(g.integers(1, min(m, n) + 1))
+    left = g.integers(-5, 6, size=(m, k))
+    right = g.integers(-5, 6, size=(k, n))
+    right[:, g.random(n) < 0.2] = 0
+    rows = [[int(v) for v in row] for row in left @ right]
+    x = g.integers(-7, 8, size=n)
+    rhs = [int(v) for v in (left @ right) @ x]
+    return rows, rhs
+
+
+def _exact_solve_cases():
+    return [_bw_case(c) for c in range(180)] + [_low_rank_case(c) for c in range(60)]
+
+
+def test_exact_solve_satisfies_system_and_zeroes_free_columns():
+    for case, (rows, rhs) in enumerate(_exact_solve_cases()):
+        x = _exact_solve(rows, rhs)
+        assert all(isinstance(v, Fraction) for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b, f"case {case}"
+        pivots = set(_pivot_columns(rows))
+        assert all(x[c] == 0 for c in range(len(x)) if c not in pivots), (
+            f"case {case}: a free column is nonzero"
+        )
+
+
+def test_exact_solve_rejects_inconsistent_systems():
+    for case, (rows, rhs) in enumerate(_exact_solve_cases()[::4]):
+        # a combination of two rows whose right-hand side is off by one
+        g = Rng(99, case).generator()
+        i, j = (int(v) for v in g.choice(len(rows), size=2))
+        a, b = (int(v) for v in g.integers(1, 4, size=2))
+        extra = [a * u + b * v for u, v in zip(rows[i], rows[j])]
+        spot = int(g.integers(0, len(rows) + 1))
+        rows = rows[:spot] + [extra] + rows[spot:]
+        rhs = rhs[:spot] + [a * rhs[i] + b * rhs[j] + 1] + rhs[spot:]
+        with pytest.raises(RecoveryError, match="inconsistent"):
+            _exact_solve(rows, rhs)
+
+
+def test_bw_system_is_integer_and_scales_rows_by_powers_of_two():
+    ts = [Fraction(3, 8), Fraction(-1, 2), Fraction(5)]
+    ys = [Fraction(1, 4), Fraction(7), Fraction(-3, 2)]
+    rows, rhs = _bw_system(ts, ys, 3, 1, 1)
+    for t, y, row, b in zip(ts, ys, rows, rhs):
+        want = [1, t, t**2, -y, y * t]
+        scale = Fraction(b) / want[-1]
+        assert scale.denominator == 1 and scale.numerator & (scale.numerator - 1) == 0
+        assert [Fraction(v) for v in row] == [scale * w for w in want[:-1]]
 
 
 # -- robust_median_fit -----------------------------------------------------
