@@ -14,6 +14,10 @@ coupling draw computes only the stored values and the diagonal.
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; `moment()` reads one entry of
 it, and sweeps over many outcomes x read one table.
+
+`_blocks` is the symmetry partition H conserves (weight or Z-parity
+blocks); `operator_norm` diagonalises block by block, or takes H1's
+closed form, and never builds the 4^n matrix.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .core import (
     Kind,
     Rng,
     _check_bytes,
+    _flip_index,
     _FlipIndex,
 )
 
@@ -69,47 +74,69 @@ def _diag_values(spec: HamiltonianSpec, za: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
-    """J-independent CSR layout (indptr, indices, term) of H on the rows.
+    """J-independent CSR layout (indptr, indices, term, diag) of H on the rows.
 
-    Row r stores its diagonal first, then one entry per site (i, j) in
-    row-major site order: every site for class I, whose row sets (the full
-    basis, a parity block) hold every flip partner, and for the hopping
-    kinds only the sites whose two bits differ, which are exactly the
-    flips that stay inside a weight block.  term[e] is the site i*n + j of
-    entry e (0 for a diagonal, whose value each draw writes itself).  H is
-    symmetric, so row r's entries are read off r's own flips and no sort
-    is needed.
+    Row r stores its diagonal and one entry per site (i, j): every site for
+    class I, whose row sets (the full basis, a parity block) hold every
+    flip partner, and for the hopping kinds only the sites whose two bits
+    differ, which are exactly the flips that stay inside a weight block.
+    H is symmetric, so row r's entries are read off r's own flips; each
+    row's columns are then sorted once, which makes the layout canonical
+    (no duplicates: distinct flips reach distinct rows).  term[e] is the
+    site i*n + j of entry e (0 for a diagonal, whose value each draw
+    writes itself) and diag[r] is the entry holding row r's diagonal.
     """
     n, dim = index.n, index.states.size
     flips = index.differ if hopping else np.ones_like(index.differ)
     keep = np.vstack([np.ones((1, dim), dtype=bool), flips.reshape(n * n, dim)]).T
     nnz = int(keep.sum())
-    # per stored entry: the int64 transients of this build, indices, term,
-    # and a draw's values
-    _check_bytes(36 * nnz, f"sparse layout of {nnz} entries")
+    # per stored entry: the int64 transients of this build and of the sort,
+    # indices, term, and a draw's values
+    _check_bytes(44 * nnz, f"sparse layout of {nnz} entries")
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     targets = np.vstack([np.arange(dim)[None, :], index.partner.reshape(n * n, dim)])
     indices = targets.T[keep].astype(np.int32)
-    term = np.broadcast_to(np.r_[0, : n * n], keep.shape)[keep]
-    for arr in (indptr, indices, term):  # the cache shares them with every draw
+    del targets
+    # sort each row's columns, carrying every entry's slot along as data
+    order = sp.csr_matrix((np.arange(nnz), indices, indptr), shape=(dim, dim))
+    order.sort_indices()
+    term = np.broadcast_to(np.r_[0, : n * n], keep.shape)[keep][order.data]
+    first = np.zeros(nnz, dtype=bool)
+    first[indptr[:-1]] = True  # each row's diagonal is its first slot
+    diag = np.flatnonzero(first[order.data])
+    for arr in (indptr, indices, term, diag):  # the cache shares them with every draw
         arr.flags.writeable = False
-    return indptr, indices, term
+    return indptr, indices, term, diag
 
 
 def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
     """H on the index's rows; only the stored values depend on the draw.
 
     Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
-    J_ij / 2n).  The index arrays are the cached read-only layout: products
-    and toarray() work, scipy's in-place methods (sort_indices,
-    sum_duplicates, and abs() through them) raise.
+    J_ij / 2n).  The index arrays are the cached read-only layout, sorted
+    and free of duplicates, so the matrix is marked canonical and scipy
+    never tries to sort it in place.
     """
-    indptr, indices, term = _layout(index, spec.kind in (Kind.H3, Kind.H4))
+    indptr, indices, term, diag = _layout(index, spec.kind in (Kind.H3, Kind.H4))
     data = (spec.couplings.entries.ravel() / spec.n)[term]
-    data[indptr[:-1]] = _diag_values(spec, index.signs)  # each row's first entry
+    data[diag] = _diag_values(spec, index.signs)
     dim = index.states.size
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    m.has_canonical_format = True
+    return m
+
+
+def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
+    """The symmetry H conserves, and the flip index of each of its blocks.
+
+    The hopping kinds (H3, H4) conserve Hamming weight, class I (H1, H2)
+    Z-parity, and z fields are diagonal.  The norm and the Trotter error
+    algebra both split on this partition.
+    """
+    if Kind(kind) in (Kind.H1, Kind.H2):
+        return "parity", [_flip_index(n, "parity", p) for p in range(2)]
+    return "weight", [_flip_index(n, "weight", w) for w in range(2 * n + 1)]
 
 
 @dataclass(frozen=True)
@@ -173,18 +200,41 @@ def moment(
     return float(moment_table(spec, k)[k, x.index()])
 
 
+def _h1_norm(spec: HamiltonianSpec) -> float:
+    """||H1|| = max over s in {+-1}^n of ||s^T J||_1 / n.
+
+    H1 = Sum J_ij X_i X_{n+j} / n is diagonal in the X basis, with
+    eigenvalues s^T J t / n over sign vectors s, t; the best t for a given
+    s takes the sign of each entry of s^T J.  s and -s give the same
+    value, so s_1 = +1.
+    """
+    n = spec.n
+    # the int64 bits and shift transients, the float signs and the products
+    _check_bytes(40 * n << (n - 1), f"sign table of {1 << (n - 1)} rows")
+    bits = (np.arange(1 << (n - 1))[:, None] << 1 >> np.arange(n)) & 1
+    signs = 1.0 - 2.0 * bits
+    return float(np.abs(signs @ spec.couplings.entries).sum(axis=1).max() / n)
+
+
 def operator_norm(
     spec: HamiltonianSpec, tol: float = 1e-8, max_iter: int = 100_000
 ) -> float:
-    """Spectral norm of H on the full space.
+    """Spectral norm of H on the full space, never as a 4^n x 4^n matrix.
 
-    Dense eigendecomposition when the dimension is at most 4096,
-    otherwise power iteration from a fixed seeded start vector.
+    H1 without z fields takes its closed form (`_h1_norm`), exact at any
+    n.  Otherwise, up to dimension 4096, the largest |eigenvalue| over the
+    symmetry blocks of `_blocks`, each diagonalised densely; above it,
+    power iteration from a fixed seeded start vector, which converges
+    from below.
     """
+    if spec.kind is Kind.H1 and spec.z_fields is None:
+        return _h1_norm(spec)
     dim = 1 << (2 * spec.n)
     if dim <= 4096:
-        h = dense_matrix(spec, Basis.full(spec.n))
-        return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+        return max(
+            float(np.max(np.abs(np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray()))))
+            for b in _blocks(spec.kind, spec.n)[1]
+        )
     action = SparseAction(spec, Basis.full(spec.n))
     v = Rng(20260823).generator().standard_normal(dim)
     v /= np.linalg.norm(v)

@@ -15,7 +15,8 @@ error algebra.
 Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
 conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
 so e^{-iHt} and the product formula are both block-diagonal in that
-partition (2n+1 weight blocks or 2 parity blocks).  Each block's H is
+partition (2n+1 weight blocks or 2 parity blocks, from `hamiltonian`'s
+`_blocks`, which the operator norm splits on too).  Each block's H is
 built from its own flip index, never from the whole 4^n matrix, and is
 diagonalised once per call and shared by every step count M;
 ||e^{-iHt} - T^M|| is the largest singular value over the blocks of
@@ -40,7 +41,7 @@ from .core import (
     _FlipIndex,
     sample_coupling,
 )
-from .hamiltonian import _sparse_matrix
+from .hamiltonian import _blocks, _sparse_matrix
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
@@ -222,20 +223,24 @@ def build_trotter(
 # -- block-diagonal error algebra ------------------------------------------
 
 
-def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
-    """The symmetry the gates conserve, and the flip index of each block.
-
-    The XX+YY(+ZZ) gates conserve weight; the class-I gates Z-parity.
-    """
-    if Kind(kind) in (Kind.H1, Kind.H2):
-        return "parity", [_flip_index(n, "parity", p) for p in range(2)]
-    return "weight", [_flip_index(n, "weight", w) for w in range(2 * n + 1)]
-
-
 def symmetry_blocks(kind: Kind, n: int) -> tuple[str, tuple[int, ...]]:
     """The symmetry the error algebra splits on, and its block dimensions."""
     symmetry, blocks = _blocks(kind, n)
     return symmetry, tuple(b.states.size for b in blocks)
+
+
+def _step_matrix(gates: Sequence[Gate], block: _FlipIndex, order: int) -> np.ndarray:
+    """One product-formula step (the gates of build_trotter) inside a block.
+
+    Every gate is complex-symmetric and the Strang step is a palindrome,
+    so at order 2 the step is A^T A with A the first half applied to the
+    block identity: half the gate work for one block product.
+    """
+    eye = np.eye(block.states.size, dtype=complex)
+    if order == 1:
+        return _apply_gates(eye, gates, block)
+    half = _apply_gates(eye, gates[: len(gates) // 2], block)
+    return half.T @ half
 
 
 def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int):
@@ -252,9 +257,8 @@ def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: i
     for block in _blocks(spec.kind, spec.n)[1]:
         evals, evecs = scipy.linalg.eigh(_sparse_matrix(spec, block).toarray())
         exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
-        eye = np.eye(block.states.size, dtype=complex)
         powers = [
-            np.linalg.matrix_power(_apply_gates(eye, step, block), M)
+            np.linalg.matrix_power(_step_matrix(step, block, order), M)
             for step, M in zip(steps, Ms)
         ]
         yield block, exact, powers

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spindyn import core
+from spindyn import core, hamiltonian
 from spindyn.core import (
     Basis,
     BitString,
@@ -20,7 +20,9 @@ from spindyn.core import (
 from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
+    _blocks,
     _layout,
+    _sparse_matrix,
     coupling_norm_bound,
     dense_matrix,
     moment,
@@ -137,6 +139,33 @@ def test_flip_index_is_built_once_and_shared(basis):
                 a.indptr, a.indices):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
+
+
+@pytest.mark.parametrize(
+    "kind, basis, block",
+    [
+        (Kind.H1, Basis.full(3), None),
+        (Kind.H4, Basis.sector(3), None),
+        (Kind.H3, None, core._flip_index(3, "weight", 2)),
+    ],
+)
+def test_cached_layout_is_canonical(kind, basis, block):
+    # scipy's abs() and max() deduplicate in place unless the matrix is
+    # canonical, which would write into the shared read-only layout
+    spec = random_spec(kind, 3, 8, fields=True)
+    if basis is not None:
+        m, dense = SparseAction(spec, basis)._matrix, dense_matrix(spec, basis)
+    else:
+        m = _sparse_matrix(spec, block)
+        rows = block.states
+        dense = dense_oracle(spec)[np.ix_(rows, rows)].real
+    assert m.has_canonical_format
+    for r in range(m.shape[0]):
+        cols = m.indices[m.indptr[r] : m.indptr[r + 1]]
+        assert np.all(np.diff(cols) > 0)
+    assert np.allclose(abs(m).toarray(), np.abs(dense), atol=1e-12)
+    assert m.max() == pytest.approx(dense.max(), abs=1e-12)
+    assert m.min() == pytest.approx(dense.min(), abs=1e-12)
 
 
 def test_index_and_layout_builds_are_guarded(monkeypatch):
@@ -325,6 +354,48 @@ def test_norm_bound_holds():
         for seed in range(5):
             spec = random_spec(kind, 3, 70 + seed)
             assert operator_norm(spec) <= coupling_norm_bound(spec) + 1e-12
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("fields", [False, True])
+def test_operator_norm_matches_full_space_eigvalsh(kind, n, fields, monkeypatch):
+    spec = random_spec(kind, n, 500 + 10 * n, fields=fields)
+    want = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, Basis.full(n))))))
+    if fields:  # z fields break H1's X-basis closed form
+
+        def refuse(spec):
+            raise AssertionError("closed form taken with z fields")
+
+        monkeypatch.setattr(hamiltonian, "_h1_norm", refuse)
+    assert operator_norm(spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_h1_sign_table_is_guarded():
+    spec = random_spec(Kind.H1, 40, 6)  # 2^39 sign rows
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError, match="sign table"):
+            operator_norm(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_power_iteration_path_bracketed_for_hopping_kind():
+    # n = 7 (d = 16384) exceeds the dense cutoff, and H3 has no closed
+    # form: the estimate converges from below, so it lies above the norm
+    # of any weight block and below the rigorous bound
+    n = 7
+    spec = random_spec(Kind.H3, n, 2)
+    blocks = _blocks(Kind.H3, n)[1]
+    low = max(
+        float(np.max(np.abs(np.linalg.eigvalsh(_sparse_matrix(spec, blocks[w]).toarray()))))
+        for w in (1, 2)
+    )
+    est = operator_norm(spec, tol=1e-10)
+    assert low < est <= coupling_norm_bound(spec)
 
 
 def test_power_iteration_path_agrees_with_closed_form():

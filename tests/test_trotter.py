@@ -9,7 +9,9 @@ import scipy.linalg
 from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
 from spindyn.hamiltonian import _sparse_matrix, dense_matrix
 from spindyn.trotter import (
+    _apply_gates,
     _blocks,
+    _step_matrix,
     CALIBRATED_PREFACTOR,
     Gate,
     GateSequence,
@@ -211,6 +213,20 @@ def test_error_list_equals_singles_bit_for_bit(kind):
     for order in (1, 2):
         many = trotter_operator_errors(spec, 2.1, Ms, order)
         assert many == [trotter_operator_error(spec, 2.1, M, order) for M in Ms]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_strang_step_from_half_step_matches_every_gate(kind):
+    # the order-2 step is built as A^T A from the half step A; applying
+    # the whole palindrome gate by gate must give the same block matrix
+    n = 3
+    spec = random_spec(kind, n, 91)
+    gates = build_trotter(spec, 0.8, 1, 2).gates
+    for block in _blocks(kind, n)[1]:
+        eye = np.eye(block.states.size, dtype=complex)
+        want = _apply_gates(eye, gates, block)
+        assert np.max(np.abs(_step_matrix(gates, block, 2) - want)) <= 1e-13
+        assert np.array_equal(_step_matrix(gates, block, 1), want)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
