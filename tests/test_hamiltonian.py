@@ -396,6 +396,8 @@ def test_power_iteration_path_bracketed_for_hopping_kind():
     )
     est = operator_norm(spec, tol=1e-10)
     assert low < est <= coupling_norm_bound(spec)
+    with pytest.raises(RuntimeError, match="power iteration"):
+        operator_norm(spec, max_iter=1)
 
 
 def test_power_iteration_path_agrees_with_closed_form():
