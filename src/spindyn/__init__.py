@@ -11,7 +11,6 @@ from .anticon import (  # noqa: F401
     AnticonThresholds,
     MomentRecord,
     equilibration_curve,
-    estimate_moments,
     moment_statistics,
     paley_zygmund_bound,
     ratio_r,
@@ -43,7 +42,6 @@ from .hamiltonian import (  # noqa: F401
     DenseMemoryError,
     SparseAction,
     dense_matrix,
-    moment,
     moment_table,
     operator_norm,
 )

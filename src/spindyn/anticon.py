@@ -3,9 +3,11 @@
 Estimates the first two moments of the output probability p(x; J; t)
 across an ensemble of coupling matrices, computes the threshold ratio r
 (the fraction of outcomes whose moments clear the class scale), applies
-the Paley-Zygmund lower bound, and traces equilibration curves.  All
-estimators accumulate in draw-index order from per-draw substreams, so
-identical seeds reproduce results bit for bit.
+the Paley-Zygmund lower bound, and traces equilibration curves.  The
+moment sweep and the curve read one accumulator, `_ensemble_sums`, which
+propagates each draw once over the whole time grid and sums in
+draw-index order from per-draw substreams, so identical seeds reproduce
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,11 +37,14 @@ _MIN_DRAWS = 16
 
 @dataclass(frozen=True)
 class MomentRecord:
-    """Sample moments of p(x; J; t) over the coupling ensemble for one x."""
+    """Sample moments of p(x; J; t) over the coupling ensemble for one x,
+    with the standard errors of both means."""
 
     x: BitString
     mean_p: float
     mean_p2: float
+    se_p: float
+    se_p2: float
     samples: int
     kind: Kind
     n: int
@@ -50,6 +55,8 @@ class MomentRecord:
             raise ValueError("mean_p must lie in [0, 1]")
         if self.mean_p2 < 0.0:
             raise ValueError("mean_p2 must be non-negative")
+        if self.se_p < 0.0 or self.se_p2 < 0.0:
+            raise ValueError("standard errors must be non-negative")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -86,88 +93,98 @@ class AnticonThresholds:
         return self.K**2 / (4.0 * self.Lambda)
 
 
-def _validate_ensemble_args(n: int, num_J: int) -> None:
+class _EnsembleSums(NamedTuple):
+    kind: Kind
+    members: list[BitString]
+    times: np.ndarray
+    p: np.ndarray
+    p2: np.ndarray
+    p4: np.ndarray
+    mean: np.ndarray
+    mean2: np.ndarray
+
+
+def _ensemble_sums(
+    kind: Kind | str,
+    n: int,
+    times: Sequence[float] | np.ndarray,
+    num_J: int,
+    rng: Rng,
+    threads: int,
+) -> _EnsembleSums:
+    """Propagate each coupling draw once over the grid and sum its p table.
+
+    `p`, `p2` and `p4` sum p, p^2 and p^4 per (x in X_{n/2}, t); `mean`
+    and `mean2` sum each draw's X_{n/2} mean of p, and its square, per t.
+    Draws are independent substreams, so threading changes wall time only:
+    the pool hands back tables in draw order and the sums take them in
+    that order.  Only the X_{n/2} rows are propagated: above the dense
+    limit (n >= 4 in the full basis, n >= 5 in the sector) that is the
+    Chebyshev recurrence, so n = 8 (sector dimension C(16,8) = 12870)
+    costs sparse matvecs and O(order * |X_{n/2}| + dimension) memory per
+    draw, not a 12870-dim eigh.
+    """
     if n < 2 or n % 2:
         raise ValueError("n must be even and at least 2 for the X_{n/2} sweep")
     if num_J < _MIN_DRAWS:
         raise ValueError(f"num_J must be at least {_MIN_DRAWS}")
-
-
-def _draw_tables(
-    kind: Kind, n: int, times: np.ndarray, num_J: int, rng: Rng, threads: int
-) -> Iterator[np.ndarray]:
-    """Per-draw p tables (members of X_{n/2} x times), yielded in draw order.
-
-    Draws are independent substreams, so threading changes wall time only;
-    the caller accumulates in the fixed order this generator provides.
-    Only the X_{n/2} rows are propagated: above the dense limit (n >= 4 in
-    the full basis, n >= 5 in the sector) that is the Chebyshev recurrence,
-    so n = 8 (sector dimension C(16,8) = 12870) costs sparse matvecs and
-    O(order * |X_{n/2}| + dimension) memory per draw, not a 12870-dim eigh.
-    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a non-empty finite 1-D grid")
+    kind = Kind(kind)
     basis = natural_basis(kind, n)
-    positions = [basis.index_of(x) for x in hamming_class_members(n, n // 2)]
+    members = hamming_class_members(n, n // 2)
+    positions = [basis.index_of(x) for x in members]
 
     def one_draw(j: int) -> np.ndarray:
         spec = HamiltonianSpec(kind, sample_coupling(n, rng.substream(j)))
         return Propagator(spec, basis=basis).all_probabilities_at(times, rows=positions)
 
-    if threads <= 1:
-        yield from map(one_draw, range(num_J))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(one_draw, range(num_J))
+    p, p2, p4 = (np.zeros((len(members), times.size)) for _ in range(3))
+    mean, mean2 = np.zeros(times.size), np.zeros(times.size)
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        tables = (pool.map if threads > 1 else map)(one_draw, range(num_J))
+        for table in tables:
+            p += table
+            p2 += table * table
+            p4 += table**4
+            draw_mean = table.mean(axis=0)
+            mean += draw_mean
+            mean2 += draw_mean * draw_mean
+    return _EnsembleSums(kind, members, times, p, p2, p4, mean, mean2)
 
 
 def moment_statistics(
-    kind: Kind | str, n: int, t: float, num_J: int, rng: Rng, threads: int = 1
-) -> list[tuple[MomentRecord, float, float]]:
-    """Per-x moment records plus standard errors of mean_p and mean_p2.
+    kind: Kind | str,
+    n: int,
+    times: Sequence[float] | np.ndarray,
+    num_J: int,
+    rng: Rng,
+    threads: int = 1,
+) -> list[list[MomentRecord]]:
+    """Per-x moment records, with their standard errors, at each time.
 
-    The standard error of mean_p2 needs the fourth sample moment, which
-    MomentRecord does not carry, so both are computed here alongside the
-    records.  One evolution per coupling draw serves every x in X_{n/2}.
+    One list per entry of `times`, each in X_{n/2} order.  One evolution
+    per coupling draw serves every x and every t.
     """
-    _validate_ensemble_args(n, num_J)
-    kind = Kind(kind)
-    members = hamming_class_members(n, n // 2)
-    sums = np.zeros(len(members))
-    sums2 = np.zeros(len(members))
-    sums4 = np.zeros(len(members))
-    times = np.array([float(t)])
-    for table in _draw_tables(kind, n, times, num_J, rng, threads):
-        p = table[:, 0]
-        sums += p
-        sums2 += p * p
-        sums4 += p**4
-    out = []
-    for i, x in enumerate(members):
-        mean_p = sums[i] / num_J
-        mean_p2 = sums2[i] / num_J
-        mean_p4 = sums4[i] / num_J
-        se_p = math.sqrt(max(mean_p2 - mean_p**2, 0.0) / num_J)
-        se_p2 = math.sqrt(max(mean_p4 - mean_p2**2, 0.0) / num_J)
-        record = MomentRecord(
-            x=x,
-            mean_p=float(mean_p),
-            mean_p2=float(mean_p2),
-            samples=num_J,
-            kind=kind,
-            n=n,
-            t=float(t),
-        )
-        out.append((record, se_p, se_p2))
-    return out
-
-
-def estimate_moments(
-    kind: Kind | str, n: int, t: float, num_J: int, rng: Rng, threads: int = 1
-) -> list[MomentRecord]:
-    """Sample means of p and p^2 over num_J coupling draws, one record per
-    x in X_{n/2}."""
+    sums = _ensemble_sums(kind, n, times, num_J, rng, threads)
+    m1, m2, m4 = sums.p / num_J, sums.p2 / num_J, sums.p4 / num_J
     return [
-        record
-        for record, _, _ in moment_statistics(kind, n, t, num_J, rng, threads)
+        [
+            MomentRecord(
+                x=x,
+                mean_p=float(m1[i, ti]),
+                mean_p2=float(m2[i, ti]),
+                se_p=math.sqrt(max(m2[i, ti] - m1[i, ti] ** 2, 0.0) / num_J),
+                se_p2=math.sqrt(max(m4[i, ti] - m2[i, ti] ** 2, 0.0) / num_J),
+                samples=num_J,
+                kind=sums.kind,
+                n=n,
+                t=float(t),
+            )
+            for i, x in enumerate(sums.members)
+        ]
+        for ti, t in enumerate(sums.times)
     ]
 
 
@@ -179,12 +196,15 @@ def ratio_r(
     """Fraction of records with mean_p >= K*scale and mean_p2 <= Lambda*scale^2.
 
     The scale is the class benchmark 2^{-2n} (I) or C(2n,n)^{-1} (II).
+    All records must share one n and one t.
     """
     if not records:
         raise ValueError("records must be non-empty")
-    n = records[0].n
+    n, t = records[0].n, records[0].t
     if any(r.n != n for r in records):
         raise ValueError("records mix different n")
+    if any(r.t != t for r in records):
+        raise ValueError("records mix different t")
     scale = anticoncentration_thresholds(model_class, n)
     hits = sum(
         1
@@ -213,21 +233,11 @@ def equilibration_curve(
     threads: int = 1,
 ) -> list[tuple[float, float, float]]:
     """(t, mean, stderr) rows for p averaged over x in X_{n/2} and J draws."""
-    _validate_ensemble_args(n, num_J)
-    kind = Kind(kind)
-    times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ValueError("t_grid must be a non-empty finite 1-D grid")
-    sums = np.zeros(times.size)
-    sums2 = np.zeros(times.size)
-    for table in _draw_tables(kind, n, times, num_J, rng, threads):
-        draw_mean = table.mean(axis=0)
-        sums += draw_mean
-        sums2 += draw_mean * draw_mean
+    sums = _ensemble_sums(kind, n, t_grid, num_J, rng, threads)
     out = []
-    for i, t in enumerate(times):
-        mean = sums[i] / num_J
-        var = max(sums2[i] / num_J - mean**2, 0.0)
+    for i, t in enumerate(sums.times):
+        mean = sums.mean[i] / num_J
+        var = max(sums.mean2[i] / num_J - mean**2, 0.0)
         out.append((float(t), float(mean), math.sqrt(var / num_J)))
     return out
 
@@ -249,7 +259,7 @@ def write_equilibration_csv(
 
 def write_moments_csv(
     path: str | Path,
-    statistics: Iterable[tuple[MomentRecord, float, float]],
+    records: Iterable[MomentRecord],
     model_class: str,
 ) -> None:
     """Moment table scaled by the class benchmark (the plot coordinates).
@@ -262,7 +272,7 @@ def write_moments_csv(
         writer.writerow(
             ["n", "t", "x_bits", "mean_p_scaled", "mean_p2_scaled", "stderr_p", "stderr_p2"]
         )
-        for record, se_p, se_p2 in statistics:
+        for record in records:
             scale = anticoncentration_thresholds(model_class, record.n)
             writer.writerow(
                 [
@@ -271,8 +281,8 @@ def write_moments_csv(
                     bits_label(record.x),
                     repr(record.mean_p / scale),
                     repr(record.mean_p2 / scale**2),
-                    repr(se_p / scale),
-                    repr(se_p2 / scale**2),
+                    repr(record.se_p / scale),
+                    repr(record.se_p2 / scale**2),
                 ]
             )
 

@@ -214,16 +214,15 @@ def _cmd_equilibrate(ns: argparse.Namespace, run_dir: Path) -> list[str]:
 def _cmd_anticon(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     kind = Kind(ns.model)
     t = ns.t_mult * math.log(ns.n)
-    stats = moment_statistics(
-        kind, ns.n, t, ns.num_j, Rng(ns.seed), threads=_threads(ns)
+    (records,) = moment_statistics(
+        kind, ns.n, [t], ns.num_j, Rng(ns.seed), threads=_threads(ns)
     )
-    records = [record for record, _, _ in stats]
     thresholds = (
         AnticonThresholds.ising() if ns.ising_thresholds else AnticonThresholds()
     )
     cls = model_class(kind)
     r = ratio_r(records, thresholds, cls)
-    write_moments_csv(run_dir / "moments.csv", stats, cls)
+    write_moments_csv(run_dir / "moments.csv", records, cls)
     write_ratio_csv(
         run_dir / "ratio.csv",
         [(ns.n, ns.t_mult, r, len(records), ns.num_j, ns.seed)],

@@ -1,7 +1,7 @@
 """Exact time evolution e^{-iHt}|y0> and output probabilities p(x; J; t).
 
 Class II models (H3, H4) evolve inside the weight-n sector, class I in
-the full basis.  Dimensions within `dense_limit` use one eigendecomposition
+the full basis.  Dimensions within `_DENSE_LIMIT` use one eigendecomposition
 of the real-symmetric matrix and reuse it for every requested time.
 Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a, where a
 is the rigorous spectral bound `coupling_norm_bound`: one real three-term
@@ -130,12 +130,7 @@ def _chebyshev_weights(z: np.ndarray, order: int) -> np.ndarray:
 class Propagator:
     """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian."""
 
-    def __init__(
-        self,
-        spec: HamiltonianSpec,
-        dense_limit: int = _DENSE_LIMIT,
-        basis: Basis | None = None,
-    ):
+    def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
         self.spec = spec
         self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
         self.action = SparseAction(spec, self.basis)
@@ -143,7 +138,7 @@ class Propagator:
         self._y0_pos = self.basis.index_of(self._y0)
         if self._y0_pos is None:
             raise ValueError("initial state lies outside the chosen basis")
-        self.dense = self.basis.dimension <= dense_limit
+        self.dense = self.basis.dimension <= _DENSE_LIMIT
         if self.dense:
             h = dense_matrix(spec, self.basis)
             self._evals, self._evecs = scipy.linalg.eigh(h)
@@ -230,20 +225,16 @@ class Propagator:
         return self.state_at(t).probability(x)
 
 
-def evolve_exact(
-    spec: HamiltonianSpec, t: float, dense_limit: int = _DENSE_LIMIT
-) -> StateVector:
+def evolve_exact(spec: HamiltonianSpec, t: float) -> StateVector:
     """e^{-iHt}|y0> with unit norm."""
-    return Propagator(spec, dense_limit=dense_limit).state_at(t)
+    return Propagator(spec).state_at(t)
 
 
-def output_probability(
-    spec: HamiltonianSpec, x: BitString, t: float, dense_limit: int = _DENSE_LIMIT
-) -> float:
+def output_probability(spec: HamiltonianSpec, x: BitString, t: float) -> float:
     """p(x; J; t) = |<x| e^{-iHt} |y0>|^2."""
     if x.n != spec.n:
         raise ValueError("bitstring size does not match the Hamiltonian")
-    return Propagator(spec, dense_limit=dense_limit).probability(x, t)
+    return Propagator(spec).probability(x, t)
 
 
 def time_average(

@@ -12,8 +12,8 @@ coupling draw computes only the stored values and the diagonal.
 `SparseAction` and `dense_matrix` both read that matrix.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
-the full basis, from k sparse applications; `moment()` reads one entry of
-it, and sweeps over many outcomes x read one table.
+the full basis, from k sparse applications; the moment <x|H^k|y0> is
+its entry [k, x.index()], and sweeps over many outcomes x read one table.
 
 `_blocks` is the symmetry partition H conserves (weight or Z-parity
 blocks); `operator_norm` diagonalises block by block, or takes H1's
@@ -45,7 +45,6 @@ __all__ = [
     "DenseMemoryError",
     "SparseAction",
     "dense_matrix",
-    "moment",
     "moment_table",
     "operator_norm",
     "coupling_norm_bound",
@@ -186,18 +185,6 @@ def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
     for k in range(kmax):
         table[k + 1] = action.apply_array(table[k])
     return table
-
-
-def moment(
-    spec: HamiltonianSpec, x: BitString, k: int, max_power: int | None = None
-) -> float:
-    """<x| H^k |y0>, read from a moment table of order k."""
-    cap = max_power if max_power is not None else 2 * spec.n + 4
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > cap:
-        raise ValueError(f"moment order {k} exceeds the configured cap {cap}")
-    return float(moment_table(spec, k)[k, x.index()])
 
 
 def _h1_norm(spec: HamiltonianSpec) -> float:

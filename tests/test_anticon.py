@@ -1,5 +1,6 @@
 """Anticoncentration Monte Carlo: moments, ratio r, Paley-Zygmund, equilibration."""
 
+import dataclasses
 import math
 import warnings
 
@@ -11,7 +12,6 @@ from spindyn.anticon import (
     MomentRecord,
     bits_label,
     equilibration_curve,
-    estimate_moments,
     moment_statistics,
     paley_zygmund_bound,
     ratio_r,
@@ -30,7 +30,8 @@ def synthetic_record(n: int, mean_p: float, mean_p2: float) -> MomentRecord:
         tuple(0 if i < n // 2 else 1 for i in range(n)),
     )
     return MomentRecord(
-        x=x, mean_p=mean_p, mean_p2=mean_p2, samples=100, kind=Kind.H3, n=n, t=1.0
+        x=x, mean_p=mean_p, mean_p2=mean_p2, se_p=0.0, se_p2=0.0,
+        samples=100, kind=Kind.H3, n=n, t=1.0,
     )
 
 
@@ -44,9 +45,12 @@ def test_moment_record_validation():
         synthetic_record(2, 0.5, -0.1)
     with pytest.raises(ValueError):
         MomentRecord(
-            x=BitString.x0(2), mean_p=0.1, mean_p2=0.02, samples=0,
-            kind=Kind.H1, n=2, t=0.5,
+            x=BitString.x0(2), mean_p=0.1, mean_p2=0.02, se_p=0.0, se_p2=0.0,
+            samples=0, kind=Kind.H1, n=2, t=0.5,
         )
+    for field in ("se_p", "se_p2"):
+        with pytest.raises(ValueError):
+            dataclasses.replace(synthetic_record(2, 0.1, 0.02), **{field: -1e-12})
 
 
 def test_threshold_defaults_and_derived():
@@ -78,7 +82,8 @@ def test_threshold_validation(kwargs):
 
 
 def test_zero_time_moments_vanish():
-    for record in estimate_moments(Kind.H3, 2, 0.0, 16, Rng(1)):
+    (records,) = moment_statistics(Kind.H3, 2, [0.0], 16, Rng(1))
+    for record in records:
         assert record.mean_p == pytest.approx(0.0, abs=1e-25)
         assert record.mean_p2 == pytest.approx(0.0, abs=1e-50)
 
@@ -95,30 +100,41 @@ def test_full_distribution_normalization():
         assert total.sum() / draws == pytest.approx(1.0, abs=1e-9)
 
 
-def test_moment_statistics_match_estimate_moments():
-    stats = moment_statistics(Kind.H3, 2, 1.1, 16, Rng(12))
-    records = estimate_moments(Kind.H3, 2, 1.1, 16, Rng(12))
-    assert [s[0] for s in stats] == records
-    assert all(se_p >= 0.0 and se_p2 >= 0.0 for _, se_p, se_p2 in stats)
+def test_moment_statistics_time_grid_matches_single_times():
+    # One propagation per draw over the grid gives, record for record, what
+    # one call per time gives (to rounding: the dense engine multiplies a
+    # matrix by one phase column or by three); the pool changes nothing.
+    grid = [0.4, 1.1, 2.5]
+    sweep = moment_statistics(Kind.H3, 2, grid, 16, Rng(12))
+    assert moment_statistics(Kind.H3, 2, grid, 16, Rng(12), threads=3) == sweep
+    assert len(sweep) == len(grid)
+    for t, records in zip(grid, sweep):
+        (single,) = moment_statistics(Kind.H3, 2, [t], 16, Rng(12))
+        for got, want in zip(records, single, strict=True):
+            assert (got.x, got.samples, got.t) == (want.x, want.samples, t)
+            for f in ("mean_p", "mean_p2", "se_p", "se_p2"):
+                assert getattr(got, f) == pytest.approx(getattr(want, f), rel=1e-12)
+            assert got.se_p >= 0.0 and got.se_p2 >= 0.0
 
 
 def test_jensen_at_five_standard_errors():
-    for record, _, se_p2 in moment_statistics(Kind.H3, 4, 4 * math.log(4), 256, Rng(7)):
-        assert record.mean_p2 >= record.mean_p**2 - 5.0 * se_p2
+    (records,) = moment_statistics(Kind.H3, 4, [4 * math.log(4)], 256, Rng(7))
+    for record in records:
+        assert record.mean_p2 >= record.mean_p**2 - 5.0 * record.se_p2
 
 
 def test_sigma_tau_symmetry_observational():
     # The model's symmetry suggests x and its exchanged-complement partner
     # share statistics; this is recorded as an observation, never a failure.
-    stats = moment_statistics(Kind.H3, 4, 4 * math.log(4), 256, Rng(31))
-    by_bits = {record.x.bits: (record, se) for record, se, _ in stats}
-    for record, se, _ in stats:
+    (records,) = moment_statistics(Kind.H3, 4, [4 * math.log(4)], 256, Rng(31))
+    by_bits = {record.x.bits: record for record in records}
+    for record in records:
         sigma, tau = record.x.sigma_half(), record.x.tau_half()
         partner = BitString.from_halves(
             tuple(1 - b for b in tau), tuple(1 - b for b in sigma)
         )
-        partner_record, partner_se = by_bits[partner.bits]
-        spread = math.sqrt(se**2 + partner_se**2)
+        partner_record = by_bits[partner.bits]
+        spread = math.sqrt(record.se_p**2 + partner_record.se_p**2)
         if spread > 0 and abs(record.mean_p - partner_record.mean_p) > 5.0 * spread:
             warnings.warn(
                 f"sigma/tau partner asymmetry at {bits_label(record.x)}",
@@ -127,14 +143,14 @@ def test_sigma_tau_symmetry_observational():
 
 
 def test_moments_reproducible():
-    assert estimate_moments(Kind.H3, 2, 1.5, 16, Rng(3)) == estimate_moments(
-        Kind.H3, 2, 1.5, 16, Rng(3)
+    assert moment_statistics(Kind.H3, 2, [1.5], 16, Rng(3)) == moment_statistics(
+        Kind.H3, 2, [1.5], 16, Rng(3)
     )
 
 
 def test_thread_count_does_not_change_results():
-    serial = moment_statistics(Kind.H3, 2, 1.5, 32, Rng(9), threads=1)
-    threaded = moment_statistics(Kind.H3, 2, 1.5, 32, Rng(9), threads=4)
+    serial = moment_statistics(Kind.H3, 2, [1.5], 32, Rng(9), threads=1)
+    threaded = moment_statistics(Kind.H3, 2, [1.5], 32, Rng(9), threads=4)
     assert serial == threaded
     grid = [0.0, 0.9, 1.8]
     assert equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=3) == (
@@ -145,14 +161,14 @@ def test_thread_count_does_not_change_results():
 @pytest.mark.parametrize("n, num_J", [(3, 16), (0, 16), (4, 8)])
 def test_moment_argument_validation(n, num_J):
     with pytest.raises(ValueError):
-        estimate_moments(Kind.H3, n, 1.0, num_J, Rng(0))
+        moment_statistics(Kind.H3, n, [1.0], num_J, Rng(0))
 
 
 # ----------------------------------------------------------------- ratio r
 
 
 def test_ratio_anchor_value():
-    records = estimate_moments(Kind.H3, 4, 4 * math.log(4), 1024, Rng(2024))
+    (records,) = moment_statistics(Kind.H3, 4, [4 * math.log(4)], 1024, Rng(2024))
     assert len(records) == 36
     r = ratio_r(records, AnticonThresholds(), "II")
     assert r >= 0.7
@@ -184,8 +200,15 @@ def test_ratio_validation():
     with pytest.raises(ValueError):
         ratio_r([], AnticonThresholds(), "II")
     mixed = [synthetic_record(2, 0.1, 0.02), synthetic_record(4, 0.1, 0.02)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="mix different n"):
         ratio_r(mixed, AnticonThresholds(), "II")
+
+
+def test_ratio_rejects_mixed_times():
+    # a flattened multi-time sweep has no single r
+    sweep = moment_statistics(Kind.H3, 2, [0.5, 1.5], 16, Rng(4))
+    with pytest.raises(ValueError, match="mix different t"):
+        ratio_r(sweep[0] + sweep[1], AnticonThresholds(), "II")
 
 
 # ----------------------------------------------------------- Paley-Zygmund
@@ -237,7 +260,7 @@ def test_equilibration_plateau_matches_moment_sweep():
     # Self-consistency: the late-time plateau equals the fixed-t moment
     # average at t = 4 ln n within Monte-Carlo error.
     t_star = 4 * math.log(4)
-    records = estimate_moments(Kind.H3, 4, t_star, 256, Rng(7))
+    (records,) = moment_statistics(Kind.H3, 4, [t_star], 256, Rng(7))
     anchor = np.mean([record.mean_p for record in records])
     grid = np.linspace(3 * math.log(4), 8 * math.log(4), 17)
     curve = equilibration_curve(Kind.H3, 4, grid, 256, Rng(55))
@@ -265,14 +288,14 @@ def test_equilibration_validation():
 
 
 def test_csv_outputs_reproducible(tmp_path):
-    stats = moment_statistics(Kind.H3, 2, 1.5, 16, Rng(3))
+    (records,) = moment_statistics(Kind.H3, 2, [1.5], 16, Rng(3))
     curve = equilibration_curve(Kind.H3, 2, [0.0, 1.0], 16, Rng(3))
     paths = []
     for tag in ("a", "b"):
         m = tmp_path / f"moments-{tag}.csv"
         e = tmp_path / f"equilibration-{tag}.csv"
         r = tmp_path / f"ratio-{tag}.csv"
-        write_moments_csv(m, stats, "II")
+        write_moments_csv(m, records, "II")
         write_equilibration_csv(e, 2, curve)
         write_ratio_csv(r, [(2, 4.0, 0.75, 4, 16, 3)])
         paths.append((m, e, r))

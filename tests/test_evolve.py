@@ -66,18 +66,21 @@ def test_dense_path_matches_expm(kind, fields, t):
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("t", [0.35, 1.7, -2.4])
-def test_krylov_path_matches_expm(kind, t):
+def test_krylov_path_matches_expm(kind, t, monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
     spec = random_spec(kind, 3, 42)
     basis = natural_basis(spec.kind, spec.n)
-    got = Propagator(spec, dense_limit=1).state_at(t).amplitudes
+    got = Propagator(spec).state_at(t).amplitudes
     want = expm_oracle(spec, basis, t)
     assert np.max(np.abs(got - want)) < 1e-8
 
 
-def test_krylov_matches_dense_larger_instance():
+def test_krylov_matches_dense_larger_instance(monkeypatch):
     spec = random_spec(Kind.H2, 4, 7)  # full basis, dimension 256
-    dense = Propagator(spec, dense_limit=4096)
-    krylov = Propagator(spec, dense_limit=1)
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 4096)
+    dense = Propagator(spec)
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
+    krylov = Propagator(spec)
     assert dense.dense and not krylov.dense
     for t in (0.5, 3.0):
         a = dense.state_at(t).amplitudes
@@ -104,19 +107,21 @@ def test_t_zero_returns_initial_state():
         assert state.probability(BitString.y0(3)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("dense_limit", [4096, 1])
-def test_unit_norm_preserved(dense_limit):
+@pytest.mark.parametrize("limit", [4096, 1])
+def test_unit_norm_preserved(limit, monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
     spec = random_spec(Kind.H3, 4, 11)
-    prop = Propagator(spec, dense_limit=dense_limit)
+    prop = Propagator(spec)
     for t in (0.2, 1.9, 7.3):
         assert abs(prop.state_at(t).norm() - 1.0) < 1e-9
 
 
-def test_krylov_group_property():
+def test_krylov_group_property(monkeypatch):
     # e^{-iH(t1+t2)}|y0> = e^{-iH t2} e^{-iH t1}|y0>, the second factor
     # from the expm oracle.
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
     spec = random_spec(Kind.H4, 4, 13)
-    prop = Propagator(spec, dense_limit=1)
+    prop = Propagator(spec)
     t1, t2 = 0.9, 1.6
     direct = prop.state_at(t1 + t2).amplitudes
     h = dense_matrix(spec, prop.basis)
@@ -136,10 +141,11 @@ _CHEBYSHEV_CASES = [
 
 @pytest.mark.parametrize("kind,basis_kind", _CHEBYSHEV_CASES)
 @pytest.mark.parametrize("fields", [False, True])
-def test_chebyshev_matches_oracles(kind, basis_kind, fields):
+def test_chebyshev_matches_oracles(kind, basis_kind, fields, monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
     spec = random_spec(kind, 3, 61, fields=fields)
     basis = Basis(basis_kind, 3)
-    prop = Propagator(spec, dense_limit=1, basis=basis)
+    prop = Propagator(spec, basis=basis)
     assert not prop.dense
     for t in (0.0, 0.35, -2.4):
         got = prop.state_at(t).amplitudes
@@ -170,15 +176,17 @@ def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
     spec = random_spec(Kind.H3, 4, 67)
     low = 0.2 * coupling_norm_bound(spec)
     monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", lambda s: low)
-    prop = Propagator(spec, dense_limit=1)
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
+    prop = Propagator(spec)
     with pytest.raises(KrylovConvergenceError, match="norm drift"):
         prop.all_probabilities_at([0.5, 10.0])
     with pytest.raises(KrylovConvergenceError, match="norm drift"):
         prop.state_at(-10.0)
 
 
-def test_chebyshev_uncertifiable_order_fails_before_stepping():
-    prop = Propagator(random_spec(Kind.H1, 2, 71), dense_limit=1)
+def test_chebyshev_uncertifiable_order_fails_before_stepping(monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
+    prop = Propagator(random_spec(Kind.H1, 2, 71))
     with pytest.raises(KrylovConvergenceError, match="tail bound"):
         prop.all_probabilities_at([1.0, 1e7])
 
@@ -192,12 +200,13 @@ def test_chebyshev_n8_sector_table_is_normalized():
     assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-9
 
 
-def test_dense_memory_guard_raises_before_allocating():
+def test_dense_memory_guard_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 20000)
     spec = random_spec(Kind.H3, 8, 73)
     tracemalloc.start()
     try:
         with pytest.raises(DenseMemoryError):
-            Propagator(spec, dense_limit=20000)
+            Propagator(spec)
         with pytest.raises(DenseMemoryError):
             dense_matrix(random_spec(Kind.H1, 7, 79), Basis.full(7))
         peak = tracemalloc.get_traced_memory()[1]

@@ -25,7 +25,6 @@ from spindyn.hamiltonian import (
     _sparse_matrix,
     coupling_norm_bound,
     dense_matrix,
-    moment,
     moment_table,
     norm_tail_probability,
     operator_norm,
@@ -282,22 +281,15 @@ def test_h1_changes_total_weight_by_two_or_zero():
 def test_moment_permanent_identity(kind, n):
     for seed in range(3):
         spec = random_spec(kind, n, 1000 + seed)
+        table = moment_table(spec, n)
         for m in range(1, n + 1):
             for x in hamming_class_members(n, m):
                 for l in range(m):
-                    assert abs(moment(spec, x, l)) < 1e-9
+                    assert abs(table[l, x.index()]) < 1e-9
                 per = permanent_bruteforce(submatrix_for_outcome(spec.couplings, x))
                 want = math.factorial(m) / n**m * per
-                got = moment(spec, x, m)
+                got = table[m, x.index()]
                 assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
-
-
-def test_moment_trivial_and_cap():
-    spec = random_spec(Kind.H3, 2, 5)
-    assert moment(spec, BitString.y0(2), 0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        moment(spec, BitString.y0(2), 2 * 2 + 5)
-    assert isinstance(moment(spec, BitString.y0(2), 9, max_power=9), float)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -314,8 +306,6 @@ def test_moment_table_matches_dense_powers(kind, n, fields):
     for k in range(kmax + 1):
         assert np.max(np.abs(table[k] - v)) <= 1e-12 * max(1.0, np.max(np.abs(v)))
         v = h @ v
-    x = BitString.x0(n)
-    assert moment(spec, x, kmax, max_power=kmax) == table[kmax, x.index()]
 
 
 def test_moment_table_validation():
@@ -330,11 +320,12 @@ def test_local_fields_leave_low_moments_unchanged(kind):
     with_fields = HamiltonianSpec(
         kind, base.couplings, z_fields=(np.array([0.7, -1.1, 0.4]), np.array([0.2, 0.9, -0.5]))
     )
+    got, want = moment_table(with_fields, 3), moment_table(base, 3)
     for m in (1, 2, 3):
         for x in hamming_class_members(n, m)[:4]:
             for l in range(m + 1):
-                assert moment(with_fields, x, l) == pytest.approx(
-                    moment(base, x, l), rel=1e-9, abs=1e-12
+                assert got[l, x.index()] == pytest.approx(
+                    want[l, x.index()], rel=1e-9, abs=1e-12
                 )
 
 

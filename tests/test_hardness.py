@@ -16,7 +16,7 @@ from spindyn.core import (
     sample_coupling,
 )
 from spindyn.evolve import Propagator
-from spindyn.hamiltonian import dense_matrix, moment, operator_norm
+from spindyn.hamiltonian import dense_matrix, moment_table, operator_norm
 from spindyn.hardness import (
     anticoncentration_thresholds,
     extract_permanent_from_dynamics,
@@ -303,13 +303,13 @@ def test_extraction_end_to_end(n):
     [(Kind.H1, 2), (Kind.H1, 3), (Kind.H3, 3)],
 )
 def test_extraction_leading_coefficient_matches_moment(kind, n):
-    # a_2 = moment(x, 1)^2: the t^2 coefficient ties the fit to the algebraic
+    # a_2 = <x|H|y0>^2: the t^2 coefficient ties the fit to the algebraic
     # identity.  The narrow window keeps double precision ~1e5 in hand.
     x = class_bitstring(n, 1)
     for draw in range(50):
         spec = HamiltonianSpec(kind, sample_coupling(n, Rng(3000 + draw)))
         est, _, _ = extract_permanent_from_dynamics(spec, x, 0.02, 0.9, 8)
-        target = float(moment(spec, x, 1)) ** 2
+        target = float(moment_table(spec, 1)[1, x.index()]) ** 2
         if abs(target) < 1e-12:
             continue
         assert est / float(n) ** 2 == pytest.approx(target, rel=1e-6)
@@ -327,7 +327,7 @@ def test_extraction_deeper_coefficients(n, m, K, rel):
     for draw in range(50):
         spec = HamiltonianSpec(Kind.H1, sample_coupling(n, Rng(7000 + draw)))
         est, _, _ = extract_permanent_from_dynamics(spec, x, 0.02, 0.99, K)
-        target = (float(moment(spec, x, m)) / math.factorial(m)) ** 2
+        target = (float(moment_table(spec, m)[m, x.index()]) / math.factorial(m)) ** 2
         if abs(target) < 1e-12:
             continue
         assert est / float(n) ** (2 * m) == pytest.approx(target, rel=rel)
