@@ -6,6 +6,9 @@ codes / stdout / files are exactly what a shell invocation would see.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -298,3 +301,27 @@ def test_trotter_error_reports_its_blocks_on_stderr(tmp_path, capsys):
     args = ["trotter-error", "--model", "H1", "--n", "2", "--m-grid", "4"]
     assert run_cli(args, tmp_path) == 0
     assert capsys.readouterr().err.strip() == "parity blocks: 2, largest 8"
+
+
+def test_commands_load_one_blas_pool(tmp_path):
+    # numpy and scipy each ship an OpenBLAS with its own thread pool;
+    # dense algebra that alternates between them leaves one pool spinning
+    # while the other works, so no command may load scipy.linalg
+    script = (
+        "import sys\n"
+        "from spindyn import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for args in (['trotter-error', '--model', 'H3', '--n', '2', '--m-grid', '4'],\n"
+        "             ['trotter-error', '--model', 'H1', '--n', '2', '--m-grid', '4'],\n"
+        "             ['anticon', '--model', 'H3', '--n', '2', '--num-j', '16']):\n"
+        "    assert cli.main([*args, '--outdir', out]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
+    assert len(list(tmp_path.glob("trotter-error-*"))) == 2
+    assert len(list(tmp_path.glob("anticon-*"))) == 1

@@ -10,7 +10,9 @@ from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_co
 from spindyn.hamiltonian import _sparse_matrix, dense_matrix
 from spindyn.trotter import (
     _apply_gates,
+    _block_products,
     _blocks,
+    _error_blocks,
     _step_matrix,
     CALIBRATED_PREFACTOR,
     Gate,
@@ -258,6 +260,62 @@ def test_blocks_share_the_cached_flip_index(kind):
         assert np.shares_memory(a.indices, b.indices)
         with pytest.raises(ValueError, match="read-only"):
             block.partner.flat[0] = 0
+
+
+def assert_flip_maps_block(spec, src, dst, mask):
+    """Flipping the spins in `mask` carries H and every step from src onto dst."""
+    perm = dst.pos[src.states ^ mask]
+    assert np.array_equal(np.sort(perm), np.arange(dst.states.size))
+    moved = np.ix_(perm, perm)
+    h_src, h_dst = (_sparse_matrix(spec, b).toarray() for b in (src, dst))
+    assert np.array_equal(h_dst[moved], h_src)
+    for order in (1, 2):
+        gates = build_trotter(spec, 0.7, 1, order).gates
+        s_src, s_dst = (_step_matrix(gates, b, order) for b in (src, dst))
+        assert np.max(np.abs(s_dst[moved] - s_src)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", [Kind.H3, Kind.H4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_global_flip_pairs_weight_blocks(kind, n):
+    spec = random_spec(kind, n, 107 + n)
+    blocks = _blocks(kind, n)[1]
+    for w in range(2 * n + 1):
+        assert_flip_maps_block(spec, blocks[w], blocks[2 * n - w], (1 << (2 * n)) - 1)
+    assert _error_blocks(kind, n) == blocks[: n + 1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sigma0_flip_pairs_h1_parity_blocks(n):
+    spec = random_spec(Kind.H1, n, 113 + n)
+    even, odd = _blocks(Kind.H1, n)[1]
+    assert_flip_maps_block(spec, even, odd, 1)
+    assert_flip_maps_block(spec, odd, even, 1)
+    assert _error_blocks(Kind.H1, n) == [(even, odd)[n % 2]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h2_parity_blocks_are_not_paired(n):
+    # the ZZ terms on sigma_0 anticommute with its flip: the two parity
+    # blocks have different spectra, and on this n = 2 draw different
+    # errors, so both are kept
+    spec = random_spec(Kind.H2, n, 127)
+    spectra = [np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray()) for b in _blocks(Kind.H2, n)[1]]
+    assert np.max(np.abs(spectra[0] - spectra[1])) > 0.1
+    errs = [
+        np.linalg.norm(exact - power, 2)
+        for _, exact, (power,) in _block_products(spec, 1.3, [4], 2)
+    ]
+    assert len(errs) == 2
+    if n == 2:
+        assert abs(errs[0] - errs[1]) > 0.1 * max(errs)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [2, 3])
+def test_kept_blocks_hold_y0(kind, n):
+    y0 = BitString.y0(n).index()
+    assert sum(int(b.pos[y0] >= 0) for b in _error_blocks(kind, n)) == 1
 
 
 def test_error_rejects_nonpositive_step_count():
