@@ -320,7 +320,9 @@ def test_commands_load_one_blas_pool(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
     assert len(list(tmp_path.glob("trotter-error-*"))) == 2

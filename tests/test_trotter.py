@@ -300,7 +300,10 @@ def test_h2_parity_blocks_are_not_paired(n):
     # blocks have different spectra, and on this n = 2 draw different
     # errors, so both are kept
     spec = random_spec(Kind.H2, n, 127)
-    spectra = [np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray()) for b in _blocks(Kind.H2, n)[1]]
+    spectra = [
+        np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray())
+        for b in _blocks(Kind.H2, n)[1]
+    ]
     assert np.max(np.abs(spectra[0] - spectra[1])) > 0.1
     errs = [
         np.linalg.norm(exact - power, 2)
