@@ -6,10 +6,15 @@ double-flip (sigma_x tau_x) or a hopping term (sigma_x tau_x +
 sigma_y tau_y, nonzero only when the two bits differ, amplitude 2); the
 sigma_z tau_z pieces and any local z fields collapse into one diagonal.
 
-`_sparse_matrix` lays H out as CSR from the cached flip index of `core`
-(full basis, sector or Trotter block); the layout is cached too, so a
-coupling draw computes only the stored values and the diagonal.
-`SparseAction` and `dense_matrix` both read that matrix.
+`_layout` lays H out as CSR index arrays from the cached flip index of
+`core` (full basis, sector or Trotter block); it is cached too, so a
+coupling draw computes only the stored values and the diagonal
+(`_values`).  Two builders read those values: `_sparse_matrix` wraps them
+in a scipy CSR matrix for `SparseAction`'s products (and so
+`moment_table`'s), and `_dense_block` scatters them into a numpy array
+for `dense_matrix`, `operator_norm`'s blocks and the Trotter blocks.
+scipy.sparse is imported inside `_sparse_matrix`, so it loads with the
+first sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
@@ -25,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (
     Basis,
@@ -40,6 +45,9 @@ from .core import (
     _flip_index,
     _FlipIndex,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DenseMemoryError",
@@ -80,10 +88,12 @@ def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
     flip partner, and for the hopping kinds only the sites whose two bits
     differ, which are exactly the flips that stay inside a weight block.
     H is symmetric, so row r's entries are read off r's own flips; each
-    row's columns are then sorted once, which makes the layout canonical
-    (no duplicates: distinct flips reach distinct rows).  term[e] is the
-    site i*n + j of entry e (0 for a diagonal, whose value each draw
-    writes itself) and diag[r] is the entry holding row r's diagonal.
+    row's columns are then sorted once with numpy, which makes the layout
+    canonical (no duplicates: distinct flips reach distinct rows, so the
+    sorted order is unique).  term[e] is the site i*n + j of entry e (0
+    for a diagonal, whose value each draw writes itself) and diag[r] is
+    the entry holding row r's diagonal.  Both `_sparse_matrix` and
+    `_dense_block` read this layout; building it needs no scipy.
     """
     n, dim = index.n, index.states.size
     flips = index.differ if hopping else np.ones_like(index.differ)
@@ -95,35 +105,70 @@ def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
     targets = np.vstack([np.arange(dim)[None, :], index.partner.reshape(n * n, dim)])
-    indices = targets.T[keep].astype(np.int32)
+    columns = targets.T[keep]
     del targets
-    # sort each row's columns, carrying every entry's slot along as data
-    order = sp.csr_matrix((np.arange(nnz), indices, indptr), shape=(dim, dim))
-    order.sort_indices()
-    term = np.broadcast_to(np.r_[0, : n * n], keep.shape)[keep][order.data]
+    # entries come grouped by row, so one stable sort of row * dim + column
+    # orders each row's columns and leaves the rows in place
+    order = np.argsort(_entry_rows(indptr) * dim + columns, kind="stable")
+    indices = columns[order].astype(np.int32)
+    term = np.broadcast_to(np.r_[0, : n * n], keep.shape)[keep][order]
     first = np.zeros(nnz, dtype=bool)
     first[indptr[:-1]] = True  # each row's diagonal is its first slot
-    diag = np.flatnonzero(first[order.data])
+    diag = np.flatnonzero(first[order])
     for arr in (indptr, indices, term, diag):  # the cache shares them with every draw
         arr.flags.writeable = False
     return indptr, indices, term, diag
 
 
-def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
-    """H on the index's rows; only the stored values depend on the draw.
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of every stored entry of a CSR layout."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+
+
+def _values(
+    spec: HamiltonianSpec, index: _FlipIndex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of H on the index's rows; only data depends
+    on the draw.
 
     Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
-    J_ij / 2n).  The index arrays are the cached read-only layout, sorted
-    and free of duplicates, so the matrix is marked canonical and scipy
-    never tries to sort it in place.
+    J_ij / 2n); the diagonal entries carry `_diag_values`.
     """
     indptr, indices, term, diag = _layout(index, spec.kind in (Kind.H3, Kind.H4))
     data = (spec.couplings.entries.ravel() / spec.n)[term]
     data[diag] = _diag_values(spec, index.signs)
+    return indptr, indices, data
+
+
+def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
+    """H on the index's rows as a scipy CSR matrix, for sparse products.
+
+    The index arrays are the cached read-only layout, sorted and free of
+    duplicates, so the matrix is marked canonical and scipy never tries
+    to sort it in place.  This is the one place that loads scipy.sparse.
+    """
+    import scipy.sparse as sp
+
+    indptr, indices, data = _values(spec, index)
     dim = index.states.size
     m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
     m.has_canonical_format = True
     return m
+
+
+def _dense_block(spec: HamiltonianSpec, index: _FlipIndex) -> np.ndarray:
+    """H on the index's rows as a dense d x d array.
+
+    The layout has no duplicates, so each value lands in its own slot;
+    adding into zeros, as scipy's toarray() does, keeps the result equal
+    to `_sparse_matrix(spec, index).toarray()` bit for bit (a -0.0
+    coupling becomes 0.0 in both).
+    """
+    indptr, indices, data = _values(spec, index)
+    dim = index.states.size
+    out = np.zeros((dim, dim))
+    out[_entry_rows(indptr), indices] += data
+    return out
 
 
 def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
@@ -138,6 +183,16 @@ def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
     return "weight", [_flip_index(n, "weight", w) for w in range(2 * n + 1)]
 
 
+def _check_basis(spec: HamiltonianSpec, basis: Basis) -> None:
+    """Refuses a basis of the wrong size, or one H leaves."""
+    if basis.n != spec.n:
+        raise ValueError("basis size does not match the Hamiltonian")
+    if basis.kind == "sector" and spec.kind in (Kind.H1, Kind.H2):
+        raise ValueError(
+            f"{spec.kind.value} leaves the weight-n sector; use the full basis"
+        )
+
+
 @dataclass(frozen=True)
 class SparseAction:
     """H as a linear map on state vectors, held as a sparse matrix."""
@@ -146,13 +201,7 @@ class SparseAction:
     basis: Basis
 
     def __post_init__(self) -> None:
-        if self.basis.n != self.spec.n:
-            raise ValueError("basis size does not match the Hamiltonian")
-        if self.basis.kind == "sector" and self.spec.kind in (Kind.H1, Kind.H2):
-            raise ValueError(
-                f"{self.spec.kind.value} leaves the weight-n sector; "
-                "use the full basis"
-            )
+        _check_basis(self.spec, self.basis)
 
     @cached_property
     def _matrix(self) -> sp.csr_matrix:
@@ -172,7 +221,8 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     """
     d = basis.dimension
     _check_bytes(3 * 8 * d * d, f"dense dimension {d} (3 d^2 float64)")
-    return SparseAction(spec, basis)._matrix.toarray()
+    _check_basis(spec, basis)
+    return _dense_block(spec, basis._flips)
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
@@ -219,7 +269,7 @@ def operator_norm(
     dim = 1 << (2 * spec.n)
     if dim <= 4096:
         return max(
-            float(np.max(np.abs(np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray()))))
+            float(np.max(np.abs(np.linalg.eigvalsh(_dense_block(spec, b)))))
             for b in _blocks(spec.kind, spec.n)[1]
         )
     action = SparseAction(spec, Basis.full(spec.n))

@@ -43,7 +43,7 @@ from .core import (
     _FlipIndex,
     sample_coupling,
 )
-from .hamiltonian import _blocks, _sparse_matrix
+from .hamiltonian import _blocks, _dense_block
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
@@ -283,7 +283,7 @@ def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: i
         raise ValueError("M must be at least 1")
     steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
     for block in _error_blocks(spec.kind, spec.n):
-        evals, evecs = np.linalg.eigh(_sparse_matrix(spec, block).toarray())
+        evals, evecs = np.linalg.eigh(_dense_block(spec, block))
         exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
         powers = [
             np.linalg.matrix_power(_step_matrix(step, block, order), M)

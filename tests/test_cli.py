@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` in-process: fast, and the exit
 codes / stdout / files are exactly what a shell invocation would see.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -327,3 +328,88 @@ def test_commands_load_one_blas_pool(tmp_path):
     assert run.stdout.splitlines()[-1] == "False"
     assert len(list(tmp_path.glob("trotter-error-*"))) == 2
     assert len(list(tmp_path.glob("anticon-*"))) == 1
+
+
+def test_dense_commands_never_load_scipy_sparse(tmp_path):
+    # only a sparse product needs scipy; commands that stay on dense
+    # engines must not pay its import, and a Chebyshev command loads it
+    # at its first product, from the thread pool, with unchanged bytes
+    script = (
+        "import sys\n"
+        "from spindyn import cli\n"
+        f"out = {str(tmp_path)!r}\n"
+        "for args in (['anticon', '--model', 'H3', '--n', '2', '--num-j', '16'],\n"
+        "             ['trotter-error', '--model', 'H3', '--n', '2', '--m-grid', '4'],\n"
+        "             ['trotter-error', '--model', 'H1', '--n', '2', '--m-grid', '4'],\n"
+        "             ['extract-permanent', '--n', '2'],\n"
+        "             ['worst-to-average'],\n"
+        "             ['bw-demo', '--exact'],\n"
+        "             ['bounds']):\n"
+        "    assert cli.main([*args, '--outdir', out]) == 0, args\n"
+        "loaded = ['scipy.sparse' in sys.modules]\n"
+        "eq = ['equilibrate', '--model', 'H4', '--n', '6', '--num-j', '16']\n"
+        "assert cli.main([*eq, '--threads', '2', '--outdir', out + '/t2']) == 0\n"
+        "loaded.append('scipy.sparse' in sys.modules)\n"
+        "assert cli.main([*eq, '--threads', '1', '--outdir', out + '/t1']) == 0\n"
+        "print('loaded', *loaded)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "loaded False True"
+    t2, t1 = (only_run_dir(tmp_path / t, "equilibrate") for t in ("t2", "t1"))
+    assert (t2 / "equilibration.csv").read_bytes() == (t1 / "equilibration.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (["--model", "H4", "--n", "3", "--seed", "7"],
+         "96571a1ff36da7c90bb0c28b08308cafa9f1d92411a7d5171b20e2e1a4ee2a87"),
+        (["--model", "H2", "--n", "5", "--seed", "11", "--draws", "2"],
+         "552141987aede8fde59ab5776474ecb96bd40d640f8a88ee732e20338f1a1a25"),
+    ],
+)
+def test_moments_check_csv_is_pinned(tmp_path, args, sha256):
+    # digests of the row-by-row sweep's output: the per-class arrays must
+    # reproduce every row and every repr'd float
+    assert run_cli(["moments-check", *args], tmp_path) == 0
+    csv_path = only_run_dir(tmp_path, "moments-check") / "moments_check.csv"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256
+
+
+def test_moments_check_guards_name_the_first_offending_row(tmp_path, monkeypatch, capsys):
+    real = cli.moment_table
+
+    def run(name, shifts):
+        # H3 at n = 3, 3 draws; shifts[draw] lists (k, x bits, added to <x|H^k|y0>)
+        calls = []
+
+        def shifted(spec, kmax):
+            table = real(spec, kmax)
+            for k, bits, delta in shifts.get(len(calls), ()):
+                table[k, int(bits[::-1], 2)] += delta
+            calls.append(spec)
+            return table
+
+        monkeypatch.setattr(cli, "moment_table", shifted)
+        args = ["moments-check", "--model", "H3", "--n", "3", "--draws", "3"]
+        assert run_cli(args, tmp_path / name) == 1
+        csv_path = only_run_dir(tmp_path / name, "moments-check") / "moments_check.csv"
+        return capsys.readouterr().err, csv_path.read_text().splitlines()[-1]
+
+    # the m-th moment of two class-2 members of draw 1 is off
+    err, last = run("rel", {1: [(2, "011001", 1.0), (2, "110100", 1.0)]})
+    assert "relative error" in err and "draw 1, m 2, x 110100" in err
+    assert last.startswith("1,2,110100,")  # rows stop at the first offender
+    # equal sub-moment leaks at two class-2 members of draw 0 (101010 comes
+    # first in class order) and at draw 2's one class-3 member
+    leaks = {0: [(1, "011001", 1e-6), (1, "101010", 1e-6), (2, "111000", 1e-7)],
+             2: [(1, "111000", 1e-6)]}
+    err, last = run("sub", leaks)
+    assert "sub-moment at draw 0, x 101010 leaked 1.000e-06" in err
+    assert last.startswith("2,3,111000,")  # every row is written first

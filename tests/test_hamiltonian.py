@@ -21,6 +21,7 @@ from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
     _blocks,
+    _dense_block,
     _layout,
     _sparse_matrix,
     coupling_norm_bound,
@@ -165,6 +166,72 @@ def test_cached_layout_is_canonical(kind, basis, block):
     assert np.allclose(abs(m).toarray(), np.abs(dense), atol=1e-12)
     assert m.max() == pytest.approx(dense.max(), abs=1e-12)
     assert m.min() == pytest.approx(dense.min(), abs=1e-12)
+
+
+def block_indices(kind, n):
+    """The full basis's flip index plus every block of the kind's partition
+    (the sector is the weight-n block)."""
+    blocks = _blocks(kind, n)[1]
+    if kind in (Kind.H3, Kind.H4):
+        assert Basis.sector(n)._flips is blocks[n]
+    return [Basis.full(n)._flips, *blocks]
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("fields", [False, True])
+def test_dense_block_equals_sparse_toarray_bit_for_bit(kind, fields):
+    for n in (1, 2, 3):
+        spec = random_spec(kind, n, 40 + n, fields=fields)
+        for index in block_indices(kind, n):
+            got = _dense_block(spec, index)
+            want = _sparse_matrix(spec, index).toarray()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+    # toarray adds into zeros, so a -0.0 coupling reads 0.0 in both
+    J = CouplingMatrix(np.array([[-0.0, 1.5], [0.25, -0.0]]))
+    for index in block_indices(kind, 2):
+        spec = HamiltonianSpec(kind, J)
+        want = _sparse_matrix(spec, index).toarray()
+        assert _dense_block(spec, index).tobytes() == want.tobytes()
+
+
+def layout_oracle(index, hopping):
+    """(indptr, indices, term, diag) from a row-by-row entry list whose
+    columns scipy's sort_indices() orders, carrying each entry's slot."""
+    import scipy.sparse as sp
+
+    n, dim = index.n, index.states.size
+    cols, terms, indptr = [], [], [0]
+    for r in range(dim):
+        cols.append(r)
+        terms.append(-1)  # the diagonal
+        for i in range(n):
+            for j in range(n):
+                if not hopping or index.differ[i, j, r]:
+                    cols.append(int(index.partner[i, j, r]))
+                    terms.append(i * n + j)
+        indptr.append(len(cols))
+    slots = np.arange(len(cols))
+    m = sp.csr_matrix((slots, np.array(cols), np.array(indptr)), shape=(dim, dim))
+    m.sort_indices()
+    term = np.array(terms)[m.data]
+    return m.indptr, m.indices, np.maximum(term, 0), np.flatnonzero(term < 0)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_layout_matches_scipy_sort_indices_oracle(kind):
+    hopping = kind in (Kind.H3, Kind.H4)
+    for n in (1, 2, 3):
+        for index in block_indices(kind, n):
+            got = _layout(index, hopping)
+            for a, b in zip(got, layout_oracle(index, hopping)):
+                assert np.array_equal(a, b)
+            indptr, indices, term, diag = got
+            assert indptr.dtype == indices.dtype == np.int32
+            # the layout is canonical: strictly increasing columns per row
+            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+            assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
+            assert np.array_equal(indices[diag], np.arange(indptr.size - 1))
 
 
 def test_index_and_layout_builds_are_guarded(monkeypatch):
