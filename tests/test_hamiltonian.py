@@ -226,12 +226,7 @@ def test_layout_matches_scipy_sort_indices_oracle(kind):
             got = _layout(index, hopping)
             for a, b in zip(got, layout_oracle(index, hopping)):
                 assert np.array_equal(a, b)
-            indptr, indices, term, diag = got
-            assert indptr.dtype == indices.dtype == np.int32
-            # the layout is canonical: strictly increasing columns per row
-            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-            assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
-            assert np.array_equal(indices[diag], np.arange(indptr.size - 1))
+            assert got[0].dtype == got[1].dtype == np.int32  # indptr, indices
 
 
 def test_index_and_layout_builds_are_guarded(monkeypatch):
