@@ -145,9 +145,10 @@ def _ensemble_sums(
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         tables = (pool.map if threads > 1 else map)(one_draw, range(num_J))
         for table in tables:
+            sq = table * table
             p += table
-            p2 += table * table
-            p4 += table**4
+            p2 += sq
+            p4 += sq * sq
             draw_mean = table.mean(axis=0)
             mean += draw_mean
             mean2 += draw_mean * draw_mean

@@ -36,6 +36,7 @@ from .anticon import (
 )
 from .core import (
     BitString,
+    CouplingMatrix,
     HamiltonianSpec,
     Kind,
     Rng,
@@ -43,6 +44,7 @@ from .core import (
     model_class,
     sample_coupling,
 )
+from .evolve import engine
 from .hamiltonian import moment_table
 from .hardness import (
     anticoncentration_thresholds,
@@ -209,12 +211,20 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     return [name]
 
 
+def _report_engine(kind: Kind, n: int) -> None:
+    """Names the engine of the sweep's `Propagator`s on stderr; it depends
+    on the kind and size only, so any couplings will do."""
+    spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
+    print(f"engine: {engine(spec)}", file=sys.stderr)
+
+
 def _cmd_equilibrate(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     grid = np.linspace(0.0, ns.t_mult_max * math.log(ns.n), ns.points)
     rows = equilibration_curve(
         Kind(ns.model), ns.n, grid, ns.num_j, Rng(ns.seed), threads=_threads(ns)
     )
     write_equilibration_csv(run_dir / "equilibration.csv", ns.n, rows)
+    _report_engine(Kind(ns.model), ns.n)
     return ["equilibration.csv"]
 
 
@@ -235,6 +245,7 @@ def _cmd_anticon(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         [(ns.n, ns.t_mult, r, len(records), ns.num_j, ns.seed)],
     )
     print(f"r = {r!r} over {len(records)} outcomes")
+    _report_engine(kind, ns.n)
     return ["moments.csv", "ratio.csv"]
 
 

@@ -1,18 +1,26 @@
 """Exact time evolution e^{-iHt}|y0> and output probabilities p(x; J; t).
 
 Class II models (H3, H4) evolve inside the weight-n sector, class I in
-the full basis.  Dimensions within `_DENSE_LIMIT` use one eigendecomposition
-of the real-symmetric matrix and reuse it for every requested time.
-Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a, where a
-is the rigorous spectral bound `coupling_norm_bound`: one real three-term
-recurrence from |y0> serves every requested time at once, keeping only the
-rows the caller asks for, and the Bessel coefficients J_k(a t) carry the
-time dependence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
-The series order is certified by a Bessel tail bound, and the norm of the
-state at the largest |t| is checked, so a wrong spectral bound fails loudly
-instead of returning a wrong table.
-"""
+the full basis.  Field-free H1 and H3 are `chiral`: H = [[0, B], [B^T, 0]]
+between the even and odd sigma-parity classes E (which holds |y0>) and O,
+so their propagation runs on half-vectors; every other spec runs on the
+whole basis, the split whose two sides are both the basis.
 
+Dimensions within `_DENSE_LIMIT` use one eigendecomposition and reuse it
+for every requested time: of the real-symmetric matrix, or for a chiral
+spec of B B^T = U diag(omega^2) U^T on E alone, where e^{-iHt}|y0> is
+U cos(omega t) c on E and -i B^T U (sin(omega t) / omega) c on O with
+c = U^T e_y0, all in real arithmetic.  Larger problems expand e^{-iHt} in
+Chebyshev polynomials of H/a, where a is the rigorous spectral bound
+`coupling_norm_bound`: one real three-term recurrence from |y0> serves
+every requested time at once, keeping only the rows the caller asks for,
+and the Bessel coefficients J_k(a t) carry the time dependence (Tal-Ezer
+& Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Its k-th vector lies on E
+for even k and on O for odd k, so for a chiral spec each step is one
+product with B^T or B.  The series order is certified by a Bessel tail
+bound, and the norm of the state at the largest |t| is checked, so a
+wrong spectral bound fails loudly instead of returning a wrong table.
+"""
 from __future__ import annotations
 
 import math
@@ -21,14 +29,27 @@ from typing import Sequence
 import numpy as np
 
 from .core import Basis, BitString, HamiltonianSpec, Kind, StateVector
-from .hamiltonian import SparseAction, coupling_norm_bound, dense_matrix
+from .hamiltonian import (
+    SparseAction,
+    chiral,
+    chiral_block,
+    coupling_norm_bound,
+    dense_matrix,
+)
 
-__all__ = ["Propagator", "evolve_exact", "output_probability", "time_average"]
+__all__ = [
+    "Propagator",
+    "engine",
+    "evolve_exact",
+    "output_probability",
+    "time_average",
+]
 
-# Dense eigh beats the Chebyshev recurrence up to about this dimension.
+# Dense eigh beats the Chebyshev recurrence up to about this dimension d.
 # Per draw, one time t = 4 ln n, one BLAS thread, median of 30 draws:
 # d = 70 (H3 n = 4) 0.47 ms dense against 0.67 ms Chebyshev; d = 256
-# (H1 n = 4) 4.7 ms against 0.78 ms.  No basis has 70 < d < 252.
+# (H1 n = 4) 4.7 ms against 0.78 ms.  No basis has 70 < d < 252.  The
+# chiral split halves both engines' work and leaves the choice in place.
 _DENSE_LIMIT = 128
 _NORM_DRIFT_TOL = 1e-9
 _TAIL_TOL = 1e-16  # bound on sum_{k >= K} (2 - delta_k0) |J_k(a t)|
@@ -128,8 +149,22 @@ def _chebyshev_weights(z: np.ndarray, order: int) -> np.ndarray:
     return w
 
 
+def _gather(side: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of `rows` sits in the sorted positions `side` (any valid
+    slot for a row off the side), and which entries of `rows` are off it."""
+    local = np.minimum(np.searchsorted(side, rows), side.size - 1)
+    return local, np.flatnonzero(side[local] != rows)
+
+
 class Propagator:
-    """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian."""
+    """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian.
+
+    A `chiral` spec (field-free H1, H3) runs on the two sides E and O of
+    `SparseAction.sides`; every other spec runs on the whole basis, which
+    is the split whose two sides are both the basis and whose half-steps
+    are both H.  The amplitude's real part lies on side 0 and its
+    imaginary part on side 1.
+    """
 
     def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
         self.spec = spec
@@ -139,8 +174,19 @@ class Propagator:
         self._y0_pos = self.basis.index_of(self._y0)
         if self._y0_pos is None:
             raise ValueError("initial state lies outside the chosen basis")
+        # y0's sigma half is empty, so it lies on side 0 (E)
+        self._sides = self.action.sides
+        self._y0_half = int(np.searchsorted(self._sides[0], self._y0_pos))
+        self._chiral = chiral(spec)
         self.dense = self.basis.dimension <= _DENSE_LIMIT
-        if self.dense:
+        if self.dense and self._chiral:
+            # B B^T = U diag(omega^2) U^T on E; the O side reads B^T U
+            b = chiral_block(spec, self.basis)
+            w2, u = np.linalg.eigh(b @ b.T)
+            self._omega = np.sqrt(np.maximum(w2, 0.0))
+            self._halves = (u, b.T @ u)
+            self._c0 = u[self._y0_half]
+        elif self.dense:
             h = dense_matrix(spec, self.basis)
             self._evals, self._evecs = np.linalg.eigh(h)
             self._c0 = self._evecs[self._y0_pos, :].conj()
@@ -153,21 +199,49 @@ class Propagator:
         ts = np.asarray(times, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("times must be finite")
+        if self.dense and not self._chiral:
+            evecs = self._evecs if rows is None else self._evecs[rows]
+            phases = np.exp(-1j * np.outer(self._evals, ts))
+            amps = evecs @ (phases * self._c0[:, None])
+            return np.abs(amps) ** 2
+        keep = np.arange(self.basis.dimension) if rows is None else rows
+        keep = np.asarray(keep, dtype=np.intp)
         if not self.dense:
-            keep = np.arange(self.basis.dimension) if rows is None else rows
-            return self._chebyshev(ts, np.asarray(keep, dtype=np.intp))[0]
-        evecs = self._evecs if rows is None else self._evecs[rows]
-        phases = np.exp(-1j * np.outer(self._evals, ts))
-        amps = evecs @ (phases * self._c0[:, None])
-        return np.abs(amps) ** 2
+            return self._chebyshev(ts, keep)[0]
+        re, im = self._chiral_parts(ts, keep)
+        return re * re + im * im
+
+    def _chiral_parts(self, ts: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """The real and imaginary parts of the amplitudes at `rows` x `ts`.
+
+        With c = U^T e_y0, e^{-iHt}|y0> is U cos(omega t) c on E and
+        -i B^T U (sin(omega t) / omega) c on O, the ratio tending to t as
+        omega -> 0: one real product per side, zero off it.
+        """
+        wt = np.outer(self._omega, ts)
+        sinc = np.divide(
+            np.sin(wt),
+            self._omega[:, None],
+            out=np.broadcast_to(ts, wt.shape).copy(),
+            where=self._omega[:, None] > 0.0,
+        )
+        parts = []
+        for side, vecs, f in zip(self._sides, self._halves, (np.cos(wt), -sinc)):
+            local, off = _gather(side, rows)
+            part = vecs[local] @ (f * self._c0[:, None])
+            part[off] = 0.0
+            parts.append(part)
+        return parts
 
     def _chebyshev(
         self, ts: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(p at `rows` x `ts`, the full state at the time of largest |t|).
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(p at `rows` x `ts`, the state's real part on side 0 and its
+        imaginary part on side 1 at the time of largest |t|).
 
-        The vectors phi_k = T_k(H/a)|y0> stay real; only phi_k[rows] is
-        kept, so memory is O(order * len(rows) + dimension).
+        The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
+        k mod 2, stepped there by `SparseAction.apply_half`; only
+        phi_k[rows] is kept, so memory is O(order * len(rows) + dimension).
         """
         a = coupling_norm_bound(self.spec) or 1.0  # a = 0 means H = 0
         t_far = float(ts[np.argmax(np.abs(ts))]) if ts.size else 0.0
@@ -181,24 +255,29 @@ class Propagator:
         # the first chunk of times carries t_far along as its last column
         first = _chebyshev_weights(a * np.append(ts[:_TIME_CHUNK], t_far), order)
         w_far = first[:, -1]
-        dim = self.basis.dimension
+        picks = [_gather(side, rows) for side in self._sides]
         kept = np.empty((order, rows.size))
-        far = np.zeros((2, dim))  # real and imaginary parts at t_far
-        prev, phi = None, np.zeros(dim)
-        phi[self._y0_pos] = 1.0
+        far = [np.zeros(side.size) for side in self._sides]
+        prev, phi = None, np.zeros(self._sides[0].size)
+        phi[self._y0_half] = 1.0
         for k in range(order):
             if k == 1:
-                prev, phi = phi, self.action.apply_array(phi) / a
+                prev, phi = phi, self.action.apply_half(0, phi) / a
             elif k > 1:
-                prev, phi = phi, (2.0 / a) * self.action.apply_array(phi) - prev
-            kept[k] = phi[rows]
+                step = self.action.apply_half(1 - k % 2, phi)
+                step *= 2.0 / a
+                step -= prev
+                prev, phi = phi, step
+            kept[k] = phi[picks[k % 2][0]]
             far[k % 2] += w_far[k] * phi
-        drift = abs(float(np.linalg.norm(far)) - 1.0)
+        drift = abs(math.hypot(*(float(np.linalg.norm(f)) for f in far)) - 1.0)
         if drift > _NORM_DRIFT_TOL:
             raise KrylovConvergenceError(
                 f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL} "
                 f"at t = {t_far} (series order {order})"
             )
+        for s, (_, off) in enumerate(picks):
+            kept[s::2, off] = 0.0  # phi_k is zero off its side
         probs = np.empty((rows.size, ts.size))
         for s in range(0, ts.size, _TIME_CHUNK):
             if s == 0:
@@ -208,13 +287,21 @@ class Propagator:
             re = kept[0::2].T @ w[0::2]
             im = kept[1::2].T @ w[1::2]
             probs[:, s : s + _TIME_CHUNK] = re * re + im * im
-        return probs, far[0] + 1j * far[1]
+        return probs, far
 
     def state_at(self, t: float) -> StateVector:
-        if self.dense:
+        ts = np.array([float(t)])
+        if self.dense and not self._chiral:
             amps = self._evecs @ (np.exp(-1j * self._evals * t) * self._c0)
         else:
-            amps = self._chebyshev(np.array([float(t)]), np.empty(0, dtype=np.intp))[1]
+            amps = np.zeros(self.basis.dimension, dtype=complex)
+            if self.dense:
+                re, im = self._chiral_parts(ts, np.arange(self.basis.dimension))
+                amps.real, amps.imag = re[:, 0], im[:, 0]
+            else:
+                re, im = self._chebyshev(ts, np.empty(0, np.intp))[1]
+                amps.real[self._sides[0]] = re
+                amps.imag[self._sides[1]] = im
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
             raise KrylovConvergenceError(
@@ -224,6 +311,17 @@ class Propagator:
 
     def probability(self, x: BitString, t: float) -> float:
         return self.state_at(t).probability(x)
+
+
+def engine(spec: HamiltonianSpec, basis: Basis | None = None) -> str:
+    """The engine `Propagator` runs for `spec`, as reports name it:
+    "dense" or "chebyshev", then "chiral |E|+|O|" or the dimension."""
+    basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
+    name = "dense" if basis.dimension <= _DENSE_LIMIT else "chebyshev"
+    if not chiral(spec):
+        return f"{name} {basis.dimension}"
+    e, o = SparseAction(spec, basis).sides
+    return f"{name} chiral {e.size}+{o.size}"
 
 
 def evolve_exact(spec: HamiltonianSpec, t: float) -> StateVector:

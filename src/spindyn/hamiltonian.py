@@ -13,8 +13,9 @@ coupling draw computes only the stored values and the diagonal
 in a scipy CSR matrix for `SparseAction`'s products (and so
 `moment_table`'s), and `_dense_block` scatters them into a numpy array
 for `dense_matrix`, `operator_norm`'s blocks and the Trotter blocks.
-scipy.sparse is imported inside `_sparse_matrix`, so it loads with the
-first sparse product and never for a command that stays dense.
+scipy.sparse is imported inside `_csr`, which builds every scipy matrix,
+so it loads with the first sparse product and never for a command that
+stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
@@ -23,6 +24,15 @@ its entry [k, x.index()], and sweeps over many outcomes x read one table.
 `_blocks` is the symmetry partition H conserves (weight or Z-parity
 blocks); `operator_norm` diagonalises block by block, or takes H1's
 closed form, and never builds the 4^n matrix.
+
+Field-free H1 and H3 are `chiral`: every term flips one sigma and one
+tau spin and the diagonal is zero, so Pi = (-1)^{w_sigma} anticommutes
+with H.  Ordered by sigma parity, H = [[0, B], [B^T, 0]] between the
+even class E (that of |y0>, whose sigma half is empty) and the odd class
+O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
+per flip index, so a draw again computes only the stored values:
+`SparseAction.apply_half` applies one block, and `chiral_block` builds B
+as a numpy array for dense algebra.
 """
 
 from __future__ import annotations
@@ -52,6 +62,8 @@ if TYPE_CHECKING:
 __all__ = [
     "DenseMemoryError",
     "SparseAction",
+    "chiral",
+    "chiral_block",
     "dense_matrix",
     "moment_table",
     "operator_norm",
@@ -140,20 +152,101 @@ def _values(
     return indptr, indices, data
 
 
-def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
-    """H on the index's rows as a scipy CSR matrix, for sparse products.
+def _csr(
+    indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]
+) -> sp.csr_matrix:
+    """A scipy CSR matrix over a cached layout, for sparse products.
 
-    The index arrays are the cached read-only layout, sorted and free of
-    duplicates, so the matrix is marked canonical and scipy never tries
-    to sort it in place.  This is the one place that loads scipy.sparse.
+    The index arrays are read-only, sorted and free of duplicates, so the
+    matrix is marked canonical and scipy never tries to sort it in place.
+    This is the one place that loads scipy.sparse.
     """
     import scipy.sparse as sp
 
-    indptr, indices, data = _values(spec, index)
-    dim = index.states.size
-    m = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    m = sp.csr_matrix((data, indices, indptr), shape=shape)
     m.has_canonical_format = True
     return m
+
+
+def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
+    """H on the index's rows as a scipy CSR matrix."""
+    dim = index.states.size
+    return _csr(*_values(spec, index), (dim, dim))
+
+
+def chiral(spec: HamiltonianSpec) -> bool:
+    """Whether Pi = (-1)^{w_sigma} anticommutes with H: H1 and H3 without
+    z fields, whose every term flips one sigma and one tau spin."""
+    return spec.kind in (Kind.H1, Kind.H3) and spec.z_fields is None
+
+
+@lru_cache(maxsize=64)
+def _sides(index: _FlipIndex) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of even sigma weight (E) and of odd sigma weight (O)."""
+    odd = np.count_nonzero(index.signs[:, : index.n] < 0, axis=1) % 2 == 1
+    sides = (np.flatnonzero(~odd), np.flatnonzero(odd))
+    for arr in sides:
+        arr.flags.writeable = False
+    return sides
+
+
+@lru_cache(maxsize=64)
+def _chiral_layout(index: _FlipIndex, hopping: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+    """J-independent CSR layouts (indptr, indices, rows, term) of B and B^T.
+
+    Every stored flip of `_layout` joins an E row to an O row, so B is the
+    E rows of that layout with the diagonal slot dropped and the columns
+    renumbered within O, and B^T the same for the O rows; rows[e] is the
+    row of entry e, for dense scatters.  Each side lists its rows in basis
+    order, so the renumbering keeps every row's sorted column order: B @ v
+    adds the products of H @ v on those rows, minus the zero diagonal, in
+    the same order.
+    """
+    indptr, indices, term, diag = _layout(index, hopping)
+    sides = _sides(index)
+    # per stored entry: the int64 row and side transients, the masks, and
+    # the split's indices (with their unmapped copy), rows and term
+    _check_bytes(42 * term.size, f"chiral split of {term.size} entries")
+    local = np.empty(index.states.size, dtype=np.int32)
+    row_side = np.empty(index.states.size, dtype=np.intp)
+    for s, rows in enumerate(sides):
+        local[rows] = np.arange(rows.size)
+        row_side[rows] = s
+    entry_side = row_side[_entry_rows(indptr)]
+    entry_side[diag] = -1
+    out = []
+    for s, rows in enumerate(sides):
+        keep = entry_side == s
+        sub_ptr = np.zeros(rows.size + 1, dtype=np.int32)
+        np.cumsum(np.diff(indptr)[rows] - 1, out=sub_ptr[1:])
+        half = (sub_ptr, local[indices[keep]], _entry_rows(sub_ptr), term[keep])
+        for arr in half:
+            arr.flags.writeable = False
+        out.append(half)
+    return tuple(out)
+
+
+def _half_values(spec: HamiltonianSpec, half: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The stored values of one block of the chiral split: J_ij / n per flip."""
+    return (spec.couplings.entries.ravel() / spec.n)[half[3]]
+
+
+def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
+    """B, the |E| x |O| block of a `chiral` H = [[0, B], [B^T, 0]].
+
+    Refuses, before allocating, a split whose dense working set exceeds
+    the memory cap: B and B^T U (2 |E||O| float64) and B B^T, its
+    eigenvectors U and the eigh workspace (3 |E|^2).
+    """
+    if not chiral(spec):
+        raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
+    _check_basis(spec, basis)
+    e, o = (side.size for side in _sides(basis._flips))
+    _check_bytes(8 * (3 * e * e + 2 * e * o), f"chiral split {e}+{o} (dense)")
+    half = _chiral_layout(basis._flips, spec.kind is Kind.H3)[0]
+    out = np.zeros((e, o))
+    out[half[2], half[1]] = _half_values(spec, half)
+    return out
 
 
 def _dense_block(spec: HamiltonianSpec, index: _FlipIndex) -> np.ndarray:
@@ -210,6 +303,36 @@ class SparseAction:
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         """H @ arr for a raw vector (or stack of column vectors)."""
         return self._matrix @ arr
+
+    @cached_property
+    def sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Basis positions of the two sides H maps onto each other.
+
+        For a `chiral` spec these are E and O; otherwise both sides are the
+        whole basis, and each half-step is H itself.
+        """
+        if chiral(self.spec):
+            return _sides(self.basis._flips)
+        rows = np.arange(self.basis.dimension)
+        return rows, rows
+
+    @cached_property
+    def _halves(self) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
+        """(B^T, B) for a chiral spec, None otherwise."""
+        if not chiral(self.spec):
+            return None
+        e, o = (side.size for side in self.sides)
+        b, bt = _chiral_layout(self.basis._flips, self.spec.kind is Kind.H3)
+        return (
+            _csr(*bt[:2], _half_values(self.spec, bt), (o, e)),
+            _csr(*b[:2], _half_values(self.spec, b), (e, o)),
+        )
+
+    def apply_half(self, side: int, arr: np.ndarray) -> np.ndarray:
+        """The block of H from side `side` (0 or 1) of `sides` to the other:
+        B^T @ arr from E, B @ arr from O, H @ arr if the spec is not chiral."""
+        halves = self._halves
+        return self.apply_array(arr) if halves is None else halves[side] @ arr
 
 
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:

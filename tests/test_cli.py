@@ -365,6 +365,73 @@ def test_dense_commands_never_load_scipy_sparse(tmp_path):
     assert (t2 / "equilibration.csv").read_bytes() == (t1 / "equilibration.csv").read_bytes()
 
 
+def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
+    # the chiral dense engine's eigh and products run on numpy's OpenBLAS
+    # from the sweep's thread pool; neither pool size may move a bit
+    script = (
+        "import sys\n"
+        "from spindyn import cli\n"
+        "out = sys.argv[1]\n"
+        "for args in (['anticon', '--model', 'H3', '--n', '4', '--num-j', '64'],\n"
+        "             ['equilibrate', '--model', 'H3', '--n', '4', '--num-j', '16']):\n"
+        "    for threads in ('1', '2'):\n"
+        "        argv = [*args, '--threads', threads, '--outdir', out + '/t' + threads]\n"
+        "        assert cli.main(argv) == 0, argv\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / f"b{blas}")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stderr.count("engine: dense chiral 38+32") == 4
+    for command, names in (("anticon", ("moments.csv", "ratio.csv")),
+                           ("equilibrate", ("equilibration.csv",))):
+        dirs = [only_run_dir(tmp_path / b / t, command)
+                for b in ("b1", "b2") for t in ("t1", "t2")]
+        for name in names:
+            outputs = {(d / name).read_bytes() for d in dirs}
+            assert len(outputs) == 1, (command, name)
+
+
+def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
+    cases = [
+        (["anticon", "--model", "H3", "--n", "4", "--num-j", "16"], "dense chiral 38+32"),
+        (["anticon", "--model", "H1", "--n", "2", "--num-j", "16"], "dense chiral 8+8"),
+        (["anticon", "--model", "H4", "--n", "2", "--num-j", "16"], "dense 6"),
+        (["equilibrate", "--model", "H1", "--n", "4", "--num-j", "16", "--points", "3"],
+         "chebyshev chiral 128+128"),
+        (["equilibrate", "--model", "H2", "--n", "2", "--num-j", "16"], "dense 16"),
+    ]
+    for args, want in cases:
+        assert run_cli(args, tmp_path / args[0]) == 0
+        assert capsys.readouterr().err.strip() == f"engine: {want}"
+    # the report goes to stderr only: a replay's outputs stay byte-identical
+    for command in ("anticon", "equilibrate"):
+        for d in (tmp_path / command).glob(f"{command}-*"):
+            assert not any(b"engine" in f.read_bytes() for f in d.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        # the Chebyshev recurrence's bytes from before the chiral split,
+        # the accumulator squaring each table once
+        (["--model", "H3", "--n", "6", "--t-mult", "3", "--num-j", "16", "--seed", "0"],
+         "cffadb1205726012b6f19be6e486d58febd847888c70d4c28ab368b0efe9712e"),
+        (["--model", "H1", "--n", "4", "--num-j", "16", "--seed", "5"],
+         "586d8f1de2a879e05f6a1f256258528a2b87ecb28584275cf4b09825342fd950"),
+    ],
+)
+def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, sha256):
+    assert run_cli(["anticon", *args], tmp_path) == 0
+    csv_path = only_run_dir(tmp_path, "anticon") / "moments.csv"
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize(
     "args, sha256",
     [

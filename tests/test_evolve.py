@@ -22,6 +22,7 @@ from spindyn.evolve import (
     Propagator,
     _bessel_table,
     _series_order,
+    engine,
     evolve_exact,
     natural_basis,
     output_probability,
@@ -160,6 +161,70 @@ def test_chebyshev_matches_oracles(kind, basis_kind, fields, monkeypatch):
     assert np.max(np.abs(table - want)) <= 1e-12
     rows = np.arange(basis.dimension)[::-3]
     assert np.array_equal(prop.all_probabilities_at(grid, rows=rows), table[rows])
+
+
+def eigh_oracle(spec, basis, grid):
+    """|<x| e^{-iHt} |y0>|^2 on every row and time, from the complex eigh
+    of the whole matrix."""
+    evals, evecs = np.linalg.eigh(dense_matrix(spec, basis).astype(complex))
+    c0 = evecs[basis.index_of(BitString.y0(spec.n))].conj()
+    return np.abs(evecs @ (np.exp(-1j * np.outer(evals, grid)) * c0[:, None])) ** 2
+
+
+_CHIRAL_DENSE = [(Kind.H1, n) for n in (1, 2, 3)] + [(Kind.H3, n) for n in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
+@pytest.mark.parametrize("zero", [False, True])
+def test_chiral_dense_engine_matches_oracles(kind, n, zero):
+    spec = random_spec(kind, n, 90 + n)
+    if zero:  # J = 0: omega = 0 on every mode
+        spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
+    prop = Propagator(spec)
+    assert prop.dense and engine(spec).startswith("dense chiral")
+    basis = prop.basis
+    for t in (0.0, 0.35, -2.4):
+        got = prop.state_at(t).amplitudes
+        assert np.max(np.abs(got - expm_oracle(spec, basis, t))) <= 1e-13
+    grid = np.linspace(-3.0, 5.0, 33)
+    table = prop.all_probabilities_at(grid)
+    assert table.shape == (basis.dimension, grid.size)
+    assert np.max(np.abs(table - eigh_oracle(spec, basis, grid))) <= 1e-13
+    rows = np.arange(basis.dimension)[::-3]
+    sub = prop.all_probabilities_at(grid, rows=rows)
+    assert np.max(np.abs(sub - table[rows])) <= 1e-15
+
+
+@pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
+def test_chiral_dense_state_has_unit_norm(kind, n):
+    prop = Propagator(random_spec(kind, n, 95 + n))
+    for t in (0.0, 0.7, -4.1, 23.0):
+        assert abs(prop.state_at(t).norm() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind,fields",
+    [(Kind.H2, False), (Kind.H4, False)] + [(k, True) for k in Kind],
+)
+@pytest.mark.parametrize("limit", [4096, 1])
+def test_non_chiral_specs_take_the_general_path(kind, fields, limit, monkeypatch):
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+    spec = random_spec(kind, 2, 97, fields=fields)
+    prop = Propagator(spec)
+    whole = np.arange(prop.basis.dimension)
+    assert all(np.array_equal(side, whole) for side in prop.action.sides)
+    assert engine(spec) == f"{'dense' if limit > 1 else 'chebyshev'} {whole.size}"
+    got = prop.state_at(1.3).amplitudes
+    assert np.max(np.abs(got - expm_oracle(spec, prop.basis, 1.3))) <= 1e-12
+
+
+def test_engine_names_the_split_and_its_sides():
+    assert engine(random_spec(Kind.H3, 4, 1)) == "dense chiral 38+32"
+    assert engine(random_spec(Kind.H1, 3, 1)) == "dense chiral 32+32"
+    assert engine(random_spec(Kind.H3, 6, 1)) == "chebyshev chiral 452+472"
+    assert engine(random_spec(Kind.H1, 4, 1)) == "chebyshev chiral 128+128"
+    assert engine(random_spec(Kind.H4, 6, 1)) == "chebyshev 924"
+    assert engine(random_spec(Kind.H3, 3, 1, fields=True)) == "dense 20"
 
 
 def test_bessel_table_matches_scipy():

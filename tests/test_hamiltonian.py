@@ -21,9 +21,12 @@ from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
     _blocks,
+    _chiral_layout,
     _dense_block,
     _layout,
     _sparse_matrix,
+    chiral,
+    chiral_block,
     coupling_norm_bound,
     dense_matrix,
     moment_table,
@@ -245,6 +248,95 @@ def test_index_and_layout_builds_are_guarded(monkeypatch):
     _layout.cache_clear()
     with pytest.raises(DenseMemoryError, match="sparse layout"):
         _layout(index, False)
+
+
+_CHIRAL_CASES = [
+    (Kind.H1, "full", 1),
+    (Kind.H1, "full", 2),
+    (Kind.H1, "full", 3),
+    (Kind.H3, "sector", 2),
+    (Kind.H3, "sector", 3),
+    (Kind.H3, "sector", 4),
+    (Kind.H3, "full", 3),
+]
+
+
+@pytest.mark.parametrize("kind,basis_kind,n", _CHIRAL_CASES)
+def test_chiral_split_leaves_both_diagonal_blocks_zero(kind, basis_kind, n):
+    spec = random_spec(kind, n, 300 + n)
+    basis = Basis(basis_kind, n)
+    assert chiral(spec)
+    action = SparseAction(spec, basis)
+    e, o = action.sides
+    assert np.array_equal(np.sort(np.r_[e, o]), np.arange(basis.dimension))
+    sigma_weight = [sum(BitString.from_index(int(s), n).bits[:n]) for s in basis.states()]
+    assert all(sigma_weight[r] % 2 == 0 for r in e)
+    assert all(sigma_weight[r] % 2 == 1 for r in o)
+    assert basis.index_of(BitString.y0(n)) in e
+    h = dense_matrix(spec, basis)
+    assert not h[np.ix_(e, e)].any() and not h[np.ix_(o, o)].any()
+    assert np.array_equal(chiral_block(spec, basis), h[np.ix_(e, o)])
+
+
+@pytest.mark.parametrize("kind,basis_kind,n", _CHIRAL_CASES)
+def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
+    # each half-step gives, bit for bit, H's product on a vector that is
+    # zero off the side it starts from, read on the other side
+    spec = random_spec(kind, n, 310 + n)
+    action = SparseAction(spec, Basis(basis_kind, n))
+    g = np.random.default_rng(n)
+    for side, (src, dst) in enumerate([action.sides, action.sides[::-1]]):
+        v = g.standard_normal(src.size)
+        full = np.zeros(action.basis.dimension)
+        full[src] = v
+        want = action.apply_array(full)
+        assert np.array_equal(action.apply_half(side, v), want[dst])
+        assert not want[src].any()
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_chiral_layouts_are_each_others_transpose(kind):
+    hopping = kind in (Kind.H3, Kind.H4)
+    for n in (1, 2, 3):
+        for index in block_indices(kind, n):
+            b, bt = _chiral_layout(index, hopping)
+            for half in (b, bt):
+                counts = np.diff(half[0])
+                assert np.array_equal(half[2], np.repeat(np.arange(counts.size), counts))
+            forward = sorted(zip(b[2], b[1], b[3]))
+            backward = sorted(zip(bt[1], bt[2], bt[3]))
+            assert forward == backward
+            for half in (b, bt):
+                assert all(not arr.flags.writeable for arr in half)
+
+
+@pytest.mark.parametrize(
+    "kind,fields",
+    [(Kind.H2, False), (Kind.H4, False)] + [(k, True) for k in Kind],
+)
+def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
+    spec = random_spec(kind, 2, 320, fields=fields)
+    basis = Basis.full(2)
+    assert not chiral(spec)
+    action = SparseAction(spec, basis)
+    e, o = action.sides
+    assert np.array_equal(e, np.arange(16)) and np.array_equal(o, np.arange(16))
+    v = np.random.default_rng(2).standard_normal(16)
+    assert np.array_equal(action.apply_half(1, v), action.apply_array(v))
+    with pytest.raises(ValueError, match="no chiral split"):
+        chiral_block(spec, basis)
+    # z fields and ZZ terms put a diagonal inside the even sigma class
+    h = dense_matrix(spec, basis)
+    assert h[np.ix_(*[hamiltonian._sides(basis._flips)[0]] * 2)].any()
+
+
+def test_chiral_block_is_guarded_before_allocating():
+    # the n = 8 sector splits 6470 + 6400; its dense working set is ~1.7 GB
+    spec = random_spec(Kind.H3, 8, 330)
+    with pytest.raises(DenseMemoryError, match="chiral split 6470\\+6400"):
+        chiral_block(spec, Basis.sector(8))
+    with pytest.raises(ValueError, match="leaves the weight-n sector"):
+        chiral_block(random_spec(Kind.H1, 2, 331), Basis.sector(2))
 
 
 def test_single_term_h1():
