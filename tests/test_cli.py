@@ -416,20 +416,24 @@ def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, sha256",
+    "args, moments_sha256, ratio_sha256",
     [
-        # the Chebyshev recurrence's bytes from before the chiral split,
-        # the accumulator squaring each table once
+        # moments.csv: the Chebyshev recurrence's bytes from before the
+        # chiral split, with the accumulator squaring each table once;
+        # ratio.csv: the bytes from before both changes
         (["--model", "H3", "--n", "6", "--t-mult", "3", "--num-j", "16", "--seed", "0"],
-         "cffadb1205726012b6f19be6e486d58febd847888c70d4c28ab368b0efe9712e"),
+         "cffadb1205726012b6f19be6e486d58febd847888c70d4c28ab368b0efe9712e",
+         "7c50da96f5e7385049250e542750e7418afc5097b66d5db461126bb22d0e62bd"),
         (["--model", "H1", "--n", "4", "--num-j", "16", "--seed", "5"],
-         "586d8f1de2a879e05f6a1f256258528a2b87ecb28584275cf4b09825342fd950"),
+         "586d8f1de2a879e05f6a1f256258528a2b87ecb28584275cf4b09825342fd950",
+         "c03fe1d3fac59aed5b646db2b2dfb262e9a498e564b54abee813351fea9602d0"),
     ],
 )
-def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, sha256):
+def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, moments_sha256, ratio_sha256):
     assert run_cli(["anticon", *args], tmp_path) == 0
-    csv_path = only_run_dir(tmp_path, "anticon") / "moments.csv"
-    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256
+    run_dir = only_run_dir(tmp_path, "anticon")
+    for name, sha256 in (("moments.csv", moments_sha256), ("ratio.csv", ratio_sha256)):
+        assert hashlib.sha256((run_dir / name).read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize(
