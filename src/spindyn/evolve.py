@@ -286,7 +286,12 @@ class Propagator:
                 w = _chebyshev_weights(a * ts[s : s + _TIME_CHUNK], order)
             re = kept[0::2].T @ w[0::2]
             im = kept[1::2].T @ w[1::2]
-            probs[:, s : s + _TIME_CHUNK] = re * re + im * im
+            # in place: fewer (rows x times) temporaries for malloc to
+            # hand back to the system and fault in again on the next draw
+            re *= re
+            im *= im
+            re += im
+            probs[:, s : s + _TIME_CHUNK] = re
         return probs, far
 
     def state_at(self, t: float) -> StateVector:
