@@ -216,7 +216,9 @@ class Propagator:
 
         With c = U^T e_y0, e^{-iHt}|y0> is U cos(omega t) c on E and
         -i B^T U (sin(omega t) / omega) c on O, the ratio tending to t as
-        omega -> 0: one real product per side, zero off it.
+        omega -> 0: one real product per side, zero off it.  Each product
+        covers its whole side before `rows` are read, so a row's bits do
+        not depend on which other rows are asked for.
         """
         wt = np.outer(self._omega, ts)
         sinc = np.divide(
@@ -228,7 +230,7 @@ class Propagator:
         parts = []
         for side, vecs, f in zip(self._sides, self._halves, (np.cos(wt), -sinc)):
             local, off = _gather(side, rows)
-            part = vecs[local] @ (f * self._c0[:, None])
+            part = (vecs @ (f * self._c0[:, None]))[local]
             part[off] = 0.0
             parts.append(part)
         return parts

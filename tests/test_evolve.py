@@ -191,8 +191,7 @@ def test_chiral_dense_engine_matches_oracles(kind, n, zero):
     assert table.shape == (basis.dimension, grid.size)
     assert np.max(np.abs(table - eigh_oracle(spec, basis, grid))) <= 1e-13
     rows = np.arange(basis.dimension)[::-3]
-    sub = prop.all_probabilities_at(grid, rows=rows)
-    assert np.max(np.abs(sub - table[rows])) <= 1e-15
+    assert np.array_equal(prop.all_probabilities_at(grid, rows=rows), table[rows])
 
 
 @pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
