@@ -320,10 +320,11 @@ class Propagator:
         return self.state_at(t).probability(x)
 
 
-def engine(spec: HamiltonianSpec, basis: Basis | None = None) -> str:
-    """The engine `Propagator` runs for `spec`, as reports name it:
-    "dense" or "chebyshev", then "chiral |E|+|O|" or the dimension."""
-    basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
+def engine(spec: HamiltonianSpec) -> str:
+    """The engine `Propagator` runs for `spec` in its natural basis, as
+    reports name it: "dense" or "chebyshev", then "chiral |E|+|O|" or the
+    dimension."""
+    basis = natural_basis(spec.kind, spec.n)
     name = "dense" if basis.dimension <= _DENSE_LIMIT else "chebyshev"
     if not chiral(spec):
         return f"{name} {basis.dimension}"
