@@ -145,6 +145,8 @@ def _write_json(run_dir: Path, name: str, payload: dict) -> str:
 
 
 def _class_representative(n: int, m: int) -> BitString:
+    if not 1 <= m <= n:
+        raise ValueError(f"Hamming class m = {m} must lie in 1..n = {n}")
     sigma = tuple(1 if i < m else 0 for i in range(n))
     tau = tuple(0 if i < m else 1 for i in range(n))
     return BitString.from_halves(sigma, tau)
@@ -387,9 +389,9 @@ def _cmd_bw_demo(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     for pos in positions:
         values[pos] += int(gen.integers(1, 50)) * (1 if gen.uniform(0, 1) < 0.5 else -1)
     samples = SampleSet([float(v) for v in nodes], [float(v) for v in values])
-    fit = berlekamp_welch_recover(samples, d, budget, exact=ns.exact)
+    fit = berlekamp_welch_recover(samples, d, budget)
     recovered = [float(fit.coefficient(k)) for k in range(d + 1)]
-    match = all(abs(r - c) < 1e-6 for r, c in zip(recovered, coefficients))
+    match = recovered == coefficients
     if not match:
         raise RuntimeError("recovery guard: decoded coefficients do not match plant")
     name = _write_json(
@@ -399,7 +401,7 @@ def _cmd_bw_demo(ns: argparse.Namespace, run_dir: Path) -> list[str]:
             "degree": d,
             "planted_errors": planted,
             "budget": budget,
-            "exact": ns.exact,
+            "exact": True,
             "sample_count": L,
             "corrupted_positions": sorted(positions),
             "planted_coefficients": coefficients,
@@ -552,7 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--errors", type=int, default=3, help="corruptions planted")
     p.add_argument("--budget", type=int, default=None,
                    help="correction budget e_max (default: planted count)")
-    p.add_argument("--exact", action="store_true", help="exact rational mode")
+    p.add_argument("--exact", action="store_true",
+                   help="accepted for old command lines; decoding is always exact")
     _add_common(p)
     p.set_defaults(handler=_cmd_bw_demo)
 

@@ -7,10 +7,12 @@ so their propagation runs on half-vectors; every other spec runs on the
 whole basis, the split whose two sides are both the basis.
 
 Dimensions within `_DENSE_LIMIT` use one eigendecomposition and reuse it
-for every requested time: of the real-symmetric matrix, or for a chiral
-spec of B B^T = U diag(omega^2) U^T on E alone, where e^{-iHt}|y0> is
-U cos(omega t) c on E and -i B^T U (sin(omega t) / omega) c on O with
-c = U^T e_y0, all in real arithmetic.  Larger problems expand e^{-iHt} in
+for every requested time, and read the amplitude in real arithmetic as
+U cos(omega t) c on side 0 and -i V (sin(omega t) / omega) c on side 1,
+with c = U^T e_y0.  For a chiral spec that is B B^T = U diag(omega^2) U^T
+on E alone, with V = B^T U; for any other spec H = U diag(lambda) U^T on
+the whole basis, with omega = lambda and V = U diag(lambda), since both
+cos(x) and sin(x) / x are even.  Larger problems expand e^{-iHt} in
 Chebyshev polynomials of H/a, where a is the rigorous spectral bound
 `coupling_norm_bound`: one real three-term recurrence from |y0> serves
 every requested time at once, keeping only the rows the caller asks for,
@@ -163,7 +165,9 @@ class Propagator:
     `SparseAction.sides`; every other spec runs on the whole basis, which
     is the split whose two sides are both the basis and whose half-steps
     are both H.  The amplitude's real part lies on side 0 and its
-    imaginary part on side 1.
+    imaginary part on side 1, and both engines read it that way: the
+    dense one from a single real eigendecomposition (of B B^T or of H),
+    the Chebyshev one from its recurrence.
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
@@ -177,56 +181,55 @@ class Propagator:
         # y0's sigma half is empty, so it lies on side 0 (E)
         self._sides = self.action.sides
         self._y0_half = int(np.searchsorted(self._sides[0], self._y0_pos))
-        self._chiral = chiral(spec)
         self.dense = self.basis.dimension <= _DENSE_LIMIT
-        if self.dense and self._chiral:
+        if not self.dense:
+            return
+        if chiral(spec):
             # B B^T = U diag(omega^2) U^T on E; the O side reads B^T U
             b = chiral_block(spec, self.basis)
             w2, u = np.linalg.eigh(b @ b.T)
             self._omega = np.sqrt(np.maximum(w2, 0.0))
             self._halves = (u, b.T @ u)
-            self._c0 = u[self._y0_half]
-        elif self.dense:
-            h = dense_matrix(spec, self.basis)
-            self._evals, self._evecs = np.linalg.eigh(h)
-            self._c0 = self._evecs[self._y0_pos, :].conj()
+        else:
+            # H = U diag(lambda) U^T on the whole basis; cos and sin(x) / x
+            # are even, so omega = lambda serves and side 1 reads U diag(lambda)
+            self._omega, u = np.linalg.eigh(dense_matrix(spec, self.basis))
+            self._halves = (u, u * self._omega)
+        self._c0 = u[self._y0_half]
 
     def all_probabilities_at(
         self, times: Sequence[float], rows: Sequence[int] | None = None
     ) -> np.ndarray:
         """p(x; t) for the basis positions `rows` (default: all), shape
-        (len(rows), len(times))."""
+        (len(rows), len(times)).  A row outside [0, dimension) is refused."""
         ts = np.asarray(times, dtype=float).ravel()
         if not np.all(np.isfinite(ts)):
             raise ValueError("times must be finite")
-        if self.dense and not self._chiral:
-            evecs = self._evecs if rows is None else self._evecs[rows]
-            phases = np.exp(-1j * np.outer(self._evals, ts))
-            amps = evecs @ (phases * self._c0[:, None])
-            return np.abs(amps) ** 2
-        keep = np.arange(self.basis.dimension) if rows is None else rows
-        keep = np.asarray(keep, dtype=np.intp)
+        dim = self.basis.dimension
+        keep = np.arange(dim) if rows is None else np.asarray(rows, dtype=np.intp)
+        if keep.size and (keep.min() < 0 or keep.max() >= dim):
+            raise ValueError(f"rows must lie in [0, {dim})")
         if not self.dense:
             return self._chebyshev(ts, keep)[0]
-        re, im = self._chiral_parts(ts, keep)
+        re, im = self._dense_parts(ts, keep)
         return re * re + im * im
 
-    def _chiral_parts(self, ts: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+    def _dense_parts(self, ts: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
         """The real and imaginary parts of the amplitudes at `rows` x `ts`.
 
-        With c = U^T e_y0, e^{-iHt}|y0> is U cos(omega t) c on E and
-        -i B^T U (sin(omega t) / omega) c on O, the ratio tending to t as
-        omega -> 0: one real product per side, zero off it.  Each product
-        covers its whole side before `rows` are read, so a row's bits do
-        not depend on which other rows are asked for.
+        With c = U^T e_y0, e^{-iHt}|y0> is U cos(omega t) c on side 0 and
+        -i V (sin(omega t) / omega) c on side 1, where V = B^T U for a
+        chiral spec and U diag(lambda) otherwise, the ratio tending to t as
+        omega -> 0 (omega = lambda may be negative): one real product per
+        side, zero off it.  Each product covers its whole side before
+        `rows` are read, so a row's bits do not depend on which other rows
+        are asked for.
         """
         wt = np.outer(self._omega, ts)
-        sinc = np.divide(
-            np.sin(wt),
-            self._omega[:, None],
-            out=np.broadcast_to(ts, wt.shape).copy(),
-            where=self._omega[:, None] > 0.0,
-        )
+        sinc = np.empty_like(wt)
+        sinc[:] = ts  # the omega = 0 rows, which the division skips
+        omega = self._omega[:, None]
+        np.divide(np.sin(wt), omega, out=sinc, where=omega != 0.0)
         parts = []
         for side, vecs, f in zip(self._sides, self._halves, (np.cos(wt), -sinc)):
             local, off = _gather(side, rows)
@@ -298,17 +301,14 @@ class Propagator:
 
     def state_at(self, t: float) -> StateVector:
         ts = np.array([float(t)])
-        if self.dense and not self._chiral:
-            amps = self._evecs @ (np.exp(-1j * self._evals * t) * self._c0)
+        amps = np.zeros(self.basis.dimension, dtype=complex)
+        if self.dense:
+            re, im = self._dense_parts(ts, np.arange(self.basis.dimension))
+            amps.real, amps.imag = re[:, 0], im[:, 0]
         else:
-            amps = np.zeros(self.basis.dimension, dtype=complex)
-            if self.dense:
-                re, im = self._chiral_parts(ts, np.arange(self.basis.dimension))
-                amps.real, amps.imag = re[:, 0], im[:, 0]
-            else:
-                re, im = self._chebyshev(ts, np.empty(0, np.intp))[1]
-                amps.real[self._sides[0]] = re
-                amps.imag[self._sides[1]] = im
+            re, im = self._chebyshev(ts, np.empty(0, np.intp))[1]
+            amps.real[self._sides[0]] = re
+            amps.imag[self._sides[1]] = im
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
             raise KrylovConvergenceError(

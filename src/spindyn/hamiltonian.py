@@ -22,8 +22,9 @@ the full basis, from k sparse applications; the moment <x|H^k|y0> is
 its entry [k, x.index()], and sweeps over many outcomes x read one table.
 
 `_blocks` is the symmetry partition H conserves (weight or Z-parity
-blocks); `operator_norm` diagonalises block by block, or takes H1's
-closed form, and never builds the 4^n matrix.
+blocks); `operator_norm` diagonalises block by block up to 4^n = 4096,
+takes H1's closed form, or above that size returns the upper bound
+`coupling_norm_bound`, and never builds the 4^n matrix.
 
 Field-free H1 and H3 are `chiral`: every term flips one sigma and one
 tau spin and the diagonal is zero, so Pi = (-1)^{w_sigma} anticommutes
@@ -50,7 +51,6 @@ from .core import (
     DenseMemoryError,
     HamiltonianSpec,
     Kind,
-    Rng,
     _check_bytes,
     _flip_index,
     _FlipIndex,
@@ -376,41 +376,22 @@ def _h1_norm(spec: HamiltonianSpec) -> float:
     return float(np.abs(signs @ spec.couplings.entries).sum(axis=1).max() / n)
 
 
-def operator_norm(
-    spec: HamiltonianSpec, tol: float = 1e-8, max_iter: int = 100_000
-) -> float:
-    """Spectral norm of H on the full space, never as a 4^n x 4^n matrix.
+def operator_norm(spec: HamiltonianSpec) -> float:
+    """Spectral norm of H on the full space, or an upper bound on it, never
+    from a 4^n x 4^n matrix.
 
     H1 without z fields takes its closed form (`_h1_norm`), exact at any
     n.  Otherwise, up to dimension 4096, the largest |eigenvalue| over the
-    symmetry blocks of `_blocks`, each diagonalised densely; above it,
-    power iteration from a fixed seeded start vector, which converges
-    from below.
+    symmetry blocks of `_blocks`, each diagonalised densely; above it, the
+    rigorous upper bound `coupling_norm_bound`.
     """
     if spec.kind is Kind.H1 and spec.z_fields is None:
         return _h1_norm(spec)
-    dim = 1 << (2 * spec.n)
-    if dim <= 4096:
-        return max(
-            float(np.max(np.abs(np.linalg.eigvalsh(_dense_block(spec, b)))))
-            for b in _blocks(spec.kind, spec.n)[1]
-        )
-    action = SparseAction(spec, Basis.full(spec.n))
-    v = Rng(20260823).generator().standard_normal(dim)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w = action.apply_array(v)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return 0.0
-        if abs(nrm - est) <= tol * max(nrm, 1e-300):
-            return nrm
-        est = nrm
-        v = w / nrm
-    raise RuntimeError(
-        f"power iteration did not reach relative tolerance {tol} in "
-        f"{max_iter} iterations (last estimate {est})"
+    if 1 << (2 * spec.n) > 4096:
+        return coupling_norm_bound(spec)
+    return max(
+        float(np.max(np.abs(np.linalg.eigvalsh(_dense_block(spec, b)))))
+        for b in _blocks(spec.kind, spec.n)[1]
     )
 
 

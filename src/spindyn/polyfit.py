@@ -5,7 +5,8 @@ Three regimes, in increasing order of adversity:
 * bounded per-sample noise -> Lagrange interpolation with an explicit
   coefficient-wise error bound (`extract_coefficient`);
 * a few samples arbitrarily wrong -> error-locator recovery
-  (`berlekamp_welch_recover`);
+  (`berlekamp_welch_recover`), solved exactly over the rationals, since
+  every float sample is a dyadic rational;
 * every call wrong with probability < 1/2 -> per-node medians at
   Chebyshev points (`robust_median_fit`).
 
@@ -167,16 +168,13 @@ def _divide_exact(
     return q, num
 
 
-def berlekamp_welch_recover(
-    samples: SampleSet, d: int, e_max: int, exact: bool = False
-) -> Polynomial:
+def berlekamp_welch_recover(samples: SampleSet, d: int, e_max: int) -> Polynomial:
     """Recover a degree-d polynomial from samples with <= e_max corruptions.
 
     Solves Q(t_i) = y_i E(t_i) for a monic error locator E of degree
-    e_max and Q of degree d + e_max, then returns Q / E.  In exact mode
-    the solve runs over the integers and the division and checks over
-    Fraction (true exactness for rational data); in float mode the solve
-    is least-squares and each certificate check is tolerance-gated.
+    e_max and Q of degree d + e_max, then returns Q / E.  Every float
+    sample is an exact dyadic rational, so the solve runs over the
+    integers and the division and checks over Fraction, with no tolerance.
 
     Raises RecoveryError when the corruption budget is exceeded: the
     system is inconsistent, the division leaves a remainder, or the
@@ -187,37 +185,25 @@ def berlekamp_welch_recover(
         raise ValueError(
             f"need at least d+1+2*e_max = {d + 1 + 2 * e_max} samples, got {L}"
         )
-    nq, ne = d + e_max + 1, e_max
-    if exact:
-        return _bw_exact(samples, d, e_max, nq, ne)
-    ts, ys = samples.t, samples.y
-    # columns: q_0..q_{d+e}, then e_0..e_{e-1}; rhs moves the monic term over
-    powers = ts[:, None] ** np.arange(nq)
-    lower = ts[:, None] ** np.arange(ne) if ne else np.zeros((L, 0))
-    A = np.hstack([powers, -ys[:, None] * lower])
-    rhs = ys * ts**e_max
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    scale = max(1.0, float(np.max(np.abs(ys))))
-    if np.max(np.abs(A @ sol - rhs)) > 1e-6 * scale:
-        raise RecoveryError("sample system is inconsistent")
+    nq = d + e_max + 1
+    ts = [Fraction(float(t)) for t in samples.t]
+    ys = [Fraction(float(y)) for y in samples.y]
+    sol = _exact_solve(*_bw_system(ts, ys, nq, e_max, e_max))
     qcoef = sol[:nq]
-    ecoef = np.concatenate([sol[nq:], [1.0]])
-    quot, rem = _float_divide(qcoef, ecoef)
-    if np.max(np.abs(rem)) > 1e-6 * max(1.0, float(np.max(np.abs(qcoef)))):
+    ecoef = sol[nq:] + [Fraction(1)]
+    quot, rem = _divide_exact(qcoef, ecoef)
+    if any(c != 0 for c in rem):
         raise RecoveryError("error locator does not divide the numerator")
-    result = Polynomial(quot[: d + 1] if quot.size > d + 1 else quot)
-    agree = np.sum(np.abs(result(ts) - ys) <= 1e-6 * scale)
+    quot = quot[: d + 1] if len(quot) > d + 1 else quot
+    agree = 0
+    for t, y in zip(ts, ys):
+        acc = Fraction(0)
+        for c in reversed(quot):
+            acc = acc * t + c
+        agree += acc == y
     if agree < L - e_max:
-        raise RecoveryError(
-            f"recovered polynomial matches only {agree} of {L} samples"
-        )
-    return result
-
-
-def _float_divide(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # np.polydiv wants descending coefficients
-    q, r = np.polydiv(num[::-1], den[::-1])
-    return np.atleast_1d(q)[::-1].astype(float), np.atleast_1d(r)[::-1].astype(float)
+        raise RecoveryError(f"recovered polynomial matches only {agree} of {L} samples")
+    return Polynomial(np.array([float(c) for c in quot]))
 
 
 def _bw_system(
@@ -238,29 +224,6 @@ def _bw_system(
         rows.append(ints[:-1])
         rhs.append(ints[-1])
     return rows, rhs
-
-
-def _bw_exact(samples: SampleSet, d: int, e_max: int, nq: int, ne: int) -> Polynomial:
-    ts = [Fraction(float(t)) for t in samples.t]
-    ys = [Fraction(float(y)) for y in samples.y]
-    sol = _exact_solve(*_bw_system(ts, ys, nq, ne, e_max))
-    qcoef = sol[:nq]
-    ecoef = sol[nq:] + [Fraction(1)]
-    quot, rem = _divide_exact(qcoef, ecoef)
-    if any(c != 0 for c in rem):
-        raise RecoveryError("error locator does not divide the numerator")
-    quot = quot[: d + 1] if len(quot) > d + 1 else quot
-    agree = 0
-    for t, y in zip(ts, ys):
-        acc = Fraction(0)
-        for c in reversed(quot):
-            acc = acc * t + c
-        agree += acc == y
-    if agree < len(ts) - e_max:
-        raise RecoveryError(
-            f"recovered polynomial matches only {agree} of {len(ts)} samples"
-        )
-    return Polynomial(np.array([float(c) for c in quot]))
 
 
 def robust_median_fit(

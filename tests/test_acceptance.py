@@ -178,7 +178,7 @@ def test_c06_berlekamp_welch_exact_recovery_and_signalling():
     recovered = 0
     for _ in range(100):
         samples, d, e, coeffs = plant(extra=0)
-        fit = berlekamp_welch_recover(samples, d, e, exact=True)
+        fit = berlekamp_welch_recover(samples, d, e)
         if all(fit.coefficient(k) == c for k, c in enumerate(coeffs)):
             recovered += 1
     assert recovered == 100
@@ -187,7 +187,7 @@ def test_c06_berlekamp_welch_exact_recovery_and_signalling():
     for _ in range(100):
         samples, d, e, _ = plant(extra=1)
         try:
-            berlekamp_welch_recover(samples, d, e, exact=True)
+            berlekamp_welch_recover(samples, d, e)
         except RecoveryError:
             signaled += 1
     assert signaled >= 95

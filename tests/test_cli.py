@@ -330,6 +330,22 @@ def test_commands_load_one_blas_pool(tmp_path):
     assert len(list(tmp_path.glob("anticon-*"))) == 1
 
 
+def test_bw_demo_defaults_recover_on_every_seed(tmp_path):
+    for seed in range(4):
+        out = tmp_path / str(seed)
+        assert run_cli(["bw-demo", "--seed", str(seed)], out) == 0
+        report = json.loads((only_run_dir(out, "bw-demo") / "bw.json").read_text())
+        assert report["match"] is True and report["exact"] is True
+
+
+def test_extract_permanent_refuses_class_outside_one_to_n(tmp_path, capsys):
+    for m in ("0", "4"):
+        rc = run_cli(["extract-permanent", "--n", "3", "--m", m], tmp_path)
+        assert rc == 2
+        assert "Hamming class" in capsys.readouterr().err
+    assert not list(tmp_path.glob("extract-permanent-*/extraction.json"))
+
+
 def test_dense_commands_never_load_scipy_sparse(tmp_path):
     # only a sparse product needs scipy; commands that stay on dense
     # engines must not pay its import, and a Chebyshev command loads it
@@ -366,16 +382,19 @@ def test_dense_commands_never_load_scipy_sparse(tmp_path):
 
 
 def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
-    # the chiral dense engine's eigh and products run on numpy's OpenBLAS
-    # from the sweep's thread pool; neither pool size may move a bit
+    # the dense engine's eigh and products run on numpy's OpenBLAS from
+    # the sweep's thread pool; neither pool size may move a bit, on the
+    # chiral split or on the whole basis
+    cases = (("h3-anticon", ["anticon", "--model", "H3", "--n", "4", "--num-j", "64"]),
+             ("h3-equilibrate", ["equilibrate", "--model", "H3", "--n", "4", "--num-j", "16"]),
+             ("h4-anticon", ["anticon", "--model", "H4", "--n", "4", "--num-j", "64"]))
     script = (
         "import sys\n"
         "from spindyn import cli\n"
         "out = sys.argv[1]\n"
-        "for args in (['anticon', '--model', 'H3', '--n', '4', '--num-j', '64'],\n"
-        "             ['equilibrate', '--model', 'H3', '--n', '4', '--num-j', '16']):\n"
+        f"for label, args in {cases!r}:\n"
         "    for threads in ('1', '2'):\n"
-        "        argv = [*args, '--threads', threads, '--outdir', out + '/t' + threads]\n"
+        "        argv = [*args, '--threads', threads, '--outdir', f'{out}/{label}/t{threads}']\n"
         "        assert cli.main(argv) == 0, argv\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -388,13 +407,14 @@ def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
         )
         assert run.returncode == 0, run.stderr
         assert run.stderr.count("engine: dense chiral 38+32") == 4
-    for command, names in (("anticon", ("moments.csv", "ratio.csv")),
-                           ("equilibrate", ("equilibration.csv",))):
-        dirs = [only_run_dir(tmp_path / b / t, command)
+        assert run.stderr.count("engine: dense 70") == 2
+    for label, args in cases:
+        names = ("moments.csv", "ratio.csv") if args[0] == "anticon" else ("equilibration.csv",)
+        dirs = [only_run_dir(tmp_path / b / label / t, args[0])
                 for b in ("b1", "b2") for t in ("t1", "t2")]
         for name in names:
             outputs = {(d / name).read_bytes() for d in dirs}
-            assert len(outputs) == 1, (command, name)
+            assert len(outputs) == 1, (label, name)
 
 
 def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):

@@ -174,16 +174,12 @@ def eigh_oracle(spec, basis, grid):
 _CHIRAL_DENSE = [(Kind.H1, n) for n in (1, 2, 3)] + [(Kind.H3, n) for n in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
-@pytest.mark.parametrize("zero", [False, True])
-def test_chiral_dense_engine_matches_oracles(kind, n, zero):
-    spec = random_spec(kind, n, 90 + n)
-    if zero:  # J = 0: omega = 0 on every mode
-        spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
-    prop = Propagator(spec)
-    assert prop.dense and engine(spec).startswith("dense chiral")
-    basis = prop.basis
-    for t in (0.0, 0.35, -2.4):
+def assert_dense_engine_matches_oracles(prop):
+    """States against expm, tables against the complex eigh oracle, and a
+    row subset bit for bit equal to the same rows of the whole table."""
+    spec, basis = prop.spec, prop.basis
+    assert prop.dense
+    for t in (0.0, 0.35, -2.4, 30.0):
         got = prop.state_at(t).amplitudes
         assert np.max(np.abs(got - expm_oracle(spec, basis, t))) <= 1e-13
     grid = np.linspace(-3.0, 5.0, 33)
@@ -192,6 +188,50 @@ def test_chiral_dense_engine_matches_oracles(kind, n, zero):
     assert np.max(np.abs(table - eigh_oracle(spec, basis, grid))) <= 1e-13
     rows = np.arange(basis.dimension)[::-3]
     assert np.array_equal(prop.all_probabilities_at(grid, rows=rows), table[rows])
+
+
+@pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
+@pytest.mark.parametrize("zero", [False, True])
+def test_chiral_dense_engine_matches_oracles(kind, n, zero):
+    spec = random_spec(kind, n, 90 + n)
+    if zero:  # J = 0: omega = 0 on every mode
+        spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
+    assert engine(spec).startswith("dense chiral")
+    assert_dense_engine_matches_oracles(Propagator(spec))
+
+
+_WHOLE_DENSE = [(k, n, False) for k in (Kind.H2, Kind.H4) for n in (2, 3)] + [
+    (k, n, True) for k in Kind for n in (2, 3)
+]
+
+
+@pytest.mark.parametrize("kind,n,fields", _WHOLE_DENSE)
+@pytest.mark.parametrize("zero", [False, True])
+def test_whole_basis_dense_engine_matches_oracles(kind, n, fields, zero):
+    # omega = lambda takes both signs; J = 0 makes it 0 on every mode
+    # without fields and the field diagonal with them
+    spec = random_spec(kind, n, 80 + n, fields=fields)
+    if zero:
+        spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))), spec.z_fields)
+    prop = Propagator(spec)
+    assert engine(spec) == f"dense {prop.basis.dimension}"
+    assert_dense_engine_matches_oracles(prop)
+
+
+@pytest.mark.parametrize(
+    "kind,n,name",
+    [(Kind.H3, 3, "dense chiral"), (Kind.H4, 3, "dense 20"), (Kind.H4, 5, "chebyshev 252")],
+)
+def test_rows_outside_the_basis_are_refused(kind, n, name):
+    spec = random_spec(kind, n, 1)
+    assert engine(spec).startswith(name)
+    prop = Propagator(spec)
+    d = prop.basis.dimension
+    for rows in ([-1], [d], [0, d + 5]):
+        with pytest.raises(ValueError, match="rows must lie in"):
+            prop.all_probabilities_at([0.5], rows=rows)
+    assert prop.all_probabilities_at([0.5], rows=[d - 1]).shape == (1, 1)
+    assert prop.all_probabilities_at([0.5], rows=[]).shape == (0, 1)
 
 
 @pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)

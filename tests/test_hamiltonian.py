@@ -530,8 +530,8 @@ def test_h1_sign_table_is_guarded():
 
 def test_power_iteration_path_bracketed_for_hopping_kind():
     # n = 7 (d = 16384) exceeds the dense cutoff, and H3 has no closed
-    # form: the estimate converges from below, so it lies above the norm
-    # of any weight block and below the rigorous bound
+    # form: the norm is the rigorous coupling bound, which lies above the
+    # norm of any weight block
     n = 7
     spec = random_spec(Kind.H3, n, 2)
     blocks = _blocks(Kind.H3, n)[1]
@@ -539,10 +539,9 @@ def test_power_iteration_path_bracketed_for_hopping_kind():
         float(np.max(np.abs(np.linalg.eigvalsh(_sparse_matrix(spec, blocks[w]).toarray()))))
         for w in (1, 2)
     )
-    est = operator_norm(spec, tol=1e-10)
-    assert low < est <= coupling_norm_bound(spec)
-    with pytest.raises(RuntimeError, match="power iteration"):
-        operator_norm(spec, max_iter=1)
+    est = operator_norm(spec)
+    assert est == coupling_norm_bound(spec)
+    assert low < est
 
 
 def test_power_iteration_path_agrees_with_closed_form():
@@ -552,7 +551,7 @@ def test_power_iteration_path_agrees_with_closed_form():
     spec = HamiltonianSpec(Kind.H1, J)
     signs = np.array([[1 - 2 * ((k >> p) & 1) for p in range(n)] for k in range(1 << n)])
     closed = np.max(np.abs(signs @ (J.entries / n) @ signs.T))
-    assert operator_norm(spec, tol=1e-10) == pytest.approx(float(closed), rel=1e-6)
+    assert operator_norm(spec) == pytest.approx(float(closed), rel=1e-6)
 
 
 def test_tail_probability_values():

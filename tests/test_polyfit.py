@@ -155,28 +155,25 @@ def test_extract_bound_dominates_worst_case(t0, dw):
 def test_bw_no_errors_reduces_to_interpolation():
     ts = np.arange(6, dtype=float)
     samples = poly_samples([1.0, -2.0, 0.0, 1.0], ts)
-    for exact in (False, True):
-        fit = berlekamp_welch_recover(samples, 3, 0, exact=exact)
-        assert np.max(np.abs(fit.coefficients - [1, -2, 0, 1])) < 1e-9
+    fit = berlekamp_welch_recover(samples, 3, 0)
+    assert np.max(np.abs(fit.coefficients - [1, -2, 0, 1])) < 1e-9
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_bw_three_corruptions(exact):
+def test_bw_three_corruptions():
     ts = np.arange(12, dtype=float)
     ys = ts**3 - 2 * ts
     ys[2], ys[5], ys[9] = 40.0, -7.0, 1.0
-    fit = berlekamp_welch_recover(SampleSet(ts, ys), 3, 3, exact=exact)
+    fit = berlekamp_welch_recover(SampleSet(ts, ys), 3, 3)
     assert np.max(np.abs(fit.coefficients - [0, -2, 0, 1])) < 1e-6
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_bw_budget_exceeded_is_detected(exact):
+def test_bw_budget_exceeded_is_detected():
     ts = np.arange(12, dtype=float)
     ys = ts**3 - 2 * ts
     for i in (1, 4, 7, 10):
         ys[i] += 10.0 + i
     with pytest.raises(RecoveryError):
-        berlekamp_welch_recover(SampleSet(ts, ys), 3, 3, exact=exact)
+        berlekamp_welch_recover(SampleSet(ts, ys), 3, 3)
 
 
 def test_bw_too_few_samples_rejected():
@@ -196,7 +193,7 @@ def test_bw_exact_mode_is_exact_on_integer_data():
         ys = Polynomial(coeffs)(ts)
         corrupt = g.choice(L, size=e_max, replace=False)
         ys[corrupt] += g.integers(1, 50, size=e_max).astype(float)
-        fit = berlekamp_welch_recover(SampleSet(ts, ys), d, e_max, exact=True)
+        fit = berlekamp_welch_recover(SampleSet(ts, ys), d, e_max)
         got = np.zeros(d + 1)
         got[: fit.coefficients.size] = fit.coefficients[: d + 1]
         assert np.array_equal(got, coeffs), f"seed {seed}: {got} != {coeffs}"
