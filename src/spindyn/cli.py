@@ -593,6 +593,7 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
+    run_dir = None
     try:
         if ns.command == "rerun":
             return _cmd_rerun(ns)
@@ -612,6 +613,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        # a handler refuses its arguments before writing; leave no empty run dir
+        if run_dir is not None and not any(run_dir.iterdir()):
+            run_dir.rmdir()
         return 2
 
 

@@ -13,8 +13,11 @@ with c = U^T e_y0.  For a chiral spec that is B B^T = U diag(omega^2) U^T
 on E alone, with V = B^T U; for any other spec H = U diag(lambda) U^T on
 the whole basis, with omega = lambda and V = U diag(lambda), since both
 cos(x) and sin(x) / x are even.  Larger problems expand e^{-iHt} in
-Chebyshev polynomials of H/a, where a is the rigorous spectral bound
-`coupling_norm_bound`: one real three-term recurrence from |y0> serves
+Chebyshev polynomials of H/a, where a is the smaller of two rigorous
+bounds on ||H||, `coupling_norm_bound` and `SparseAction.norm_bound`
+(H1's closed form, or a Collatz-Wielandt bound on |H|; for H3 and H4 at
+n = 6 and 8 it is 0.45-0.6 times the first and cuts the series order by
+27-45 %): one real three-term recurrence from |y0> serves
 every requested time at once, keeping only the rows the caller asks for,
 and the Bessel coefficients J_k(a t) carry the time dependence (Tal-Ezer
 & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Its k-th vector lies on E
@@ -48,10 +51,11 @@ __all__ = [
 ]
 
 # Dense eigh beats the Chebyshev recurrence up to about this dimension d.
-# Per draw, one time t = 4 ln n, one BLAS thread, median of 30 draws:
-# d = 70 (H3 n = 4) 0.47 ms dense against 0.67 ms Chebyshev; d = 256
-# (H1 n = 4) 4.7 ms against 0.78 ms.  No basis has 70 < d < 252.  The
-# chiral split halves both engines' work and leaves the choice in place.
+# Per draw (fresh Propagator, the X_{n/2} rows at t = 4 ln n, one BLAS
+# thread, median of 30 draws, best of 5 passes, range over 3 rounds):
+# d = 70 (H3 n = 4, chiral 38 + 32) 0.11-0.12 ms dense against
+# 0.46-0.47 ms Chebyshev; d = 256 (H1 n = 4, chiral 128 + 128)
+# 0.93-0.97 ms against 0.44-0.46 ms.  No basis has 70 < d < 252.
 _DENSE_LIMIT = 128
 _NORM_DRIFT_TOL = 1e-9
 _TAIL_TOL = 1e-16  # bound on sum_{k >= K} (2 - delta_k0) |J_k(a t)|
@@ -248,7 +252,8 @@ class Propagator:
         k mod 2, stepped there by `SparseAction.apply_half`; only
         phi_k[rows] is kept, so memory is O(order * len(rows) + dimension).
         """
-        a = coupling_norm_bound(self.spec) or 1.0  # a = 0 means H = 0
+        # the smaller rigorous bound; a = 0 means H = 0
+        a = min(coupling_norm_bound(self.spec), self.action.norm_bound) or 1.0
         t_far = float(ts[np.argmax(np.abs(ts))]) if ts.size else 0.0
         order = _series_order(a * t_far)
         tail = _bessel_tail_bound(a * t_far, order)

@@ -21,6 +21,11 @@ stays dense.
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
 its entry [k, x.index()], and sweeps over many outcomes x read one table.
 
+`SparseAction.norm_bound` bounds ||H|| on the basis from above: H1's
+closed form without z fields, otherwise a Collatz-Wielandt ratio of |H|,
+whose CSR matrices wrap the absolute values of the draw's stored entries
+over the same cached layouts.
+
 `_blocks` is the symmetry partition H conserves (weight or Z-parity
 blocks); `operator_norm` diagonalises block by block up to 4^n = 4096,
 takes H1's closed form, or above that size returns the upper bound
@@ -75,6 +80,18 @@ __all__ = [
 # Per-kind prefactor of Sum|J_ij|/n in the operator-norm upper bound,
 # exposed exactly as printed (no tightening attempted).
 NORM_BOUND_PREFACTOR = {Kind.H1: 1.0, Kind.H2: 2.0, Kind.H3: 1.0, Kind.H4: 1.5}
+
+# Products with |H| behind `SparseAction.norm_bound`.  40 instead of 5
+# lower the bound by under 0.04 x `coupling_norm_bound` (two draws each:
+# H3 at n = 6, 8 and 10 from ~0.58 to 0.57, 0.55 and 0.54 of it; H4 at
+# n = 6 from 0.45 to 0.44).
+_CW_STEPS = 5
+# Relative slack on a computed norm bound.  Each (|H| v)_i sums at most
+# n^2 + 1 non-negative terms, so it and its ratio to v_i carry a relative
+# rounding error of at most (n^2 + 2) 2^-53, 1.1e-14 at n = 10.  H1's
+# closed form rounds by at most ~2n 2^-53 Sum|J_ij| against a maximum of
+# at least Sum|J_ij| / sqrt(2n) (Khintchine), again ~1e-14 at n = 10.
+_NORM_MARGIN = 1e-12
 
 
 def _diag_values(spec: HamiltonianSpec, za: np.ndarray) -> np.ndarray:
@@ -333,6 +350,43 @@ class SparseAction:
         B^T @ arr from E, B @ arr from O, H @ arr if the spec is not chiral."""
         halves = self._halves
         return self.apply_array(arr) if halves is None else halves[side] @ arr
+
+    @cached_property
+    def norm_bound(self) -> float:
+        """A rigorous upper bound on ||H|| on the basis, or inf.
+
+        Field-free H1 takes its closed form `_h1_norm`.  Otherwise, for
+        symmetric H, ||H|| <= rho(|H|) <= max_i (|H| v)_i / v_i for every
+        v > 0 (Wielandt's comparison and the Collatz-Wielandt bound; Horn
+        and Johnson, Matrix Analysis, ch. 8).  v is |H|^(_CW_STEPS - 1)
+        applied to ones, normalised by its max after each product; one more
+        product gives the ratio, times 1 + `_NORM_MARGIN`.  A chiral |H| is
+        applied as |B^T| from E and |B| from O.  inf when v has a zero
+        entry (|H| with a zero row, J = 0) or the ratio is not finite.
+        """
+        if self.spec.kind is Kind.H1 and self.spec.z_fields is None:
+            return _h1_norm(self.spec) * (1.0 + _NORM_MARGIN)
+        # |H| on the cached layouts: scipy's abs() of a CSR matrix costs more
+        blocks = [
+            _csr(m.indptr, m.indices, np.abs(m.data), m.shape)
+            for m in self._halves or (self._matrix,)
+        ]
+
+        def step(vs: list[np.ndarray]) -> list[np.ndarray]:
+            # block s maps side s to the other, so the products come reversed
+            return [m @ v for m, v in zip(blocks, vs)][::-1]
+
+        vs = [np.ones(m.shape[1]) for m in blocks]
+        for _ in range(_CW_STEPS - 1):
+            ws = step(vs)
+            top = max(float(w.max()) for w in ws)
+            if not top > 0.0:
+                return math.inf
+            vs = [w / top for w in ws]
+        if min(float(v.min()) for v in vs) <= 0.0:
+            return math.inf
+        bound = max(float(np.max(w / v)) for w, v in zip(step(vs), vs))
+        return bound * (1.0 + _NORM_MARGIN) if math.isfinite(bound) else math.inf
 
 
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:

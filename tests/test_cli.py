@@ -346,6 +346,16 @@ def test_extract_permanent_refuses_class_outside_one_to_n(tmp_path, capsys):
     assert not list(tmp_path.glob("extract-permanent-*/extraction.json"))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["extract-permanent", "--n", "3", "--m", "5"], ["anticon", "--n", "3", "--num-j", "16"]],
+)
+def test_usage_errors_leave_no_run_dir(tmp_path, argv, capsys):
+    assert run_cli(argv, tmp_path) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_dense_commands_never_load_scipy_sparse(tmp_path):
     # only a sparse product needs scipy; commands that stay on dense
     # engines must not pay its import, and a Chebyshev command loads it
@@ -438,14 +448,15 @@ def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, moments_sha256, ratio_sha256",
     [
-        # moments.csv: the Chebyshev recurrence's bytes from before the
-        # chiral split, with the accumulator squaring each table once;
-        # ratio.csv: the bytes from before both changes
+        # moments.csv: the bytes of the recurrence scaled by the smaller of
+        # coupling_norm_bound and SparseAction.norm_bound (within 8.3e-15
+        # relative of the coupling-bound scale's); ratio.csv: the bytes
+        # from before the chiral split, unmoved by either scale
         (["--model", "H3", "--n", "6", "--t-mult", "3", "--num-j", "16", "--seed", "0"],
-         "cffadb1205726012b6f19be6e486d58febd847888c70d4c28ab368b0efe9712e",
+         "443f1f2c7ec3e3c968872e562341194bf9ce018cdec01d6688403d9110eab66c",
          "7c50da96f5e7385049250e542750e7418afc5097b66d5db461126bb22d0e62bd"),
         (["--model", "H1", "--n", "4", "--num-j", "16", "--seed", "5"],
-         "586d8f1de2a879e05f6a1f256258528a2b87ecb28584275cf4b09825342fd950",
+         "24cc103ed49b94798cb22d0c4654e3b1e5129e0554a0d51531682f5169904e73",
          "c03fe1d3fac59aed5b646db2b2dfb262e9a498e564b54abee813351fea9602d0"),
     ],
 )

@@ -288,6 +288,39 @@ def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
         prop.state_at(-10.0)
 
 
+@pytest.mark.parametrize("kind,n", [(Kind.H3, 5), (Kind.H4, 4), (Kind.H4, 5)])
+def test_chebyshev_table_matches_the_dense_engine(kind, n, monkeypatch):
+    # the Chebyshev scale is the Collatz-Wielandt bound here, well below
+    # coupling_norm_bound; both engines on a grid to 8 ln n and back
+    spec = random_spec(kind, n, 110 + n)
+    assert SparseAction(spec, natural_basis(kind, n)).norm_bound < 0.8 * coupling_norm_bound(spec)
+    grid = np.linspace(-2.0, 8.0 * np.log(n), 33)
+    tables = []
+    for limit in (4096, 1):
+        monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+        prop = Propagator(spec)
+        assert prop.dense == (limit > 1)
+        tables.append(prop.all_probabilities_at(grid))
+    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_chebyshev_propagates_zero_coupling_rows(kind, monkeypatch):
+    # a zero row of J, and J = 0, where a = min(0, norm_bound) falls back to 1
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
+    n = 3
+    rowless = sample_coupling(n, Rng(37)).entries.copy()
+    rowless[0] = 0.0
+    grid = np.linspace(-3.0, 5.0, 33)
+    for entries in (rowless, np.zeros((n, n))):
+        spec = HamiltonianSpec(kind, CouplingMatrix(entries))
+        prop = Propagator(spec)
+        assert not prop.dense
+        table = prop.all_probabilities_at(grid)
+        assert np.max(np.abs(table - eigh_oracle(spec, prop.basis, grid))) <= 1e-12
+    assert prop.action.norm_bound == (0.0 if kind is Kind.H1 else np.inf)
+
+
 def test_chebyshev_uncertifiable_order_fails_before_stepping(monkeypatch):
     monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
     prop = Propagator(random_spec(Kind.H1, 2, 71))

@@ -20,6 +20,8 @@ from spindyn.core import (
 from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
+    _CW_STEPS,
+    _NORM_MARGIN,
     _blocks,
     _chiral_layout,
     _dense_block,
@@ -33,6 +35,7 @@ from spindyn.hamiltonian import (
     norm_tail_probability,
     operator_norm,
 )
+from spindyn.evolve import natural_basis
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -499,6 +502,61 @@ def test_norm_bound_holds():
         for seed in range(5):
             spec = random_spec(kind, 3, 70 + seed)
             assert operator_norm(spec) <= coupling_norm_bound(spec) + 1e-12
+
+
+def collatz_wielandt_oracle(h):
+    """max_i (|h| v)_i / v_i at v = |h|^(_CW_STEPS - 1) ones, from the dense
+    |h| and without normalising v, or inf if v has a zero entry."""
+    a = np.abs(h)
+    v = np.linalg.matrix_power(a, _CW_STEPS - 1) @ np.ones(a.shape[0])
+    return float(np.max(a @ v / v)) if np.all(v > 0.0) else math.inf
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("fields", [False, True])
+def test_sparse_norm_bound_covers_the_spectrum(kind, n, fields):
+    spec = random_spec(kind, n, 600 + 10 * n, fields=fields)
+    basis = natural_basis(kind, n)
+    h = dense_matrix(spec, basis)
+    bound = SparseAction(spec, basis).norm_bound
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    assert exact <= bound <= coupling_norm_bound(spec) * (1.0 + _NORM_MARGIN)
+    if kind is Kind.H1 and not fields:  # the closed form
+        assert bound == pytest.approx(exact, rel=1e-11)
+    else:  # the chiral halves read the whole |H|'s iterates
+        want = collatz_wielandt_oracle(h) * (1.0 + _NORM_MARGIN)
+        assert bound == pytest.approx(want, rel=1e-13)
+
+
+def test_sparse_norm_bound_is_tight_for_h3():
+    for seed in range(4):
+        spec = random_spec(Kind.H3, 6, 650 + seed)
+        bound = SparseAction(spec, Basis.sector(6)).norm_bound
+        assert bound <= 0.7 * coupling_norm_bound(spec)
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_sparse_norm_bound_with_zero_rows(kind):
+    # a zero row of J keeps v > 0; one coupling alone gives H3's |H| zero
+    # rows (H2 and H4 keep a z-z diagonal on every row), and J = 0 gives
+    # |H| = 0: no ratio is read there (inf), except by H1's closed form
+    n = 3
+    rowless = sample_coupling(n, Rng(31)).entries.copy()
+    rowless[1] = 0.0
+    single = np.zeros((n, n))
+    single[0, 2] = -0.7
+    bounds, caps = [], []
+    for entries in (rowless, single, np.zeros((n, n))):
+        spec = HamiltonianSpec(kind, CouplingMatrix(entries))
+        basis = natural_basis(kind, n)
+        h = dense_matrix(spec, basis)
+        bounds.append(SparseAction(spec, basis).norm_bound)
+        caps.append(coupling_norm_bound(spec))
+        assert float(np.max(np.abs(np.linalg.eigvalsh(h)))) <= bounds[-1]
+    assert bounds[0] <= caps[0] * (1.0 + _NORM_MARGIN)
+    assert math.isinf(bounds[1]) == (kind is Kind.H3)
+    assert bounds[2] == (0.0 if kind is Kind.H1 else math.inf)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
