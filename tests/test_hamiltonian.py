@@ -546,15 +546,14 @@ def test_sparse_norm_bound_with_zero_rows(kind):
     rowless[1] = 0.0
     single = np.zeros((n, n))
     single[0, 2] = -0.7
-    bounds, caps = [], []
-    for entries in (rowless, single, np.zeros((n, n))):
-        spec = HamiltonianSpec(kind, CouplingMatrix(entries))
+    specs = [HamiltonianSpec(kind, CouplingMatrix(e)) for e in (rowless, single, 0 * single)]
+    bounds = []
+    for spec in specs:
         basis = natural_basis(kind, n)
         h = dense_matrix(spec, basis)
         bounds.append(SparseAction(spec, basis).norm_bound)
-        caps.append(coupling_norm_bound(spec))
         assert float(np.max(np.abs(np.linalg.eigvalsh(h)))) <= bounds[-1]
-    assert bounds[0] <= caps[0] * (1.0 + _NORM_MARGIN)
+    assert bounds[0] <= coupling_norm_bound(specs[0]) * (1.0 + _NORM_MARGIN)
     assert math.isinf(bounds[1]) == (kind is Kind.H3)
     assert bounds[2] == (0.0 if kind is Kind.H1 else math.inf)
 
