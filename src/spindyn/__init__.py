@@ -34,7 +34,6 @@ from .evolve import (  # noqa: F401
     KrylovConvergenceError,
     Propagator,
     evolve_exact,
-    natural_basis,
     output_probability,
     time_average,
 )
@@ -43,7 +42,9 @@ from .hamiltonian import (  # noqa: F401
     SparseAction,
     dense_matrix,
     moment_table,
+    natural_basis,
     operator_norm,
+    symmetry_blocks,
 )
 from .hardness import (  # noqa: F401
     anticoncentration_thresholds,
@@ -78,7 +79,6 @@ from .trotter import (  # noqa: F401
     estimate_prefactor,
     gate_count_plan,
     l1_unitary_bound_check,
-    symmetry_blocks,
     trotter_operator_error,
     trotter_operator_errors,
     upsilon,

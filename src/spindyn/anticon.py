@@ -29,7 +29,8 @@ from .core import (
     hamming_class_members,
     sample_coupling,
 )
-from .evolve import Propagator, natural_basis
+from .evolve import Propagator
+from .hamiltonian import natural_basis
 from .hardness import anticoncentration_thresholds
 
 _MIN_DRAWS = 16
@@ -243,11 +244,6 @@ def equilibration_curve(
     return out
 
 
-def bits_label(x: BitString) -> str:
-    """Compact bit label for CSV rows, sigma half first."""
-    return "".join(str(b) for b in x.bits)
-
-
 def write_equilibration_csv(
     path: str | Path, n: int, rows: Iterable[tuple[float, float, float]]
 ) -> None:
@@ -279,7 +275,7 @@ def write_moments_csv(
                 [
                     record.n,
                     repr(record.t),
-                    bits_label(record.x),
+                    str(record.x),
                     repr(record.mean_p / scale),
                     repr(record.mean_p2 / scale**2),
                     repr(record.se_p / scale),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -45,7 +46,7 @@ from .core import (
     sample_coupling,
 )
 from .evolve import engine
-from .hamiltonian import moment_table
+from .hamiltonian import moment_table, symmetry_blocks
 from .hardness import (
     anticoncentration_thresholds,
     extract_permanent_from_dynamics,
@@ -63,7 +64,6 @@ from .polyfit import SampleSet, berlekamp_welch_recover
 from .trotter import (
     CALIBRATED_PREFACTOR,
     gate_count_plan,
-    symmetry_blocks,
     trotter_operator_errors,
 )
 
@@ -75,11 +75,15 @@ def _utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def _new_run_dir(outdir: str, command: str, seed: int) -> Path:
+def _new_run_dir(outdir: str, command: str, seed: int) -> list[Path]:
+    """Creates the run directory and any missing parents; returns every
+    directory it created, the run directory first and its parents deepest
+    first."""
     stamp = _utc_now().strftime("%Y%m%dT%H%M%S%fZ")
     path = Path(outdir) / f"{command}-{stamp}-seed{seed}"
+    created = [path, *itertools.takewhile(lambda p: not p.exists(), path.parents)]
     path.mkdir(parents=True, exist_ok=False)
-    return path
+    return created
 
 
 @functools.cache
@@ -258,14 +262,12 @@ def _cmd_extract_permanent(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     K = ns.K if ns.K is not None else 2 * m + 6
     x = _class_representative(n, m)
     spec = HamiltonianSpec(kind, sample_coupling(n, Rng(ns.seed)))
-    mode = "noisy-oracle" if ns.noise_delta > 0 else "exact-oracle"
     estimate, truth, bound = extract_permanent_from_dynamics(
         spec,
         x,
         ns.t0,
         ns.delta_window,
         K,
-        mode=mode,
         noise_delta=ns.noise_delta,
         rng=Rng(ns.seed).substream(1),
     )
@@ -280,11 +282,11 @@ def _cmd_extract_permanent(ns: argparse.Namespace, run_dir: Path) -> list[str]:
                 "model": kind.value,
                 "n": n,
                 "m": m,
-                "x_bits": "".join(str(b) for b in x.bits),
+                "x_bits": str(x),
                 "t0": ns.t0,
                 "delta_window": ns.delta_window,
                 "K": K,
-                "mode": mode,
+                "mode": "noisy-oracle" if ns.noise_delta > 0 else "exact-oracle",
                 "noise_delta": ns.noise_delta,
             },
             "nodes": [float(v) for v in nodes],
@@ -363,8 +365,9 @@ def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
                 writer.writerow(
                     [kind.value, ns.n, repr(float(t)), order, M, repr(float(err))]
                 )
-    symmetry, sizes = symmetry_blocks(kind, ns.n)
-    print(f"{symmetry} blocks: {len(sizes)}, largest {max(sizes)}", file=sys.stderr)
+    symmetry, blocks = symmetry_blocks(kind, ns.n)
+    largest = max(b.dimension for b in blocks)
+    print(f"{symmetry} blocks: {len(blocks)}, largest {largest}", file=sys.stderr)
     return [name]
 
 
@@ -593,11 +596,12 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0
-    run_dir = None
+    created: list[Path] = []
     try:
         if ns.command == "rerun":
             return _cmd_rerun(ns)
-        run_dir = _new_run_dir(ns.outdir, ns.command, ns.seed)
+        created = _new_run_dir(ns.outdir, ns.command, ns.seed)
+        run_dir = created[0]
         started_at = _utc_now().isoformat()
         outputs = ns.handler(ns, run_dir)
         _write_manifest(
@@ -613,9 +617,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        # a handler refuses its arguments before writing; leave no empty run dir
-        if run_dir is not None and not any(run_dir.iterdir()):
-            run_dir.rmdir()
+        # a handler refuses its arguments before writing; leave neither the
+        # empty run dir nor the parents this run created for it
+        for path in created:
+            if any(path.iterdir()):
+                break
+            path.rmdir()
         return 2
 
 

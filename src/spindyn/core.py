@@ -9,22 +9,22 @@ Conventions fixed here and relied on everywhere else:
 * The weight-n sector basis lists its states in lexicographic order of the
   bit tuple (x_1 compared first).
 
-`_flip_index` caches, once per set of rows (the full basis, the sector, a
-weight or Z-parity block), which row each sigma_i-tau_j double flip
-reaches; the Hamiltonian's sparse matrix and the Trotter gates both read
-it.
+A `Basis` is a set of rows closed under the sigma_i-tau_j double flips:
+the full basis, the sector, or one weight or Z-parity block.  It carries
+which row each flip reaches, is built once per (n, symmetry, label) by
+the cached `Basis.of`, and is the one row-set type every other module
+takes: the Hamiltonian is laid out from it and the Trotter gates read
+their partners from it.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -239,15 +239,19 @@ def _block_states(n: int, symmetry: str, label: int) -> np.ndarray:
     return members[np.argsort(keys)]
 
 
-@dataclass(frozen=True, eq=False)
-class _FlipIndex:
-    """Which row each sigma_i-tau_j double flip connects to, for one row set.
+@dataclass(frozen=True, eq=False, repr=False)
+class Basis:
+    """A set of rows closed under the sigma_i-tau_j double flips, with
+    which row each flip reaches.
 
-    Depends on (n, rows) only and is shared by every caller through the
-    cache of `_flip_index`, so all arrays are read-only.
+    Build one with `Basis.of(n, symmetry, label)` (or `full`, `sector`):
+    it is cached per (n, symmetry, label), so two bases compare equal
+    exactly when they are the same object, and every array is read-only.
     """
 
     n: int
+    symmetry: str  # "full" | "parity" | "weight"
+    label: int  # the parity or the weight; 0 for "full"
     states: np.ndarray  # (d,) full-basis index of each row
     pos: np.ndarray  # (4^n,) row of each full-basis index, -1 outside the rows
     # (n, n, d) row reached by flipping sigma_i and tau_j; a partner outside
@@ -256,82 +260,61 @@ class _FlipIndex:
     differ: np.ndarray  # (n, n, d) whether bits i and n+j of the row differ
     signs: np.ndarray  # (d, 2n) sigma_z eigenvalue of each spin
 
-
-@lru_cache(maxsize=64)
-def _flip_index(n: int, symmetry: str, label: int) -> _FlipIndex:
-    """The cached flip index of one row set (see `_block_states`); pass
-    all three arguments positionally, as the cache keys on their spelling."""
-    dim = {
-        "full": 1 << (2 * n),
-        "parity": 1 << (2 * n - 1),
-        "weight": math.comb(2 * n, label),
-    }[symmetry]
-    # per row: partner (int64, plus its xor source) and differ for each
-    # site, the bits and signs of its 2n spins; plus pos over 4^n states
-    nbytes = dim * (17 * n * n + 32 * n) + (8 << (2 * n))
-    _check_bytes(nbytes, f"flip index of {dim} rows")
-    states = _block_states(n, symmetry, label)
-    rows = np.arange(dim)
-    pos = np.full(1 << (2 * n), -1, dtype=np.intp)
-    pos[states] = rows
-    sites = np.arange(n)
-    masks = (1 << sites)[:, None] | (1 << (n + sites))[None, :]
-    partner = pos[states ^ masks[:, :, None]]
-    np.copyto(partner, rows, where=partner < 0)
-    bits = (states[:, None] >> np.arange(2 * n)) & 1
-    differ = bits.T[:n, None, :] != bits.T[None, n:, :]
-    signs = 1.0 - 2.0 * bits
-    arrays = (states, pos, partner, differ, signs)
-    return _FlipIndex(n, *(_freeze(a) for a in arrays))
-
-
-@dataclass(frozen=True)
-class Basis:
-    """Either the full 2^{2n}-dimensional basis or the weight-n sector."""
-
-    kind: str  # "full" | "sector"
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("full", "sector"):
-            raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.n < 1:
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def of(n: int, symmetry: str, label: int, /) -> "Basis":
+        """The cached basis of one row set (see `_block_states`)."""
+        if n < 1:
             raise ValueError("n must be positive")
+        top = {"full": 0, "parity": 1, "weight": 2 * n}
+        if symmetry not in top or not 0 <= label <= top[symmetry]:
+            raise ValueError(f"no {symmetry!r} block {label} at n = {n}")
+        dim = {
+            "full": 1 << (2 * n),
+            "parity": 1 << (2 * n - 1),
+            "weight": math.comb(2 * n, label),
+        }[symmetry]
+        # per row: partner (int64, plus its xor source) and differ for each
+        # site, the bits and signs of its 2n spins; plus pos over 4^n states
+        nbytes = dim * (17 * n * n + 32 * n) + (8 << (2 * n))
+        _check_bytes(nbytes, f"flip index of {dim} rows")
+        states = _block_states(n, symmetry, label)
+        rows = np.arange(dim)
+        pos = np.full(1 << (2 * n), -1, dtype=np.intp)
+        pos[states] = rows
+        sites = np.arange(n)
+        masks = (1 << sites)[:, None] | (1 << (n + sites))[None, :]
+        partner = pos[states ^ masks[:, :, None]]
+        np.copyto(partner, rows, where=partner < 0)
+        bits = (states[:, None] >> np.arange(2 * n)) & 1
+        differ = bits.T[:n, None, :] != bits.T[None, n:, :]
+        signs = 1.0 - 2.0 * bits
+        arrays = (states, pos, partner, differ, signs)
+        return Basis(n, symmetry, label, *(_freeze(a) for a in arrays))
+
+    @classmethod
+    def full(cls, n: int) -> "Basis":
+        """Every 2^{2n} configuration, in index order."""
+        return cls.of(n, "full", 0)
+
+    @classmethod
+    def sector(cls, n: int) -> "Basis":
+        """The weight-n sector, in lexicographic order of the bit tuple."""
+        return cls.of(n, "weight", n)
 
     @property
     def dimension(self) -> int:
-        if self.kind == "full":
-            return 1 << (2 * self.n)
-        return math.comb(2 * self.n, self.n)
-
-    @property
-    def _flips(self) -> _FlipIndex:
-        if self.kind == "full":
-            return _flip_index(self.n, "full", 0)
-        return _flip_index(self.n, "weight", self.n)
-
-    def states(self) -> np.ndarray:
-        """Integer configuration indices in basis order."""
-        if self.kind == "full":
-            return np.arange(self.dimension, dtype=np.int64)
-        return self._flips.states
+        return self.states.size
 
     def index_of(self, x: BitString) -> int | None:
         """Position of x in this basis, or None if x lies outside it."""
         if x.n != self.n:
             raise ValueError("bitstring size does not match basis")
-        if self.kind == "full":
-            return x.index()
-        pos = int(self._flips.pos[x.index()])
+        pos = int(self.pos[x.index()])
         return pos if pos >= 0 else None
 
-    @classmethod
-    def full(cls, n: int) -> "Basis":
-        return cls("full", n)
-
-    @classmethod
-    def sector(cls, n: int) -> "Basis":
-        return cls("sector", n)
+    def __repr__(self) -> str:
+        return f"Basis.of({self.n}, {self.symmetry!r}, {self.label})"
 
 
 @dataclass(frozen=True)
@@ -367,7 +350,7 @@ class StateVector:
     def basis_state(cls, x: BitString, basis: Basis) -> "StateVector":
         pos = basis.index_of(x)
         if pos is None:
-            raise ValueError(f"configuration {x} lies outside the {basis.kind} basis")
+            raise ValueError(f"configuration {x} lies outside {basis!r}")
         amp = np.zeros(basis.dimension, dtype=complex)
         amp[pos] = 1.0
         return cls(amp, basis)
@@ -418,31 +401,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return self.t.size
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in zip(self.t, self.y)]
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "SampleSet":
-        pts = list(points)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y"])
-            for a, b in zip(self.t, self.y):
-                writer.writerow([repr(float(a)), repr(float(b))])
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "SampleSet":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["t", "y"]:
-            raise ValueError(f"{path}: expected a two-column CSV with header t,y")
-        data = [(float(r[0]), float(r[1])) for r in rows[1:]]
-        return cls.from_points(data)
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Basis, BitString, HamiltonianSpec, Kind, StateVector
+from .core import Basis, BitString, HamiltonianSpec, StateVector
 from .hamiltonian import (
     SparseAction,
     chiral,
     chiral_block,
     coupling_norm_bound,
     dense_matrix,
+    natural_basis,
 )
 
 __all__ = [
@@ -69,13 +70,6 @@ _PHASE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 
 class KrylovConvergenceError(RuntimeError):
     """Raised when the propagation cannot certify its accuracy."""
-
-
-def natural_basis(kind: Kind | str, n: int) -> Basis:
-    """Sector basis for the U(1) kinds, full basis otherwise."""
-    if Kind(kind) in (Kind.H3, Kind.H4):
-        return Basis.sector(n)
-    return Basis.full(n)
 
 
 def _bessel_tail_bound(z: float, order: int) -> float:

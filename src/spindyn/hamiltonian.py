@@ -6,16 +6,16 @@ double-flip (sigma_x tau_x) or a hopping term (sigma_x tau_x +
 sigma_y tau_y, nonzero only when the two bits differ, amplitude 2); the
 sigma_z tau_z pieces and any local z fields collapse into one diagonal.
 
-`_layout` lays H out as CSR index arrays from the cached flip index of
-`core` (full basis, sector or Trotter block); it is cached too, so a
-coupling draw computes only the stored values and the diagonal
-(`_values`).  Two builders read those values: `_sparse_matrix` wraps them
-in a scipy CSR matrix for `SparseAction`'s products (and so
-`moment_table`'s), and `_dense_block` scatters them into a numpy array
-for `dense_matrix`, `operator_norm`'s blocks and the Trotter blocks.
-scipy.sparse is imported inside `_csr`, which builds every scipy matrix,
-so it loads with the first sparse product and never for a command that
-stays dense.
+Every function here takes a `core.Basis`: the full basis, the sector, or
+one block of `symmetry_blocks`.  `_layout` lays H out as CSR index arrays
+from the basis's flip partners; it is cached per basis, so a coupling
+draw computes only the stored values and the diagonal (`_values`).  Two
+builders read those values: `SparseAction._matrix` wraps them in a scipy
+CSR matrix for sparse products (and so `moment_table`'s), and
+`dense_matrix` scatters them into a numpy array for the dense engine,
+`operator_norm`'s blocks and the Trotter blocks.  scipy.sparse is
+imported inside `_csr`, which builds every scipy matrix, so it loads
+with the first sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
@@ -26,17 +26,19 @@ closed form without z fields, otherwise a Collatz-Wielandt ratio of |H|,
 whose CSR matrices wrap the absolute values of the draw's stored entries
 over the same cached layouts.
 
-`_blocks` is the symmetry partition H conserves (weight or Z-parity
-blocks); `operator_norm` diagonalises block by block up to 4^n = 4096,
-takes H1's closed form, or above that size returns the upper bound
-`coupling_norm_bound`, and never builds the 4^n matrix.
+`symmetry_blocks` is the partition H conserves (weight or Z-parity
+blocks), and `natural_basis` the smallest basis holding y0's dynamics
+(the sector for class II, the full basis for class I).  `operator_norm`
+diagonalises block by block up to 4^n = 4096, takes H1's closed form, or
+above that size returns the upper bound `coupling_norm_bound`, and never
+builds the 4^n matrix.
 
 Field-free H1 and H3 are `chiral`: every term flips one sigma and one
 tau spin and the diagonal is zero, so Pi = (-1)^{w_sigma} anticommutes
 with H.  Ordered by sigma parity, H = [[0, B], [B^T, 0]] between the
 even class E (that of |y0>, whose sigma half is empty) and the odd class
 O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
-per flip index, so a draw again computes only the stored values:
+per basis, so a draw again computes only the stored values:
 `SparseAction.apply_half` applies one block, and `chiral_block` builds B
 as a numpy array for dense algebra.
 """
@@ -57,8 +59,6 @@ from .core import (
     HamiltonianSpec,
     Kind,
     _check_bytes,
-    _flip_index,
-    _FlipIndex,
 )
 
 if TYPE_CHECKING:
@@ -71,7 +71,9 @@ __all__ = [
     "chiral_block",
     "dense_matrix",
     "moment_table",
+    "natural_basis",
     "operator_norm",
+    "symmetry_blocks",
     "coupling_norm_bound",
     "norm_tail_probability",
     "NORM_BOUND_PREFACTOR",
@@ -109,8 +111,8 @@ def _diag_values(spec: HamiltonianSpec, za: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
-    """J-independent CSR layout (indptr, indices, term, diag) of H on the rows.
+def _layout(basis: Basis, hopping: bool) -> tuple[np.ndarray, ...]:
+    """J-independent CSR layout (indptr, indices, term, diag) of H on the basis.
 
     Row r stores its diagonal and one entry per site (i, j): every site for
     class I, whose row sets (the full basis, a parity block) hold every
@@ -121,11 +123,11 @@ def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
     canonical (no duplicates: distinct flips reach distinct rows, so the
     sorted order is unique).  term[e] is the site i*n + j of entry e (0
     for a diagonal, whose value each draw writes itself) and diag[r] is
-    the entry holding row r's diagonal.  Both `_sparse_matrix` and
-    `_dense_block` read this layout; building it needs no scipy.
+    the entry holding row r's diagonal.  Both `SparseAction._matrix` and
+    `dense_matrix` read this layout; building it needs no scipy.
     """
-    n, dim = index.n, index.states.size
-    flips = index.differ if hopping else np.ones_like(index.differ)
+    n, dim = basis.n, basis.dimension
+    flips = basis.differ if hopping else np.ones_like(basis.differ)
     keep = np.vstack([np.ones((1, dim), dtype=bool), flips.reshape(n * n, dim)]).T
     nnz = int(keep.sum())
     # per stored entry: the int64 transients of this build and of the sort,
@@ -133,7 +135,7 @@ def _layout(index: _FlipIndex, hopping: bool) -> tuple[np.ndarray, ...]:
     _check_bytes(44 * nnz, f"sparse layout of {nnz} entries")
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(keep.sum(axis=1), out=indptr[1:])
-    targets = np.vstack([np.arange(dim)[None, :], index.partner.reshape(n * n, dim)])
+    targets = np.vstack([np.arange(dim)[None, :], basis.partner.reshape(n * n, dim)])
     columns = targets.T[keep]
     del targets
     # entries come grouped by row, so one stable sort of row * dim + column
@@ -155,17 +157,17 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
 
 
 def _values(
-    spec: HamiltonianSpec, index: _FlipIndex
+    spec: HamiltonianSpec, basis: Basis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of H on the index's rows; only data depends
-    on the draw.
+    """(indptr, indices, data) of H on the basis; only data depends on the
+    draw.
 
     Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
     J_ij / 2n); the diagonal entries carry `_diag_values`.
     """
-    indptr, indices, term, diag = _layout(index, spec.kind in (Kind.H3, Kind.H4))
+    indptr, indices, term, diag = _layout(basis, spec.kind in (Kind.H3, Kind.H4))
     data = (spec.couplings.entries.ravel() / spec.n)[term]
-    data[diag] = _diag_values(spec, index.signs)
+    data[diag] = _diag_values(spec, basis.signs)
     return indptr, indices, data
 
 
@@ -185,12 +187,6 @@ def _csr(
     return m
 
 
-def _sparse_matrix(spec: HamiltonianSpec, index: _FlipIndex) -> sp.csr_matrix:
-    """H on the index's rows as a scipy CSR matrix."""
-    dim = index.states.size
-    return _csr(*_values(spec, index), (dim, dim))
-
-
 def chiral(spec: HamiltonianSpec) -> bool:
     """Whether Pi = (-1)^{w_sigma} anticommutes with H: H1 and H3 without
     z fields, whose every term flips one sigma and one tau spin."""
@@ -198,9 +194,9 @@ def chiral(spec: HamiltonianSpec) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _sides(index: _FlipIndex) -> tuple[np.ndarray, np.ndarray]:
+def _sides(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
     """The rows of even sigma weight (E) and of odd sigma weight (O)."""
-    odd = np.count_nonzero(index.signs[:, : index.n] < 0, axis=1) % 2 == 1
+    odd = np.count_nonzero(basis.signs[:, : basis.n] < 0, axis=1) % 2 == 1
     sides = (np.flatnonzero(~odd), np.flatnonzero(odd))
     for arr in sides:
         arr.flags.writeable = False
@@ -208,7 +204,7 @@ def _sides(index: _FlipIndex) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _chiral_layout(index: _FlipIndex, hopping: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+def _chiral_layout(basis: Basis, hopping: bool) -> tuple[tuple[np.ndarray, ...], ...]:
     """J-independent CSR layouts (indptr, indices, rows, term) of B and B^T.
 
     Every stored flip of `_layout` joins an E row to an O row, so B is the
@@ -219,13 +215,13 @@ def _chiral_layout(index: _FlipIndex, hopping: bool) -> tuple[tuple[np.ndarray, 
     adds the products of H @ v on those rows, minus the zero diagonal, in
     the same order.
     """
-    indptr, indices, term, diag = _layout(index, hopping)
-    sides = _sides(index)
+    indptr, indices, term, diag = _layout(basis, hopping)
+    sides = _sides(basis)
     # per stored entry: the int64 row and side transients, the masks, and
     # the split's indices (with their unmapped copy), rows and term
     _check_bytes(42 * term.size, f"chiral split of {term.size} entries")
-    local = np.empty(index.states.size, dtype=np.int32)
-    row_side = np.empty(index.states.size, dtype=np.intp)
+    local = np.empty(basis.dimension, dtype=np.int32)
+    row_side = np.empty(basis.dimension, dtype=np.intp)
     for s, rows in enumerate(sides):
         local[rows] = np.arange(rows.size)
         row_side[rows] = s
@@ -258,48 +254,43 @@ def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     if not chiral(spec):
         raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
     _check_basis(spec, basis)
-    e, o = (side.size for side in _sides(basis._flips))
+    e, o = (side.size for side in _sides(basis))
     _check_bytes(8 * (3 * e * e + 2 * e * o), f"chiral split {e}+{o} (dense)")
-    half = _chiral_layout(basis._flips, spec.kind is Kind.H3)[0]
+    half = _chiral_layout(basis, spec.kind is Kind.H3)[0]
     out = np.zeros((e, o))
     out[half[2], half[1]] = _half_values(spec, half)
     return out
 
 
-def _dense_block(spec: HamiltonianSpec, index: _FlipIndex) -> np.ndarray:
-    """H on the index's rows as a dense d x d array.
+def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:
+    """The symmetry H conserves, and the basis of each of its blocks.
 
-    The layout has no duplicates, so each value lands in its own slot;
-    adding into zeros, as scipy's toarray() does, keeps the result equal
-    to `_sparse_matrix(spec, index).toarray()` bit for bit (a -0.0
-    coupling becomes 0.0 in both).
-    """
-    indptr, indices, data = _values(spec, index)
-    dim = index.states.size
-    out = np.zeros((dim, dim))
-    out[_entry_rows(indptr), indices] += data
-    return out
-
-
-def _blocks(kind: Kind, n: int) -> tuple[str, list[_FlipIndex]]:
-    """The symmetry H conserves, and the flip index of each of its blocks.
-
-    The hopping kinds (H3, H4) conserve Hamming weight, class I (H1, H2)
-    Z-parity, and z fields are diagonal.  The norm and the Trotter error
-    algebra both split on this partition.
+    The hopping kinds (H3, H4) conserve Hamming weight (blocks w = 0..2n),
+    class I (H1, H2) Z-parity (blocks 0 and 1), and z fields are
+    diagonal.  The norm and the Trotter error algebra both split on this
+    partition.
     """
     if Kind(kind) in (Kind.H1, Kind.H2):
-        return "parity", [_flip_index(n, "parity", p) for p in range(2)]
-    return "weight", [_flip_index(n, "weight", w) for w in range(2 * n + 1)]
+        return "parity", [Basis.of(n, "parity", p) for p in range(2)]
+    return "weight", [Basis.of(n, "weight", w) for w in range(2 * n + 1)]
+
+
+def natural_basis(kind: Kind | str, n: int) -> Basis:
+    """Sector basis for the U(1) kinds, full basis otherwise."""
+    if Kind(kind) in (Kind.H3, Kind.H4):
+        return Basis.sector(n)
+    return Basis.full(n)
 
 
 def _check_basis(spec: HamiltonianSpec, basis: Basis) -> None:
-    """Refuses a basis of the wrong size, or one H leaves."""
+    """Refuses a basis of the wrong size, or one H leaves: class I changes
+    the Hamming weight, so it leaves every weight block."""
     if basis.n != spec.n:
         raise ValueError("basis size does not match the Hamiltonian")
-    if basis.kind == "sector" and spec.kind in (Kind.H1, Kind.H2):
+    if basis.symmetry == "weight" and spec.kind in (Kind.H1, Kind.H2):
         raise ValueError(
-            f"{spec.kind.value} leaves the weight-n sector; use the full basis"
+            f"{spec.kind.value} leaves the weight-n sector and every weight "
+            "block; use the full basis or a parity block"
         )
 
 
@@ -315,7 +306,9 @@ class SparseAction:
 
     @cached_property
     def _matrix(self) -> sp.csr_matrix:
-        return _sparse_matrix(self.spec, self.basis._flips)
+        """H on the basis as a scipy CSR matrix."""
+        dim = self.basis.dimension
+        return _csr(*_values(self.spec, self.basis), (dim, dim))
 
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         """H @ arr for a raw vector (or stack of column vectors)."""
@@ -329,7 +322,7 @@ class SparseAction:
         whole basis, and each half-step is H itself.
         """
         if chiral(self.spec):
-            return _sides(self.basis._flips)
+            return _sides(self.basis)
         rows = np.arange(self.basis.dimension)
         return rows, rows
 
@@ -339,7 +332,7 @@ class SparseAction:
         if not chiral(self.spec):
             return None
         e, o = (side.size for side in self.sides)
-        b, bt = _chiral_layout(self.basis._flips, self.spec.kind is Kind.H3)
+        b, bt = _chiral_layout(self.basis, self.spec.kind is Kind.H3)
         return (
             _csr(*bt[:2], _half_values(self.spec, bt), (o, e)),
             _csr(*b[:2], _half_values(self.spec, b), (e, o)),
@@ -390,16 +383,23 @@ class SparseAction:
 
 
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
-    """The full real-symmetric matrix of H in the given basis (test oracle).
+    """H on the basis as a real-symmetric d x d numpy array.
 
     Refuses, before allocating, a dimension whose ~3 d^2 float64 working
     set (matrix, eigenvectors, eigh workspace) exceeds the memory cap:
-    d = 4096 needs 0.4 GB, the n = 8 sector (d = 12870) 4 GB.
+    d = 4096 needs 0.4 GB, the n = 8 sector (d = 12870) 4 GB.  The layout
+    has no duplicates, so each value lands in its own slot; adding into
+    zeros, as scipy's toarray() does, keeps the result equal to
+    `SparseAction(spec, basis)._matrix.toarray()` bit for bit (a -0.0
+    coupling becomes 0.0 in both).
     """
     d = basis.dimension
     _check_bytes(3 * 8 * d * d, f"dense dimension {d} (3 d^2 float64)")
     _check_basis(spec, basis)
-    return _dense_block(spec, basis._flips)
+    indptr, indices, data = _values(spec, basis)
+    out = np.zeros((d, d))
+    out[_entry_rows(indptr), indices] += data
+    return out
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
@@ -436,7 +436,7 @@ def operator_norm(spec: HamiltonianSpec) -> float:
 
     H1 without z fields takes its closed form (`_h1_norm`), exact at any
     n.  Otherwise, up to dimension 4096, the largest |eigenvalue| over the
-    symmetry blocks of `_blocks`, each diagonalised densely; above it, the
+    blocks of `symmetry_blocks`, each diagonalised densely; above it, the
     rigorous upper bound `coupling_norm_bound`.
     """
     if spec.kind is Kind.H1 and spec.z_fields is None:
@@ -444,8 +444,8 @@ def operator_norm(spec: HamiltonianSpec) -> float:
     if 1 << (2 * spec.n) > 4096:
         return coupling_norm_bound(spec)
     return max(
-        float(np.max(np.abs(np.linalg.eigvalsh(_dense_block(spec, b)))))
-        for b in _blocks(spec.kind, spec.n)[1]
+        float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, b)))))
+        for b in symmetry_blocks(spec.kind, spec.n)[1]
     )
 
 

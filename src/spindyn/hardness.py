@@ -20,9 +20,6 @@ from .hamiltonian import operator_norm
 from .permanent import permanent_ryser, submatrix_for_outcome
 from .polyfit import extract_coefficient, robust_median_fit
 
-_MODES = ("exact-oracle", "noisy-oracle")
-
-
 def truncation_error(normH: float, t: float, K: int) -> float:
     """(2 ||H|| t)^{K+1} / (K+1)!, evaluated in log-space."""
     if normH <= 0 or t <= 0 or K < 1:
@@ -122,7 +119,6 @@ def extract_permanent_from_dynamics(
     t0: float,
     delta_window: float,
     K: int,
-    mode: str = "exact-oracle",
     noise_delta: float = 0.0,
     rng: Rng | None = None,
 ) -> tuple[float, float, float]:
@@ -130,8 +126,10 @@ def extract_permanent_from_dynamics(
 
     Samples p(x; t) at the K+1 equidistant nodes of
     [t0(1-Delta), t0(1+Delta)], fits a degree-K polynomial, and scales
-    the t^{2m} coefficient by n^{2m}.  The bound combines the Taylor
-    truncation error eps_K with the per-sample noise through the
+    the t^{2m} coefficient by n^{2m}.  With noise_delta > 0 the oracle is
+    noisy: each sample is shifted by a uniform draw from
+    [-noise_delta, noise_delta] (from `rng`).  The bound combines the
+    Taylor truncation error eps_K with the per-sample noise through the
     coefficient-extraction amplification factor.
     """
     m = hamming_class(x)
@@ -141,8 +139,6 @@ def extract_permanent_from_dynamics(
         raise ValueError("bitstring size does not match the Hamiltonian")
     if K < 2 * m:
         raise ValueError(f"K must be at least 2m = {2 * m}")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
     if noise_delta < 0:
         raise ValueError("noise_delta must be non-negative")
     n = spec.n
@@ -150,7 +146,7 @@ def extract_permanent_from_dynamics(
     prop = Propagator(spec)
     pos = prop.basis.index_of(x)
     ps = prop.all_probabilities_at(nodes, rows=[pos])[0]
-    if mode == "noisy-oracle":
+    if noise_delta > 0:
         gen = (rng if rng is not None else Rng(0)).generator()
         ps = ps + gen.uniform(-noise_delta, noise_delta, size=ps.size)
     t_max = t0 * (1 + delta_window)

@@ -7,18 +7,18 @@ mix of itself and its partner under the double flip, so sequences can be
 applied to states or accumulated into dense unitaries without any series
 expansion.
 
-Gates read each site's flip partners from the cached flip index of
-`core`, the same index the Hamiltonian's sparse matrix is laid out from:
-the full basis's for `apply_sequence`, each symmetry block's for the
-error algebra.
+Gates read each site's flip partners from a `core.Basis`, the same rows
+the Hamiltonian is laid out from: the full basis for `apply_sequence`,
+each symmetry block for the error algebra.
 
 Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
 conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
 so e^{-iHt} and the product formula are both block-diagonal in that
-partition (2n+1 weight blocks or 2 parity blocks, from `hamiltonian`'s
-`_blocks`, which the operator norm splits on too).  Each block's H is
-built from its own flip index, never from the whole 4^n matrix, and is
-diagonalised once per call and shared by every step count M;
+partition (2n+1 weight blocks or 2 parity blocks, from
+`hamiltonian.symmetry_blocks`, which the operator norm splits on too).
+Each block's H is `hamiltonian.dense_matrix` on that block, never a
+slice of the whole 4^n matrix, and is diagonalised once per call and
+shared by every step count M;
 ||e^{-iHt} - T^M|| is the largest singular value over the blocks of
 U_b - S_b^M, where S_b is one step applied inside block b.  A spin flip
 that commutes with every gate pairs blocks of equal error, so only one
@@ -34,16 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    BitString,
-    HamiltonianSpec,
-    Kind,
-    Rng,
-    _flip_index,
-    _FlipIndex,
-    sample_coupling,
-)
-from .hamiltonian import _blocks, _dense_block
+from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
+from .hamiltonian import dense_matrix, symmetry_blocks
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
@@ -86,29 +78,6 @@ class GateSequence:
 
     def gate_count(self) -> int:
         return len(self.gates)
-
-    def serialize(self) -> str:
-        """One line per gate: `<order-index> <i> <j> <tag> <angle>`."""
-        return "\n".join(
-            f"{k} {g.i} {g.j} {g.tag} {g.angle!r}"
-            for k, g in enumerate(self.gates)
-        )
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> "GateSequence":
-        gates = []
-        for lineno, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-            if int(parts[0]) != len(gates):
-                raise ValueError(f"line {lineno}: order index out of sequence")
-            gates.append(
-                Gate(int(parts[1]), int(parts[2]), parts[3], float(parts[4]))
-            )
-        return cls(n, tuple(gates))
 
 
 def _gate_coefficients(tag: str, th: float) -> tuple[complex, complex, complex, complex]:
@@ -154,11 +123,9 @@ def _apply_gate(
     return out
 
 
-def _apply_gates(
-    arr: np.ndarray, gates: Sequence[Gate], index: _FlipIndex
-) -> np.ndarray:
+def _apply_gates(arr: np.ndarray, gates: Sequence[Gate], basis: Basis) -> np.ndarray:
     for g in gates:
-        arr = _apply_gate(arr, g, index.partner[g.i, g.j], index.differ[g.i, g.j])
+        arr = _apply_gate(arr, g, basis.partner[g.i, g.j], basis.differ[g.i, g.j])
     return arr
 
 
@@ -166,8 +133,7 @@ def apply_sequence(seq: GateSequence, v: np.ndarray) -> np.ndarray:
     """Apply the gates in order to a full-basis state (or matrix columns)."""
     if v.shape[0] != 1 << (2 * seq.n):
         raise ValueError("state dimension does not match the gate layout")
-    index = _flip_index(seq.n, "full", 0)
-    return _apply_gates(v.astype(complex, copy=True), seq.gates, index)
+    return _apply_gates(v.astype(complex, copy=True), seq.gates, Basis.full(seq.n))
 
 
 def _check_dense_dim(dim: int) -> None:
@@ -225,27 +191,21 @@ def build_trotter(
 # -- block-diagonal error algebra ------------------------------------------
 
 
-def symmetry_blocks(kind: Kind, n: int) -> tuple[str, tuple[int, ...]]:
-    """The symmetry the error algebra splits on, and its block dimensions."""
-    symmetry, blocks = _blocks(kind, n)
-    return symmetry, tuple(b.states.size for b in blocks)
-
-
-def _step_matrix(gates: Sequence[Gate], block: _FlipIndex, order: int) -> np.ndarray:
+def _step_matrix(gates: Sequence[Gate], block: Basis, order: int) -> np.ndarray:
     """One product-formula step (the gates of build_trotter) inside a block.
 
     Every gate is complex-symmetric and the Strang step is a palindrome,
     so at order 2 the step is A^T A with A the first half applied to the
     block identity: half the gate work for one block product.
     """
-    eye = np.eye(block.states.size, dtype=complex)
+    eye = np.eye(block.dimension, dtype=complex)
     if order == 1:
         return _apply_gates(eye, gates, block)
     half = _apply_gates(eye, gates[: len(gates) // 2], block)
     return half.T @ half
 
 
-def _error_blocks(kind: Kind, n: int) -> list[_FlipIndex]:
+def _error_blocks(kind: Kind, n: int) -> list[Basis]:
     """The blocks whose errors stand for all: one of each mirror pair.
 
     A flip F of some spins that commutes with every term and every gate
@@ -263,7 +223,7 @@ def _error_blocks(kind: Kind, n: int) -> list[_FlipIndex]:
     y0's block (weight n, parity n mod 2) always stays.  z fields would
     break both flips; build_trotter rejects them.
     """
-    blocks = _blocks(kind, n)[1]
+    blocks = symmetry_blocks(kind, n)[1]
     if kind is Kind.H1:
         return [blocks[n % 2]]
     if kind is Kind.H2:
@@ -283,7 +243,7 @@ def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: i
         raise ValueError("M must be at least 1")
     steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
     for block in _error_blocks(spec.kind, spec.n):
-        evals, evecs = np.linalg.eigh(_dense_block(spec, block))
+        evals, evecs = np.linalg.eigh(dense_matrix(spec, block))
         exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
         powers = [
             np.linalg.matrix_power(_step_matrix(step, block, order), M)

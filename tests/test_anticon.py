@@ -10,7 +10,6 @@ import pytest
 from spindyn.anticon import (
     AnticonThresholds,
     MomentRecord,
-    bits_label,
     equilibration_curve,
     moment_statistics,
     paley_zygmund_bound,
@@ -137,7 +136,7 @@ def test_sigma_tau_symmetry_observational():
         spread = math.sqrt(record.se_p**2 + partner_record.se_p**2)
         if spread > 0 and abs(record.mean_p - partner_record.mean_p) > 5.0 * spread:
             warnings.warn(
-                f"sigma/tau partner asymmetry at {bits_label(record.x)}",
+                f"sigma/tau partner asymmetry at {record.x}",
                 stacklevel=1,
             )
 
@@ -305,8 +304,3 @@ def test_csv_outputs_reproducible(tmp_path):
     assert header == "n,t,x_bits,mean_p_scaled,mean_p2_scaled,stderr_p,stderr_p2"
     assert paths[0][1].read_text().splitlines()[0] == "n,t,mean_p,stderr"
     assert paths[0][2].read_text().splitlines()[0] == "n,t_over_logn,r,num_x,num_J,seed"
-
-
-def test_bits_label_roundtrip():
-    x = BitString.from_halves((1, 0), (0, 1))
-    assert bits_label(x) == "1001"

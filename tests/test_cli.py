@@ -181,9 +181,18 @@ def test_extract_permanent_report(tmp_path):
     assert set(report) == {"inputs", "nodes", "estimate", "truth", "bound", "seed"}
     assert report["inputs"]["K"] == 2 * 2 + 6
     assert report["inputs"]["mode"] == "exact-oracle"
+    assert report["inputs"]["x_bits"] == "1100"
     assert len(report["nodes"]) == report["inputs"]["K"] + 1
     assert abs(report["estimate"] - report["truth"]) <= report["bound"]
     assert abs(report["estimate"] - report["truth"]) <= 1e-3 * (1 + abs(report["truth"]))
+    noisy = tmp_path / "noisy"
+    rc = run_cli(["extract-permanent", "--model", "H1", "--n", "2", "--seed", "5",
+                  "--noise-delta", "1e-6"], noisy)
+    assert rc == 0
+    report = json.loads(
+        (only_run_dir(noisy, "extract-permanent") / "extraction.json").read_text()
+    )
+    assert report["inputs"]["mode"] == "noisy-oracle"
 
 
 def test_worst_to_average_integer_recovery(tmp_path):
@@ -354,6 +363,12 @@ def test_usage_errors_leave_no_run_dir(tmp_path, argv, capsys):
     assert run_cli(argv, tmp_path) == 2
     assert "usage error" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+    # the missing --outdir parents this run created go too, and no others
+    (tmp_path / "kept").mkdir()
+    assert run_cli(argv, tmp_path / "kept" / "ue" / "deep") == 2
+    assert "usage error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
 
 
 def test_dense_commands_never_load_scipy_sparse(tmp_path):
@@ -459,6 +474,7 @@ def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
          "24cc103ed49b94798cb22d0c4654e3b1e5129e0554a0d51531682f5169904e73",
          "c03fe1d3fac59aed5b646db2b2dfb262e9a498e564b54abee813351fea9602d0"),
     ],
+    ids=["H3-n6-seed0", "H1-n4-seed5"],
 )
 def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, moments_sha256, ratio_sha256):
     assert run_cli(["anticon", *args], tmp_path) == 0

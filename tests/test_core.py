@@ -16,7 +16,6 @@ from spindyn.core import (
     hamming_class,
     hamming_class_members,
     model_class,
-    _flip_index,
     sample_coupling,
 )
 
@@ -61,15 +60,16 @@ def test_sigma_tau_halves():
     x = BitString((1, 0, 0, 1, 1, 0))
     assert x.sigma_half() == (1, 0, 0)
     assert x.tau_half() == (1, 1, 0)
+    assert str(x) == "100110"  # the label every CSV and report writes
 
 
 def test_sector_basis_lexicographic():
     b = Basis.sector(2)
-    strings = [str(BitString.from_index(int(k), 2)) for k in b.states()]
+    strings = [str(BitString.from_index(int(k), 2)) for k in b.states]
     assert strings == sorted(strings)
     assert len(strings) == 6
     # positions round-trip
-    for i, k in enumerate(b.states()):
+    for i, k in enumerate(b.states):
         assert b.index_of(BitString.from_index(int(k), 2)) == i
     assert b.index_of(BitString((1, 0, 0, 0))) is None
 
@@ -80,7 +80,7 @@ def test_sector_basis_lexicographic():
 )
 def test_flip_index_partners_from_bit_strings(symmetry, label):
     n = 2
-    index = _flip_index(n, symmetry, label)
+    index = Basis.of(n, symmetry, label)
     members = [
         k for k in range(1 << (2 * n))
         if symmetry == "full"
@@ -108,6 +108,21 @@ def test_flip_index_partners_from_bit_strings(symmetry, label):
                     assert got == r
                 assert index.differ[i, j, r] == (bits[i] != bits[n + j])
     assert np.all(np.delete(index.pos, index.states) == -1)
+
+
+def test_basis_is_built_once_per_row_set():
+    # bases compare by identity, so the cache must hand back one object
+    sector = Basis.sector(3)
+    assert Basis.of(3, "weight", 3) is sector
+    assert Basis.of(3, "weight", np.int64(3)) is sector
+    assert Basis.full(3) is Basis.of(3, "full", 0)
+    assert sector.dimension == math.comb(6, 3)
+    assert repr(sector) == "Basis.of(3, 'weight', 3)"
+    with pytest.raises(TypeError):
+        Basis.of(n=3, symmetry="weight", label=3)
+    for args in [(0, "full", 0), (2, "sector", 2), (2, "parity", 2), (2, "weight", 5)]:
+        with pytest.raises(ValueError):
+            Basis.of(*args)
 
 
 def test_rng_determinism_and_streams():
@@ -189,12 +204,10 @@ def test_polynomial_degree_and_eval():
     assert p.coefficient(17) == 0.0
 
 
-def test_sample_set_validation_and_csv(tmp_path):
+def test_sample_set_validation():
     with pytest.raises(ValueError):
         SampleSet(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-    s = SampleSet.from_points([(0.1, 1.5), (0.2, -2.25)])
-    path = tmp_path / "s.csv"
-    s.to_csv(path)
-    s2 = SampleSet.from_csv(path)
-    assert np.array_equal(s.t, s2.t) and np.array_equal(s.y, s2.y)
-    assert path.read_text().splitlines()[0] == "t,y"
+    with pytest.raises(ValueError):
+        SampleSet(np.array([0.1, 0.2]), np.array([1.5]))
+    s = SampleSet([0.1, 0.2], [1.5, -2.25])
+    assert len(s) == 2 and s.t.dtype == s.y.dtype == np.float64

@@ -22,20 +22,18 @@ from spindyn.hamiltonian import (
     SparseAction,
     _CW_STEPS,
     _NORM_MARGIN,
-    _blocks,
     _chiral_layout,
-    _dense_block,
     _layout,
-    _sparse_matrix,
     chiral,
     chiral_block,
     coupling_norm_bound,
     dense_matrix,
     moment_table,
+    natural_basis,
     norm_tail_probability,
     operator_norm,
+    symmetry_blocks,
 )
-from spindyn.evolve import natural_basis
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -122,7 +120,7 @@ def test_apply_and_dense_match_oracle(kind, n, fields):
         bases.append(Basis.sector(n))
     g = np.random.default_rng(4)
     for basis in bases:
-        rows = basis.states()
+        rows = basis.states
         want = oracle[np.ix_(rows, rows)]
         assert np.allclose(dense_matrix(spec, basis), want.real, atol=1e-12)
         action = SparseAction(spec, basis)
@@ -139,9 +137,8 @@ def test_flip_index_is_built_once_and_shared(basis):
     assert np.shares_memory(a.indptr, b.indptr)
     assert np.shares_memory(a.indices, b.indices)
     assert not np.shares_memory(a.data, b.data)
-    index = basis._flips
-    assert index is Basis(basis.kind, 3)._flips
-    for arr in (index.states, index.pos, index.partner, index.differ, index.signs,
+    assert Basis.of(3, basis.symmetry, basis.label) is basis
+    for arr in (basis.states, basis.pos, basis.partner, basis.differ, basis.signs,
                 a.indptr, a.indices):
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
@@ -152,7 +149,7 @@ def test_flip_index_is_built_once_and_shared(basis):
     [
         (Kind.H1, Basis.full(3), None),
         (Kind.H4, Basis.sector(3), None),
-        (Kind.H3, None, core._flip_index(3, "weight", 2)),
+        (Kind.H3, None, Basis.of(3, "weight", 2)),
     ],
 )
 def test_cached_layout_is_canonical(kind, basis, block):
@@ -162,7 +159,7 @@ def test_cached_layout_is_canonical(kind, basis, block):
     if basis is not None:
         m, dense = SparseAction(spec, basis)._matrix, dense_matrix(spec, basis)
     else:
-        m = _sparse_matrix(spec, block)
+        m = SparseAction(spec, block)._matrix
         rows = block.states
         dense = dense_oracle(spec)[np.ix_(rows, rows)].real
     assert m.has_canonical_format
@@ -174,13 +171,13 @@ def test_cached_layout_is_canonical(kind, basis, block):
     assert m.min() == pytest.approx(dense.min(), abs=1e-12)
 
 
-def block_indices(kind, n):
-    """The full basis's flip index plus every block of the kind's partition
-    (the sector is the weight-n block)."""
-    blocks = _blocks(kind, n)[1]
+def block_bases(kind, n):
+    """The full basis plus every block of the kind's partition (the sector
+    is the weight-n block)."""
+    blocks = symmetry_blocks(kind, n)[1]
     if kind in (Kind.H3, Kind.H4):
-        assert Basis.sector(n)._flips is blocks[n]
-    return [Basis.full(n)._flips, *blocks]
+        assert Basis.sector(n) is blocks[n]
+    return [Basis.full(n), *blocks]
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -188,33 +185,33 @@ def block_indices(kind, n):
 def test_dense_block_equals_sparse_toarray_bit_for_bit(kind, fields):
     for n in (1, 2, 3):
         spec = random_spec(kind, n, 40 + n, fields=fields)
-        for index in block_indices(kind, n):
-            got = _dense_block(spec, index)
-            want = _sparse_matrix(spec, index).toarray()
+        for basis in block_bases(kind, n):
+            got = dense_matrix(spec, basis)
+            want = SparseAction(spec, basis)._matrix.toarray()
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
     # toarray adds into zeros, so a -0.0 coupling reads 0.0 in both
     J = CouplingMatrix(np.array([[-0.0, 1.5], [0.25, -0.0]]))
-    for index in block_indices(kind, 2):
+    for basis in block_bases(kind, 2):
         spec = HamiltonianSpec(kind, J)
-        want = _sparse_matrix(spec, index).toarray()
-        assert _dense_block(spec, index).tobytes() == want.tobytes()
+        want = SparseAction(spec, basis)._matrix.toarray()
+        assert dense_matrix(spec, basis).tobytes() == want.tobytes()
 
 
-def layout_oracle(index, hopping):
+def layout_oracle(basis, hopping):
     """(indptr, indices, term, diag) from a row-by-row entry list whose
     columns scipy's sort_indices() orders, carrying each entry's slot."""
     import scipy.sparse as sp
 
-    n, dim = index.n, index.states.size
+    n, dim = basis.n, basis.dimension
     cols, terms, indptr = [], [], [0]
     for r in range(dim):
         cols.append(r)
         terms.append(-1)  # the diagonal
         for i in range(n):
             for j in range(n):
-                if not hopping or index.differ[i, j, r]:
-                    cols.append(int(index.partner[i, j, r]))
+                if not hopping or basis.differ[i, j, r]:
+                    cols.append(int(basis.partner[i, j, r]))
                     terms.append(i * n + j)
         indptr.append(len(cols))
     slots = np.arange(len(cols))
@@ -228,9 +225,9 @@ def layout_oracle(index, hopping):
 def test_layout_matches_scipy_sort_indices_oracle(kind):
     hopping = kind in (Kind.H3, Kind.H4)
     for n in (1, 2, 3):
-        for index in block_indices(kind, n):
-            got = _layout(index, hopping)
-            for a, b in zip(got, layout_oracle(index, hopping)):
+        for basis in block_bases(kind, n):
+            got = _layout(basis, hopping)
+            for a, b in zip(got, layout_oracle(basis, hopping)):
                 assert np.array_equal(a, b)
             assert got[0].dtype == got[1].dtype == np.int32  # indptr, indices
 
@@ -246,11 +243,11 @@ def test_index_and_layout_builds_are_guarded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    index = Basis.full(3)._flips  # 16 KiB; its H1 layout needs ~23 KiB
+    basis = Basis.full(3)  # 16 KiB; its H1 layout needs ~23 KiB
     monkeypatch.setattr(core, "_MAX_BYTES", 20000)
     _layout.cache_clear()
     with pytest.raises(DenseMemoryError, match="sparse layout"):
-        _layout(index, False)
+        _layout(basis, False)
 
 
 _CHIRAL_CASES = [
@@ -267,12 +264,12 @@ _CHIRAL_CASES = [
 @pytest.mark.parametrize("kind,basis_kind,n", _CHIRAL_CASES)
 def test_chiral_split_leaves_both_diagonal_blocks_zero(kind, basis_kind, n):
     spec = random_spec(kind, n, 300 + n)
-    basis = Basis(basis_kind, n)
+    basis = Basis.full(n) if basis_kind == "full" else Basis.sector(n)
     assert chiral(spec)
     action = SparseAction(spec, basis)
     e, o = action.sides
     assert np.array_equal(np.sort(np.r_[e, o]), np.arange(basis.dimension))
-    sigma_weight = [sum(BitString.from_index(int(s), n).bits[:n]) for s in basis.states()]
+    sigma_weight = [sum(BitString.from_index(int(s), n).bits[:n]) for s in basis.states]
     assert all(sigma_weight[r] % 2 == 0 for r in e)
     assert all(sigma_weight[r] % 2 == 1 for r in o)
     assert basis.index_of(BitString.y0(n)) in e
@@ -286,7 +283,8 @@ def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
     # each half-step gives, bit for bit, H's product on a vector that is
     # zero off the side it starts from, read on the other side
     spec = random_spec(kind, n, 310 + n)
-    action = SparseAction(spec, Basis(basis_kind, n))
+    basis = Basis.full(n) if basis_kind == "full" else Basis.sector(n)
+    action = SparseAction(spec, basis)
     g = np.random.default_rng(n)
     for side, (src, dst) in enumerate([action.sides, action.sides[::-1]]):
         v = g.standard_normal(src.size)
@@ -301,8 +299,8 @@ def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
 def test_chiral_layouts_are_each_others_transpose(kind):
     hopping = kind in (Kind.H3, Kind.H4)
     for n in (1, 2, 3):
-        for index in block_indices(kind, n):
-            b, bt = _chiral_layout(index, hopping)
+        for basis in block_bases(kind, n):
+            b, bt = _chiral_layout(basis, hopping)
             for half in (b, bt):
                 counts = np.diff(half[0])
                 assert np.array_equal(half[2], np.repeat(np.arange(counts.size), counts))
@@ -330,7 +328,7 @@ def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
         chiral_block(spec, basis)
     # z fields and ZZ terms put a diagonal inside the even sigma class
     h = dense_matrix(spec, basis)
-    assert h[np.ix_(*[hamiltonian._sides(basis._flips)[0]] * 2)].any()
+    assert h[np.ix_(*[hamiltonian._sides(basis)[0]] * 2)].any()
 
 
 def test_chiral_block_is_guarded_before_allocating():
@@ -394,7 +392,7 @@ def test_sector_preservation_and_restriction(kind):
     n = 3
     spec = random_spec(kind, n, 23, fields=True)
     full = dense_matrix(spec, Basis.full(n))
-    states = Basis.sector(n).states()
+    states = Basis.sector(n).states
     # H maps the sector into itself: off-sector block vanishes
     outside = np.setdiff1d(np.arange(full.shape[0]), states)
     assert np.max(np.abs(full[np.ix_(outside, states)])) < 1e-12
@@ -404,9 +402,17 @@ def test_sector_preservation_and_restriction(kind):
 
 
 def test_sector_rejected_for_class_one():
-    spec = random_spec(Kind.H1, 2, 3)
-    with pytest.raises(ValueError):
-        SparseAction(spec, Basis.sector(2))
+    # class I changes the Hamming weight: every weight block is refused,
+    # both parity blocks are accepted
+    for kind in (Kind.H1, Kind.H2):
+        spec = random_spec(kind, 2, 3)
+        for w in range(5):
+            with pytest.raises(ValueError, match="leaves the weight-n sector"):
+                SparseAction(spec, Basis.of(2, "weight", w))
+            with pytest.raises(ValueError, match="leaves the weight-n sector"):
+                dense_matrix(spec, Basis.of(2, "weight", w))
+        for p in range(2):
+            assert dense_matrix(spec, Basis.of(2, "parity", p)).shape == (8, 8)
 
 
 def test_h3_on_y0_lands_in_class_one():
@@ -585,15 +591,15 @@ def test_h1_sign_table_is_guarded():
     assert peak < 2**20
 
 
-def test_power_iteration_path_bracketed_for_hopping_kind():
+def test_operator_norm_above_dense_cutoff_is_the_coupling_bound():
     # n = 7 (d = 16384) exceeds the dense cutoff, and H3 has no closed
     # form: the norm is the rigorous coupling bound, which lies above the
     # norm of any weight block
     n = 7
     spec = random_spec(Kind.H3, n, 2)
-    blocks = _blocks(Kind.H3, n)[1]
+    blocks = symmetry_blocks(Kind.H3, n)[1]
     low = max(
-        float(np.max(np.abs(np.linalg.eigvalsh(_sparse_matrix(spec, blocks[w]).toarray()))))
+        float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, blocks[w])))))
         for w in (1, 2)
     )
     est = operator_norm(spec)
@@ -601,7 +607,7 @@ def test_power_iteration_path_bracketed_for_hopping_kind():
     assert low < est
 
 
-def test_power_iteration_path_agrees_with_closed_form():
+def test_operator_norm_above_dense_cutoff_takes_h1_closed_form():
     # n=7 exceeds the 4096 dense cutoff; H1's norm has a closed form
     n = 7
     J = sample_coupling(n, Rng(2))

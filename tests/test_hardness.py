@@ -336,17 +336,15 @@ def test_extraction_deeper_coefficients(n, m, K, rel):
 def test_extraction_noisy_mode_deterministic():
     spec = HamiltonianSpec(Kind.H1, sample_coupling(2, Rng(42)))
     args = (spec, BitString.x0(2), 0.1, 0.5, 8)
-    first = extract_permanent_from_dynamics(
-        *args, mode="noisy-oracle", noise_delta=1e-4, rng=Rng(7)
-    )
-    second = extract_permanent_from_dynamics(
-        *args, mode="noisy-oracle", noise_delta=1e-4, rng=Rng(7)
-    )
-    other = extract_permanent_from_dynamics(
-        *args, mode="noisy-oracle", noise_delta=1e-4, rng=Rng(8)
-    )
+    first = extract_permanent_from_dynamics(*args, noise_delta=1e-4, rng=Rng(7))
+    second = extract_permanent_from_dynamics(*args, noise_delta=1e-4, rng=Rng(7))
+    other = extract_permanent_from_dynamics(*args, noise_delta=1e-4, rng=Rng(8))
     assert first == second
     assert first[0] != other[0]
+    # the oracle is noisy exactly when noise_delta > 0: at 0 no draw is read
+    clean = extract_permanent_from_dynamics(*args)
+    assert extract_permanent_from_dynamics(*args, rng=Rng(7)) == clean
+    assert clean[0] != first[0]
 
 
 def test_extraction_noisy_mode_within_bound():
@@ -358,7 +356,6 @@ def test_extraction_noisy_mode_within_bound():
             0.1,
             0.5,
             8,
-            mode="noisy-oracle",
             noise_delta=1e-4,
             rng=Rng(600 + draw),
         )
@@ -392,7 +389,7 @@ def test_extraction_sign_adversarial_noise():
     assert shift == pytest.approx(delta * np.abs(weights).sum(), rel=1e-9)
     assert shift <= noise_bound
     _, truth, bound = extract_permanent_from_dynamics(
-        spec, x, t0, dw, K, mode="noisy-oracle", noise_delta=delta, rng=Rng(1)
+        spec, x, t0, dw, K, noise_delta=delta, rng=Rng(1)
     )
     assert abs(est_adv * 3.0**4 - truth) <= bound + abs(est_clean * 3.0**4 - truth)
 
@@ -404,8 +401,6 @@ def test_extraction_validation():
         extract_permanent_from_dynamics(spec, BitString.y0(2), 0.1, 0.5, 8)
     with pytest.raises(ValueError):
         extract_permanent_from_dynamics(spec, x0, 0.1, 0.5, 3)
-    with pytest.raises(ValueError):
-        extract_permanent_from_dynamics(spec, x0, 0.1, 0.5, 8, mode="psychic")
     with pytest.raises(ValueError):
         extract_permanent_from_dynamics(spec, x0, 0.1, 0.5, 8, noise_delta=-1.0)
     with pytest.raises(ValueError):

@@ -7,11 +7,10 @@ import pytest
 import scipy.linalg
 
 from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.hamiltonian import _sparse_matrix, dense_matrix
+from spindyn.hamiltonian import SparseAction, dense_matrix, symmetry_blocks
 from spindyn.trotter import (
     _apply_gates,
     _block_products,
-    _blocks,
     _error_blocks,
     _step_matrix,
     CALIBRATED_PREFACTOR,
@@ -23,7 +22,6 @@ from spindyn.trotter import (
     gate_count_plan,
     l1_unitary_bound_check,
     sequence_unitary,
-    symmetry_blocks,
     trotter_operator_error,
     trotter_operator_errors,
     upsilon,
@@ -94,23 +92,6 @@ def test_sequence_validation():
         GateSequence(2, (Gate(0, 0, "XX", float("nan")),))
     with pytest.raises(ValueError):
         apply_sequence(GateSequence(2, ()), np.zeros(8))
-
-
-def test_serialization_round_trip():
-    spec = random_spec(Kind.H2, 3, 11)
-    seq = build_trotter(spec, 0.9, 2, 2)
-    text = seq.serialize()
-    back = GateSequence.parse(text, 3)
-    assert back == seq
-    first = text.splitlines()[0].split()
-    assert first[0] == "0" and first[3] == "XX"
-
-
-def test_parse_rejects_malformed_lines():
-    with pytest.raises(ValueError):
-        GateSequence.parse("0 0 0 XX", 2)
-    with pytest.raises(ValueError):
-        GateSequence.parse("1 0 0 XX 0.5", 2)
 
 
 # -- build_trotter ---------------------------------------------------------
@@ -224,8 +205,8 @@ def test_strang_step_from_half_step_matches_every_gate(kind):
     n = 3
     spec = random_spec(kind, n, 91)
     gates = build_trotter(spec, 0.8, 1, 2).gates
-    for block in _blocks(kind, n)[1]:
-        eye = np.eye(block.states.size, dtype=complex)
+    for block in symmetry_blocks(kind, n)[1]:
+        eye = np.eye(block.dimension, dtype=complex)
         want = _apply_gates(eye, gates, block)
         assert np.max(np.abs(_step_matrix(gates, block, 2) - want)) <= 1e-13
         assert np.array_equal(_step_matrix(gates, block, 1), want)
@@ -240,22 +221,22 @@ def test_step_unitary_is_block_diagonal(kind):
     label = weight % 2 if kind in (Kind.H1, Kind.H2) else weight
     off_block = label[:, None] != label[None, :]
     assert np.all(U[off_block] == 0)
-    symmetry, sizes = symmetry_blocks(kind, n)
-    assert sizes == tuple(np.bincount(label))
+    symmetry, blocks = symmetry_blocks(kind, n)
+    assert [b.dimension for b in blocks] == np.bincount(label).tolist()
     assert symmetry == ("parity" if kind in (Kind.H1, Kind.H2) else "weight")
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 def test_blocks_share_the_cached_flip_index(kind):
     n = 3
-    blocks = _blocks(kind, n)[1]
-    assert all(a is b for a, b in zip(blocks, _blocks(kind, n)[1]))
+    blocks = symmetry_blocks(kind, n)[1]
+    assert all(a is b for a, b in zip(blocks, symmetry_blocks(kind, n)[1]))
     states = np.sort(np.concatenate([b.states for b in blocks]))
     assert np.array_equal(states, np.arange(1 << (2 * n)))
     if kind in (Kind.H3, Kind.H4):
-        assert blocks[n] is Basis.sector(n)._flips
+        assert blocks[n] is Basis.sector(n)
     for block in blocks:
-        a, b = (_sparse_matrix(random_spec(kind, n, s), block) for s in (1, 2))
+        a, b = (SparseAction(random_spec(kind, n, s), block)._matrix for s in (1, 2))
         assert np.shares_memory(a.indptr, b.indptr)
         assert np.shares_memory(a.indices, b.indices)
         with pytest.raises(ValueError, match="read-only"):
@@ -265,9 +246,9 @@ def test_blocks_share_the_cached_flip_index(kind):
 def assert_flip_maps_block(spec, src, dst, mask):
     """Flipping the spins in `mask` carries H and every step from src onto dst."""
     perm = dst.pos[src.states ^ mask]
-    assert np.array_equal(np.sort(perm), np.arange(dst.states.size))
+    assert np.array_equal(np.sort(perm), np.arange(dst.dimension))
     moved = np.ix_(perm, perm)
-    h_src, h_dst = (_sparse_matrix(spec, b).toarray() for b in (src, dst))
+    h_src, h_dst = (dense_matrix(spec, b) for b in (src, dst))
     assert np.array_equal(h_dst[moved], h_src)
     for order in (1, 2):
         gates = build_trotter(spec, 0.7, 1, order).gates
@@ -279,7 +260,7 @@ def assert_flip_maps_block(spec, src, dst, mask):
 @pytest.mark.parametrize("n", [2, 3])
 def test_global_flip_pairs_weight_blocks(kind, n):
     spec = random_spec(kind, n, 107 + n)
-    blocks = _blocks(kind, n)[1]
+    blocks = symmetry_blocks(kind, n)[1]
     for w in range(2 * n + 1):
         assert_flip_maps_block(spec, blocks[w], blocks[2 * n - w], (1 << (2 * n)) - 1)
     assert _error_blocks(kind, n) == blocks[: n + 1]
@@ -288,7 +269,7 @@ def test_global_flip_pairs_weight_blocks(kind, n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_sigma0_flip_pairs_h1_parity_blocks(n):
     spec = random_spec(Kind.H1, n, 113 + n)
-    even, odd = _blocks(Kind.H1, n)[1]
+    even, odd = symmetry_blocks(Kind.H1, n)[1]
     assert_flip_maps_block(spec, even, odd, 1)
     assert_flip_maps_block(spec, odd, even, 1)
     assert _error_blocks(Kind.H1, n) == [(even, odd)[n % 2]]
@@ -301,8 +282,8 @@ def test_h2_parity_blocks_are_not_paired(n):
     # errors, so both are kept
     spec = random_spec(Kind.H2, n, 127)
     spectra = [
-        np.linalg.eigvalsh(_sparse_matrix(spec, b).toarray())
-        for b in _blocks(Kind.H2, n)[1]
+        np.linalg.eigvalsh(dense_matrix(spec, b))
+        for b in symmetry_blocks(Kind.H2, n)[1]
     ]
     assert np.max(np.abs(spectra[0] - spectra[1])) > 0.1
     errs = [
