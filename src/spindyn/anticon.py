@@ -7,7 +7,8 @@ the Paley-Zygmund lower bound, and traces equilibration curves.  The
 moment sweep and the curve read one accumulator, `_ensemble_sums`, which
 propagates each draw once over the whole time grid and sums in
 draw-index order from per-draw substreams, so identical seeds reproduce
-results bit for bit.
+results bit for bit.  It reads X_{n/2} as `hamming_class_states` rows;
+only `moment_statistics` builds `BitString`s, for its records.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     Kind,
     Rng,
     hamming_class_members,
+    hamming_class_states,
     sample_coupling,
 )
 from .evolve import Propagator
@@ -64,7 +66,7 @@ class MomentRecord:
 
 @dataclass(frozen=True)
 class AnticonThresholds:
-    """Threshold constants (K, Lambda, theta) for the anticoncentration test.
+    """Threshold constants (K, Lambda) for the anticoncentration test.
 
     Defaults follow the collision-sector analysis: K = 1/2 and Lambda = 4,
     giving alpha = K/2 = 1/4 and beta = K^2/(4 Lambda) = 1/64.  The Ising
@@ -73,17 +75,14 @@ class AnticonThresholds:
 
     K: float = 0.5
     Lambda: float = 4.0
-    theta: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.K <= 1.0 <= self.Lambda:
             raise ValueError("thresholds require 0 < K <= 1 <= Lambda")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
     @classmethod
     def ising(cls) -> "AnticonThresholds":
-        return cls(K=0.5, Lambda=16.0, theta=0.5)
+        return cls(K=0.5, Lambda=16.0)
 
     @property
     def alpha(self) -> float:
@@ -96,7 +95,6 @@ class AnticonThresholds:
 
 class _EnsembleSums(NamedTuple):
     kind: Kind
-    members: list[BitString]
     times: np.ndarray
     p: np.ndarray
     p2: np.ndarray
@@ -134,14 +132,13 @@ def _ensemble_sums(
         raise ValueError("times must be a non-empty finite 1-D grid")
     kind = Kind(kind)
     basis = natural_basis(kind, n)
-    members = hamming_class_members(n, n // 2)
-    positions = [basis.index_of(x) for x in members]
+    positions = basis.pos[hamming_class_states(n, n // 2)]
 
     def one_draw(j: int) -> np.ndarray:
         spec = HamiltonianSpec(kind, sample_coupling(n, rng.substream(j)))
         return Propagator(spec, basis=basis).all_probabilities_at(times, rows=positions)
 
-    p, p2, p4 = (np.zeros((len(members), times.size)) for _ in range(3))
+    p, p2, p4 = (np.zeros((positions.size, times.size)) for _ in range(3))
     mean, mean2 = np.zeros(times.size), np.zeros(times.size)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
         tables = (pool.map if threads > 1 else map)(one_draw, range(num_J))
@@ -153,7 +150,7 @@ def _ensemble_sums(
             draw_mean = table.mean(axis=0)
             mean += draw_mean
             mean2 += draw_mean * draw_mean
-    return _EnsembleSums(kind, members, times, p, p2, p4, mean, mean2)
+    return _EnsembleSums(kind, times, p, p2, p4, mean, mean2)
 
 
 def moment_statistics(
@@ -170,6 +167,7 @@ def moment_statistics(
     per coupling draw serves every x and every t.
     """
     sums = _ensemble_sums(kind, n, times, num_J, rng, threads)
+    members = hamming_class_members(n, n // 2)
     m1, m2, m4 = sums.p / num_J, sums.p2 / num_J, sums.p4 / num_J
     return [
         [
@@ -184,7 +182,7 @@ def moment_statistics(
                 n=n,
                 t=float(t),
             )
-            for i, x in enumerate(sums.members)
+            for i, x in enumerate(members)
         ]
         for ti, t in enumerate(sums.times)
     ]

@@ -7,7 +7,8 @@ git state, and the output names.  `rerun <manifest>` replays a recorded
 run into a fresh directory; outputs reproduce byte for byte.
 
 Exit codes: 0 success; 1 a numerical guard tripped (the diagnostic names
-the guard); 2 usage error.
+the guard); 2 usage error.  A failed run leaves no empty run directory
+and none of the parents it created.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .core import (
     HamiltonianSpec,
     Kind,
     Rng,
-    hamming_class_members,
+    hamming_class_states,
     model_class,
     sample_coupling,
 )
@@ -59,7 +60,7 @@ from .hardness import (
     worst_to_average_demo,
     xi_square_negligible,
 )
-from .permanent import permanents
+from .permanent import class_submatrices, permanents
 from .polyfit import SampleSet, berlekamp_welch_recover
 from .trotter import (
     CALIBRATED_PREFACTOR,
@@ -148,14 +149,6 @@ def _write_json(run_dir: Path, name: str, payload: dict) -> str:
     return name
 
 
-def _class_representative(n: int, m: int) -> BitString:
-    if not 1 <= m <= n:
-        raise ValueError(f"Hamming class m = {m} must lie in 1..n = {n}")
-    sigma = tuple(1 if i < m else 0 for i in range(n))
-    tau = tuple(0 if i < m else 1 for i in range(n))
-    return BitString.from_halves(sigma, tau)
-
-
 def _threads(ns: argparse.Namespace) -> int:
     if ns.threads is not None:
         return max(1, ns.threads)
@@ -168,16 +161,13 @@ def _threads(ns: argparse.Namespace) -> int:
 def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     kind = Kind(ns.model)
     n = ns.n
+    if ns.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {ns.draws}")
     classes = []
     for m in range(1, n + 1):
-        members = hamming_class_members(n, m)
-        bits = np.array([x.bits for x in members])
-        # J_ST of every member, as submatrix_for_outcome selects it:
-        # rows are the excited sigma sites, columns the flipped tau sites.
-        rows = np.nonzero(bits[:, :n])[1].reshape(-1, m)
-        cols = np.nonzero(1 - bits[:, n:])[1].reshape(-1, m)
-        index = bits @ (1 << np.arange(2 * n))
-        classes.append((m, rows, cols, index, [str(x) for x in members]))
+        states = hamming_class_states(n, m)
+        bits = (states[:, None] >> np.arange(2 * n)) & 1
+        classes.append((m, states, ["".join(map(str, row)) for row in bits.tolist()]))
     worst: tuple[float, str] = (0.0, "")
     name = "moments_check.csv"
     with open(run_dir / name, "w", newline="") as fh:
@@ -186,9 +176,9 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         for draw in range(ns.draws):
             J = sample_coupling(n, Rng(ns.seed).substream(draw))
             table = moment_table(HamiltonianSpec(kind, J), n)
-            for m, rows, cols, index, labels in classes:
-                pers = permanents(J.entries[rows[:, :, None], cols[:, None, :]])
-                columns = table[:, index]  # column c holds <x_c|H^k|y0> for every k
+            for m, states, labels in classes:
+                pers = permanents(class_submatrices(J, m))
+                columns = table[:, states]  # column c holds <x_c|H^k|y0> for every k
                 sub = np.abs(columns[1:m]).max(axis=0, initial=0.0)
                 truth = math.factorial(m) / float(n) ** m * pers
                 diff = np.abs(columns[m] - truth)
@@ -260,7 +250,7 @@ def _cmd_extract_permanent(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     n = ns.n
     m = ns.m if ns.m is not None else n
     K = ns.K if ns.K is not None else 2 * m + 6
-    x = _class_representative(n, m)
+    x = BitString.class_representative(n, m)
     spec = HamiltonianSpec(kind, sample_coupling(n, Rng(ns.seed)))
     estimate, truth, bound = extract_permanent_from_dynamics(
         spec,
@@ -609,21 +599,18 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"run-dir: {run_dir}")
         return 0
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical guard [LinAlgError]: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical guard [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        # a handler refuses its arguments before writing; leave neither the
-        # empty run dir nor the parents this run created for it
-        for path in created:
-            if any(path.iterdir()):
-                break
-            path.rmdir()
-        return 2
+        code = 2
+    # drop the run dir and the parents made for it, unless a handler wrote there
+    for path in created:
+        if any(path.iterdir()):
+            break
+        path.rmdir()
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ Conventions fixed here and relied on everywhere else:
   sigma spins occupy the low n bits of the index.
 * The weight-n sector basis lists its states in lexicographic order of the
   bit tuple (x_1 compared first).
+* The outcome class X_m (m sigma-ones, n - m tau-ones) is read by every
+  module as the cached index array `hamming_class_states`.
 
 A `Basis` is a set of rows closed under the sigma_i-tau_j double flips:
 the full basis, the sector, or one weight or Z-parity block.  It carries
@@ -19,12 +21,10 @@ their partners from it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "Rng",
     "sample_coupling",
     "hamming_class",
+    "hamming_class_states",
     "hamming_class_members",
     "model_class",
 ]
@@ -95,18 +96,9 @@ class BitString:
             idx |= b << k
         return idx
 
-    def hamming_class(self) -> int | None:
-        return hamming_class(self)
-
     @classmethod
     def from_index(cls, index: int, n: int) -> "BitString":
         return cls(tuple((index >> k) & 1 for k in range(2 * n)))
-
-    @classmethod
-    def from_halves(cls, sigma: Sequence[int], tau: Sequence[int]) -> "BitString":
-        if len(sigma) != len(tau):
-            raise ValueError("sigma and tau halves must have equal length")
-        return cls(tuple(sigma) + tuple(tau))
 
     @classmethod
     def y0(cls, n: int) -> "BitString":
@@ -117,6 +109,13 @@ class BitString:
     def x0(cls, n: int) -> "BitString":
         """The fully flipped configuration: sigma all 1, tau all 0."""
         return cls((1,) * n + (0,) * n)
+
+    @classmethod
+    def class_representative(cls, n: int, m: int) -> "BitString":
+        """A member of X_m, 1 <= m <= n: sigma sites 1..m up, tau sites 1..m down."""
+        if not 1 <= m <= n:
+            raise ValueError(f"Hamming class m = {m} must lie in 1..n = {n}")
+        return cls((1,) * m + (0,) * (n - m) + (0,) * m + (1,) * (n - m))
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -129,23 +128,6 @@ def hamming_class(x: BitString) -> int | None:
     if sum(x.tau_half()) == n - m:
         return m
     return None
-
-
-def hamming_class_members(n: int, m: int) -> list[BitString]:
-    """All bitstrings with m ones in the sigma half and n-m in the tau half."""
-    if not 0 <= m <= n:
-        raise ValueError(f"m must lie in 0..{n}, got {m}")
-    out = []
-    for s_ones in itertools.combinations(range(n), m):
-        sigma = [0] * n
-        for i in s_ones:
-            sigma[i] = 1
-        for t_ones in itertools.combinations(range(n), n - m):
-            tau = [0] * n
-            for j in t_ones:
-                tau[j] = 1
-            out.append(BitString.from_halves(sigma, tau))
-    return out
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -171,12 +153,6 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """The block keeping `rows` and `cols` (0-based, ascending order kept)."""
-        if len(rows) != len(cols):
-            raise ValueError("submatrix must be square: |rows| == |cols|")
-        return self.entries[np.ix_(sorted(rows), sorted(cols))]
 
 
 @dataclass(frozen=True)
@@ -237,6 +213,23 @@ def _block_states(n: int, symmetry: str, label: int) -> np.ndarray:
     # x_1 (bit 0) is the most significant key
     keys = sum(((members >> b) & 1) << (2 * n - 1 - b) for b in range(2 * n))
     return members[np.argsort(keys)]
+
+
+@lru_cache(maxsize=64)
+def hamming_class_states(n: int, m: int, /) -> np.ndarray:
+    """Full-basis indices of X_m (the sector rows with m sigma-ones) in
+    descending lexicographic order of the bit tuple; read-only, cached."""
+    if n < 1 or not 0 <= m <= n:
+        raise ValueError(f"m must lie in 0..n for a positive n, got n = {n}, m = {m}")
+    sector = _block_states(n, "weight", n)
+    sigma_ones = sum((sector >> b) & 1 for b in range(n))
+    return _freeze(sector[sigma_ones == m][::-1].copy())
+
+
+def hamming_class_members(n: int, m: int) -> list[BitString]:
+    """The members of X_m as `BitString`s, in `hamming_class_states` order."""
+    bits = (hamming_class_states(n, m)[:, None] >> np.arange(2 * n)) & 1
+    return [BitString(tuple(row)) for row in bits.tolist()]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

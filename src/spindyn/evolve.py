@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Basis, BitString, HamiltonianSpec, StateVector
+from .core import Basis, BitString, HamiltonianSpec, StateVector, hamming_class_states
 from .hamiltonian import (
     SparseAction,
     chiral,
@@ -172,9 +172,9 @@ class Propagator:
         self.spec = spec
         self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
         self.action = SparseAction(spec, self.basis)
-        self._y0 = BitString.y0(spec.n)
-        self._y0_pos = self.basis.index_of(self._y0)
-        if self._y0_pos is None:
+        (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
+        self._y0_pos = int(self.basis.pos[y0])
+        if self._y0_pos < 0:
             raise ValueError("initial state lies outside the chosen basis")
         # y0's sigma half is empty, so it lies on side 0 (E)
         self._sides = self.action.sides

@@ -54,11 +54,11 @@ import numpy as np
 
 from .core import (
     Basis,
-    BitString,
     DenseMemoryError,
     HamiltonianSpec,
     Kind,
     _check_bytes,
+    hamming_class_states,
 )
 
 if TYPE_CHECKING:
@@ -408,7 +408,7 @@ def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
         raise ValueError("kmax must be non-negative")
     action = SparseAction(spec, Basis.full(spec.n))
     table = np.zeros((kmax + 1, 1 << (2 * spec.n)))
-    table[0, BitString.y0(spec.n).index()] = 1.0
+    table[0, hamming_class_states(spec.n, 0)] = 1.0  # X_0 holds y0 alone
     for k in range(kmax):
         table[k + 1] = action.apply_array(table[k])
     return table

@@ -1,19 +1,22 @@
-"""Matrix permanents and the Gaussian-permanent statistics the reductions use."""
+"""Matrix permanents, the blocks J_ST with <x|H^m|y0> = m!/n^m Per(J_ST)
+for x in X_m, and the Gaussian-permanent statistics the reductions use."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .core import BitString, CouplingMatrix, Rng, hamming_class
+from .core import BitString, CouplingMatrix, Rng, hamming_class, hamming_class_states
 
 __all__ = [
     "permanent_ryser",
     "permanents",
     "permanent_bruteforce",
     "submatrix_for_outcome",
+    "class_submatrices",
     "gaussian_permanent_variance_check",
 ]
 
@@ -118,20 +121,35 @@ def permanent_bruteforce(matrix: np.ndarray) -> float:
     )
 
 
-def submatrix_for_outcome(J: CouplingMatrix, x: BitString) -> np.ndarray:
-    """The m x m coupling block J_ST selected by an outcome in class m.
+@functools.lru_cache(maxsize=64)
+def _class_sites(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The J_ST rule over X_m: rows are the sigma sites excited to 1, columns
+    the tau sites flipped to 0, both ascending, shaped to index J as a stack."""
+    bits = (hamming_class_states(n, m)[:, None] >> np.arange(2 * n)) & 1
+    rows = np.nonzero(bits[:, :n])[1].reshape(len(bits), m, 1)
+    cols = np.nonzero(1 - bits[:, n:])[1].reshape(len(bits), 1, m)
+    rows.flags.writeable = cols.flags.writeable = False  # shared by every caller
+    return rows, cols
 
-    Rows keep the sigma sites excited to 1, columns the tau sites flipped
-    to 0, both in ascending site order.
-    """
+
+def class_submatrices(J: CouplingMatrix, m: int) -> np.ndarray:
+    """J_ST of every member of X_m, in `hamming_class_states` order:
+    shape (C(n, m)^2, m, m)."""
+    rows, cols = _class_sites(J.n, m)
+    return J.entries[rows, cols]
+
+
+def submatrix_for_outcome(J: CouplingMatrix, x: BitString) -> np.ndarray:
+    """The m x m block J_ST selected by an outcome x in class m: the row of
+    x in `class_submatrices`."""
     if x.n != J.n:
         raise ValueError("bitstring size does not match coupling matrix")
     m = hamming_class(x)
     if m is None or m < 1:
         raise ValueError(f"outcome {x} is not in any class m >= 1")
-    rows = [i for i, b in enumerate(x.sigma_half()) if b == 1]
-    cols = [i for i, b in enumerate(x.tau_half()) if b == 0]
-    return J.submatrix(rows, cols)
+    rows, cols = _class_sites(J.n, m)
+    (k,) = np.flatnonzero(hamming_class_states(J.n, m) == x.index())
+    return J.entries[rows[k], cols[k]]
 
 
 def gaussian_permanent_variance_check(m: int, trials: int, rng: Rng) -> float:

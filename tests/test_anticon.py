@@ -24,12 +24,8 @@ from spindyn.hardness import anticoncentration_thresholds
 
 
 def synthetic_record(n: int, mean_p: float, mean_p2: float) -> MomentRecord:
-    x = BitString.from_halves(
-        tuple(1 if i < n // 2 else 0 for i in range(n)),
-        tuple(0 if i < n // 2 else 1 for i in range(n)),
-    )
     return MomentRecord(
-        x=x, mean_p=mean_p, mean_p2=mean_p2, se_p=0.0, se_p2=0.0,
+        x=BitString.class_representative(n, n // 2), mean_p=mean_p, mean_p2=mean_p2, se_p=0.0, se_p2=0.0,
         samples=100, kind=Kind.H3, n=n, t=1.0,
     )
 
@@ -54,7 +50,7 @@ def test_moment_record_validation():
 
 def test_threshold_defaults_and_derived():
     th = AnticonThresholds()
-    assert (th.K, th.Lambda, th.theta) == (0.5, 4.0, 0.5)
+    assert (th.K, th.Lambda) == (0.5, 4.0)
     assert th.alpha == pytest.approx(0.25)
     assert th.beta == pytest.approx(1.0 / 64.0)
     ising = AnticonThresholds.ising()
@@ -68,8 +64,6 @@ def test_threshold_defaults_and_derived():
         {"K": 0.0},
         {"K": 1.5},
         {"Lambda": 0.5},
-        {"theta": 1.5},
-        {"theta": -0.1},
     ],
 )
 def test_threshold_validation(kwargs):
@@ -129,9 +123,7 @@ def test_sigma_tau_symmetry_observational():
     by_bits = {record.x.bits: record for record in records}
     for record in records:
         sigma, tau = record.x.sigma_half(), record.x.tau_half()
-        partner = BitString.from_halves(
-            tuple(1 - b for b in tau), tuple(1 - b for b in sigma)
-        )
+        partner = BitString(tuple(1 - b for b in tau + sigma))
         partner_record = by_bits[partner.bits]
         spread = math.sqrt(record.se_p**2 + partner_record.se_p**2)
         if spread > 0 and abs(record.mean_p - partner_record.mean_p) > 5.0 * spread:

@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from spindyn import cli
+from spindyn.anticon import equilibration_curve
 from spindyn.cli import main
+from spindyn.core import BitString, Rng
 
 
 def run_cli(args, outdir):
@@ -145,6 +147,54 @@ def test_numerical_guard_exits_1_and_names_guard(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "numerical guard" in err
     assert "RecoveryError" in err
+
+
+def test_numerical_guards_leave_no_empty_run_dir(tmp_path, monkeypatch, capsys):
+    (tmp_path / "kept").mkdir()
+    argv = ["bw-demo", "--errors", "4", "--budget", "3", "--seed", "3"]
+    assert run_cli(argv, tmp_path / "kept" / "g" / "deep") == 1
+    assert "numerical guard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+    # a guard that fires after rows were written keeps them, and their parents
+    real = cli.moment_table
+
+    def shifted(spec, kmax):
+        table = real(spec, kmax)
+        table[1] += 1.0
+        return table
+
+    monkeypatch.setattr(cli, "moment_table", shifted)
+    argv = ["moments-check", "--model", "H3", "--n", "2", "--draws", "1"]
+    assert run_cli(argv, tmp_path / "kept" / "m") == 1
+    assert "moment identity guard" in capsys.readouterr().err
+    csv_path = only_run_dir(tmp_path / "kept" / "m", "moments-check") / "moments_check.csv"
+    assert len(csv_path.read_text().splitlines()) == 2  # header and the offending row
+
+
+@pytest.mark.parametrize("draws", ["0", "-2"])
+def test_moments_check_refuses_fewer_than_one_draw(tmp_path, draws, capsys):
+    argv = ["moments-check", "--model", "H2", "--n", "2", "--draws", draws]
+    assert run_cli(argv, tmp_path / "out") == 2
+    assert "--draws must be at least 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_moments_check_and_equilibration_build_no_bitstring(tmp_path, monkeypatch):
+    # outcome classes travel as index arrays: a BitString per member, or
+    # per draw for y0, would show up here
+    built = []
+    real = BitString.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(BitString, "__post_init__", counted)
+    argv = ["moments-check", "--model", "H4", "--n", "4", "--draws", "2"]
+    assert run_cli(argv, tmp_path) == 0
+    equilibration_curve("H3", 4, [0.0, 1.0], 16, Rng(0))
+    assert built == []
 
 
 def test_bw_demo_within_budget_recovers(tmp_path):
@@ -491,6 +541,7 @@ def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, moments_sha256, ratio_s
         (["--model", "H2", "--n", "5", "--seed", "11", "--draws", "2"],
          "552141987aede8fde59ab5776474ecb96bd40d640f8a88ee732e20338f1a1a25"),
     ],
+    ids=["H4-n3-seed7", "H2-n5-seed11-draws2"],
 )
 def test_moments_check_csv_is_pinned(tmp_path, args, sha256):
     # digests of the row-by-row sweep's output: the per-class arrays must

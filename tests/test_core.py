@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from spindyn.core import (
     StateVector,
     hamming_class,
     hamming_class_members,
+    hamming_class_states,
     model_class,
     sample_coupling,
 )
@@ -48,6 +50,47 @@ def test_class_partition_exhaustive(n):
     for m in range(n + 1):
         assert counts[m] == math.comb(n, m) ** 2
         assert len(hamming_class_members(n, m)) == math.comb(n, m) ** 2
+
+
+def class_members_by_combinations(n, m):
+    """X_m as nested itertools.combinations: sigma ones, then tau ones."""
+    out = []
+    for s_ones in itertools.combinations(range(n), m):
+        sigma = [1 if i in s_ones else 0 for i in range(n)]
+        for t_ones in itertools.combinations(range(n), n - m):
+            tau = [1 if j in t_ones else 0 for j in range(n)]
+            out.append(BitString(tuple(sigma + tau)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_hamming_class_states_match_the_combinations_order(n):
+    for m in range(n + 1):
+        oracle = class_members_by_combinations(n, m)
+        states = hamming_class_states(n, m)
+        assert states.dtype == np.int64
+        assert states.tolist() == [x.index() for x in oracle]
+        assert hamming_class_members(n, m) == oracle
+        assert not states.flags.writeable
+        with pytest.raises(ValueError):
+            states[0] = 0
+        assert hamming_class_states(n, m) is states  # cached per (n, m)
+    for m in (-1, n + 1):
+        with pytest.raises(ValueError):
+            hamming_class_states(n, m)
+
+
+def test_class_representative_lies_in_its_class():
+    for n in (1, 2, 3, 5):
+        for m in range(1, n + 1):
+            x = BitString.class_representative(n, m)
+            assert hamming_class(x) == m
+            assert x.index() in hamming_class_states(n, m)
+        assert BitString.class_representative(n, n) == BitString.x0(n)
+        for m in (0, n + 1):
+            with pytest.raises(ValueError, match="Hamming class"):
+                BitString.class_representative(n, m)
+    assert str(BitString.class_representative(4, 2)) == "11000011"
 
 
 def test_index_round_trip():
@@ -156,14 +199,11 @@ def test_gaussian_moments_monte_carlo():
     assert abs(var - 1.0) <= 3 * math.sqrt(2 / n)  # SE of the variance
 
 
-def test_coupling_matrix_validation_and_submatrix():
+def test_coupling_matrix_validation():
     with pytest.raises(ValueError):
         CouplingMatrix(np.ones((2, 3)))
     with pytest.raises(ValueError):
         CouplingMatrix(np.array([[np.inf]]))
-    J = CouplingMatrix(np.arange(16.0).reshape(4, 4))
-    sub = J.submatrix([2, 0], [3, 1])
-    assert np.array_equal(sub, np.array([[1.0, 3.0], [9.0, 11.0]]))
 
 
 def test_spec_validation():

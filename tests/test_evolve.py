@@ -407,7 +407,7 @@ def test_short_time_leading_order_is_permanent():
     # p(t)/t^{2m} -> Per^2/n^{2m}.
     n = 3
     spec = random_spec(Kind.H1, n, 31)
-    x = BitString.from_halves((1, 1, 0), (0, 0, 1))  # m = 2
+    x = BitString((1, 1, 0) + (0, 0, 1))  # m = 2
     per = permanent_bruteforce(submatrix_for_outcome(spec.couplings, x))
     assert abs(per) > 0.1  # seed chosen to keep the target well away from zero
     target = per**2 / n**4

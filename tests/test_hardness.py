@@ -33,13 +33,6 @@ from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 from spindyn.polyfit import extract_coefficient
 
 
-def class_bitstring(n: int, m: int) -> BitString:
-    """A representative of X_m: first m sigma bits up, first m tau bits down."""
-    sigma = tuple(1 if i < m else 0 for i in range(n))
-    tau = tuple(0 if i < m else 1 for i in range(n))
-    return BitString.from_halves(sigma, tau)
-
-
 # ---------------------------------------------------------------- truncation
 
 
@@ -264,7 +257,7 @@ def test_extraction_n2_reference_window():
 
 
 def test_extraction_m2_submatrix():
-    x = class_bitstring(3, 2)
+    x = BitString.class_representative(3, 2)
     for draw in range(50):
         J = sample_coupling(3, Rng(2000 + draw))
         spec = HamiltonianSpec(Kind.H1, J)
@@ -289,7 +282,7 @@ def test_extraction_zero_coupling():
 @pytest.mark.parametrize("n", [2, 3])
 def test_extraction_end_to_end(n):
     for m in range(1, n + 1):
-        x = class_bitstring(n, m)
+        x = BitString.class_representative(n, m)
         for draw in range(50):
             spec = HamiltonianSpec(Kind.H1, sample_coupling(n, Rng(4000 + draw)))
             est, truth, bound = extract_permanent_from_dynamics(
@@ -305,7 +298,7 @@ def test_extraction_end_to_end(n):
 def test_extraction_leading_coefficient_matches_moment(kind, n):
     # a_2 = <x|H|y0>^2: the t^2 coefficient ties the fit to the algebraic
     # identity.  The narrow window keeps double precision ~1e5 in hand.
-    x = class_bitstring(n, 1)
+    x = BitString.class_representative(n, 1)
     for draw in range(50):
         spec = HamiltonianSpec(kind, sample_coupling(n, Rng(3000 + draw)))
         est, _, _ = extract_permanent_from_dynamics(spec, x, 0.02, 0.9, 8)
@@ -323,7 +316,7 @@ def test_extraction_deeper_coefficients(n, m, K, rel):
     # Deeper coefficients amplify the ~1e-16 absolute sample noise by
     # t0^{-2m} (4/Delta)^K C(K, 2m); these tolerances sit >= 10x above the
     # measured double-precision floor for each configuration.
-    x = class_bitstring(n, m)
+    x = BitString.class_representative(n, m)
     for draw in range(50):
         spec = HamiltonianSpec(Kind.H1, sample_coupling(n, Rng(7000 + draw)))
         est, _, _ = extract_permanent_from_dynamics(spec, x, 0.02, 0.99, K)
@@ -367,7 +360,7 @@ def test_extraction_sign_adversarial_noise():
     # the direction of its extraction weight and check the noise term of the
     # returned bound still covers the shift.
     spec = HamiltonianSpec(Kind.H1, sample_coupling(3, Rng(77)))
-    x = class_bitstring(3, 2)
+    x = BitString.class_representative(3, 2)
     t0, dw, K, delta = 0.1, 0.5, 8, 1e-3
     nodes = np.linspace(t0 * (1 - dw), t0 * (1 + dw), K + 1)
     prop = Propagator(spec)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spindyn.core import BitString, CouplingMatrix, Rng
+from spindyn.core import BitString, CouplingMatrix, Rng, hamming_class_members, sample_coupling
 from spindyn.permanent import (
+    class_submatrices,
     gaussian_permanent_variance_check,
     permanent_bruteforce,
     permanent_ryser,
@@ -87,11 +88,11 @@ def test_submatrix_full_matrix_for_x0():
 def test_submatrix_single_entry():
     # sigma (1,0): site 1 excited; tau (0,1): site 1 flipped to 0.
     J = CouplingMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    sub = submatrix_for_outcome(J, BitString.from_halves((1, 0), (0, 1)))
+    sub = submatrix_for_outcome(J, BitString((1, 0) + (0, 1)))
     assert sub.shape == (1, 1)
     assert sub[0, 0] == 1.0
     # sigma site 1, tau site 2 flipped gives the off-diagonal entry
-    sub = submatrix_for_outcome(J, BitString.from_halves((1, 0), (1, 0)))
+    sub = submatrix_for_outcome(J, BitString((1, 0) + (1, 0)))
     assert sub[0, 0] == 2.0
 
 
@@ -101,6 +102,21 @@ def test_submatrix_rejects_outside_class():
         submatrix_for_outcome(J, BitString((1, 1, 1, 1)))
     with pytest.raises(ValueError):
         submatrix_for_outcome(J, BitString.y0(2))  # m = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_submatrices_stack_each_outcome_block(n):
+    J = sample_coupling(n, Rng(31, n))
+    for m in range(1, n + 1):
+        stack = class_submatrices(J, m)
+        members = hamming_class_members(n, m)
+        assert stack.shape == (len(members), m, m)
+        for block, x in zip(stack, members):
+            assert block.tobytes() == submatrix_for_outcome(J, x).tobytes()
+    assert class_submatrices(J, 0).shape == (1, 0, 0)  # X_0 = {y0}, Per = 1
+    for m in (-1, n + 1):
+        with pytest.raises(ValueError):
+            class_submatrices(J, m)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
