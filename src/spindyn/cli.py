@@ -454,6 +454,13 @@ def _cmd_rerun(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------------- the parser
 
 
+def _positive_int(text: str) -> int:
+    """The value of a size flag (--n, --m): an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub: argparse.ArgumentParser, threads: bool = False) -> None:
     sub.add_argument("--outdir", default="runs", help="parent directory for run dirs")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
@@ -480,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("moments-check", help="moment-permanent identity sweep")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--model", required=True, choices=[k.value for k in Kind])
     p.add_argument("--draws", type=int, default=20)
     _add_common(p)
@@ -488,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("equilibrate", help="output-probability equilibration curve")
     p.add_argument("--model", default="H3", choices=[k.value for k in Kind])
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--num-j", type=int, default=256)
     p.add_argument("--points", type=int, default=33)
     p.add_argument("--t-mult-max", type=float, default=8.0,
@@ -498,7 +505,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("anticon", help="moment sweep over X_{n/2} plus the ratio r")
     p.add_argument("--model", default="H3", choices=[k.value for k in Kind])
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--t-mult", type=float, default=4.0, help="t = this * ln n")
     p.add_argument("--num-j", type=int, default=1024)
     p.add_argument("--ising-thresholds", action="store_true",
@@ -508,8 +515,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("extract-permanent", help="permanent from sampled dynamics")
     p.add_argument("--model", default="H1", choices=[k.value for k in Kind])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--m", type=int, default=None, help="Hamming class (default n)")
+    p.add_argument("--n", type=_positive_int, default=2)
+    p.add_argument("--m", type=_positive_int, help="Hamming class (default n)")
     p.add_argument("--t0", type=float, default=0.1)
     p.add_argument("--delta-window", type=float, default=0.5)
     p.add_argument("--K", type=int, default=None, help="fit degree (default 2m+6)")
@@ -518,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_extract_permanent)
 
     p = subs.add_parser("worst-to-average", help="0/1 permanent via the Gaussian path")
-    p.add_argument("--m", type=int, default=4)
+    p.add_argument("--m", type=_positive_int, default=4)
     p.add_argument("--delta-window", type=float, default=None,
                    help="interpolation window (default: the proof's (16m)^-2)")
     p.add_argument("--noise-delta", type=float, default=1e-12)
@@ -526,7 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_worst_to_average)
 
     p = subs.add_parser("trotter-plan", help="gate budget for a target error")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--t0-mult", type=float, required=True, help="t0 = this * ln n")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--prefactor", type=float, default=CALIBRATED_PREFACTOR)
@@ -535,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("trotter-error", help="operator-error scaling sweep")
     p.add_argument("--model", default="H3", choices=[k.value for k in Kind])
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_positive_int, default=3)
     p.add_argument("--t-mult", type=float, default=1.0, help="t = this * ln n")
     p.add_argument("--orders", default="1,2")
     p.add_argument("--m-grid", default="8,16,32,64")
@@ -556,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normh", type=float, default=1.0)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--K", type=int, default=8)
-    p.add_argument("--n", type=int, default=4)
+    p.add_argument("--n", type=_positive_int, default=4)
     p.add_argument("--t0", type=float, default=1.0)
     p.add_argument("--c", type=float, default=0.6)
     p.add_argument("--nu", type=float, default=0.1)

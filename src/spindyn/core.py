@@ -195,8 +195,10 @@ def _check_bytes(nbytes: int, what: str) -> None:
         )
 
 
+@lru_cache(maxsize=64)
 def _block_states(n: int, symmetry: str, label: int) -> np.ndarray:
-    """Integer indices of a set of rows closed under the double flips.
+    """Integer indices of a set of rows closed under the double flips;
+    read-only and cached, so `Basis.of` and every X_m share one sort.
 
     "full" is every state in index order, "parity" the states of weight
     parity `label` in index order, "weight" the states of Hamming weight
@@ -205,14 +207,14 @@ def _block_states(n: int, symmetry: str, label: int) -> np.ndarray:
     """
     full = np.arange(1 << (2 * n), dtype=np.int64)
     if symmetry == "full":
-        return full
+        return _freeze(full)
     weight = sum((full >> b) & 1 for b in range(2 * n))
     if symmetry == "parity":
-        return full[weight % 2 == label]
+        return _freeze(full[weight % 2 == label])
     members = full[weight == label]
     # x_1 (bit 0) is the most significant key
     keys = sum(((members >> b) & 1) << (2 * n - 1 - b) for b in range(2 * n))
-    return members[np.argsort(keys)]
+    return _freeze(members[np.argsort(keys)])
 
 
 @lru_cache(maxsize=64)

@@ -25,6 +25,8 @@ for even k and on O for odd k, so for a chiral spec each step is one
 product with B^T or B.  The series order is certified by a Bessel tail
 bound, and the norm of the state at the largest |t| is checked, so a
 wrong spectral bound fails loudly instead of returning a wrong table.
+`Propagator._parts` is the one switch between the engines, and every
+table, probability and state is read from its parts, never renormalized.
 """
 from __future__ import annotations
 
@@ -66,6 +68,7 @@ _BESSEL_RESCALE = 1e150
 _BESSEL_TINY = 1e-20  # below this J_0 = 1, J_1 = z/2 and J_k>1 = 0 to 1e-40
 # (-i)^k is real for even k and imaginary for odd k; this is its sign.
 _PHASE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
+_Parts = tuple[np.ndarray, np.ndarray, list[np.ndarray]]  # see Propagator._parts
 
 
 class KrylovConvergenceError(RuntimeError):
@@ -163,9 +166,8 @@ class Propagator:
     `SparseAction.sides`; every other spec runs on the whole basis, which
     is the split whose two sides are both the basis and whose half-steps
     are both H.  The amplitude's real part lies on side 0 and its
-    imaginary part on side 1, and both engines read it that way: the
-    dense one from a single real eigendecomposition (of B B^T or of H),
-    the Chebyshev one from its recurrence.
+    imaginary part on side 1; `_parts`, the one engine switch, returns
+    both at the asked rows and times and the state at the largest |t|.
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
@@ -199,48 +201,53 @@ class Propagator:
         self, times: Sequence[float], rows: Sequence[int] | None = None
     ) -> np.ndarray:
         """p(x; t) for the basis positions `rows` (default: all), shape
-        (len(rows), len(times)).  A row outside [0, dimension) is refused."""
+        (len(rows), len(times)).  A row outside [0, dimension) is refused.
+        A column's bits may depend on the other times: the dense engine's
+        BLAS product rounds one column differently from several, and the
+        Chebyshev series order and Bessel table follow the largest |t|.
+        With one time, a Chebyshev row's bits may depend on the row count."""
         ts = np.asarray(times, dtype=float).ravel()
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("times must be finite")
+        if not ts.size or not np.all(np.isfinite(ts)):
+            raise ValueError("times must be a non-empty finite grid")
         dim = self.basis.dimension
         keep = np.arange(dim) if rows is None else np.asarray(rows, dtype=np.intp)
         if keep.size and (keep.min() < 0 or keep.max() >= dim):
             raise ValueError(f"rows must lie in [0, {dim})")
-        if not self.dense:
-            return self._chebyshev(ts, keep)[0]
-        re, im = self._dense_parts(ts, keep)
-        return re * re + im * im
+        re, im, _ = self._parts(ts, keep)
+        # in place: fewer (rows x times) temporaries for malloc to hand
+        # back to the system and fault in again on the next draw
+        re *= re
+        im *= im
+        re += im
+        return re
 
-    def _dense_parts(self, ts: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-        """The real and imaginary parts of the amplitudes at `rows` x `ts`.
-
-        With c = U^T e_y0, e^{-iHt}|y0> is U cos(omega t) c on side 0 and
-        -i V (sin(omega t) / omega) c on side 1, where V = B^T U for a
-        chiral spec and U diag(lambda) otherwise, the ratio tending to t as
-        omega -> 0 (omega = lambda may be negative): one real product per
-        side, zero off it.  Each product covers its whole side before
-        `rows` are read, so a row's bits do not depend on which other rows
-        are asked for.
+    def _parts(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
+        """The one engine switch: the real and imaginary parts at `rows` x
+        `ts`, and the state at the largest |t| (its real part on side 0,
+        its imaginary part on side 1).  The dense engine's product covers
+        each whole side before `rows` are read, so a row's bits do not
+        depend on the other rows, and its largest-|t| column is the state.
         """
+        if not self.dense:
+            return self._chebyshev(ts, rows)
         wt = np.outer(self._omega, ts)
         sinc = np.empty_like(wt)
         sinc[:] = ts  # the omega = 0 rows, which the division skips
         omega = self._omega[:, None]
         np.divide(np.sin(wt), omega, out=sinc, where=omega != 0.0)
-        parts = []
+        far_col = np.abs(ts).argmax()
+        parts, far = [], []
         for side, vecs, f in zip(self._sides, self._halves, (np.cos(wt), -sinc)):
             local, off = _gather(side, rows)
-            part = (vecs @ (f * self._c0[:, None]))[local]
+            whole = vecs @ (f * self._c0[:, None])
+            far.append(whole[:, far_col])
+            part = whole[local]
             part[off] = 0.0
             parts.append(part)
-        return parts
+        return parts[0], parts[1], far
 
-    def _chebyshev(
-        self, ts: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(p at `rows` x `ts`, the state's real part on side 0 and its
-        imaginary part on side 1 at the time of largest |t|).
+    def _chebyshev(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
+        """`_parts` from the Chebyshev recurrence.
 
         The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
         k mod 2, stepped there by `SparseAction.apply_half`; only
@@ -248,7 +255,7 @@ class Propagator:
         """
         # the smaller rigorous bound; a = 0 means H = 0
         a = min(coupling_norm_bound(self.spec), self.action.norm_bound) or 1.0
-        t_far = float(ts[np.argmax(np.abs(ts))]) if ts.size else 0.0
+        t_far = float(ts[np.argmax(np.abs(ts))])
         order = _series_order(a * t_far)
         tail = _bessel_tail_bound(a * t_far, order)
         if tail > _TAIL_TOL:
@@ -282,41 +289,35 @@ class Propagator:
             )
         for s, (_, off) in enumerate(picks):
             kept[s::2, off] = 0.0  # phi_k is zero off its side
-        probs = np.empty((rows.size, ts.size))
+        re, im = np.empty((rows.size, ts.size)), np.empty((rows.size, ts.size))
         for s in range(0, ts.size, _TIME_CHUNK):
             if s == 0:
                 w = first[:, :-1]
             else:
                 w = _chebyshev_weights(a * ts[s : s + _TIME_CHUNK], order)
-            re = kept[0::2].T @ w[0::2]
-            im = kept[1::2].T @ w[1::2]
-            # in place: fewer (rows x times) temporaries for malloc to
-            # hand back to the system and fault in again on the next draw
-            re *= re
-            im *= im
-            re += im
-            probs[:, s : s + _TIME_CHUNK] = re
-        return probs, far
+            re[:, s : s + _TIME_CHUNK] = kept[0::2].T @ w[0::2]
+            im[:, s : s + _TIME_CHUNK] = kept[1::2].T @ w[1::2]
+        return re, im, far
 
     def state_at(self, t: float) -> StateVector:
-        ts = np.array([float(t)])
+        """e^{-iHt}|y0>; refused, not renormalized, if its norm drifts."""
+        re, im = self._parts(np.array([float(t)]), np.empty(0, np.intp))[2]
         amps = np.zeros(self.basis.dimension, dtype=complex)
-        if self.dense:
-            re, im = self._dense_parts(ts, np.arange(self.basis.dimension))
-            amps.real, amps.imag = re[:, 0], im[:, 0]
-        else:
-            re, im = self._chebyshev(ts, np.empty(0, np.intp))[1]
-            amps.real[self._sides[0]] = re
-            amps.imag[self._sides[1]] = im
+        amps.real[self._sides[0]] = re
+        amps.imag[self._sides[1]] = im
         nrm = np.linalg.norm(amps)
         if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
             raise KrylovConvergenceError(
                 f"norm drift {abs(nrm - 1.0):.3e} exceeds {_NORM_DRIFT_TOL}"
             )
-        return StateVector(amps / nrm, self.basis)
+        return StateVector(amps, self.basis)
 
     def probability(self, x: BitString, t: float) -> float:
-        return self.state_at(t).probability(x)
+        """p(x; t) as `all_probabilities_at` reads it; 0 outside the basis."""
+        pos = self.basis.index_of(x)
+        if pos is None:
+            return 0.0
+        return float(self.all_probabilities_at([t], rows=[pos])[0, 0])
 
 
 def engine(spec: HamiltonianSpec) -> str:
@@ -332,14 +333,12 @@ def engine(spec: HamiltonianSpec) -> str:
 
 
 def evolve_exact(spec: HamiltonianSpec, t: float) -> StateVector:
-    """e^{-iHt}|y0> with unit norm."""
+    """e^{-iHt}|y0>, its unit norm checked (see `Propagator.state_at`)."""
     return Propagator(spec).state_at(t)
 
 
 def output_probability(spec: HamiltonianSpec, x: BitString, t: float) -> float:
     """p(x; J; t) = |<x| e^{-iHt} |y0>|^2."""
-    if x.n != spec.n:
-        raise ValueError("bitstring size does not match the Hamiltonian")
     return Propagator(spec).probability(x, t)
 
 

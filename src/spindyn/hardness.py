@@ -183,7 +183,6 @@ def worst_to_average_demo(
     rng: Rng,
     delta_window: float | None = None,
     repetitions: int = 9,
-    node_count: int | None = None,
 ) -> tuple[float, float]:
     """Recover Per(X) for a 0/1 matrix through the average-case path.
 
@@ -203,8 +202,8 @@ def worst_to_average_demo(
     if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ValueError("X_hard must be square")
     m = X.shape[0]
-    if m > 7:
-        raise ValueError("worst-to-average demo is limited to m <= 7")
+    if not 1 <= m <= 7:
+        raise ValueError(f"worst-to-average demo needs 1 <= m <= 7, got m = {m}")
     if not np.all((X == 0) | (X == 1)):
         raise ValueError("X_hard must be a 0/1 matrix")
     dw = (16.0 * m) ** -2 if delta_window is None else delta_window
@@ -221,7 +220,6 @@ def worst_to_average_demo(
         m,
         (-dw, dw),
         repetitions,
-        node_count=node_count,
         rng=rng.substream(1),
     )
     truth = permanent_ryser(X)

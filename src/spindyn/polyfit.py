@@ -231,33 +231,26 @@ def robust_median_fit(
     d: int,
     interval: tuple[float, float],
     repetitions: int,
-    node_count: int | None = None,
     rng: Rng | None = None,
 ) -> Polynomial:
     """Fit a degree-d polynomial through per-node medians of a flaky oracle.
 
-    The oracle is called `repetitions` times at each Chebyshev node of
-    [a, b] with an independent substream, and the node value is the
-    median of the calls.  If each call lands within delta of the truth
-    with probability > 1/2, the medians are delta-accurate with high
-    probability and the interpolant's sup-norm error stays within a
-    small multiple of delta (about 2.2*delta at d = 6).
-
-    node_count defaults to d+1, the minimum; more nodes trade the
-    interpolation guarantee for least-squares averaging.
+    The oracle is called `repetitions` times at each of the d + 1
+    Chebyshev nodes of [a, b] with an independent substream, and the
+    node value is the median of the calls.  If each call lands within
+    delta of the truth with probability > 1/2, the medians are
+    delta-accurate with high probability and the interpolant's sup-norm
+    error stays within a small multiple of delta (about 2.2*delta at d = 6).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
     a, b = interval
     if not b > a:
         raise ValueError("interval must satisfy a < b")
-    m = node_count if node_count is not None else d + 1
-    if m < d + 1:
-        raise ValueError("node_count must be at least d+1")
     base = rng if rng is not None else Rng(0)
-    u = np.cos((2 * np.arange(m) + 1) * np.pi / (2 * m))
+    u = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (2 * d + 2))
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * u
-    medians = np.empty(m)
+    medians = np.empty(d + 1)
     for j, s in enumerate(nodes):
         calls = [
             oracle(float(s), base.substream(j * repetitions + i))

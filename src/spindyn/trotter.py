@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
+from .core import Basis, HamiltonianSpec, Kind, Rng, hamming_class_states, sample_coupling
 from .hamiltonian import dense_matrix, symmetry_blocks
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
@@ -274,7 +274,7 @@ def l1_unitary_bound_check(
     spec: HamiltonianSpec, t: float, M: int, order: int
 ) -> tuple[float, float]:
     """(sum_x |p - p'|, 4 ||U - T^M||); the first never exceeds the second."""
-    y0 = BitString.y0(spec.n).index()
+    (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
     l1, norm = 0.0, 0.0
     for block, exact, (power,) in _block_products(spec, t, [M], order):
         col = block.pos[y0]

@@ -132,6 +132,25 @@ def test_usage_errors_exit_2(tmp_path, argv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worst-to-average", "--m", "0"],
+        ["extract-permanent", "--m", "-1"],
+        ["anticon", "--n", "0"],
+        ["equilibrate", "--n", "-2"],
+        ["trotter-error", "--n", "0"],
+        ["trotter-plan", "--n", "-2", "--t0-mult", "1", "--eps", "0.1"],
+        ["moments-check", "--n", "0", "--model", "H1"],
+        ["bounds", "--n", "0"],
+    ],
+)
+def test_sizes_below_one_are_refused_by_the_parser(tmp_path, argv, capsys):
+    assert run_cli(argv, tmp_path / "out") == 2
+    assert f"argument {argv[1]}: must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_domain_validation_exits_2(tmp_path, capsys):
     rc = run_cli(["anticon", "--n", "3", "--num-j", "16"], tmp_path)
     assert rc == 2
@@ -398,10 +417,10 @@ def test_bw_demo_defaults_recover_on_every_seed(tmp_path):
 
 
 def test_extract_permanent_refuses_class_outside_one_to_n(tmp_path, capsys):
-    for m in ("0", "4"):
+    for m, why in (("0", "argument --m"), ("4", "Hamming class")):
         rc = run_cli(["extract-permanent", "--n", "3", "--m", m], tmp_path)
         assert rc == 2
-        assert "Hamming class" in capsys.readouterr().err
+        assert why in capsys.readouterr().err
     assert not list(tmp_path.glob("extract-permanent-*/extraction.json"))
 
 

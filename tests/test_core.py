@@ -14,6 +14,7 @@ from spindyn.core import (
     Rng,
     SampleSet,
     StateVector,
+    _block_states,
     hamming_class,
     hamming_class_members,
     hamming_class_states,
@@ -78,6 +79,13 @@ def test_hamming_class_states_match_the_combinations_order(n):
     for m in (-1, n + 1):
         with pytest.raises(ValueError):
             hamming_class_states(n, m)
+
+
+def test_sector_order_is_sorted_once_per_n():
+    # Basis.of and every hamming_class_states(n, m) read this one array
+    order = _block_states(4, "weight", 4)
+    assert _block_states(4, "weight", 4) is order
+    assert not order.flags.writeable
 
 
 def test_class_representative_lies_in_its_class():

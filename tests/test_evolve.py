@@ -232,6 +232,46 @@ def test_rows_outside_the_basis_are_refused(kind, n, name):
             prop.all_probabilities_at([0.5], rows=rows)
     assert prop.all_probabilities_at([0.5], rows=[d - 1]).shape == (1, 1)
     assert prop.all_probabilities_at([0.5], rows=[]).shape == (0, 1)
+    for times in ([], [0.5, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="times must be"):
+            prop.all_probabilities_at(times)
+
+
+_READ_CASES = [(Kind.H1, 3), (Kind.H3, 4), (Kind.H4, 3), (Kind.H2, 2)]
+
+
+@pytest.mark.parametrize("kind,n", _READ_CASES)
+@pytest.mark.parametrize("limit", [4096, 1])
+def test_every_read_of_p_is_the_table_bit_for_bit(kind, n, limit, monkeypatch):
+    # probability and output_probability read all_probabilities_at; on the
+    # dense engine |state_at|^2 is the table too, with no renormalization
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+    spec = random_spec(kind, n, 120 + n)
+    prop = Propagator(spec)
+    assert prop.dense == (limit > 1)
+    for t in (0.3, -1.7, 4.0):
+        for pos, index in enumerate(prop.basis.states[:12]):
+            x = BitString.from_index(int(index), n)
+            want = prop.all_probabilities_at([t], rows=[pos])[0, 0]
+            assert prop.probability(x, t) == want
+            assert output_probability(spec, x, t) == want
+        if prop.dense:
+            table = prop.all_probabilities_at([t])[:, 0]
+            amps = prop.state_at(t).amplitudes
+            assert np.array_equal(amps.real * amps.real + amps.imag * amps.imag, table)
+    if prop.basis.symmetry == "weight":  # all ones lies outside the sector
+        assert prop.probability(BitString((1,) * (2 * n)), 0.3) == 0.0
+
+
+@pytest.mark.parametrize("kind,n", [(Kind.H3, 3), (Kind.H4, 3)])
+def test_dense_state_drift_is_refused_not_renormalized(kind, n, monkeypatch):
+    # eigenvectors 1e-6 too long put the state's norm 2e-6 off 1
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1] * (1 + 1e-6)))
+    prop = Propagator(random_spec(kind, n, 130))
+    assert prop.dense
+    with pytest.raises(KrylovConvergenceError, match="norm drift"):
+        prop.state_at(0.8)
 
 
 @pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)

@@ -484,6 +484,8 @@ def test_w2a_deterministic():
 def test_w2a_validation():
     with pytest.raises(ValueError):
         worst_to_average_demo(np.eye(8), 0.0, Rng(0))
+    with pytest.raises(ValueError, match="1 <= m"):
+        worst_to_average_demo(np.zeros((0, 0)), 0.0, Rng(0))
     with pytest.raises(ValueError):
         worst_to_average_demo(np.full((3, 3), 0.5), 0.0, Rng(0))
     with pytest.raises(ValueError):

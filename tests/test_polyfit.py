@@ -356,8 +356,6 @@ def test_median_fit_validation():
         robust_median_fit(noiseless, 2, (-1.0, 1.0), 0)
     with pytest.raises(ValueError):
         robust_median_fit(noiseless, 2, (1.0, -1.0), 5)
-    with pytest.raises(ValueError):
-        robust_median_fit(noiseless, 2, (-1.0, 1.0), 5, node_count=2)
 
 
 # -- sum_of_coefficients_bound_check ---------------------------------------
