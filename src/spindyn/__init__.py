@@ -43,7 +43,6 @@ from .hamiltonian import (  # noqa: F401
     dense_matrix,
     moment_table,
     natural_basis,
-    operator_norm,
     symmetry_blocks,
 )
 from .hardness import (  # noqa: F401

@@ -42,6 +42,7 @@ from .core import (
     HamiltonianSpec,
     Kind,
     Rng,
+    hamming_class_bits,
     hamming_class_states,
     model_class,
     sample_coupling,
@@ -70,6 +71,8 @@ from .trotter import (
 
 _MOMENT_SUB_TOL = 1e-9
 _MOMENT_REL_TOL = 1e-8
+_MOMENT_NOISE = 1e-14  # an m-th moment this close to its truth is rounding
+_MOMENT_TRUTH_FLOOR = 1e-12  # least divisor of a relative error: no inf at Per = 0
 
 
 def _utc_now() -> datetime:
@@ -165,9 +168,8 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         raise ValueError(f"--draws must be at least 1, got {ns.draws}")
     classes = []
     for m in range(1, n + 1):
-        states = hamming_class_states(n, m)
-        bits = (states[:, None] >> np.arange(2 * n)) & 1
-        classes.append((m, states, ["".join(map(str, row)) for row in bits.tolist()]))
+        labels = ["".join(map(str, row)) for row in hamming_class_bits(n, m).tolist()]
+        classes.append((m, hamming_class_states(n, m), labels))
     worst: tuple[float, str] = (0.0, "")
     name = "moments_check.csv"
     with open(run_dir / name, "w", newline="") as fh:
@@ -182,8 +184,8 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
                 sub = np.abs(columns[1:m]).max(axis=0, initial=0.0)
                 truth = math.factorial(m) / float(n) ** m * pers
                 diff = np.abs(columns[m] - truth)
-                rel = diff / np.maximum(np.abs(truth), 1e-12)
-                bad = np.flatnonzero((rel > _MOMENT_REL_TOL) & (diff > 1e-14))
+                rel = diff / np.maximum(np.abs(truth), _MOMENT_TRUTH_FLOOR)
+                bad = np.flatnonzero((rel > _MOMENT_REL_TOL) & (diff > _MOMENT_NOISE))
                 # rows up to the first offender, as a row-by-row sweep writes them
                 stop = int(bad[0]) + 1 if bad.size else len(labels)
                 writer.writerows(

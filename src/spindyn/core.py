@@ -41,6 +41,7 @@ __all__ = [
     "sample_coupling",
     "hamming_class",
     "hamming_class_states",
+    "hamming_class_bits",
     "hamming_class_members",
     "model_class",
 ]
@@ -228,10 +229,17 @@ def hamming_class_states(n: int, m: int, /) -> np.ndarray:
     return _freeze(sector[sigma_ones == m][::-1].copy())
 
 
+@lru_cache(maxsize=64)
+def hamming_class_bits(n: int, m: int, /) -> np.ndarray:
+    """The bits of X_m as read-only uint8 rows, one per member in
+    `hamming_class_states` order (column k is spin k+1); cached."""
+    states = hamming_class_states(n, m)
+    return _freeze(((states[:, None] >> np.arange(2 * n)) & 1).astype(np.uint8))
+
+
 def hamming_class_members(n: int, m: int) -> list[BitString]:
     """The members of X_m as `BitString`s, in `hamming_class_states` order."""
-    bits = (hamming_class_states(n, m)[:, None] >> np.arange(2 * n)) & 1
-    return [BitString(tuple(row)) for row in bits.tolist()]
+    return [BitString(tuple(row)) for row in hamming_class_bits(n, m).tolist()]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -13,24 +13,26 @@ with c = U^T e_y0.  For a chiral spec that is B B^T = U diag(omega^2) U^T
 on E alone, with V = B^T U; for any other spec H = U diag(lambda) U^T on
 the whole basis, with omega = lambda and V = U diag(lambda), since both
 cos(x) and sin(x) / x are even.  Larger problems expand e^{-iHt} in
-Chebyshev polynomials of H/a, where a is the smaller of two rigorous
-bounds on ||H||, `coupling_norm_bound` and `SparseAction.norm_bound`
-(H1's closed form, or a Collatz-Wielandt bound on |H|; for H3 and H4 at
-n = 6 and 8 it is 0.45-0.6 times the first and cuts the series order by
-27-45 %): one real three-term recurrence from |y0> serves
-every requested time at once, keeping only the rows the caller asks for,
-and the Bessel coefficients J_k(a t) carry the time dependence (Tal-Ezer
-& Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Its k-th vector lies on E
-for even k and on O for odd k, so for a chiral spec each step is one
-product with B^T or B.  The series order is certified by a Bessel tail
-bound, and the norm of the state at the largest |t| is checked, so a
-wrong spectral bound fails loudly instead of returning a wrong table.
+Chebyshev polynomials of H/a, where a is `Propagator.norm_bound`, the
+smaller of two rigorous bounds on ||H||, `coupling_norm_bound` and
+`SparseAction.norm_bound` (H1's closed form, or a Collatz-Wielandt bound
+on |H|; for H3 and H4 at n = 6 and 8 it is 0.45-0.6 times the first and
+cuts the series order by 27-45 %): one real three-term recurrence from
+|y0> serves every requested time at once, keeping only the rows the
+caller asks for, and the Bessel coefficients J_k(a t) carry the time
+dependence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Its
+k-th vector lies on E for even k and on O for odd k, so for a chiral
+spec each step is one product with B^T or B.  The series order is
+certified by a Bessel tail bound, and the norm of the state at the
+largest |t| is checked, so a wrong spectral bound fails loudly instead
+of returning a wrong table.
 `Propagator._parts` is the one switch between the engines, and every
 table, probability and state is read from its parts, never renormalized.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +48,7 @@ from .hamiltonian import (
 )
 
 __all__ = [
+    "KrylovConvergenceError",
     "Propagator",
     "engine",
     "evolve_exact",
@@ -197,6 +200,14 @@ class Propagator:
             self._halves = (u, u * self._omega)
         self._c0 = u[self._y0_half]
 
+    @cached_property
+    def norm_bound(self) -> float:
+        """||H|| on the basis: the dense engine's largest |omega| (exact),
+        else the Chebyshev series scale, an upper bound on it."""
+        if self.dense:
+            return float(np.abs(self._omega).max())
+        return min(coupling_norm_bound(self.spec), self.action.norm_bound)
+
     def all_probabilities_at(
         self, times: Sequence[float], rows: Sequence[int] | None = None
     ) -> np.ndarray:
@@ -253,8 +264,7 @@ class Propagator:
         k mod 2, stepped there by `SparseAction.apply_half`; only
         phi_k[rows] is kept, so memory is O(order * len(rows) + dimension).
         """
-        # the smaller rigorous bound; a = 0 means H = 0
-        a = min(coupling_norm_bound(self.spec), self.action.norm_bound) or 1.0
+        a = self.norm_bound or 1.0  # a = 0 means H = 0
         t_far = float(ts[np.argmax(np.abs(ts))])
         order = _series_order(a * t_far)
         tail = _bessel_tail_bound(a * t_far, order)

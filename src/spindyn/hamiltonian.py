@@ -12,10 +12,10 @@ from the basis's flip partners; it is cached per basis, so a coupling
 draw computes only the stored values and the diagonal (`_values`).  Two
 builders read those values: `SparseAction._matrix` wraps them in a scipy
 CSR matrix for sparse products (and so `moment_table`'s), and
-`dense_matrix` scatters them into a numpy array for the dense engine,
-`operator_norm`'s blocks and the Trotter blocks.  scipy.sparse is
-imported inside `_csr`, which builds every scipy matrix, so it loads
-with the first sparse product and never for a command that stays dense.
+`dense_matrix` scatters them into a numpy array for the dense engine
+and the Trotter blocks.  scipy.sparse is imported inside `_csr`, which
+builds every scipy matrix, so it loads with the first sparse product and
+never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
@@ -28,10 +28,7 @@ over the same cached layouts.
 
 `symmetry_blocks` is the partition H conserves (weight or Z-parity
 blocks), and `natural_basis` the smallest basis holding y0's dynamics
-(the sector for class II, the full basis for class I).  `operator_norm`
-diagonalises block by block up to 4^n = 4096, takes H1's closed form, or
-above that size returns the upper bound `coupling_norm_bound`, and never
-builds the 4^n matrix.
+(the sector for class II, the full basis for class I).
 
 Field-free H1 and H3 are `chiral`: every term flips one sigma and one
 tau spin and the diagonal is zero, so Pi = (-1)^{w_sigma} anticommutes
@@ -72,7 +69,6 @@ __all__ = [
     "dense_matrix",
     "moment_table",
     "natural_basis",
-    "operator_norm",
     "symmetry_blocks",
     "coupling_norm_bound",
     "norm_tail_probability",
@@ -267,8 +263,7 @@ def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:
 
     The hopping kinds (H3, H4) conserve Hamming weight (blocks w = 0..2n),
     class I (H1, H2) Z-parity (blocks 0 and 1), and z fields are
-    diagonal.  The norm and the Trotter error algebra both split on this
-    partition.
+    diagonal.  The Trotter error algebra splits on this partition.
     """
     if Kind(kind) in (Kind.H1, Kind.H2):
         return "parity", [Basis.of(n, "parity", p) for p in range(2)]
@@ -428,25 +423,6 @@ def _h1_norm(spec: HamiltonianSpec) -> float:
     bits = (np.arange(1 << (n - 1))[:, None] << 1 >> np.arange(n)) & 1
     signs = 1.0 - 2.0 * bits
     return float(np.abs(signs @ spec.couplings.entries).sum(axis=1).max() / n)
-
-
-def operator_norm(spec: HamiltonianSpec) -> float:
-    """Spectral norm of H on the full space, or an upper bound on it, never
-    from a 4^n x 4^n matrix.
-
-    H1 without z fields takes its closed form (`_h1_norm`), exact at any
-    n.  Otherwise, up to dimension 4096, the largest |eigenvalue| over the
-    blocks of `symmetry_blocks`, each diagonalised densely; above it, the
-    rigorous upper bound `coupling_norm_bound`.
-    """
-    if spec.kind is Kind.H1 and spec.z_fields is None:
-        return _h1_norm(spec)
-    if 1 << (2 * spec.n) > 4096:
-        return coupling_norm_bound(spec)
-    return max(
-        float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, b)))))
-        for b in symmetry_blocks(spec.kind, spec.n)[1]
-    )
 
 
 def coupling_norm_bound(spec: HamiltonianSpec) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import BitString, HamiltonianSpec, Rng, SampleSet, hamming_class
 from .evolve import Propagator
-from .hamiltonian import operator_norm
 from .permanent import permanent_ryser, submatrix_for_outcome
 from .polyfit import extract_coefficient, robust_median_fit
 
@@ -130,7 +129,8 @@ def extract_permanent_from_dynamics(
     noisy: each sample is shifted by a uniform draw from
     [-noise_delta, noise_delta] (from `rng`).  The bound combines the
     Taylor truncation error eps_K with the per-sample noise through the
-    coefficient-extraction amplification factor.
+    coefficient-extraction amplification factor.  eps_K takes ||H||
+    from `Propagator.norm_bound`: y0's block holds all the dynamics.
     """
     m = hamming_class(x)
     if m is None or m < 1:
@@ -150,7 +150,7 @@ def extract_permanent_from_dynamics(
         gen = (rng if rng is not None else Rng(0)).generator()
         ps = ps + gen.uniform(-noise_delta, noise_delta, size=ps.size)
     t_max = t0 * (1 + delta_window)
-    normH = operator_norm(spec)
+    normH = prop.norm_bound
     # H = 0 makes p(x; t) constant in t: no Taylor tail to account for.
     eps_K = truncation_error(normH, t_max, K) if normH > 0 else 0.0
     estimate, amp_bound = extract_coefficient(

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from .core import BitString, CouplingMatrix, Rng, hamming_class, hamming_class_states
+from .core import BitString, CouplingMatrix, Rng, hamming_class
+from .core import hamming_class_bits, hamming_class_states
 
 __all__ = [
     "permanent_ryser",
@@ -125,7 +126,7 @@ def permanent_bruteforce(matrix: np.ndarray) -> float:
 def _class_sites(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The J_ST rule over X_m: rows are the sigma sites excited to 1, columns
     the tau sites flipped to 0, both ascending, shaped to index J as a stack."""
-    bits = (hamming_class_states(n, m)[:, None] >> np.arange(2 * n)) & 1
+    bits = hamming_class_bits(n, m)
     rows = np.nonzero(bits[:, :n])[1].reshape(len(bits), m, 1)
     cols = np.nonzero(1 - bits[:, n:])[1].reshape(len(bits), 1, m)
     rows.flags.writeable = cols.flags.writeable = False  # shared by every caller

@@ -15,7 +15,7 @@ Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
 conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
 so e^{-iHt} and the product formula are both block-diagonal in that
 partition (2n+1 weight blocks or 2 parity blocks, from
-`hamiltonian.symmetry_blocks`, which the operator norm splits on too).
+`hamiltonian.symmetry_blocks`).
 Each block's H is `hamiltonian.dense_matrix` on that block, never a
 slice of the whole 4^n matrix, and is diagonalised once per call and
 shared by every step count M;

@@ -2,7 +2,9 @@
 
 Each module keeps its helpers private, and siblings go through public
 names only.  The one shared private helper is the memory guard
-`core._check_bytes`, which every module that allocates calls.
+`core._check_bytes`, which every module that allocates calls.  Every
+`__all__` names only what its module defines, and the package re-exports
+only names that their module's `__all__` lists.
 """
 
 import ast
@@ -37,3 +39,48 @@ def test_modules_use_only_public_names_of_their_siblings():
     assert {p.name for p in modules} >= {"core.py", "hamiltonian.py", "trotter.py"}
     found = [line for path in modules for line in reach_ins(path)]
     assert found == []
+
+
+def module_all(tree):
+    """The names a module's `__all__` lists, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return None
+
+
+def top_level_names(tree):
+    """The names a module binds at its top level: definitions, assignments
+    and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+    return names
+
+
+def test_export_lists_match_the_modules_and_the_package():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SRC.glob("*.py")}
+    missing = []
+    for stem, tree in trees.items():
+        listed = module_all(tree)
+        if listed is not None:
+            bound = top_level_names(tree)
+            missing += [f"{stem}.__all__ lists undefined {x}" for x in listed if x not in bound]
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            listed = module_all(trees[node.module])
+            if listed is not None:
+                missing += [
+                    f"__init__ re-exports {a.name}, not in {node.module}.__all__"
+                    for a in node.names
+                    if a.name not in listed
+                ]
+    assert missing == []

@@ -16,6 +16,7 @@ from spindyn.core import (
     StateVector,
     _block_states,
     hamming_class,
+    hamming_class_bits,
     hamming_class_members,
     hamming_class_states,
     model_class,
@@ -76,6 +77,10 @@ def test_hamming_class_states_match_the_combinations_order(n):
         with pytest.raises(ValueError):
             states[0] = 0
         assert hamming_class_states(n, m) is states  # cached per (n, m)
+        bits = hamming_class_bits(n, m)
+        assert bits.dtype == np.uint8 and not bits.flags.writeable
+        assert bits.tolist() == [list(x.bits) for x in oracle]
+        assert hamming_class_bits(n, m) is bits
     for m in (-1, n + 1):
         with pytest.raises(ValueError):
             hamming_class_states(n, m)

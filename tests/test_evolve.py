@@ -17,6 +17,7 @@ from spindyn.core import (
     sample_coupling,
 )
 import spindyn.evolve
+import spindyn.hamiltonian
 from spindyn.evolve import (
     KrylovConvergenceError,
     Propagator,
@@ -304,6 +305,30 @@ def test_engine_names_the_split_and_its_sides():
     assert engine(random_spec(Kind.H1, 4, 1)) == "chebyshev chiral 128+128"
     assert engine(random_spec(Kind.H4, 6, 1)) == "chebyshev 924"
     assert engine(random_spec(Kind.H3, 3, 1, fields=True)) == "dense 20"
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("fields", [False, True])
+def test_propagator_norm_bound(kind, n, fields, monkeypatch):
+    # the dense engine reads ||H|| on its basis off its own eigenvalues; the
+    # Chebyshev engine (class I at n = 4) reads the series scale
+    spec = random_spec(kind, n, 500 + 10 * n, fields=fields)
+    if fields:  # z fields break H1's X-basis closed form
+
+        def refuse(spec):
+            raise AssertionError("closed form taken with z fields")
+
+        monkeypatch.setattr(spindyn.hamiltonian, "_h1_norm", refuse)
+    prop = Propagator(spec)
+    h = dense_matrix(spec, prop.basis)
+    exact = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    assert prop.dense == (kind in (Kind.H3, Kind.H4) or n < 4)
+    if prop.dense:
+        assert prop.norm_bound == pytest.approx(exact, rel=1e-12)
+    else:
+        assert prop.norm_bound == min(coupling_norm_bound(spec), prop.action.norm_bound)
+        assert exact <= prop.norm_bound
 
 
 def test_bessel_table_matches_scipy():

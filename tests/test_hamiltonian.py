@@ -17,6 +17,7 @@ from spindyn.core import (
     hamming_class_members,
     sample_coupling,
 )
+from spindyn.evolve import Propagator
 from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
@@ -31,7 +32,6 @@ from spindyn.hamiltonian import (
     moment_table,
     natural_basis,
     norm_tail_probability,
-    operator_norm,
     symmetry_blocks,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
@@ -492,22 +492,16 @@ def test_local_fields_leave_low_moments_unchanged(kind):
                 )
 
 
-def test_operator_norm_single_term():
+def test_norm_bound_single_term():
     spec = HamiltonianSpec(Kind.H1, CouplingMatrix([[1.0]]))
-    assert operator_norm(spec) == pytest.approx(1.0)
-
-
-def test_operator_norm_matches_dense_eigenvalues():
-    spec = random_spec(Kind.H4, 2, 61)
-    h = dense_matrix(spec, Basis.full(2))
-    assert operator_norm(spec) == pytest.approx(float(np.max(np.abs(np.linalg.eigvalsh(h)))))
+    assert Propagator(spec).norm_bound == pytest.approx(1.0)
 
 
 def test_norm_bound_holds():
     for kind in Kind:
         for seed in range(5):
             spec = random_spec(kind, 3, 70 + seed)
-            assert operator_norm(spec) <= coupling_norm_bound(spec) + 1e-12
+            assert Propagator(spec).norm_bound <= coupling_norm_bound(spec) + 1e-12
 
 
 def collatz_wielandt_oracle(h):
@@ -564,57 +558,26 @@ def test_sparse_norm_bound_with_zero_rows(kind):
     assert bounds[2] == (0.0 if kind is Kind.H1 else math.inf)
 
 
-@pytest.mark.parametrize("kind", list(Kind))
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("fields", [False, True])
-def test_operator_norm_matches_full_space_eigvalsh(kind, n, fields, monkeypatch):
-    spec = random_spec(kind, n, 500 + 10 * n, fields=fields)
-    want = float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, Basis.full(n))))))
-    if fields:  # z fields break H1's X-basis closed form
-
-        def refuse(spec):
-            raise AssertionError("closed form taken with z fields")
-
-        monkeypatch.setattr(hamiltonian, "_h1_norm", refuse)
-    assert operator_norm(spec) == pytest.approx(want, rel=1e-12)
-
-
 def test_h1_sign_table_is_guarded():
     spec = random_spec(Kind.H1, 40, 6)  # 2^39 sign rows
     tracemalloc.start()
     try:
         with pytest.raises(DenseMemoryError, match="sign table"):
-            operator_norm(spec)
+            hamiltonian._h1_norm(spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
 
 
-def test_operator_norm_above_dense_cutoff_is_the_coupling_bound():
-    # n = 7 (d = 16384) exceeds the dense cutoff, and H3 has no closed
-    # form: the norm is the rigorous coupling bound, which lies above the
-    # norm of any weight block
-    n = 7
-    spec = random_spec(Kind.H3, n, 2)
-    blocks = symmetry_blocks(Kind.H3, n)[1]
-    low = max(
-        float(np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, blocks[w])))))
-        for w in (1, 2)
-    )
-    est = operator_norm(spec)
-    assert est == coupling_norm_bound(spec)
-    assert low < est
-
-
-def test_operator_norm_above_dense_cutoff_takes_h1_closed_form():
-    # n=7 exceeds the 4096 dense cutoff; H1's norm has a closed form
+def test_norm_bound_above_dense_cutoff_takes_h1_closed_form():
+    # n = 7 (d = 16384) runs the Chebyshev engine; H1's norm has a closed form
     n = 7
     J = sample_coupling(n, Rng(2))
     spec = HamiltonianSpec(Kind.H1, J)
     signs = np.array([[1 - 2 * ((k >> p) & 1) for p in range(n)] for k in range(1 << n)])
     closed = np.max(np.abs(signs @ (J.entries / n) @ signs.T))
-    assert operator_norm(spec) == pytest.approx(float(closed), rel=1e-6)
+    assert Propagator(spec).norm_bound == pytest.approx(float(closed), rel=1e-6)
 
 
 def test_tail_probability_values():
@@ -634,7 +597,7 @@ def test_h1_norm_tail_monte_carlo():
     assert np.max(norms) < 3 * n
     # spot check the closed form against the dense spectral norm
     spec = HamiltonianSpec(Kind.H1, CouplingMatrix(draws[0]))
-    assert operator_norm(spec) == pytest.approx(float(norms[0]), rel=1e-10)
+    assert Propagator(spec).norm_bound == pytest.approx(float(norms[0]), rel=1e-10)
 
 
 def test_dense_guards():

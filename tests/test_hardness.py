@@ -16,7 +16,7 @@ from spindyn.core import (
     sample_coupling,
 )
 from spindyn.evolve import Propagator
-from spindyn.hamiltonian import dense_matrix, moment_table, operator_norm
+from spindyn.hamiltonian import coupling_norm_bound, dense_matrix, moment_table
 from spindyn.hardness import (
     anticoncentration_thresholds,
     extract_permanent_from_dynamics,
@@ -86,7 +86,7 @@ def test_truncation_error_bounds_taylor_remainder():
     p_exact = Propagator(spec).all_probabilities_at(np.array([t]))[ix][0]
     p_taylor = np.polynomial.polynomial.polyval(t, p_coeffs.real)
     remainder = abs(p_exact - p_taylor)
-    assert remainder <= truncation_error(operator_norm(spec), t, K)
+    assert remainder <= truncation_error(Propagator(spec).norm_bound, t, K)
 
 
 # ------------------------------------------------------------ short-time xi
@@ -268,6 +268,26 @@ def test_extraction_m2_submatrix():
         assert truth == pytest.approx(brute, rel=1e-12, abs=1e-12)
         assert abs(est - truth) <= bound
         assert abs(est - truth) <= 1e-3 * (1.0 + abs(truth))
+
+
+def test_extraction_bound_reads_the_propagator_norm():
+    # H3 at n = 7 runs the Chebyshev engine on the sector, whose norm bound
+    # lies far below coupling_norm_bound; the Taylor term follows it
+    n, K, t0, dw = 7, 8, 0.1, 0.5
+    spec = HamiltonianSpec(Kind.H3, sample_coupling(n, Rng(0)))
+    x = BitString.class_representative(n, 1)
+    est, truth, bound = extract_permanent_from_dynamics(spec, x, t0, dw, K)
+    nodes = SampleSet(np.linspace(t0 * (1 - dw), t0 * (1 + dw), K + 1), np.zeros(K + 1))
+
+    def budget(norm):
+        eps_K = truncation_error(norm, t0 * (1 + dw), K)
+        return extract_coefficient(nodes, 2, t0, dw, eps_K)[1] * n**2
+
+    norm = Propagator(spec).norm_bound
+    assert norm < coupling_norm_bound(spec)
+    assert bound == pytest.approx(budget(norm), rel=1e-12)
+    assert bound < 1e-2 * budget(coupling_norm_bound(spec))
+    assert abs(est - truth) <= bound
 
 
 def test_extraction_zero_coupling():
