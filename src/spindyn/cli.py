@@ -65,6 +65,7 @@ from .permanent import class_submatrices, permanents
 from .polyfit import SampleSet, berlekamp_welch_recover
 from .trotter import (
     CALIBRATED_PREFACTOR,
+    block_arithmetic,
     gate_count_plan,
     trotter_operator_errors,
 )
@@ -359,7 +360,11 @@ def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
                 )
     symmetry, blocks = symmetry_blocks(kind, ns.n)
     largest = max(b.dimension for b in blocks)
-    print(f"{symmetry} blocks: {len(blocks)}, largest {largest}", file=sys.stderr)
+    print(
+        f"{symmetry} blocks: {len(blocks)} in {block_arithmetic(spec)} arithmetic, "
+        f"largest {largest}",
+        file=sys.stderr,
+    )
     return [name]
 
 

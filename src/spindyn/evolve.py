@@ -6,13 +6,13 @@ between the even and odd sigma-parity classes E (which holds |y0>) and O,
 so their propagation runs on half-vectors; every other spec runs on the
 whole basis, the split whose two sides are both the basis.
 
-Dimensions within `_DENSE_LIMIT` use one eigendecomposition and reuse it
-for every requested time, and read the amplitude in real arithmetic as
+Dimensions within `_DENSE_LIMIT` use one eigendecomposition,
+`hamiltonian.spectral_parts` (omega, (U, V)), and reuse it for every
+requested time, reading the amplitude in real arithmetic as
 U cos(omega t) c on side 0 and -i V (sin(omega t) / omega) c on side 1,
-with c = U^T e_y0.  For a chiral spec that is B B^T = U diag(omega^2) U^T
-on E alone, with V = B^T U; for any other spec H = U diag(lambda) U^T on
-the whole basis, with omega = lambda and V = U diag(lambda), since both
-cos(x) and sin(x) / x are even.  Larger problems expand e^{-iHt} in
+with c = U^T e_y0.  For a chiral spec that is the eigh of B B^T on E
+alone, with V = B^T U; for any other spec the eigh of H on the whole
+basis, with V = U diag(omega).  Larger problems expand e^{-iHt} in
 Chebyshev polynomials of H/a, where a is `Propagator.norm_bound`, the
 smaller of two rigorous bounds on ||H||, `coupling_norm_bound` and
 `SparseAction.norm_bound` (H1's closed form, or a Collatz-Wielandt bound
@@ -41,10 +41,9 @@ from .core import Basis, BitString, HamiltonianSpec, StateVector, hamming_class_
 from .hamiltonian import (
     SparseAction,
     chiral,
-    chiral_block,
     coupling_norm_bound,
-    dense_matrix,
     natural_basis,
+    spectral_parts,
 )
 
 __all__ = [
@@ -187,18 +186,8 @@ class Propagator:
         self.dense = self.basis.dimension <= _DENSE_LIMIT
         if not self.dense:
             return
-        if chiral(spec):
-            # B B^T = U diag(omega^2) U^T on E; the O side reads B^T U
-            b = chiral_block(spec, self.basis)
-            w2, u = np.linalg.eigh(b @ b.T)
-            self._omega = np.sqrt(np.maximum(w2, 0.0))
-            self._halves = (u, b.T @ u)
-        else:
-            # H = U diag(lambda) U^T on the whole basis; cos and sin(x) / x
-            # are even, so omega = lambda serves and side 1 reads U diag(lambda)
-            self._omega, u = np.linalg.eigh(dense_matrix(spec, self.basis))
-            self._halves = (u, u * self._omega)
-        self._c0 = u[self._y0_half]
+        self._omega, self._halves = spectral_parts(spec, self.basis)
+        self._c0 = self._halves[0][self._y0_half]
 
     @cached_property
     def norm_bound(self) -> float:

@@ -37,7 +37,9 @@ even class E (that of |y0>, whose sigma half is empty) and the odd class
 O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
 per basis, so a draw again computes only the stored values:
 `SparseAction.apply_half` applies one block, and `chiral_block` builds B
-as a numpy array for dense algebra.
+as a numpy array for dense algebra.  `spectral_parts` is the one dense
+eigendecomposition, two-sided over E and O (`parity_sides`), that both
+`evolve.Propagator` and the Trotter error algebra read.
 """
 
 from __future__ import annotations
@@ -69,6 +71,8 @@ __all__ = [
     "dense_matrix",
     "moment_table",
     "natural_basis",
+    "parity_sides",
+    "spectral_parts",
     "symmetry_blocks",
     "coupling_norm_bound",
     "norm_tail_probability",
@@ -190,8 +194,11 @@ def chiral(spec: HamiltonianSpec) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _sides(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of even sigma weight (E) and of odd sigma weight (O)."""
+def parity_sides(basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of even sigma weight (E) and of odd sigma weight (O).
+
+    Every sigma_i tau_j double flip moves a row to the other side.
+    """
     odd = np.count_nonzero(basis.signs[:, : basis.n] < 0, axis=1) % 2 == 1
     sides = (np.flatnonzero(~odd), np.flatnonzero(odd))
     for arr in sides:
@@ -212,7 +219,7 @@ def _chiral_layout(basis: Basis, hopping: bool) -> tuple[tuple[np.ndarray, ...],
     the same order.
     """
     indptr, indices, term, diag = _layout(basis, hopping)
-    sides = _sides(basis)
+    sides = parity_sides(basis)
     # per stored entry: the int64 row and side transients, the masks, and
     # the split's indices (with their unmapped copy), rows and term
     _check_bytes(42 * term.size, f"chiral split of {term.size} entries")
@@ -250,12 +257,33 @@ def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     if not chiral(spec):
         raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
     _check_basis(spec, basis)
-    e, o = (side.size for side in _sides(basis))
+    e, o = (side.size for side in parity_sides(basis))
     _check_bytes(8 * (3 * e * e + 2 * e * o), f"chiral split {e}+{o} (dense)")
     half = _chiral_layout(basis, spec.kind is Kind.H3)[0]
     out = np.zeros((e, o))
     out[half[2], half[1]] = _half_values(spec, half)
     return out
+
+
+def spectral_parts(
+    spec: HamiltonianSpec, basis: Basis
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(omega, (P, V)): H's spectrum on the two sides of `SparseAction.sides`.
+
+    For a `chiral` spec B B^T = P diag(omega^2) P^T on E and V = B^T P;
+    for any other spec H = P diag(omega) P^T on the whole basis and
+    V = P diag(omega).  Either way, since cos(x) and sin(x) / x are even,
+    cos(Ht) maps side 0 to itself as P cos(omega t) P^T and sin(Ht) maps
+    side 0 to side 1 as V (sin(omega t) / omega) P^T; for a chiral spec
+    cos(Ht) maps O to itself as I - V (2 sin^2(omega t / 2) / omega^2) V^T.
+    One eigh, of half the size for a chiral spec.
+    """
+    if chiral(spec):
+        b = chiral_block(spec, basis)
+        w2, p = np.linalg.eigh(b @ b.T)
+        return np.sqrt(np.maximum(w2, 0.0)), (p, b.T @ p)
+    omega, p = np.linalg.eigh(dense_matrix(spec, basis))
+    return omega, (p, p * omega)
 
 
 def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:
@@ -317,7 +345,7 @@ class SparseAction:
         whole basis, and each half-step is H itself.
         """
         if chiral(self.spec):
-            return _sides(self.basis)
+            return parity_sides(self.basis)
         rows = np.arange(self.basis.dimension)
         return rows, rows
 

@@ -27,7 +27,7 @@ _BRUTE_MAX = 9
 # Python.  2^11 subsets keep a table of one matrix near 2^11 * m * 8 bytes.
 _LOW_COLUMNS = 11
 # Matrices per chunk are sized so one chunk's table is about this many bytes,
-# which keeps the table and the doubling's temporaries inside a 2 MiB L2: on
+# which keeps the doubling's two table buffers inside a 2 MiB L2: on
 # a 2-core Xeon a (16000, 8, 8) stack took 0.08-0.11 s with 512 KiB chunks
 # and 0.28-0.36 s with 1 MiB chunks.
 _CHUNK_BYTES = 1 << 19
@@ -79,15 +79,28 @@ def _glynn(matrix: np.ndarray, ndim: int) -> np.ndarray:
         return np.ones(a.shape[:-2])
     flat = a.reshape(-1, m, m)
     low = min(m - 1, _LOW_COLUMNS)
-    step = max(1, _CHUNK_BYTES // ((8 * m) << low))
+    step = max(1, min(len(flat), _CHUNK_BYTES // ((8 * m) << low)))
     out = np.empty(len(flat))
+    # The doubling alternates between the two halves of one buffer
+    # allocated per call, each step written contiguously into the other.
+    # Fresh temporaries per step would make the time depend on the
+    # allocator's state: glibc returns their freed pages and faults them in
+    # again unless an earlier large free has raised its thresholds (a
+    # (1000, 8, 8) stack: 5.6-6.3 ms against 2.1-2.2 ms, 2-core box).
+    bufs = np.empty((2, (m << low) * step))
     for s0 in range(0, len(flat), step):
         # cols[j] holds column j of every matrix as (row, 1, batch).
         cols = flat[s0 : s0 + step].transpose(2, 1, 0)[:, :, None, :].copy()
-        table = np.zeros_like(cols[0])
+        b = cols.shape[-1]
+        table = bufs[0][: m * b].reshape(m, 1, b)
+        table[:] = 0.0
         for j in range(1, low + 1):
-            table = np.concatenate((table + cols[j], table - cols[j]), axis=1)
-        out[s0 : s0 + step] = _glynn_high(table, cols[low + 1 :], cols[0])
+            h = 1 << (j - 1)
+            doubled = bufs[j % 2][: 2 * h * m * b].reshape(m, 2 * h, b)
+            np.add(table, cols[j], out=doubled[:, :h])
+            np.subtract(table, cols[j], out=doubled[:, h:])
+            table = doubled
+        out[s0 : s0 + b] = _glynn_high(table, cols[low + 1 :], cols[0])
     return np.ldexp(out, 1 - m).reshape(a.shape[:-2])
 
 

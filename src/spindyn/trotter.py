@@ -2,27 +2,49 @@
 
 A circuit is an ordered list of two-spin rotations, each acting on one
 sigma-site and one tau-site.  Exponentials of the five supported Pauli
-pairs have closed forms: a gate maps each basis state's amplitude to a
-mix of itself and its partner under the double flip, so sequences can be
+pairs have closed forms: a gate mixes the two rows of each pair joined
+by its double flip and at most phases the rest, so sequences can be
 applied to states or accumulated into dense unitaries without any series
 expansion.
 
-Gates read each site's flip partners from a `core.Basis`, the same rows
-the Hamiltonian is laid out from: the full basis for `apply_sequence`,
-each symmetry block for the error algebra.
+Gates read each site's flip pairs from the rows of a `core.Basis`, the
+same rows the Hamiltonian is laid out from: the full basis for
+`apply_sequence`, each symmetry block for the error algebra.  The pairs
+and the signs below are cached per basis (`_flip_pairs`).
 
 Error norms run block by block.  The XX+YY and XX+YY+ZZ gates (H3, H4)
 conserve Hamming weight and the class-I gates (H1, H2) conserve Z-parity,
 so e^{-iHt} and the product formula are both block-diagonal in that
 partition (2n+1 weight blocks or 2 parity blocks, from
-`hamiltonian.symmetry_blocks`).
-Each block's H is `hamiltonian.dense_matrix` on that block, never a
-slice of the whole 4^n matrix, and is diagonalised once per call and
-shared by every step count M;
-||e^{-iHt} - T^M|| is the largest singular value over the blocks of
-U_b - S_b^M, where S_b is one step applied inside block b.  A spin flip
-that commutes with every gate pairs blocks of equal error, so only one
-block of each mirror pair is computed (`_error_blocks`).  All dense
+`hamiltonian.symmetry_blocks`).  ||e^{-iHt} - T^M|| is the largest
+singular value over the blocks of U_b - S_b^M, where S_b is one step
+applied inside block b.  A spin flip that commutes with every gate pairs
+blocks of equal error, so only one block of each mirror pair is computed
+(`_error_blocks`).
+
+The E/O gauge.  Every double flip moves a row between E and O, the rows
+of even and odd sigma parity (`hamiltonian.parity_sides`).  With
+G = diag(1 on E, i on O), a gate that only flips spins (XX, YY, XX+YY:
+the gates of H1 and H3) has real G^H g G, since its flip coefficient b is
+imaginary and becomes i b on E rows and -i b on O rows.  A unitary
+similarity keeps every singular value, so the chiral kinds run their
+whole block algebra in float64: the step, its power and the SVD.  The
+tags decide: one kernel, `_apply_gates`, runs a flip-only sequence in the
+gauge and any other (H2, H4) in complex arithmetic with G = I.
+
+The Strang step.  Every gate is complex-symmetric and the order-2 step
+is a palindrome, so S = A^T A with A its first half; in the gauge, with
+A' = G^H A G and Pi = G^2 = diag(1 on E, -1 on O), S' = (Pi A'^T Pi) A'.
+
+The exact part.  Each block's H is `hamiltonian.dense_matrix` or, for a
+chiral kind, its E x O block B, never a slice of the whole 4^n matrix;
+`hamiltonian.spectral_parts` gives the same two-sided parts (omega,
+(P, V)) the dense `evolve.Propagator` reads, once per call for every
+step count M.  For the chiral kinds that is one eigh of B B^T, half the
+block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht) is real:
+P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O, minus
+its transpose on O x E, and I - V (2 sin^2(omega t / 2) / omega^2) V^T on
+O x O.  H2 and H4 take cos(Ht) - i sin(Ht) from the first two.  All dense
 algebra runs on numpy's LAPACK, so one BLAS thread pool serves it.
 """
 
@@ -30,12 +52,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import Basis, HamiltonianSpec, Kind, Rng, hamming_class_states, sample_coupling
-from .hamiltonian import dense_matrix, symmetry_blocks
+from .hamiltonian import chiral, parity_sides, spectral_parts, symmetry_blocks
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
@@ -76,56 +99,108 @@ class GateSequence:
             tuple(Gate(int(g.i), int(g.j), str(g.tag), float(g.angle)) for g in self.gates),
         )
 
-    def gate_count(self) -> int:
-        return len(self.gates)
+
+# Generators that only flip spins.  Every sigma_i tau_j double flip moves
+# a row between E and O, so in the E/O gauge their gates are real.
+_FLIP_TAGS = frozenset({"XX", "YY", "XX+YY"})
 
 
-def _gate_coefficients(tag: str, th: float) -> tuple[complex, complex, complex, complex]:
-    """(a, b) for rows whose two bits agree, then for rows where they differ."""
+def _in_gauge(gates: Sequence[Gate]) -> bool:
+    """Whether the gates act in the E/O gauge (module docstring): the tags decide."""
+    return all(g.tag in _FLIP_TAGS for g in gates)
+
+
+def _gate_moves(tag: str, th: float) -> tuple[complex, tuple[tuple, ...]]:
+    """A gate as (phase, moves).
+
+    Every row is first scaled by `phase`; then each move (pairs, a, b)
+    maps each flip pair (x, y) in `pairs` to (a x + b y, a y + b x).  The
+    pairs are "hop" (the two addressed bits differ), "stay" (they agree)
+    or "all".  A flip-only gate has phase 1, real a and imaginary b.
+    """
     c, s = math.cos(th), math.sin(th)
     if tag == "XX":
-        return c, -1j * s, c, -1j * s
+        return 1.0, (("all", c, -1j * s),)
     if tag == "YY":
-        return c, 1j * s, c, -1j * s
-    if tag == "ZZ":
-        return np.exp(-1j * th), 0.0, np.exp(1j * th), 0.0
+        return 1.0, (("hop", c, -1j * s), ("stay", c, 1j * s))
     if tag == "XX+YY":
         # pure hopping of amplitude 2 between the two differing states
-        return 1.0, 0.0, math.cos(2 * th), -1j * math.sin(2 * th)
+        return 1.0, (("hop", math.cos(2 * th), -1j * math.sin(2 * th)),)
+    lo = np.exp(-1j * th)
+    if tag == "ZZ":
+        # equal bits pick up e^{-i th}, differing bits e^{i th}
+        return lo, (("hop", np.exp(2j * th), 0.0),)
     # XX+YY+ZZ: equal bits pick up e^{-i th}; the differing pair splits
     # into a symmetric (eigenvalue +1) and antisymmetric (-3) combination
-    lo, hi = np.exp(-1j * th), np.exp(3j * th)
-    return lo, 0.0, (lo + hi) / 2, (lo - hi) / 2
+    hi = np.exp(4j * th)  # e^{3i th} relative to lo
+    return lo, (("hop", (1 + hi) / 2, (1 - hi) / 2),)
 
 
-def _apply_gate(
-    arr: np.ndarray, gate: Gate, flipped: np.ndarray, diff: np.ndarray
-) -> np.ndarray:
-    """Gate action on the first axis of a (rows,) or (rows, cols) array.
+@lru_cache(maxsize=64)
+def _flip_pairs(basis: Basis) -> tuple[list[list[dict[str, tuple]]], np.ndarray]:
+    """Each double flip's row pairs on the basis, and Pi on each row.
 
-    Every gate maps row r to a_r arr[r] + b_r arr[flipped[r]], where the
-    pair (a_r, b_r) depends only on whether the two addressed bits of
-    state r differ, so the same code acts on the full basis and on any
-    set of rows closed under the flip.  A row whose partner leaves the
-    rows has flipped[r] = r and b_r = 0 (only the hopping gates, which
-    leave equal-bit rows in place, run on such rows).
+    Every sigma_i tau_j flip pairs a row on E with a partner on O.
+    pairs[i][j][part] = (rows, swapped, sign) for the "hop" pairs (the
+    two addressed bits differ), the "stay" pairs (they agree; none in a
+    weight block, which an equal-bit flip leaves) and "all": rows lists
+    the pairs' E rows and then their O partners, swapped each row's
+    partner, and sign (a column) is +1 on the E rows and -1 on the O
+    rows.  A part that holds every row of the basis is the slice of all
+    rows, so its gates run on the whole array in place.  Pi is +1 on E
+    and -1 on O.  Like the flip index, every array is read-only and shared.
     """
-    a_eq, b_eq, a_df, b_df = _gate_coefficients(gate.tag, gate.angle)
-    a = np.where(diff, a_df, a_eq)
-    b = np.where(diff, b_df, b_eq)
-    if arr.ndim == 2:
-        a, b = a[:, None], b[:, None]
-    out = a * arr
-    if b_eq or b_df:
-        moved = arr[flipped]
-        moved *= b
-        out += moved
-    return out
+    even, odd = parity_sides(basis)
+    pi = np.ones(basis.dimension)
+    pi[odd] = -1.0
+    pi.flags.writeable = False
+    pairs = []
+    for i in range(basis.n):
+        row = []
+        for j in range(basis.n):
+            partner, differ = basis.partner[i, j], basis.differ[i, j]
+            hop = even[differ[even]]
+            stay = even[~differ[even] & (partner[even] != even)]
+            parts = {}
+            for part, e in (("hop", hop), ("stay", stay), ("all", np.r_[hop, stay])):
+                if 2 * e.size == basis.dimension:
+                    parts[part] = (slice(None), partner, pi[:, None])
+                    continue
+                sign = np.r_[np.ones(e.size), -np.ones(e.size)][:, None]
+                parts[part] = (np.r_[e, partner[e]], np.r_[partner[e], e], sign)
+                for arr in parts[part]:
+                    arr.flags.writeable = False
+            row.append(parts)
+        pairs.append(row)
+    return pairs, pi
 
 
 def _apply_gates(arr: np.ndarray, gates: Sequence[Gate], basis: Basis) -> np.ndarray:
+    """Apply the gates in order to the first axis of a (rows,) or (rows,
+    cols) array, in place, and return it.
+
+    Every gate mixes the two rows of each flip pair (`_flip_pairs`) and
+    leaves or phases the rest, so the same code acts on the full basis
+    and on any set of rows closed under the gates' flips.  If
+    `_in_gauge(gates)`, each gate acts as G^H g G with G = diag(1 on E,
+    i on O): a pair's b becomes i b on its E row and -i b on its O row,
+    both real, so a real array stays real.  Otherwise G = I and the array
+    must be complex.
+    """
+    pairs = _flip_pairs(basis)[0]
+    gauge = _in_gauge(gates)
+    cols = arr.reshape(arr.shape[0], -1)  # a view: a vector is one column
     for g in gates:
-        arr = _apply_gate(arr, g, basis.partner[g.i, g.j], basis.differ[g.i, g.j])
+        phase, moves = _gate_moves(g.tag, g.angle)
+        if phase != 1.0:
+            cols *= phase
+        for part, a, b in moves:
+            rows, swapped, sign = pairs[g.i][g.j][part]
+            mixed, moved = cols[rows], cols[swapped]
+            mixed *= a
+            moved *= sign * -b.imag if gauge else b
+            mixed += moved
+            cols[rows] = mixed
     return arr
 
 
@@ -133,7 +208,15 @@ def apply_sequence(seq: GateSequence, v: np.ndarray) -> np.ndarray:
     """Apply the gates in order to a full-basis state (or matrix columns)."""
     if v.shape[0] != 1 << (2 * seq.n):
         raise ValueError("state dimension does not match the gate layout")
-    return _apply_gates(v.astype(complex, copy=True), seq.gates, Basis.full(seq.n))
+    basis = Basis.full(seq.n)
+    arr = v.astype(complex, copy=True)
+    if not _in_gauge(seq.gates):
+        return _apply_gates(arr, seq.gates, basis)
+    odd = parity_sides(basis)[1]
+    arr[odd] *= -1j  # G^H v
+    _apply_gates(arr, seq.gates, basis)
+    arr[odd] *= 1j
+    return arr
 
 
 def _check_dense_dim(dim: int) -> None:
@@ -192,17 +275,51 @@ def build_trotter(
 
 
 def _step_matrix(gates: Sequence[Gate], block: Basis, order: int) -> np.ndarray:
-    """One product-formula step (the gates of build_trotter) inside a block.
+    """One product-formula step (the gates of build_trotter) inside a
+    block, in the gauge `_apply_gates` takes: real for flip-only gates.
 
     Every gate is complex-symmetric and the Strang step is a palindrome,
     so at order 2 the step is A^T A with A the first half applied to the
-    block identity: half the gate work for one block product.
+    block identity: half the gate work for one block product.  In the E/O
+    gauge, with A' = G^H A G and G^2 = Pi, that is (Pi A'^T Pi) A'.
     """
-    eye = np.eye(block.dimension, dtype=complex)
+    gauge = _in_gauge(gates)
+    eye = np.eye(block.dimension, dtype=float if gauge else complex)
     if order == 1:
         return _apply_gates(eye, gates, block)
     half = _apply_gates(eye, gates[: len(gates) // 2], block)
-    return half.T @ half
+    if not gauge:
+        return half.T @ half
+    pi = _flip_pairs(block)[1]
+    return (pi[:, None] * half.T * pi) @ half
+
+
+def _exact_part(spec: HamiltonianSpec, block: Basis, t: float) -> np.ndarray:
+    """e^{-iHt} on the block from `spectral_parts`, in its gates' gauge.
+
+    A chiral spec's gates are flip-only, and there G^H e^{-iHt} G =
+    cos(Ht) + Pi sin(Ht), real: P cos(omega t) P^T on E x E,
+    P (sin(omega t) / omega) V^T on E x O, minus its transpose on O x E,
+    and I - V (2 sin^2(omega t / 2) / omega^2) V^T on O x O.  Any other
+    spec reads cos(Ht) - i sin(Ht) from the first two parts.
+    """
+    omega, (p, v) = spectral_parts(spec, block)
+    wt = omega * t
+    # sin(omega t) / omega and sin(omega t / 2) / omega, t and t / 2 at omega = 0
+    sinc, half = np.full_like(wt, t), np.full_like(wt, t / 2)
+    np.divide(np.sin(wt), omega, out=sinc, where=omega != 0.0)
+    np.divide(np.sin(wt / 2), omega, out=half, where=omega != 0.0)
+    ee = (p * np.cos(wt)) @ p.T
+    eo = (p * sinc) @ v.T
+    if not chiral(spec):
+        return ee - 1j * eo
+    e, o = parity_sides(block)
+    out = np.empty((block.dimension, block.dimension))
+    out[np.ix_(e, e)] = ee
+    out[np.ix_(e, o)] = eo
+    out[np.ix_(o, e)] = -eo.T
+    out[np.ix_(o, o)] = np.eye(o.size) - (v * (2.0 * half * half)) @ v.T
+    return out
 
 
 def _error_blocks(kind: Kind, n: int) -> list[Basis]:
@@ -232,24 +349,36 @@ def _error_blocks(kind: Kind, n: int) -> list[Basis]:
 
 
 def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int):
-    """Per kept block (`_error_blocks`): (block index, exact U_b, [S_b^M for each M]).
+    """Per kept block (`_error_blocks`): (block, exact U_b, [S_b^M for each M]).
 
     S_b is one product-formula step of size t/M applied inside the block;
     the exact part comes from one eigendecomposition per block, shared by
-    every M.
+    every M.  Both are in the gauge of the block's gates, which keeps the
+    singular values of U_b - S_b^M (a unitary similarity).
     """
     _check_dense_dim(1 << (2 * spec.n))
     if any(M < 1 for M in Ms):
         raise ValueError("M must be at least 1")
     steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
     for block in _error_blocks(spec.kind, spec.n):
-        evals, evecs = np.linalg.eigh(dense_matrix(spec, block))
-        exact = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+        exact = _exact_part(spec, block, t)
         powers = [
             np.linalg.matrix_power(_step_matrix(step, block, order), M)
             for step, M in zip(steps, Ms)
         ]
         yield block, exact, powers
+
+
+def _block_error(exact: np.ndarray, power: np.ndarray) -> float:
+    """||U_b - S_b^M||: the largest singular value, from a values-only SVD."""
+    return float(np.linalg.svd(exact - power, compute_uv=False)[0])
+
+
+def block_arithmetic(spec: HamiltonianSpec) -> str:
+    """The arithmetic of `spec`'s block error algebra, as reports name it:
+    "real (E/O gauge)" when its gates only flip spins (H1, H3), else
+    "complex"."""
+    return "real (E/O gauge)" if _in_gauge(_step_gates(spec, 1.0)) else "complex"
 
 
 def trotter_operator_errors(
@@ -258,8 +387,7 @@ def trotter_operator_errors(
     """||e^{-iHt} - T^M|| for every M, as the maximum over symmetry blocks."""
     errs = np.zeros(len(Ms))
     for _, exact, powers in _block_products(spec, t, Ms, order):
-        block_errs = [np.linalg.norm(exact - p, 2) for p in powers]
-        errs = np.maximum(errs, block_errs)
+        errs = np.maximum(errs, [_block_error(exact, p) for p in powers])
     return [float(e) for e in errs]
 
 
@@ -273,7 +401,11 @@ def trotter_operator_error(
 def l1_unitary_bound_check(
     spec: HamiltonianSpec, t: float, M: int, order: int
 ) -> tuple[float, float]:
-    """(sum_x |p - p'|, 4 ||U - T^M||); the first never exceeds the second."""
+    """(sum_x |p - p'|, 4 ||U - T^M||); the first never exceeds the second.
+
+    y0 lies on E, where the gauge is 1, so its columns carry the
+    probabilities |.|^2 unchanged.
+    """
     (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
     l1, norm = 0.0, 0.0
     for block, exact, (power,) in _block_products(spec, t, [M], order):
@@ -281,7 +413,7 @@ def l1_unitary_bound_check(
         if col >= 0:
             p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
             l1 = float(np.sum(np.abs(p_exact - p_trotter)))
-        norm = max(norm, float(np.linalg.norm(exact - power, 2)))
+        norm = max(norm, _block_error(exact, power))
     bound = 4.0 * norm
     if l1 > bound + 1e-9:
         raise RuntimeError(

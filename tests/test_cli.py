@@ -376,10 +376,19 @@ def test_cli_spawns_git_once_per_process(tmp_path, monkeypatch):
 def test_trotter_error_reports_its_blocks_on_stderr(tmp_path, capsys):
     args = ["trotter-error", "--model", "H3", "--n", "3", "--m-grid", "4"]
     assert run_cli(args, tmp_path) == 0
-    assert capsys.readouterr().err.strip() == "weight blocks: 7, largest 20"
+    assert capsys.readouterr().err.strip() == (
+        "weight blocks: 7 in real (E/O gauge) arithmetic, largest 20"
+    )
     args = ["trotter-error", "--model", "H1", "--n", "2", "--m-grid", "4"]
     assert run_cli(args, tmp_path) == 0
-    assert capsys.readouterr().err.strip() == "parity blocks: 2, largest 8"
+    assert capsys.readouterr().err.strip() == (
+        "parity blocks: 2 in real (E/O gauge) arithmetic, largest 8"
+    )
+    args = ["trotter-error", "--model", "H4", "--n", "2", "--m-grid", "4"]
+    assert run_cli(args, tmp_path) == 0
+    assert capsys.readouterr().err.strip() == (
+        "weight blocks: 5 in complex arithmetic, largest 6"
+    )
 
 
 def test_commands_load_one_blas_pool(tmp_path):

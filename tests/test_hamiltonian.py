@@ -328,7 +328,7 @@ def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
         chiral_block(spec, basis)
     # z fields and ZZ terms put a diagonal inside the even sigma class
     h = dense_matrix(spec, basis)
-    assert h[np.ix_(*[hamiltonian._sides(basis)[0]] * 2)].any()
+    assert h[np.ix_(*[hamiltonian.parity_sides(basis)[0]] * 2)].any()
 
 
 def test_chiral_block_is_guarded_before_allocating():

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.hamiltonian import SparseAction, dense_matrix, symmetry_blocks
+from spindyn.hamiltonian import SparseAction, dense_matrix, parity_sides, symmetry_blocks
 from spindyn.trotter import (
     _apply_gates,
     _block_products,
@@ -100,8 +100,8 @@ def test_sequence_validation():
 def test_gate_counts():
     spec = random_spec(Kind.H3, 2, 13)
     for M in (1, 3, 7):
-        assert build_trotter(spec, 1.0, M, 1).gate_count() == 4 * M
-        assert build_trotter(spec, 1.0, M, 2).gate_count() == 8 * M
+        assert len(build_trotter(spec, 1.0, M, 1).gates) == 4 * M
+        assert len(build_trotter(spec, 1.0, M, 2).gates) == 8 * M
 
 
 def test_first_order_step_structure():
@@ -243,6 +243,22 @@ def test_blocks_share_the_cached_flip_index(kind):
             block.partner.flat[0] = 0
 
 
+def gauge(block):
+    """The diagonal of G: 1 on the even sigma-parity rows E, i on O."""
+    g = np.ones(block.dimension, dtype=complex)
+    g[parity_sides(block)[1]] = 1j
+    return g
+
+
+def original_basis(step, block):
+    """G S' G^H: a step of `_step_matrix` back in the block's own basis
+    (only real steps, those of flip-only gates, are in the E/O gauge)."""
+    if np.iscomplexobj(step):
+        return step
+    g = gauge(block)
+    return g[:, None] * step * g.conj()
+
+
 def assert_flip_maps_block(spec, src, dst, mask):
     """Flipping the spins in `mask` carries H and every step from src onto dst."""
     perm = dst.pos[src.states ^ mask]
@@ -252,7 +268,9 @@ def assert_flip_maps_block(spec, src, dst, mask):
     assert np.array_equal(h_dst[moved], h_src)
     for order in (1, 2):
         gates = build_trotter(spec, 0.7, 1, order).gates
-        s_src, s_dst = (_step_matrix(gates, b, order) for b in (src, dst))
+        s_src, s_dst = (
+            original_basis(_step_matrix(gates, b, order), b) for b in (src, dst)
+        )
         assert np.max(np.abs(s_dst[moved] - s_src)) <= 1e-14
 
 
@@ -300,6 +318,71 @@ def test_h2_parity_blocks_are_not_paired(n):
 def test_kept_blocks_hold_y0(kind, n):
     y0 = BitString.y0(n).index()
     assert sum(int(b.pos[y0] >= 0) for b in _error_blocks(kind, n)) == 1
+
+
+@pytest.mark.parametrize("kind", [Kind.H1, Kind.H3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_chiral_blocks_run_real_in_the_eo_gauge(kind, n):
+    # every matrix of a chiral kind's error algebra is real in the gauge
+    # G = diag(1 on E, i on O): the step is G^H (the complex gate product)
+    # G and the exact part G^H e^{-iHt} G, a real orthogonal matrix
+    spec = random_spec(kind, n, 131 + n)
+    t = 1.1
+    for order in (1, 2):
+        gates = build_trotter(spec, t, 1, order).gates
+        product = np.eye(1 << (2 * n), dtype=complex)
+        for gate in gates:
+            product = gate_oracle(gate, n) @ product
+        for block in _error_blocks(kind, n):
+            step = _step_matrix(gates, block, order)
+            assert step.dtype == np.float64
+            g = gauge(block)
+            want = g.conj()[:, None] * product[np.ix_(block.states, block.states)] * g
+            assert np.max(np.abs(step - want)) <= 1e-13
+    for block, exact, _ in _block_products(spec, t, [1], 2):
+        assert exact.dtype == np.float64
+        assert np.max(np.abs(exact.T @ exact - np.eye(block.dimension))) <= 1e-13
+        g = gauge(block)
+        want = scipy.linalg.expm(-1j * t * dense_matrix(spec, block))
+        assert np.max(np.abs(exact - g.conj()[:, None] * want * g)) <= 1e-13
+
+
+# ||e^{-iHt} - T^M|| at t = ln n, J from sample_coupling(n, Rng(seed)), as
+# the complex block algebra computed it with one BLAS thread: (kind, n,
+# seed, order) -> errors at M = 8 (and 64).  H1's are rounding zeros.
+PINNED_ERRORS = {
+    (Kind.H3, 5, 0, 2): [0.0018670475611672183],
+    (Kind.H3, 5, 1, 2): [0.0024223109138043924],
+    (Kind.H3, 5, 2, 2): [0.002218053428241389],
+    (Kind.H3, 5, 3, 2): [0.0022668094174487737],
+    (Kind.H1, 4, 0, 1): [7.0178456052580966e-15, 1.6212752379275205e-14],
+    (Kind.H1, 4, 0, 2): [7.652918714653163e-15, 3.65447500281151e-14],
+    (Kind.H2, 4, 0, 1): [0.20236935357111988, 0.025360201768900293],
+    (Kind.H2, 4, 0, 2): [0.007086659273665195, 0.00011075967466879655],
+    (Kind.H3, 4, 0, 1): [0.056501967894611545, 0.007064995881640914],
+    (Kind.H3, 4, 0, 2): [0.0010212064676437, 1.5958293892508578e-05],
+    (Kind.H4, 4, 0, 1): [0.07914976468103654, 0.00983062475499785],
+    (Kind.H4, 4, 0, 2): [0.001954815006546795, 3.0546406779129446e-05],
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(PINNED_ERRORS), ids=lambda c: f"{c[0].value}-n{c[1]}-seed{c[2]}-order{c[3]}"
+)
+def test_errors_match_the_complex_block_algebra(case):
+    # 1e-12 relative, plus 1e-14 absolute: the rounding floor of a 64-step
+    # power, where both the complex and the real algebra lie up to 7e-15
+    # from an 80-bit computation of the same H3 and H4 errors at n = 3, 4;
+    # H1's rounding zeros are held at 1e-12 absolute
+    kind, n, seed, order = case
+    want = PINNED_ERRORS[case]
+    Ms = [8, 64][: len(want)]
+    got = trotter_operator_errors(random_spec(kind, n, seed), math.log(n), Ms, order)
+    for g, w in zip(got, want):
+        if kind is Kind.H1:
+            assert abs(g - w) <= 1e-12
+        else:
+            assert abs(g - w) <= 1e-12 * w + 1e-14
 
 
 def test_error_rejects_nonpositive_step_count():
