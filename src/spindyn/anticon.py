@@ -31,7 +31,12 @@ from .core import (
     hamming_class_states,
     sample_coupling,
 )
-from .evolve import Propagator
+from .evolve import (
+    KrylovConvergenceError,
+    Propagator,
+    draws_per_chunk,
+    probability_tables,
+)
 from .hamiltonian import natural_basis
 from .hardness import anticoncentration_thresholds
 
@@ -115,13 +120,14 @@ def _ensemble_sums(
 
     `p`, `p2` and `p4` sum p, p^2 and p^4 per (x in X_{n/2}, t); `mean`
     and `mean2` sum each draw's X_{n/2} mean of p, and its square, per t.
-    Draws are independent substreams, so threading changes wall time only:
-    the pool hands back tables in draw order and the sums take them in
-    that order.  Only the X_{n/2} rows are propagated: above the dense
-    limit (n >= 4 in the full basis, n >= 5 in the sector) that is the
-    Chebyshev recurrence, so n = 8 (sector dimension C(16,8) = 12870)
-    costs sparse matvecs and O(order * |X_{n/2}| + dimension) memory per
-    draw, not a 12870-dim eigh.
+    Only the X_{n/2} rows are propagated.  The pool takes the draws in
+    chunks of `draws_per_chunk` consecutive indices, each one
+    `probability_tables` call; above the dense limit (n >= 4 in the full
+    basis, n >= 5 in the sector) that is one Chebyshev recurrence for the
+    whole chunk.  Draws are independent substreams and a draw's table has
+    the same bits in any chunk, and the sums take the tables in draw order,
+    so neither the thread count nor the chunking changes a bit.  A failed
+    guard names the ensemble's draw index.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and at least 2 for the X_{n/2} sweep")
@@ -134,22 +140,33 @@ def _ensemble_sums(
     basis = natural_basis(kind, n)
     positions = basis.pos[hamming_class_states(n, n // 2)]
 
-    def one_draw(j: int) -> np.ndarray:
-        spec = HamiltonianSpec(kind, sample_coupling(n, rng.substream(j)))
-        return Propagator(spec, basis=basis).all_probabilities_at(times, rows=positions)
+    def one_chunk(draws: range) -> list[np.ndarray]:
+        props = [
+            Propagator(HamiltonianSpec(kind, sample_coupling(n, rng.substream(j))), basis=basis)
+            for j in draws
+        ]
+        try:
+            return probability_tables(props, times, positions)
+        except KrylovConvergenceError as exc:
+            j = draws[exc.draw]
+            raise KrylovConvergenceError(f"coupling draw {j}: {exc}", j) from exc
 
+    # equal chunks of at most draws_per_chunk draws, in draw order
+    count = -(-num_J // draws_per_chunk(kind, basis))
+    edges = [i * num_J // count for i in range(count + 1)]
+    chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
     p, p2, p4 = (np.zeros((positions.size, times.size)) for _ in range(3))
     mean, mean2 = np.zeros(times.size), np.zeros(times.size)
     with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        tables = (pool.map if threads > 1 else map)(one_draw, range(num_J))
-        for table in tables:
-            sq = table * table
-            p += table
-            p2 += sq
-            p4 += sq * sq
-            draw_mean = table.mean(axis=0)
-            mean += draw_mean
-            mean2 += draw_mean * draw_mean
+        for tables in (pool.map if threads > 1 else map)(one_chunk, chunks):
+            for table in tables:
+                sq = table * table
+                p += table
+                p2 += sq
+                p4 += sq * sq
+                draw_mean = table.mean(axis=0)
+                mean += draw_mean
+                mean2 += draw_mean * draw_mean
     return _EnsembleSums(kind, times, p, p2, p4, mean, mean2)
 
 

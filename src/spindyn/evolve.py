@@ -28,6 +28,21 @@ largest |t| is checked, so a wrong spectral bound fails loudly instead
 of returning a wrong table.
 `Propagator._parts` is the one switch between the engines, and every
 table, probability and state is read from its parts, never renormalized.
+
+One recurrence also serves a chunk of coupling draws on one basis
+(`probability_tables`, the ensemble path): each half-step is one product
+with the draws' block-diagonal `hamiltonian.stacked_half_steps`, and one
+backward Bessel loop serves every draw's columns, each draw's held at
+exactly 0 until the loop reaches that draw's own start.  Every draw keeps
+its own scale, series order, guards and final products, and every
+operation acts row by row or column by column, so a draw's table has the
+same bits in a chunk of any size; a single `Propagator` is a chunk of
+one.  At small dimensions this trades per-call overhead for longer
+products: `equilibrate --model H4 --n 6 --num-j 16` (33 times to 8 ln n)
+took a median 31-33 ms draw by draw and 24-25 ms in chunks of 5-6, in
+process on a 2-core AMD EPYC with one BLAS thread.  `draws_per_chunk`
+sizes chunks from a byte budget, which keeps d >= 4096 at one draw per
+chunk.
 """
 from __future__ import annotations
 
@@ -37,21 +52,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Basis, BitString, HamiltonianSpec, StateVector, hamming_class_states
+from .core import Basis, BitString, HamiltonianSpec, Kind, StateVector, hamming_class_states
 from .hamiltonian import (
     SparseAction,
     chiral,
     coupling_norm_bound,
+    leading_blocks,
     natural_basis,
     spectral_parts,
+    stacked_half_steps,
 )
 
 __all__ = [
     "KrylovConvergenceError",
     "Propagator",
+    "draws_per_chunk",
     "engine",
     "evolve_exact",
     "output_probability",
+    "probability_tables",
     "time_average",
 ]
 
@@ -62,6 +81,17 @@ __all__ = [
 # 0.46-0.47 ms Chebyshev; d = 256 (H1 n = 4, chiral 128 + 128)
 # 0.93-0.97 ms against 0.44-0.46 ms.  No basis has 70 < d < 252.
 _DENSE_LIMIT = 128
+# Coupling draws per ensemble chunk are sized so the chunk's stacked H and
+# vectors stay within this many bytes (`draws_per_chunk`).  The n = 6
+# sector (d = 924) needs about 0.28 MB per draw, so 16 draws run as chunks
+# of 5, 5 and 6; at d >= 4096 (n = 6 in the full basis, the n = 8 sector)
+# a draw needs about 2 MB and runs alone, where stacking saved nothing.
+# Each chunk also keeps its draws' X_{n/2} rows at every series order, so
+# larger chunks cost memory: on a 2-core AMD EPYC, chunks of 8 took
+# `equilibrate --model H4 --n 6 --num-j 16` from a median 30-33 ms to
+# 22-24 ms, and chunks of 5-6 to 24-25 ms, but chunks of 8 raised the
+# peak RSS of a two-thread benchmark pass by 9 MB (+14 %) against 4-6 MB.
+_CHUNK_BYTES = 7 << 18
 _NORM_DRIFT_TOL = 1e-9
 _TAIL_TOL = 1e-16  # bound on sum_{k >= K} (2 - delta_k0) |J_k(a t)|
 _MAX_ORDER = 1 << 16
@@ -74,7 +104,15 @@ _Parts = tuple[np.ndarray, np.ndarray, list[np.ndarray]]  # see Propagator._part
 
 
 class KrylovConvergenceError(RuntimeError):
-    """Raised when the propagation cannot certify its accuracy."""
+    """Raised when the propagation cannot certify its accuracy.
+
+    `draw` is the position, in the chunk given to `probability_tables`, of
+    the propagator whose guard failed (0 for a single propagator), or None.
+    """
+
+    def __init__(self, message: str, draw: int | None = None):
+        super().__init__(message)
+        self.draw = draw
 
 
 def _bessel_tail_bound(z: float, order: int) -> float:
@@ -101,14 +139,28 @@ def _series_order(z: float) -> int:
 
 
 def _bessel_table(z: np.ndarray, order: int) -> np.ndarray:
-    """J_k(z) for 0 <= k < order (rows) at each z (columns).
+    """J_k(z) for 0 <= k < order (rows) at each z (columns); see
+    `_bessel_tables`."""
+    return _bessel_tables([z], [order])[0]
+
+
+def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.ndarray]:
+    """J_k(z) for 0 <= k < orders[g] (rows) at each z of zs[g] (columns),
+    for every group g from one loop.
 
     Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started
-    well above both the order and |z|, normalized by J_0 + 2 sum J_2k = 1
-    and rescaled per column against overflow; J_k(-z) = (-1)^k J_k(z).
+    well above both a group's order and its largest |z|, normalized by
+    J_0 + 2 sum J_2k = 1 and rescaled per column against overflow;
+    J_k(-z) = (-1)^k J_k(z).  A group's columns hold exactly 0 until k
+    reaches the group's own start, where they are set to 1: a zero column
+    stays 0 under the recurrence and adds 0 to the even sum, and every
+    step and rescale acts per column, so each table has the bits it has
+    alone.
     """
-    z = np.asarray(z, dtype=float)
+    z = np.concatenate([np.asarray(g, dtype=float).ravel() for g in zs])
+    bounds = np.cumsum([0, *(np.size(g) for g in zs)])
     x = np.abs(z)
+    order = max(orders)
     out = np.zeros((order, x.size))
     out[0] = 1.0
     small = x < _BESSEL_TINY
@@ -117,41 +169,89 @@ def _bessel_table(z: np.ndarray, order: int) -> np.ndarray:
     live = ~small
     if live.any():
         xl = x[live]
-        base = max(order, math.ceil(xl.max()))
-        top = base + 16 + math.isqrt(40 * base)
+        # each group's live columns are one slice of xl; key them by start
+        at = np.cumsum(np.concatenate([[0], live]))[bounds]
+        starts: dict[int, list[slice]] = {}
+        for lo, hi, o in zip(at[:-1], at[1:], orders):
+            if hi > lo:
+                base = max(o, math.ceil(xl[lo:hi].max()))
+                starts.setdefault(base + 16 + math.isqrt(40 * base), []).append(slice(lo, hi))
         inv = 2.0 / xl
         tab = np.zeros((order, xl.size))
         evens = np.zeros(xl.size)  # sum of j_k over even k >= 2
-        nxt, cur = np.zeros(xl.size), np.ones(xl.size)  # j_{k+1}, j_k
-        for k in range(top, 0, -1):
-            if k < order:
-                tab[k] = cur
-            if k % 2 == 0:
-                evens += cur
-            nxt, cur = cur, (k * inv) * cur - nxt
-            # one step grows a column by at most 2 top / _BESSEL_TINY, so
-            # checking every fourth step keeps it far below overflow
-            if k % 4 == 0 and np.abs(cur).max() > _BESSEL_RESCALE:
-                big = np.abs(cur) > _BESSEL_RESCALE
-                for arr in (cur, nxt, evens):
-                    arr[big] /= _BESSEL_RESCALE
-                tab[k:, big] /= _BESSEL_RESCALE
+        nxt, cur = np.zeros(xl.size), np.zeros(xl.size)  # j_{k+1}, j_k
+        tops = sorted(starts, reverse=True)
+        for top, below in zip(tops, tops[1:] + [0]):
+            for cols in starts[top]:
+                cur[cols] = 1.0
+            for k in range(top, below, -1):
+                if k < order:
+                    tab[k] = cur
+                if k % 2 == 0:
+                    evens += cur
+                nxt, cur = cur, (k * inv) * cur - nxt
+                # one step grows a column by at most 2 top / _BESSEL_TINY,
+                # so checking every fourth step keeps it far below overflow
+                if k % 4 == 0 and np.abs(cur).max() > _BESSEL_RESCALE:
+                    big = np.abs(cur) > _BESSEL_RESCALE
+                    for arr in (cur, nxt, evens):
+                        arr[big] /= _BESSEL_RESCALE
+                    tab[k:, big] /= _BESSEL_RESCALE
         tab[0] = cur
         out[:, live] = tab / (cur + 2.0 * evens)
     out[1::2, z < 0] *= -1.0
-    return out
+    return [
+        np.ascontiguousarray(out[:o, lo:hi])
+        for lo, hi, o in zip(bounds[:-1], bounds[1:], orders)
+    ]
 
 
-def _chebyshev_weights(z: np.ndarray, order: int) -> np.ndarray:
-    """Real weights w_k(z) of the Chebyshev series of e^{-izx}.
+def _chebyshev_weights(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.ndarray]:
+    """Real weights w_k(z) of the Chebyshev series of e^{-izx}, one table
+    per group of `_bessel_tables`.
 
     e^{-izx} = sum_k (2 - delta_k0) (-i)^k J_k(z) T_k(x); w_k is that
     coefficient's real part for even k and its imaginary part for odd k.
     """
-    w = _bessel_table(z, order)
-    w *= 2.0 * np.resize(_PHASE_SIGN, order)[:, None]
-    w[0] /= 2.0
-    return w
+    tables = _bessel_tables(zs, orders)
+    for w in tables:
+        w *= 2.0 * np.resize(_PHASE_SIGN, w.shape[0])[:, None]
+        w[0] /= 2.0
+    return tables
+
+
+def _y0_half(basis: Basis, side0: np.ndarray) -> int:
+    """Where y0 sits on side 0 (E), which holds it: its sigma half is empty."""
+    (y0,) = hamming_class_states(basis.n, 0)  # X_0 holds y0 alone
+    pos = int(basis.pos[y0])
+    if pos < 0:
+        raise ValueError("initial state lies outside the chosen basis")
+    return int(np.searchsorted(side0, pos))
+
+
+def _read_grid(
+    basis: Basis, times: Sequence[float], rows: Sequence[int] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The checked time grid and basis positions of a probability read."""
+    ts = np.asarray(times, dtype=float).ravel()
+    if not ts.size or not np.all(np.isfinite(ts)):
+        raise ValueError("times must be a non-empty finite grid")
+    dim = basis.dimension
+    keep = np.arange(dim) if rows is None else np.asarray(rows, dtype=np.intp)
+    if keep.size and (keep.min() < 0 or keep.max() >= dim):
+        raise ValueError(f"rows must lie in [0, {dim})")
+    return ts, keep
+
+
+def _probabilities(parts: _Parts) -> np.ndarray:
+    """|amplitude|^2 from the real and imaginary parts of `_parts`."""
+    re, im, _ = parts
+    # in place: fewer (rows x times) temporaries for malloc to hand
+    # back to the system and fault in again on the next draw
+    re *= re
+    im *= im
+    re += im
+    return re
 
 
 def _gather(side: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,13 +276,8 @@ class Propagator:
         self.spec = spec
         self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
         self.action = SparseAction(spec, self.basis)
-        (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
-        self._y0_pos = int(self.basis.pos[y0])
-        if self._y0_pos < 0:
-            raise ValueError("initial state lies outside the chosen basis")
-        # y0's sigma half is empty, so it lies on side 0 (E)
         self._sides = self.action.sides
-        self._y0_half = int(np.searchsorted(self._sides[0], self._y0_pos))
+        self._y0_half = _y0_half(self.basis, self._sides[0])
         self.dense = self.basis.dimension <= _DENSE_LIMIT
         if not self.dense:
             return
@@ -206,20 +301,8 @@ class Propagator:
         BLAS product rounds one column differently from several, and the
         Chebyshev series order and Bessel table follow the largest |t|.
         With one time, a Chebyshev row's bits may depend on the row count."""
-        ts = np.asarray(times, dtype=float).ravel()
-        if not ts.size or not np.all(np.isfinite(ts)):
-            raise ValueError("times must be a non-empty finite grid")
-        dim = self.basis.dimension
-        keep = np.arange(dim) if rows is None else np.asarray(rows, dtype=np.intp)
-        if keep.size and (keep.min() < 0 or keep.max() >= dim):
-            raise ValueError(f"rows must lie in [0, {dim})")
-        re, im, _ = self._parts(ts, keep)
-        # in place: fewer (rows x times) temporaries for malloc to hand
-        # back to the system and fault in again on the next draw
-        re *= re
-        im *= im
-        re += im
-        return re
+        ts, keep = _read_grid(self.basis, times, rows)
+        return _probabilities(self._parts(ts, keep))
 
     def _parts(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
         """The one engine switch: the real and imaginary parts at `rows` x
@@ -229,7 +312,7 @@ class Propagator:
         depend on the other rows, and its largest-|t| column is the state.
         """
         if not self.dense:
-            return self._chebyshev(ts, rows)
+            return _chebyshev_parts([self], ts, rows)[0]
         wt = np.outer(self._omega, ts)
         sinc = np.empty_like(wt)
         sinc[:] = ts  # the omega = 0 rows, which the division skips
@@ -245,58 +328,6 @@ class Propagator:
             part[off] = 0.0
             parts.append(part)
         return parts[0], parts[1], far
-
-    def _chebyshev(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
-        """`_parts` from the Chebyshev recurrence.
-
-        The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
-        k mod 2, stepped there by `SparseAction.apply_half`; only
-        phi_k[rows] is kept, so memory is O(order * len(rows) + dimension).
-        """
-        a = self.norm_bound or 1.0  # a = 0 means H = 0
-        t_far = float(ts[np.argmax(np.abs(ts))])
-        order = _series_order(a * t_far)
-        tail = _bessel_tail_bound(a * t_far, order)
-        if tail > _TAIL_TOL:
-            raise KrylovConvergenceError(
-                f"Chebyshev tail bound {tail:.3e} at order {order} exceeds "
-                f"{_TAIL_TOL} (a*|t| = {a * abs(t_far):.3e})"
-            )
-        # the first chunk of times carries t_far along as its last column
-        first = _chebyshev_weights(a * np.append(ts[:_TIME_CHUNK], t_far), order)
-        w_far = first[:, -1]
-        picks = [_gather(side, rows) for side in self._sides]
-        kept = np.empty((order, rows.size))
-        far = [np.zeros(side.size) for side in self._sides]
-        prev, phi = None, np.zeros(self._sides[0].size)
-        phi[self._y0_half] = 1.0
-        for k in range(order):
-            if k == 1:
-                prev, phi = phi, self.action.apply_half(0, phi) / a
-            elif k > 1:
-                step = self.action.apply_half(1 - k % 2, phi)
-                step *= 2.0 / a
-                step -= prev
-                prev, phi = phi, step
-            kept[k] = phi[picks[k % 2][0]]
-            far[k % 2] += w_far[k] * phi
-        drift = abs(math.hypot(*(float(np.linalg.norm(f)) for f in far)) - 1.0)
-        if drift > _NORM_DRIFT_TOL:
-            raise KrylovConvergenceError(
-                f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL} "
-                f"at t = {t_far} (series order {order})"
-            )
-        for s, (_, off) in enumerate(picks):
-            kept[s::2, off] = 0.0  # phi_k is zero off its side
-        re, im = np.empty((rows.size, ts.size)), np.empty((rows.size, ts.size))
-        for s in range(0, ts.size, _TIME_CHUNK):
-            if s == 0:
-                w = first[:, :-1]
-            else:
-                w = _chebyshev_weights(a * ts[s : s + _TIME_CHUNK], order)
-            re[:, s : s + _TIME_CHUNK] = kept[0::2].T @ w[0::2]
-            im[:, s : s + _TIME_CHUNK] = kept[1::2].T @ w[1::2]
-        return re, im, far
 
     def state_at(self, t: float) -> StateVector:
         """e^{-iHt}|y0>; refused, not renormalized, if its norm drifts."""
@@ -317,6 +348,160 @@ class Propagator:
         if pos is None:
             return 0.0
         return float(self.all_probabilities_at([t], rows=[pos])[0, 0])
+
+
+def _chebyshev_parts(
+    props: Sequence[Propagator], ts: np.ndarray, rows: np.ndarray
+) -> list[_Parts]:
+    """`Propagator._parts` of every propagator of a chunk from one
+    Chebyshev recurrence.
+
+    The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
+    k mod 2.  Each (draws x side) array holds one draw per row, and each
+    half-step is one product with the chunk's `stacked_half_steps`.
+    Each draw keeps its own scale a, series order and guards; draws run
+    in order of decreasing series order, and the last draws leave the
+    stack (`leading_blocks`) once their order is reached.  Only
+    phi_k[rows] is kept, so memory is O(draws * (order * len(rows) +
+    dimension)).  The products, the Bessel loop and the updates act row
+    by row, so each draw's table has the bits of a chunk of one.  A
+    failed guard sets the error's `draw` to the draw's position in
+    `props`.
+    """
+    t_far = float(ts[np.argmax(np.abs(ts))])
+    scales, orders = [], []
+    for j, prop in enumerate(props):
+        a = prop.norm_bound or 1.0  # a = 0 means H = 0
+        order = _series_order(a * t_far)
+        tail = _bessel_tail_bound(a * t_far, order)
+        if tail > _TAIL_TOL:
+            raise KrylovConvergenceError(
+                f"Chebyshev tail bound {tail:.3e} at order {order} exceeds "
+                f"{_TAIL_TOL} (a*|t| = {a * abs(t_far):.3e})",
+                j,
+            )
+        scales.append(a)
+        orders.append(order)
+    rank = sorted(range(len(props)), key=lambda j: -orders[j])
+    m, order = len(rank), orders[rank[0]]
+    ranked = [orders[j] for j in rank]
+    # live[k]: the draws that still need phi_k, which are the first of `rank`
+    live = (np.array(ranked)[:, None] > np.arange(order)).sum(axis=0).tolist()
+    # the first chunk of times carries t_far along as its last column
+    head = np.append(ts[:_TIME_CHUNK], t_far)
+    firsts = _chebyshev_weights([scales[j] * head for j in rank], ranked)
+    w_far = np.zeros((order, m, 1))
+    for i, first in enumerate(firsts):
+        w_far[: first.shape[0], i, 0] = first[:, -1]
+    a = np.array([scales[j] for j in rank])[:, None]
+    shape = (m, -1)
+    if m == 1:  # a chunk of one steps plain vectors with scalar weights
+        a, w_far, shape = scales[rank[0]], w_far.ravel(), (-1,)
+    two_a = 2.0 / a
+    lead = props[0]
+    stack = stacked_half_steps([props[j].action for j in rank])
+    sides = lead.action.sides
+    picks = [_gather(side, rows) for side in sides]
+    # where each kept row of each draw sits in a flattened (draws x side) array
+    flat = [(np.arange(m)[:, None] * side.size + local).ravel()
+            for side, (local, _) in zip(sides, picks)]
+    # each draw's kept rows in an array of its own, the shape one draw had
+    kept = [np.empty((orders[j], rows.size)) for j in rank]
+    far = [np.zeros(m * side.size).reshape(shape) for side in sides]
+    prev, phi = None, np.zeros(m * sides[0].size).reshape(shape)
+    phi.reshape(m, -1)[:, _y0_half(lead.basis, sides[0])] = 1.0
+    steps, far_live, n = stack, far, m
+    for k in range(order):
+        if live[k] < n:  # the last draws have reached their order: drop them
+            n = live[k]
+            shape = (n, -1)
+            steps = tuple(leading_blocks(s, n, m) for s in stack)
+            phi, prev, a, two_a, w_far = phi[:n], prev[:n], a[:n], two_a[:n], w_far[:, :n]
+            far_live = [f[:n] for f in far]
+            flat = [f[: n * rows.size] for f in flat]
+        if k == 1:
+            prev, phi = phi, (steps[0] @ phi.ravel()).reshape(shape) / a
+        elif k > 1:
+            step = (steps[1 - k % 2] @ phi.ravel()).reshape(shape)
+            step *= two_a
+            step -= prev
+            prev, phi = phi, step
+        got = phi.ravel()[flat[k % 2]].reshape(n, -1)
+        for i in range(n):
+            kept[i][k] = got[i]
+        far_live[k % 2] += w_far[k] * phi
+    out = {}
+    for i, j in enumerate(rank):
+        state = [f.reshape(m, -1)[i] for f in far]
+        drift = abs(math.hypot(*(float(np.linalg.norm(f)) for f in state)) - 1.0)
+        if not drift <= _NORM_DRIFT_TOL:
+            raise KrylovConvergenceError(
+                f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL} "
+                f"at t = {t_far} (series order {orders[j]})",
+                j,
+            )
+        out[j] = (*_series_sums(kept[i], picks, firsts[i], scales[j], ts), state)
+    return [out[j] for j in range(m)]
+
+
+def _series_sums(
+    kept: np.ndarray,
+    picks: list[tuple[np.ndarray, np.ndarray]],
+    first: np.ndarray,
+    a: float,
+    ts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One draw's real and imaginary parts at its kept rows and `ts`: the
+    weighted sums of its even and of its odd Chebyshev vectors."""
+    for s, (_, off) in enumerate(picks):
+        kept[s::2, off] = 0.0  # phi_k is zero off its side
+    order = kept.shape[0]
+    re, im = np.empty((kept.shape[1], ts.size)), np.empty((kept.shape[1], ts.size))
+    for s in range(0, ts.size, _TIME_CHUNK):
+        if s == 0:
+            w = first[:, :-1]
+        else:
+            (w,) = _chebyshev_weights([a * ts[s : s + _TIME_CHUNK]], [order])
+        re[:, s : s + _TIME_CHUNK] = kept[0::2].T @ w[0::2]
+        im[:, s : s + _TIME_CHUNK] = kept[1::2].T @ w[1::2]
+    return re, im
+
+
+def probability_tables(
+    props: Sequence[Propagator],
+    times: Sequence[float],
+    rows: Sequence[int] | None = None,
+) -> list[np.ndarray]:
+    """`Propagator.all_probabilities_at(times, rows)` of every propagator
+    of a chunk of draws that share one basis and one chiral split, each
+    table the same bits as its own call.
+
+    Dense propagators are read one by one.  Chebyshev propagators share
+    one recurrence (`_chebyshev_parts`): one product with the stacked
+    half-steps per step and one Bessel loop for the chunk, which at small
+    dimensions costs less than a recurrence per draw.  A failed guard
+    names the failing draw's position in `props` as its `draw`.
+    """
+    if len(props) == 1 or props[0].dense:
+        return [prop.all_probabilities_at(times, rows) for prop in props]
+    if any(prop.dense for prop in props):
+        raise ValueError("a chunk needs one engine")
+    ts, keep = _read_grid(props[0].basis, times, rows)
+    return [_probabilities(parts) for parts in _chebyshev_parts(props, ts, keep)]
+
+
+def draws_per_chunk(kind: Kind | str, basis: Basis) -> int:
+    """How many coupling draws of `kind` on `basis` one `probability_tables`
+    call takes in an ensemble: 1 on the dense engine, whose draws share no
+    work, else as many as keep the chunk's stacked H (8-byte values and
+    4-byte indices) and its six vectors per side within `_CHUNK_BYTES`."""
+    d = basis.dimension
+    if d <= _DENSE_LIMIT:
+        return 1
+    # the hopping kinds store only the flips whose two bits differ
+    hops = Kind(kind) in (Kind.H3, Kind.H4)
+    entries = d + (int(np.count_nonzero(basis.differ)) if hops else basis.differ.size)
+    return max(1, _CHUNK_BYTES // (12 * entries + 48 * d))
 
 
 def engine(spec: HamiltonianSpec) -> str:

@@ -26,6 +26,12 @@ closed form without z fields, otherwise a Collatz-Wielandt ratio of |H|,
 whose CSR matrices wrap the absolute values of the draw's stored entries
 over the same cached layouts.
 
+`stacked_half_steps` lays a chunk of coupling draws on one basis out as
+block-diagonal CSR matrices, one per half-step: the cached layout
+repeated at offsets (`_stacked_layout`) over the draws' stored values, so
+one product steps every draw of the chunk with each row's bits unchanged;
+`leading_blocks` keeps the first draws of such a stack.
+
 `symmetry_blocks` is the partition H conserves (weight or Z-parity
 blocks), and `natural_basis` the smallest basis holding y0's dynamics
 (the sector for class II, the full basis for class I).
@@ -36,7 +42,7 @@ with H.  Ordered by sigma parity, H = [[0, B], [B^T, 0]] between the
 even class E (that of |y0>, whose sigma half is empty) and the odd class
 O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
 per basis, so a draw again computes only the stored values:
-`SparseAction.apply_half` applies one block, and `chiral_block` builds B
+`SparseAction.half_steps` holds both blocks, and `chiral_block` builds B
 as a numpy array for dense algebra.  `spectral_parts` is the one dense
 eigendecomposition, two-sided over E and O (`parity_sides`), that both
 `evolve.Propagator` and the Trotter error algebra read.
@@ -47,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -69,10 +75,12 @@ __all__ = [
     "chiral",
     "chiral_block",
     "dense_matrix",
+    "leading_blocks",
     "moment_table",
     "natural_basis",
     "parity_sides",
     "spectral_parts",
+    "stacked_half_steps",
     "symmetry_blocks",
     "coupling_norm_bound",
     "norm_tail_probability",
@@ -165,7 +173,7 @@ def _values(
     Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
     J_ij / 2n); the diagonal entries carry `_diag_values`.
     """
-    indptr, indices, term, diag = _layout(basis, spec.kind in (Kind.H3, Kind.H4))
+    indptr, indices, term, diag = _layout(basis, _hopping(spec))
     data = (spec.couplings.entries.ravel() / spec.n)[term]
     data[diag] = _diag_values(spec, basis.signs)
     return indptr, indices, data
@@ -185,6 +193,11 @@ def _csr(
     m = sp.csr_matrix((data, indices, indptr), shape=shape)
     m.has_canonical_format = True
     return m
+
+
+def _hopping(spec: HamiltonianSpec) -> bool:
+    """Whether the exchange terms hop (H3, H4): they then keep the weight."""
+    return spec.kind in (Kind.H3, Kind.H4)
 
 
 def chiral(spec: HamiltonianSpec) -> bool:
@@ -361,11 +374,12 @@ class SparseAction:
             _csr(*b[:2], _half_values(self.spec, b), (e, o)),
         )
 
-    def apply_half(self, side: int, arr: np.ndarray) -> np.ndarray:
-        """The block of H from side `side` (0 or 1) of `sides` to the other:
-        B^T @ arr from E, B @ arr from O, H @ arr if the spec is not chiral."""
-        halves = self._halves
-        return self.apply_array(arr) if halves is None else halves[side] @ arr
+    @cached_property
+    def half_steps(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The blocks of H from side 0 and from side 1 of `sides` to the
+        other: (B^T, B) for a chiral spec, (H, H) otherwise.  Block s
+        times a vector on side s gives H's product read on the other side."""
+        return self._halves or (self._matrix, self._matrix)
 
     @cached_property
     def norm_bound(self) -> float:
@@ -403,6 +417,75 @@ class SparseAction:
             return math.inf
         bound = max(float(np.max(w / v)) for w, v in zip(step(vs), vs))
         return bound * (1.0 + _NORM_MARGIN) if math.isfinite(bound) else math.inf
+
+
+def stacked_half_steps(
+    actions: Sequence[SparseAction],
+) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """`SparseAction.half_steps` of a chunk of draws on one basis, each as
+    one block-diagonal matrix whose block j is draw j's.
+
+    Block j repeats the cached CSR layout at offset j (`_stacked_layout`)
+    and carries draw j's stored values, so each row adds the same
+    products in the same order as the draw's own matrix, and a product
+    with the stack gives every draw's product bit for bit.  A chunk of
+    one is its own half-steps, with no stacking copy.
+    """
+    lead = actions[0]
+    key = (lead.basis, _hopping(lead.spec), chiral(lead.spec))
+    if any((a.basis, _hopping(a.spec), chiral(a.spec)) != key for a in actions):
+        raise ValueError("a stack needs one basis, one layout and one chiral split")
+    if len(actions) == 1:
+        return lead.half_steps
+    count = len(actions)
+    halves = (0, 1) if key[2] else (0,)  # a non-chiral H is both half-steps
+    # per stored entry: the stacked values, and the cached stacked indices
+    _check_bytes(
+        12 * count * sum(lead.half_steps[h].nnz for h in halves),
+        f"stack of {count} draws",
+    )
+    stacks = [
+        _csr(
+            *_stacked_layout(lead.basis, key[1], h if key[2] else -1, count),
+            np.concatenate([a.half_steps[h].data for a in actions]),
+            tuple(size * count for size in lead.half_steps[h].shape),
+        )
+        for h in halves
+    ]
+    return stacks[0], stacks[-1]
+
+
+@lru_cache(maxsize=8)
+def _stacked_layout(
+    basis: Basis, hopping: bool, half: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of `count` copies of one half-step's CSR layout
+    on the block diagonal: H's (half -1), or that of B^T (half 0) or B
+    (half 1) in the chiral split."""
+    if half < 0:
+        indptr, indices = _layout(basis, hopping)[:2]
+        cols = basis.dimension
+    else:
+        indptr, indices = _chiral_layout(basis, hopping)[1 - half][:2]
+        cols = parity_sides(basis)[half].size
+    nnz = int(indptr[-1])
+    shift = np.arange(count, dtype=np.int64)[:, None]
+    _check_bytes(16 * count * nnz, f"stacked layout of {count} x {nnz} entries")
+    out = (
+        np.append((indptr[:-1] + nnz * shift).ravel(), nnz * count).astype(np.int32),
+        (indices + cols * shift).ravel().astype(np.int32),
+    )
+    for arr in out:  # the cache shares them with every chunk
+        arr.flags.writeable = False
+    return out
+
+
+def leading_blocks(stack: sp.csr_matrix, count: int, blocks: int) -> sp.csr_matrix:
+    """The first `count` of the `blocks` diagonal blocks of a
+    `stacked_half_steps` matrix, over its own index and value arrays."""
+    rows, cols = (size // blocks * count for size in stack.shape)
+    end = int(stack.indptr[rows])
+    return _csr(stack.indptr[: rows + 1], stack.indices[:end], stack.data[:end], (rows, cols))
 
 
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:

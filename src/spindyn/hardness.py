@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import BitString, HamiltonianSpec, Rng, SampleSet, hamming_class
 from .evolve import Propagator
-from .permanent import permanent_ryser, submatrix_for_outcome
+from .permanent import permanent_ryser, permanents, submatrix_for_outcome
 from .polyfit import extract_coefficient, robust_median_fit
 
 def truncation_error(normH: float, t: float, K: int) -> float:
@@ -209,11 +209,15 @@ def worst_to_average_demo(
     dw = (16.0 * m) ** -2 if delta_window is None else delta_window
     Y = rng.substream(0).generator().standard_normal((m, m))
 
-    def oracle(t: float, call_rng: Rng) -> float:
-        value = permanent_ryser(t * X + (1.0 - t) * Y)
+    def oracle(ts: np.ndarray, streams: list[list[Rng]]) -> np.ndarray:
+        # one permanent per node: a matrix has the same bits in any stack
+        values = permanents(ts[:, None, None] * X + (1.0 - ts)[:, None, None] * Y)
         if noise_delta == 0.0:
-            return value
-        return value + call_rng.generator().uniform(-noise_delta, noise_delta)
+            return np.repeat(values[:, None], repetitions, axis=1)
+        return np.array([
+            [value + s.generator().uniform(-noise_delta, noise_delta) for s in row]
+            for value, row in zip(values, streams)
+        ])
 
     fit = robust_median_fit(
         oracle,

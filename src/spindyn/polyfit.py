@@ -227,7 +227,7 @@ def _bw_system(
 
 
 def robust_median_fit(
-    oracle: Callable[[float, Rng], float],
+    oracle: Callable[[np.ndarray, list[list[Rng]]], np.ndarray],
     d: int,
     interval: tuple[float, float],
     repetitions: int,
@@ -235,12 +235,14 @@ def robust_median_fit(
 ) -> Polynomial:
     """Fit a degree-d polynomial through per-node medians of a flaky oracle.
 
-    The oracle is called `repetitions` times at each of the d + 1
-    Chebyshev nodes of [a, b] with an independent substream, and the
-    node value is the median of the calls.  If each call lands within
-    delta of the truth with probability > 1/2, the medians are
-    delta-accurate with high probability and the interpolant's sup-norm
-    error stays within a small multiple of delta (about 2.2*delta at d = 6).
+    The oracle is called once, with the d + 1 Chebyshev nodes of [a, b]
+    and, for node j, `repetitions` independent substreams
+    (j * repetitions + i); it returns one value per node and substream,
+    shape (d + 1, repetitions), and each node's value is the median of
+    its row.  If each value lands within delta of the truth with
+    probability > 1/2, the medians are delta-accurate with high
+    probability and the interpolant's sup-norm error stays within a
+    small multiple of delta (about 2.2*delta at d = 6).
     """
     if repetitions < 1:
         raise ValueError("repetitions must be positive")
@@ -250,13 +252,16 @@ def robust_median_fit(
     base = rng if rng is not None else Rng(0)
     u = np.cos((2 * np.arange(d + 1) + 1) * np.pi / (2 * d + 2))
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * u
-    medians = np.empty(d + 1)
-    for j, s in enumerate(nodes):
-        calls = [
-            oracle(float(s), base.substream(j * repetitions + i))
-            for i in range(repetitions)
-        ]
-        medians[j] = np.median(calls)
+    streams = [
+        [base.substream(j * repetitions + i) for i in range(repetitions)]
+        for j in range(d + 1)
+    ]
+    calls = np.asarray(oracle(nodes, streams), dtype=float)
+    if calls.shape != (d + 1, repetitions):
+        raise ValueError(
+            f"oracle returned shape {calls.shape}, expected {(d + 1, repetitions)}"
+        )
+    medians = np.median(calls, axis=1)
     design = np.polynomial.chebyshev.chebvander(u, d)
     c, *_ = np.linalg.lstsq(design, medians, rcond=None)
     cheb = np.polynomial.Chebyshev(c, domain=[a, b])

@@ -18,8 +18,9 @@ from spindyn.anticon import (
     write_moments_csv,
     write_ratio_csv,
 )
+import spindyn.evolve
 from spindyn.core import BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.evolve import Propagator
+from spindyn.evolve import KrylovConvergenceError, Propagator
 from spindyn.hardness import anticoncentration_thresholds
 
 
@@ -147,6 +148,42 @@ def test_thread_count_does_not_change_results():
     assert equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=3) == (
         equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=1)
     )
+
+
+def test_thread_count_does_not_change_chebyshev_results():
+    # H1 at n = 4 (d = 256) and the H4 n = 6 sector (d = 924) run the
+    # Chebyshev engine, in several chunks of draws here
+    serial = moment_statistics(Kind.H1, 4, [0.7, 2.1], 100, Rng(19), threads=1)
+    assert serial == moment_statistics(Kind.H1, 4, [0.7, 2.1], 100, Rng(19), threads=3)
+    grid = [0.0, 1.1, 3.6]
+    assert equilibration_curve(Kind.H4, 6, grid, 24, Rng(19), threads=3) == (
+        equilibration_curve(Kind.H4, 6, grid, 24, Rng(19), threads=1)
+    )
+
+
+def test_chunking_does_not_change_results(monkeypatch):
+    # one draw per chunk against the default chunks, bit for bit
+    grid = [0.4, 2.2]
+    chunked = moment_statistics(Kind.H3, 6, grid, 20, Rng(23))
+    curve = equilibration_curve(Kind.H1, 4, grid, 40, Rng(23))
+    monkeypatch.setattr(spindyn.evolve, "_CHUNK_BYTES", 1)
+    assert moment_statistics(Kind.H3, 6, grid, 20, Rng(23)) == chunked
+    assert equilibration_curve(Kind.H1, 4, grid, 40, Rng(23)) == curve
+
+
+def test_failed_guard_names_the_coupling_draw(monkeypatch):
+    # draw 5 of the ensemble gets a spectral bound far below ||H||
+    bad = sample_coupling(6, Rng(29).substream(5)).entries
+    real = spindyn.evolve.coupling_norm_bound
+
+    def bound(spec):
+        low = np.array_equal(spec.couplings.entries, bad)
+        return 0.2 * real(spec) if low else real(spec)
+
+    monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", bound)
+    with pytest.raises(KrylovConvergenceError, match="coupling draw 5: norm drift") as err:
+        moment_statistics(Kind.H3, 6, [10.0], 16, Rng(29), threads=2)
+    assert err.value.draw == 5
 
 
 @pytest.mark.parametrize("n, num_J", [(3, 16), (0, 16), (4, 8)])

@@ -23,10 +23,12 @@ from spindyn.evolve import (
     Propagator,
     _bessel_table,
     _series_order,
+    draws_per_chunk,
     engine,
     evolve_exact,
     natural_basis,
     output_probability,
+    probability_tables,
     time_average,
 )
 from spindyn.hamiltonian import (
@@ -384,6 +386,103 @@ def test_chebyshev_propagates_zero_coupling_rows(kind, monkeypatch):
         table = prop.all_probabilities_at(grid)
         assert np.max(np.abs(table - eigh_oracle(spec, prop.basis, grid))) <= 1e-12
     assert prop.action.norm_bound == (0.0 if kind is Kind.H1 else np.inf)
+
+
+def chunk_specs(kind, n, fields):
+    """16 draws whose scales give several series orders and Miller starts:
+    plain draws, draws scaled by 3 and by 0.1, and J = 0 (a falls back to 1)."""
+    specs = []
+    for j in range(16):
+        spec = random_spec(kind, n, 300 + j, fields)
+        entries = spec.couplings.entries * (3.0 if j % 5 == 1 else 0.1 if j % 5 == 2 else 1.0)
+        if j == 7:
+            entries = np.zeros((n, n))
+        specs.append(HamiltonianSpec(kind, CouplingMatrix(entries), spec.z_fields))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "kind,n,fields,limit",
+    [
+        (Kind.H1, 4, False, None),
+        (Kind.H3, 6, False, None),
+        (Kind.H4, 5, False, None),
+        (Kind.H2, 3, True, 1),
+        (Kind.H4, 4, True, 1),
+    ],
+)
+def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatch):
+    # one recurrence and one Bessel loop for a chunk give every draw the
+    # bits of its own Propagator, whatever the chunk holds
+    if limit is not None:
+        monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+    basis = natural_basis(kind, n)
+    props = [Propagator(spec, basis=basis) for spec in chunk_specs(kind, n, fields)]
+    assert not props[0].dense
+    assert len({_series_order(p.norm_bound * 6.0) for p in props}) >= 3
+    grid = np.array([0.0, -0.7, 2.5, 6.0])
+    rows = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
+    alone = [p.all_probabilities_at(grid, rows) for p in props]
+    for size in (1, 3, 16):
+        tables = []
+        for s in range(0, len(props), size):
+            tables += probability_tables(props[s : s + size], grid, rows)
+        assert len(tables) == len(props)
+        for got, want in zip(tables, alone):
+            assert np.array_equal(got, want)
+    full = probability_tables(props[:3], grid[:2])
+    for got, prop in zip(full, props):
+        assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
+
+
+def test_chunked_guards_name_the_draw(monkeypatch):
+    # draw 1 of 3 gets a spectral bound far below ||H||, and a draw with
+    # couplings 1e5 times larger cannot certify a series order: each
+    # failure names its draw, and the chunk returns nothing rather than
+    # its siblings' tables alone
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 1)
+    specs = [random_spec(Kind.H3, 4, 67 + j) for j in range(3)]
+    props = [Propagator(spec) for spec in specs]
+    alone = [p.all_probabilities_at([0.5, 10.0]) for p in props]
+    real = spindyn.evolve.coupling_norm_bound
+
+    def bound(spec):
+        low = np.array_equal(spec.couplings.entries, specs[1].couplings.entries)
+        return 0.2 * real(spec) if low else real(spec)
+
+    monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", bound)
+    with pytest.raises(KrylovConvergenceError, match="norm drift") as err:
+        probability_tables([Propagator(spec) for spec in specs], [0.5, 10.0])
+    assert err.value.draw == 1
+    monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", real)
+    big = HamiltonianSpec(Kind.H3, CouplingMatrix(1e5 * specs[2].couplings.entries))
+    with pytest.raises(KrylovConvergenceError, match="tail bound") as err:
+        probability_tables([props[0], props[1], Propagator(big)], [0.5, 10.0])
+    assert err.value.draw == 2
+    for got, want in zip(probability_tables(props, [0.5, 10.0]), alone):
+        assert np.array_equal(got, want)
+
+
+def test_chunk_refuses_mixed_engines_and_bases(monkeypatch):
+    sector = Propagator(random_spec(Kind.H3, 5, 1))
+    other = Propagator(random_spec(Kind.H3, 5, 2), basis=Basis.full(5))
+    with pytest.raises(ValueError, match="one basis"):
+        probability_tables([sector, other], [1.0])
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 300)
+    dense = Propagator(random_spec(Kind.H3, 5, 3))
+    with pytest.raises(ValueError, match="one engine"):
+        probability_tables([sector, dense], [1.0])
+
+
+def test_draws_per_chunk_keeps_large_dimensions_alone():
+    # stacking pays at small d; from d = 4096 each draw runs alone, as on
+    # the dense engine
+    assert draws_per_chunk(Kind.H3, natural_basis(Kind.H3, 4)) == 1  # dense
+    assert draws_per_chunk(Kind.H1, natural_basis(Kind.H1, 4)) > 16
+    assert draws_per_chunk(Kind.H4, natural_basis(Kind.H4, 6)) >= 4
+    for kind, n in [(Kind.H1, 6), (Kind.H2, 6), (Kind.H3, 8), (Kind.H4, 8)]:
+        assert natural_basis(kind, n).dimension >= 4096
+        assert draws_per_chunk(kind, natural_basis(kind, n)) == 1
 
 
 def test_chebyshev_uncertifiable_order_fails_before_stepping(monkeypatch):

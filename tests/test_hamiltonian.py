@@ -29,9 +29,11 @@ from spindyn.hamiltonian import (
     chiral_block,
     coupling_norm_bound,
     dense_matrix,
+    leading_blocks,
     moment_table,
     natural_basis,
     norm_tail_probability,
+    stacked_half_steps,
     symmetry_blocks,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
@@ -291,8 +293,32 @@ def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
         full = np.zeros(action.basis.dimension)
         full[src] = v
         want = action.apply_array(full)
-        assert np.array_equal(action.apply_half(side, v), want[dst])
+        assert np.array_equal(action.half_steps[side] @ v, want[dst])
         assert not want[src].any()
+
+
+@pytest.mark.parametrize(
+    "kind,fields", [(Kind.H1, False), (Kind.H3, False), (Kind.H4, False), (Kind.H2, True)]
+)
+def test_stacked_half_steps_give_each_draws_product(kind, fields):
+    # block j of a stack is draw j's half-step, bit for bit, and the
+    # leading blocks are the stack of the first draws
+    n = 3
+    basis = Basis.full(n)
+    actions = [SparseAction(random_spec(kind, n, 330 + j, fields=fields), basis) for j in range(3)]
+    stack = stacked_half_steps(actions)
+    assert stacked_half_steps(actions[:1]) == actions[0].half_steps
+    g = np.random.default_rng(7)
+    for side in (0, 1):
+        vs = [g.standard_normal(a.half_steps[side].shape[1]) for a in actions]
+        want = [a.half_steps[side] @ v for a, v in zip(actions, vs)]
+        assert np.array_equal(stack[side] @ np.concatenate(vs), np.concatenate(want))
+        head = leading_blocks(stack[side], 2, 3)
+        assert np.array_equal(head @ np.concatenate(vs[:2]), np.concatenate(want[:2]))
+    mixed = SparseAction(random_spec(kind, n, 339, fields=not fields), basis)
+    if chiral(mixed.spec) != chiral(actions[0].spec):
+        with pytest.raises(ValueError, match="one chiral split"):
+            stacked_half_steps([actions[0], mixed])
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -323,7 +349,7 @@ def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
     e, o = action.sides
     assert np.array_equal(e, np.arange(16)) and np.array_equal(o, np.arange(16))
     v = np.random.default_rng(2).standard_normal(16)
-    assert np.array_equal(action.apply_half(1, v), action.apply_array(v))
+    assert np.array_equal(action.half_steps[1] @ v, action.apply_array(v))
     with pytest.raises(ValueError, match="no chiral split"):
         chiral_block(spec, basis)
     # z fields and ZZ terms put a diagonal inside the even sigma class

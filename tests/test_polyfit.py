@@ -306,7 +306,10 @@ def test_bw_system_is_integer_and_scales_rows_by_powers_of_two():
 
 def test_median_fit_noiseless():
     truth = Polynomial(np.array([0.3, -1.0, 0.0, 2.0]))
-    fit = robust_median_fit(lambda t, rng: truth(t), 3, (-1.0, 1.0), 5)
+    fit = robust_median_fit(
+        lambda ts, rngs: [[truth(t)] * len(row) for t, row in zip(ts, rngs)],
+        3, (-1.0, 1.0), 5,
+    )
     assert np.max(np.abs(fit.coefficients - truth.coefficients)) < 1e-9
 
 
@@ -317,11 +320,14 @@ def test_median_fit_guarantee_parameters():
     grid = np.linspace(-1.0, 1.0, 400)
     want = truth(grid)
 
-    def oracle(t, rng):
+    def one(t, rng):
         g = rng.generator()
         if g.uniform() < 0.75:
             return truth(t) + g.uniform(-delta, delta)
         return truth(t) + g.uniform(20 * delta, 60 * delta)
+
+    def oracle(ts, rngs):
+        return [[one(t, rng) for rng in row] for t, row in zip(ts, rngs)]
 
     wins = 0
     for trial in range(200):
@@ -337,8 +343,11 @@ def test_median_fit_overestimated_degree():
     delta = 1e-3
     truth = Polynomial(np.array([0.5, -1.0, 0.0, 0.0, 1.0]))  # degree 4
 
-    def oracle(t, rng):
-        return truth(t) + rng.generator().uniform(-delta, delta)
+    def oracle(ts, rngs):
+        return [
+            [truth(t) + rng.generator().uniform(-delta, delta) for rng in row]
+            for t, row in zip(ts, rngs)
+        ]
 
     good = 0
     for trial in range(20):
@@ -351,11 +360,14 @@ def test_median_fit_overestimated_degree():
 
 
 def test_median_fit_validation():
-    noiseless = lambda t, rng: 0.0  # noqa: E731
+    noiseless = lambda ts, rngs: np.zeros((len(ts), len(rngs[0])))  # noqa: E731
     with pytest.raises(ValueError):
         robust_median_fit(noiseless, 2, (-1.0, 1.0), 0)
     with pytest.raises(ValueError):
         robust_median_fit(noiseless, 2, (1.0, -1.0), 5)
+    # one value per node is not one per node and repetition
+    with pytest.raises(ValueError, match="shape"):
+        robust_median_fit(lambda ts, rngs: np.zeros(len(ts)), 2, (-1.0, 1.0), 5)
 
 
 # -- sum_of_coefficients_bound_check ---------------------------------------
