@@ -31,6 +31,7 @@ from .core import (  # noqa: F401
     sample_coupling,
 )
 from .evolve import (  # noqa: F401
+    DecompositionError,
     KrylovConvergenceError,
     Propagator,
     evolve_exact,

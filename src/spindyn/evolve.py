@@ -6,26 +6,35 @@ between the even and odd sigma-parity classes E (which holds |y0>) and O,
 so their propagation runs on half-vectors; every other spec runs on the
 whole basis, the split whose two sides are both the basis.
 
-Dimensions within `_DENSE_LIMIT` use one eigendecomposition,
+Dimensions within `_DENSE_LIMIT` use one eigendecomposition per draw,
 `hamiltonian.spectral_parts` (omega, (U, V)), and reuse it for every
 requested time, reading the amplitude in real arithmetic as
 U cos(omega t) c on side 0 and -i V (sin(omega t) / omega) c on side 1,
 with c = U^T e_y0.  For a chiral spec that is the eigh of B B^T on E
 alone, with V = B^T U; for any other spec the eigh of H on the whole
-basis, with V = U diag(omega).  Larger problems expand e^{-iHt} in
-Chebyshev polynomials of H/a, where a is `Propagator.norm_bound`, the
-smaller of two rigorous bounds on ||H||, `coupling_norm_bound` and
-`SparseAction.norm_bound` (H1's closed form, or a Collatz-Wielandt bound
-on |H|; for H3 and H4 at n = 6 and 8 it is 0.45-0.6 times the first and
-cuts the series order by 27-45 %): one real three-term recurrence from
-|y0> serves every requested time at once, keeping only the rows the
-caller asks for, and the Bessel coefficients J_k(a t) carry the time
-dependence (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  Its
-k-th vector lies on E for even k and on O for odd k, so for a chiral
-spec each step is one product with B^T or B.  The series order is
-certified by a Bessel tail bound, and the norm of the state at the
-largest |t| is checked, so a wrong spectral bound fails loudly instead
-of returning a wrong table.
+basis, with V = U diag(omega).  A chunk of draws on one basis
+(`probability_tables`, the ensemble path) is built, decomposed and read
+together: one scatter builds its B or H stack, one stacked eigh
+decomposes it, and one batched product per side reads every draw's
+amplitudes (`_dense_parts`).  numpy runs LAPACK and BLAS on each matrix
+of a stack as on that matrix alone and the rest acts element by element,
+so a draw's table has the same bits in a chunk of any size; a single
+`Propagator` is a chunk of one.  This saves per-call overhead, not
+arithmetic: the eigh of each 38 x 38 block (H3 n = 4) stays ~60 us.
+
+Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a, where a
+is `Propagator.norm_bound`, the smaller of two rigorous bounds on ||H||,
+`coupling_norm_bound` and `SparseAction.norm_bound` (H1's closed form,
+or a Collatz-Wielandt bound on |H|; for H3 and H4 at n = 6 and 8 it is
+0.45-0.6 times the first and cuts the series order by 27-45 %): one real
+three-term recurrence from |y0> serves every requested time at once,
+keeping only the rows the caller asks for, and the Bessel coefficients
+J_k(a t) carry the time dependence (Tal-Ezer & Kosloff, J. Chem. Phys.
+81, 3967 (1984)).  Its k-th vector lies on E for even k and on O for odd
+k, so for a chiral spec each step is one product with B^T or B.  The
+series order is certified by a Bessel tail bound, and the norm of the
+state at the largest |t| is checked, so a wrong spectral bound fails
+loudly instead of returning a wrong table.
 `Propagator._parts` is the one switch between the engines, and every
 table, probability and state is read from its parts, never renormalized.
 
@@ -36,13 +45,12 @@ backward Bessel loop serves every draw's columns, each draw's held at
 exactly 0 until the loop reaches that draw's own start.  Every draw keeps
 its own scale, series order, guards and final products, and every
 operation acts row by row or column by column, so a draw's table has the
-same bits in a chunk of any size; a single `Propagator` is a chunk of
-one.  At small dimensions this trades per-call overhead for longer
-products: `equilibrate --model H4 --n 6 --num-j 16` (33 times to 8 ln n)
-took a median 31-33 ms draw by draw and 24-25 ms in chunks of 5-6, in
-process on a 2-core AMD EPYC with one BLAS thread.  `draws_per_chunk`
-sizes chunks from a byte budget, which keeps d >= 4096 at one draw per
-chunk.
+same bits in a chunk of any size.  At small dimensions this trades
+per-call overhead for longer products: `equilibrate --model H4 --n 6
+--num-j 16` (33 times to 8 ln n) took a median 31-33 ms draw by draw and
+24-25 ms in chunks of 5-6, in process on a 2-core AMD EPYC with one BLAS
+thread.  `draws_per_chunk` sizes the chunks of both engines from one
+byte budget, which keeps d >= 4096 at one draw per chunk.
 """
 from __future__ import annotations
 
@@ -52,18 +60,28 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Basis, BitString, HamiltonianSpec, Kind, StateVector, hamming_class_states
+from .core import (
+    Basis,
+    BitString,
+    HamiltonianSpec,
+    Kind,
+    StateVector,
+    _check_bytes,
+    hamming_class_states,
+)
 from .hamiltonian import (
     SparseAction,
     chiral,
     coupling_norm_bound,
     leading_blocks,
     natural_basis,
+    spectral_bytes,
     spectral_parts,
     stacked_half_steps,
 )
 
 __all__ = [
+    "DecompositionError",
     "KrylovConvergenceError",
     "Propagator",
     "draws_per_chunk",
@@ -82,7 +100,11 @@ __all__ = [
 # 0.93-0.97 ms against 0.44-0.46 ms.  No basis has 70 < d < 252.
 _DENSE_LIMIT = 128
 # Coupling draws per ensemble chunk are sized so the chunk's stacked H and
-# vectors stay within this many bytes (`draws_per_chunk`).  The n = 6
+# vectors stay within this many bytes (`draws_per_chunk`).  On the dense
+# engine a draw counts its `spectral_bytes`: 54 kB for the H3 n = 4 split
+# 38 + 32 (33 draws per chunk), 118 kB for the H4 n = 4 sector (15).
+# Stacked chunks save per-call Python, so once a chunk holds a few dozen
+# draws larger ones save little.  On the Chebyshev engine the n = 6
 # sector (d = 924) needs about 0.28 MB per draw, so 16 draws run as chunks
 # of 5, 5 and 6; at d >= 4096 (n = 6 in the full basis, the n = 8 sector)
 # a draw needs about 2 MB and runs alone, where stacking saved nothing.
@@ -101,6 +123,7 @@ _BESSEL_TINY = 1e-20  # below this J_0 = 1, J_1 = z/2 and J_k>1 = 0 to 1e-40
 # (-i)^k is real for even k and imaginary for odd k; this is its sign.
 _PHASE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _Parts = tuple[np.ndarray, np.ndarray, list[np.ndarray]]  # see Propagator._parts
+_Spectrum = tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # see spectral_parts
 
 
 class KrylovConvergenceError(RuntimeError):
@@ -109,6 +132,16 @@ class KrylovConvergenceError(RuntimeError):
     `draw` is the position, in the chunk given to `probability_tables`, of
     the propagator whose guard failed (0 for a single propagator), or None.
     """
+
+    def __init__(self, message: str, draw: int | None = None):
+        super().__init__(message)
+        self.draw = draw
+
+
+class DecompositionError(np.linalg.LinAlgError):
+    """Raised when the dense engine's eigendecomposition fails; `draw` is
+    the failing draw's position in its chunk, as for
+    `KrylovConvergenceError`."""
 
     def __init__(self, message: str, draw: int | None = None):
         super().__init__(message)
@@ -279,17 +312,23 @@ class Propagator:
         self._sides = self.action.sides
         self._y0_half = _y0_half(self.basis, self._sides[0])
         self.dense = self.basis.dimension <= _DENSE_LIMIT
-        if not self.dense:
-            return
-        self._omega, self._halves = spectral_parts(spec, self.basis)
-        self._c0 = self._halves[0][self._y0_half]
+        if self.dense:  # refused here, before the first read decomposes H
+            _check_bytes(
+                spectral_bytes(self.basis, chiral(spec)),
+                f"dense dimension {self.basis.dimension}",
+            )
+
+    @cached_property
+    def _spectrum(self) -> _Spectrum:
+        """The dense engine's `spectral_parts` of this draw, a chunk of one."""
+        return _spectra([self.spec], self.basis)
 
     @cached_property
     def norm_bound(self) -> float:
         """||H|| on the basis: the dense engine's largest |omega| (exact),
         else the Chebyshev series scale, an upper bound on it."""
         if self.dense:
-            return float(np.abs(self._omega).max())
+            return float(np.abs(self._spectrum[0]).max())
         return min(coupling_norm_bound(self.spec), self.action.norm_bound)
 
     def all_probabilities_at(
@@ -307,27 +346,11 @@ class Propagator:
     def _parts(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
         """The one engine switch: the real and imaginary parts at `rows` x
         `ts`, and the state at the largest |t| (its real part on side 0,
-        its imaginary part on side 1).  The dense engine's product covers
-        each whole side before `rows` are read, so a row's bits do not
-        depend on the other rows, and its largest-|t| column is the state.
-        """
+        its imaginary part on side 1), each engine's chunk of one."""
         if not self.dense:
             return _chebyshev_parts([self], ts, rows)[0]
-        wt = np.outer(self._omega, ts)
-        sinc = np.empty_like(wt)
-        sinc[:] = ts  # the omega = 0 rows, which the division skips
-        omega = self._omega[:, None]
-        np.divide(np.sin(wt), omega, out=sinc, where=omega != 0.0)
-        far_col = np.abs(ts).argmax()
-        parts, far = [], []
-        for side, vecs, f in zip(self._sides, self._halves, (np.cos(wt), -sinc)):
-            local, off = _gather(side, rows)
-            whole = vecs @ (f * self._c0[:, None])
-            far.append(whole[:, far_col])
-            part = whole[local]
-            part[off] = 0.0
-            parts.append(part)
-        return parts[0], parts[1], far
+        re, im, far = _dense_parts(self._spectrum, self._sides, self._y0_half, ts, rows)
+        return re[0], im[0], [f[0] for f in far]
 
     def state_at(self, t: float) -> StateVector:
         """e^{-iHt}|y0>; refused, not renormalized, if its norm drifts."""
@@ -348,6 +371,61 @@ class Propagator:
         if pos is None:
             return 0.0
         return float(self.all_probabilities_at([t], rows=[pos])[0, 0])
+
+
+def _spectra(specs: Sequence[HamiltonianSpec], basis: Basis) -> _Spectrum:
+    """`spectral_parts` of a chunk of draws.  If the stacked eigh fails,
+    the draws are decomposed again one at a time, so that the error names
+    the failing draw's position in `specs` (`DecompositionError.draw`)."""
+    try:
+        return spectral_parts(specs, basis)
+    except np.linalg.LinAlgError:
+        for j, spec in enumerate(specs):
+            try:
+                spectral_parts([spec], basis)
+            except np.linalg.LinAlgError as exc:
+                raise DecompositionError(f"eigendecomposition failed: {exc}", j) from exc
+        raise
+
+
+def _dense_parts(
+    spectrum: _Spectrum,
+    sides: tuple[np.ndarray, np.ndarray],
+    y0_half: int,
+    ts: np.ndarray,
+    rows: np.ndarray,
+) -> _Parts:
+    """`Propagator._parts` of every draw of a dense chunk, each array with
+    a leading draw axis, from the chunk's stacked `_spectra`.
+
+    Side 0 reads P cos(omega t) c and side 1 -V (sin(omega t) / omega) c,
+    with c = P^T e_y0, one batched product per side.  The product covers
+    each whole side before `rows` are read, so a row's bits do not depend
+    on the other rows, and its largest-|t| column is the state.  Every
+    step acts element by element or matrix by matrix, so each draw's
+    parts have the bits of a chunk of one.
+    """
+    omega, halves = spectrum
+    c0 = halves[0][:, y0_half, :, None]
+    omega = omega[:, :, None]
+    wt = omega * ts
+    cos = np.cos(wt)
+    sinc = np.empty_like(wt)
+    sinc[:] = ts  # the omega = 0 rows, which the division skips
+    np.divide(np.sin(wt, out=wt), omega, out=sinc, where=omega != 0.0)
+    # in place; (-s) c and s (-c) round alike
+    cos *= c0
+    sinc *= -c0
+    far_col = np.abs(ts).argmax()
+    parts, far = [], []
+    for side, vecs, f in zip(sides, halves, (cos, sinc)):
+        local, off = _gather(side, rows)
+        whole = vecs @ f
+        far.append(whole[:, :, far_col])
+        part = whole[:, local]
+        part[:, off] = 0.0
+        parts.append(part)
+    return parts[0], parts[1], far
 
 
 def _chebyshev_parts(
@@ -476,32 +554,45 @@ def probability_tables(
     of a chunk of draws that share one basis and one chiral split, each
     table the same bits as its own call.
 
-    Dense propagators are read one by one.  Chebyshev propagators share
-    one recurrence (`_chebyshev_parts`): one product with the stacked
-    half-steps per step and one Bessel loop for the chunk, which at small
-    dimensions costs less than a recurrence per draw.  A failed guard
-    names the failing draw's position in `props` as its `draw`.
+    A dense chunk takes one stacked eigendecomposition (`_spectra`) and
+    one stacked read (`_dense_parts`); a Chebyshev chunk shares one
+    recurrence (`_chebyshev_parts`): one product with the stacked
+    half-steps per step and one Bessel loop for the chunk.  Either costs
+    less than a call per draw at small dimensions.  A failed guard names
+    the failing draw's position in `props` as its `draw`.
     """
-    if len(props) == 1 or props[0].dense:
-        return [prop.all_probabilities_at(times, rows) for prop in props]
-    if any(prop.dense for prop in props):
+    if len(props) == 1:
+        return [props[0].all_probabilities_at(times, rows)]
+    lead = props[0]
+    if any(prop.dense != lead.dense for prop in props):
         raise ValueError("a chunk needs one engine")
-    ts, keep = _read_grid(props[0].basis, times, rows)
-    return [_probabilities(parts) for parts in _chebyshev_parts(props, ts, keep)]
+    if any(prop.basis is not lead.basis for prop in props):
+        raise ValueError("a chunk needs one basis")
+    ts, keep = _read_grid(lead.basis, times, rows)
+    if not lead.dense:
+        return [_probabilities(parts) for parts in _chebyshev_parts(props, ts, keep)]
+    sides = lead.action.sides
+    spectrum = _spectra([prop.spec for prop in props], lead.basis)
+    parts = _dense_parts(spectrum, sides, _y0_half(lead.basis, sides[0]), ts, keep)
+    return list(_probabilities(parts))
 
 
 def draws_per_chunk(kind: Kind | str, basis: Basis) -> int:
     """How many coupling draws of `kind` on `basis` one `probability_tables`
-    call takes in an ensemble: 1 on the dense engine, whose draws share no
-    work, else as many as keep the chunk's stacked H (8-byte values and
-    4-byte indices) and its six vectors per side within `_CHUNK_BYTES`."""
+    call takes in an ensemble: as many as keep the chunk's working set
+    within `_CHUNK_BYTES`.  On the dense engine that is each draw's
+    `spectral_bytes` (ensemble draws carry no z fields, so H1 and H3 take
+    the chiral split); on the Chebyshev engine the chunk's stacked H
+    (8-byte values and 4-byte indices) and its six vectors per side."""
     d = basis.dimension
     if d <= _DENSE_LIMIT:
-        return 1
-    # the hopping kinds store only the flips whose two bits differ
-    hops = Kind(kind) in (Kind.H3, Kind.H4)
-    entries = d + (int(np.count_nonzero(basis.differ)) if hops else basis.differ.size)
-    return max(1, _CHUNK_BYTES // (12 * entries + 48 * d))
+        per_draw = spectral_bytes(basis, Kind(kind) in (Kind.H1, Kind.H3))
+    else:
+        # the hopping kinds store only the flips whose two bits differ
+        hops = Kind(kind) in (Kind.H3, Kind.H4)
+        entries = d + (int(np.count_nonzero(basis.differ)) if hops else basis.differ.size)
+        per_draw = 12 * entries + 48 * d
+    return max(1, _CHUNK_BYTES // per_draw)
 
 
 def engine(spec: HamiltonianSpec) -> str:

@@ -9,13 +9,14 @@ sigma_z tau_z pieces and any local z fields collapse into one diagonal.
 Every function here takes a `core.Basis`: the full basis, the sector, or
 one block of `symmetry_blocks`.  `_layout` lays H out as CSR index arrays
 from the basis's flip partners; it is cached per basis, so a coupling
-draw computes only the stored values and the diagonal (`_values`).  Two
-builders read those values: `SparseAction._matrix` wraps them in a scipy
-CSR matrix for sparse products (and so `moment_table`'s), and
-`dense_matrix` scatters them into a numpy array for the dense engine
-and the Trotter blocks.  scipy.sparse is imported inside `_csr`, which
-builds every scipy matrix, so it loads with the first sparse product and
-never for a command that stays dense.
+draw computes only the stored values and the diagonal (`_values`, one
+row per draw of a chunk).  Two builders read those values:
+`SparseAction._matrix` wraps them in a scipy CSR matrix for sparse
+products (and so `moment_table`'s), and `dense_matrix` scatters them
+into a numpy array, a chunk of draws into one (draws, d, d) stack with
+one scatter for `spectral_parts`.  scipy.sparse is imported inside
+`_csr`, which builds every scipy matrix, so it loads with the first
+sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
@@ -45,7 +46,12 @@ per basis, so a draw again computes only the stored values:
 `SparseAction.half_steps` holds both blocks, and `chiral_block` builds B
 as a numpy array for dense algebra.  `spectral_parts` is the one dense
 eigendecomposition, two-sided over E and O (`parity_sides`), that both
-`evolve.Propagator` and the Trotter error algebra read.
+`evolve.Propagator` and the Trotter error algebra read.  It takes a
+chunk of draws on one basis: one scatter builds the chunk's B (or H)
+stack, one stacked eigh decomposes it and one batched product forms V,
+each draw's parts the bits of its own chunk of one; `spectral_bytes` is
+the per-draw working set it refuses above the memory cap, before
+allocating.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ __all__ = [
     "moment_table",
     "natural_basis",
     "parity_sides",
+    "spectral_bytes",
     "spectral_parts",
     "stacked_half_steps",
     "symmetry_blocks",
@@ -165,18 +172,24 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
 
 
 def _values(
-    spec: HamiltonianSpec, basis: Basis
+    specs: Sequence[HamiltonianSpec], basis: Basis
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of H on the basis; only data depends on the
-    draw.
+    """(indptr, indices, data) of H on the basis for a chunk of draws of
+    one layout; only data, one row per draw, depends on the draws.
 
     Each stored flip carries J_ij / n (class I: J_ij / n; class II: twice
     J_ij / 2n); the diagonal entries carry `_diag_values`.
     """
-    indptr, indices, term, diag = _layout(basis, _hopping(spec))
-    data = (spec.couplings.entries.ravel() / spec.n)[term]
-    data[diag] = _diag_values(spec, basis.signs)
+    indptr, indices, term, diag = _layout(basis, _hopping(specs[0]))
+    data = (_coupling_rows(specs) / basis.n)[:, term]
+    for row, spec in zip(data, specs):
+        row[diag] = _diag_values(spec, basis.signs)
     return indptr, indices, data
+
+
+def _coupling_rows(specs: Sequence[HamiltonianSpec]) -> np.ndarray:
+    """Each draw's J_ij flattened to one row, site i*n + j."""
+    return np.array([spec.couplings.entries.ravel() for spec in specs])
 
 
 def _csr(
@@ -255,33 +268,58 @@ def _chiral_layout(basis: Basis, hopping: bool) -> tuple[tuple[np.ndarray, ...],
     return tuple(out)
 
 
-def _half_values(spec: HamiltonianSpec, half: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The stored values of one block of the chiral split: J_ij / n per flip."""
-    return (spec.couplings.entries.ravel() / spec.n)[half[3]]
+def _half_values(
+    specs: Sequence[HamiltonianSpec], half: tuple[np.ndarray, ...]
+) -> np.ndarray:
+    """The stored values of one block of the chiral split, one row per
+    draw: J_ij / n per flip."""
+    return (_coupling_rows(specs) / specs[0].n)[:, half[3]]
+
+
+def spectral_bytes(basis: Basis, split: bool) -> int:
+    """Bytes of one draw's dense working set in `spectral_parts`.
+
+    With the chiral split (`split`): B and B^T P (2 |E||O| float64) and
+    B B^T, its eigenvectors P and the eigh workspace (3 |E|^2).  On the
+    whole basis: H, its eigenvectors and the eigh workspace (3 d^2).
+    """
+    if split:
+        e, o = (side.size for side in parity_sides(basis))
+        return 8 * (3 * e * e + 2 * e * o)
+    return 3 * 8 * basis.dimension**2
+
+
+def _chiral_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
+    """B of every draw of a chunk, shape (draws, |E|, |O|); see `chiral_block`."""
+    for spec in specs:
+        if not chiral(spec):
+            raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
+        _check_basis(spec, basis)
+    e, o = (side.size for side in parity_sides(basis))
+    _check_bytes(
+        len(specs) * spectral_bytes(basis, True),
+        f"{len(specs)} x chiral split {e}+{o} (dense)",
+    )
+    half = _chiral_layout(basis, specs[0].kind is Kind.H3)[0]
+    out = np.zeros((len(specs), e, o))
+    out[:, half[2], half[1]] = _half_values(specs, half)
+    return out
 
 
 def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     """B, the |E| x |O| block of a `chiral` H = [[0, B], [B^T, 0]].
 
-    Refuses, before allocating, a split whose dense working set exceeds
-    the memory cap: B and B^T U (2 |E||O| float64) and B B^T, its
-    eigenvectors U and the eigh workspace (3 |E|^2).
+    Refuses, before allocating, a split whose dense working set
+    (`spectral_bytes`) exceeds the memory cap.
     """
-    if not chiral(spec):
-        raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
-    _check_basis(spec, basis)
-    e, o = (side.size for side in parity_sides(basis))
-    _check_bytes(8 * (3 * e * e + 2 * e * o), f"chiral split {e}+{o} (dense)")
-    half = _chiral_layout(basis, spec.kind is Kind.H3)[0]
-    out = np.zeros((e, o))
-    out[half[2], half[1]] = _half_values(spec, half)
-    return out
+    return _chiral_stack([spec], basis)[0]
 
 
 def spectral_parts(
-    spec: HamiltonianSpec, basis: Basis
+    specs: Sequence[HamiltonianSpec], basis: Basis
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(omega, (P, V)): H's spectrum on the two sides of `SparseAction.sides`.
+    """(omega, (P, V)): H's spectrum on the two sides of `SparseAction.sides`
+    for every draw of a chunk, each array stacked along a leading draw axis.
 
     For a `chiral` spec B B^T = P diag(omega^2) P^T on E and V = B^T P;
     for any other spec H = P diag(omega) P^T on the whole basis and
@@ -289,14 +327,23 @@ def spectral_parts(
     cos(Ht) maps side 0 to itself as P cos(omega t) P^T and sin(Ht) maps
     side 0 to side 1 as V (sin(omega t) / omega) P^T; for a chiral spec
     cos(Ht) maps O to itself as I - V (2 sin^2(omega t / 2) / omega^2) V^T.
-    One eigh, of half the size for a chiral spec.
+    The chunk's B or H stack comes from one scatter over the cached
+    layout and takes one stacked eigh, of half the size for a chiral spec,
+    and V one batched product.  numpy's eigh and matmul run LAPACK and
+    BLAS on each matrix of a stack as on that matrix alone, so every
+    draw's parts have the bits of a chunk of one.
     """
-    if chiral(spec):
-        b = chiral_block(spec, basis)
-        w2, p = np.linalg.eigh(b @ b.T)
-        return np.sqrt(np.maximum(w2, 0.0)), (p, b.T @ p)
-    omega, p = np.linalg.eigh(dense_matrix(spec, basis))
-    return omega, (p, p * omega)
+    key = (_hopping(specs[0]), chiral(specs[0]))
+    for spec in specs[1:]:
+        if (_hopping(spec), chiral(spec)) != key:
+            raise ValueError("a stack needs one layout and one chiral split")
+    if key[1]:
+        b = _chiral_stack(specs, basis)
+        bt = b.transpose(0, 2, 1)
+        w2, p = np.linalg.eigh(b @ bt)
+        return np.sqrt(np.maximum(w2, 0.0)), (p, bt @ p)
+    omega, p = np.linalg.eigh(_dense_stack(specs, basis))
+    return omega, (p, p * omega[:, None, :])
 
 
 def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:
@@ -344,7 +391,8 @@ class SparseAction:
     def _matrix(self) -> sp.csr_matrix:
         """H on the basis as a scipy CSR matrix."""
         dim = self.basis.dimension
-        return _csr(*_values(self.spec, self.basis), (dim, dim))
+        indptr, indices, data = _values([self.spec], self.basis)
+        return _csr(indptr, indices, data[0], (dim, dim))
 
     def apply_array(self, arr: np.ndarray) -> np.ndarray:
         """H @ arr for a raw vector (or stack of column vectors)."""
@@ -370,8 +418,8 @@ class SparseAction:
         e, o = (side.size for side in self.sides)
         b, bt = _chiral_layout(self.basis, self.spec.kind is Kind.H3)
         return (
-            _csr(*bt[:2], _half_values(self.spec, bt), (o, e)),
-            _csr(*b[:2], _half_values(self.spec, b), (e, o)),
+            _csr(*bt[:2], _half_values([self.spec], bt)[0], (o, e)),
+            _csr(*b[:2], _half_values([self.spec], b)[0], (e, o)),
         )
 
     @cached_property
@@ -488,6 +536,22 @@ def leading_blocks(stack: sp.csr_matrix, count: int, blocks: int) -> sp.csr_matr
     return _csr(stack.indptr[: rows + 1], stack.indices[:end], stack.data[:end], (rows, cols))
 
 
+def _dense_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
+    """H on the basis for every draw of a chunk, shape (draws, d, d); see
+    `dense_matrix`."""
+    d = basis.dimension
+    _check_bytes(
+        len(specs) * spectral_bytes(basis, False),
+        f"{len(specs)} x dense dimension {d} (3 d^2 float64)",
+    )
+    for spec in specs:
+        _check_basis(spec, basis)
+    indptr, indices, data = _values(specs, basis)
+    out = np.zeros((len(specs), d, d))
+    out[:, _entry_rows(indptr), indices] += data
+    return out
+
+
 def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     """H on the basis as a real-symmetric d x d numpy array.
 
@@ -499,13 +563,7 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     `SparseAction(spec, basis)._matrix.toarray()` bit for bit (a -0.0
     coupling becomes 0.0 in both).
     """
-    d = basis.dimension
-    _check_bytes(3 * 8 * d * d, f"dense dimension {d} (3 d^2 float64)")
-    _check_basis(spec, basis)
-    indptr, indices, data = _values(spec, basis)
-    out = np.zeros((d, d))
-    out[_entry_rows(indptr), indices] += data
-    return out
+    return _dense_stack([spec], basis)[0]
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:

@@ -186,9 +186,11 @@ def berlekamp_welch_recover(samples: SampleSet, d: int, e_max: int) -> Polynomia
             f"need at least d+1+2*e_max = {d + 1 + 2 * e_max} samples, got {L}"
         )
     nq = d + e_max + 1
-    ts = [Fraction(float(t)) for t in samples.t]
-    ys = [Fraction(float(y)) for y in samples.y]
-    sol = _exact_solve(*_bw_system(ts, ys, nq, e_max, e_max))
+    tf = [float(t) for t in samples.t]
+    yf = [float(y) for y in samples.y]
+    sol = _exact_solve(*_bw_system(tf, yf, nq, e_max, e_max))
+    ts = [Fraction(t) for t in tf]
+    ys = [Fraction(y) for y in yf]
     qcoef = sol[:nq]
     ecoef = sol[nq:] + [Fraction(1)]
     quot, rem = _divide_exact(qcoef, ecoef)
@@ -207,22 +209,35 @@ def berlekamp_welch_recover(samples: SampleSet, d: int, e_max: int) -> Polynomia
 
 
 def _bw_system(
-    ts: list[Fraction], ys: list[Fraction], nq: int, ne: int, e_max: int
+    ts: Sequence[float], ys: Sequence[float], nq: int, ne: int, e_max: int
 ) -> tuple[list[list[int]], list[int]]:
     """Berlekamp-Welch rows Q(t) - y E_low(t) = y t^e_max over the integers.
 
-    Each row and its right-hand side are scaled by the LCM of their
-    denominators, which for float data is a power of two.
+    With t = a / q and y = b / v from `as_integer_ratio()` (for a float,
+    q and v are powers of two) and K = max(nq - 1, ne - 1, e_max), the
+    row times v q^K reads a^k q^(K-k) v, -b a^j q^(K-j) and
+    b a^e_max q^(K-e_max) in plain integers.  Each row is then divided by
+    the gcd of its entries, which divides the v q^K of its first, so every
+    row is the exact one times a positive scale (a power of two for float
+    data), and the solve sees no Fraction.
     """
+    top = max(nq - 1, ne - 1, e_max)
     rows = []
     rhs = []
     for t, y in zip(ts, ys):
-        row = [t**a for a in range(nq)] + [-y * t**b for b in range(ne)]
-        row.append(y * t**e_max)
-        scale = math.lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (scale // v.denominator) for v in row]
-        rows.append(ints[:-1])
-        rhs.append(ints[-1])
+        a, q = t.as_integer_ratio()
+        b, v = y.as_integer_ratio()
+        apow = [1]
+        qpow = [1]
+        for _ in range(top):
+            apow.append(apow[-1] * a)
+            qpow.append(qpow[-1] * q)
+        row = [apow[k] * qpow[top - k] * v for k in range(nq)]
+        row += [-b * apow[j] * qpow[top - j] for j in range(ne)]
+        row.append(b * apow[e_max] * qpow[top - e_max])
+        g = math.gcd(*row)
+        rows.append([x // g for x in row[:-1]])
+        rhs.append(row[-1] // g)
     return rows, rhs
 
 

@@ -20,7 +20,8 @@ from spindyn.anticon import (
 )
 import spindyn.evolve
 from spindyn.core import BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.evolve import KrylovConvergenceError, Propagator
+from spindyn.evolve import KrylovConvergenceError, Propagator, draws_per_chunk
+from spindyn.hamiltonian import chiral_block, natural_basis
 from spindyn.hardness import anticoncentration_thresholds
 
 
@@ -148,6 +149,15 @@ def test_thread_count_does_not_change_results():
     assert equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=3) == (
         equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=1)
     )
+    # the dense H3 n = 4 sector takes 33 draws per chunk: 100 draws run as
+    # four stacked chunks
+    basis = natural_basis(Kind.H3, 4)
+    assert -(-100 // draws_per_chunk(Kind.H3, basis)) >= 3
+    serial = moment_statistics(Kind.H3, 4, [0.6, 2.4], 100, Rng(9), threads=1)
+    assert serial == moment_statistics(Kind.H3, 4, [0.6, 2.4], 100, Rng(9), threads=3)
+    assert equilibration_curve(Kind.H3, 4, grid, 100, Rng(9), threads=3) == (
+        equilibration_curve(Kind.H3, 4, grid, 100, Rng(9), threads=1)
+    )
 
 
 def test_thread_count_does_not_change_chebyshev_results():
@@ -166,9 +176,13 @@ def test_chunking_does_not_change_results(monkeypatch):
     grid = [0.4, 2.2]
     chunked = moment_statistics(Kind.H3, 6, grid, 20, Rng(23))
     curve = equilibration_curve(Kind.H1, 4, grid, 40, Rng(23))
+    dense = moment_statistics(Kind.H3, 4, grid, 100, Rng(23))  # four dense chunks
+    dense_curve = equilibration_curve(Kind.H3, 4, grid, 100, Rng(23))
     monkeypatch.setattr(spindyn.evolve, "_CHUNK_BYTES", 1)
     assert moment_statistics(Kind.H3, 6, grid, 20, Rng(23)) == chunked
     assert equilibration_curve(Kind.H1, 4, grid, 40, Rng(23)) == curve
+    assert moment_statistics(Kind.H3, 4, grid, 100, Rng(23)) == dense
+    assert equilibration_curve(Kind.H3, 4, grid, 100, Rng(23)) == dense_curve
 
 
 def test_failed_guard_names_the_coupling_draw(monkeypatch):
@@ -183,6 +197,26 @@ def test_failed_guard_names_the_coupling_draw(monkeypatch):
     monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", bound)
     with pytest.raises(KrylovConvergenceError, match="coupling draw 5: norm drift") as err:
         moment_statistics(Kind.H3, 6, [10.0], 16, Rng(29), threads=2)
+    assert err.value.draw == 5
+
+
+def test_failed_eigh_names_the_coupling_draw(monkeypatch):
+    # the stacked eigh of a dense chunk fails on draw 5's B B^T
+    basis = natural_basis(Kind.H3, 4)
+    b = chiral_block(HamiltonianSpec(Kind.H3, sample_coupling(4, Rng(31).substream(5))), basis)
+    marked = b @ b.T
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if any(np.array_equal(m, marked) for m in a.reshape(-1, *marked.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(
+        np.linalg.LinAlgError, match="coupling draw 5: eigendecomposition failed"
+    ) as err:
+        moment_statistics(Kind.H3, 4, [1.0], 16, Rng(31), threads=2)
     assert err.value.draw == 5
 
 

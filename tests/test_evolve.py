@@ -19,6 +19,7 @@ from spindyn.core import (
 import spindyn.evolve
 import spindyn.hamiltonian
 from spindyn.evolve import (
+    DecompositionError,
     KrylovConvergenceError,
     Propagator,
     _bessel_table,
@@ -36,6 +37,8 @@ from spindyn.hamiltonian import (
     SparseAction,
     coupling_norm_bound,
     dense_matrix,
+    spectral_bytes,
+    spectral_parts,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 
@@ -463,6 +466,74 @@ def test_chunked_guards_name_the_draw(monkeypatch):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "kind,n,fields",
+    [
+        (Kind.H3, 2, False),
+        (Kind.H3, 4, False),
+        (Kind.H4, 2, False),
+        (Kind.H4, 4, False),
+        (Kind.H1, 2, False),
+        (Kind.H2, 2, False),
+        (Kind.H4, 2, True),
+    ],
+)
+def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields):
+    # one stacked eigh and one stacked read for a chunk give every draw the
+    # bits of its own Propagator; chunk_specs holds a J = 0 draw
+    basis = natural_basis(kind, n)
+    specs = chunk_specs(kind, n, fields)
+    props = [Propagator(spec, basis=basis) for spec in specs]
+    assert props[0].dense
+    subset = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
+    for grid in ([1.3], [0.0, -0.7, 2.5, 6.0]):
+        for rows in (subset, None):
+            alone = [
+                Propagator(spec, basis=basis).all_probabilities_at(grid, rows)
+                for spec in specs
+            ]
+            for size in (1, 3, 16):
+                tables = []
+                for s in range(0, len(props), size):
+                    tables += probability_tables(props[s : s + size], grid, rows)
+                assert len(tables) == len(props)
+                for got, want in zip(tables, alone):
+                    assert np.array_equal(got, want)
+    omega, (p, v) = spectral_parts(specs, basis)
+    for j, spec in enumerate(specs):
+        (w1,), ((p1,), (v1,)) = spectral_parts([spec], basis)
+        assert np.array_equal(omega[j], w1)
+        assert np.array_equal(p[j], p1) and np.array_equal(v[j], v1)
+
+
+def test_failed_eigh_names_the_draw(monkeypatch):
+    # the stacked eigh fails on draw 1 of 3; the chunk is decomposed again
+    # draw by draw, the error names draw 1, and no sibling table comes back
+    basis = natural_basis(Kind.H4, 2)
+    specs = [random_spec(Kind.H4, 2, 83 + j) for j in range(3)]
+    props = [Propagator(spec, basis=basis) for spec in specs]
+    marked = dense_matrix(specs[1], basis)
+    eigh = np.linalg.eigh
+
+    def failing(a):
+        if any(np.array_equal(m, marked) for m in a.reshape(-1, *marked.shape)):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(DecompositionError, match="eigendecomposition failed") as err:
+        probability_tables(props, [0.5, 2.0])
+    assert err.value.draw == 1
+    assert isinstance(err.value, np.linalg.LinAlgError)
+    with pytest.raises(DecompositionError) as err:
+        props[1].all_probabilities_at([0.5])
+    assert err.value.draw == 0
+    tables = probability_tables([props[0], props[2]], [0.5, 2.0])
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    for got, prop in zip(tables, [props[0], props[2]]):
+        assert np.array_equal(got, prop.all_probabilities_at([0.5, 2.0]))
+
+
 def test_chunk_refuses_mixed_engines_and_bases(monkeypatch):
     sector = Propagator(random_spec(Kind.H3, 5, 1))
     other = Propagator(random_spec(Kind.H3, 5, 2), basis=Basis.full(5))
@@ -475,9 +546,14 @@ def test_chunk_refuses_mixed_engines_and_bases(monkeypatch):
 
 
 def test_draws_per_chunk_keeps_large_dimensions_alone():
-    # stacking pays at small d; from d = 4096 each draw runs alone, as on
-    # the dense engine
-    assert draws_per_chunk(Kind.H3, natural_basis(Kind.H3, 4)) == 1  # dense
+    # stacking pays at small d; from d = 4096 each draw runs alone.  The
+    # dense H3 n = 4 split (38 + 32) holds 8 (3 * 38^2 + 2 * 38 * 32)
+    # bytes per draw, so the 1.75 MiB budget takes 33 draws
+    sector = natural_basis(Kind.H3, 4)
+    assert draws_per_chunk(Kind.H3, sector) == 33
+    assert draws_per_chunk(Kind.H3, sector) == (
+        spindyn.evolve._CHUNK_BYTES // spectral_bytes(sector, True)
+    )
     assert draws_per_chunk(Kind.H1, natural_basis(Kind.H1, 4)) > 16
     assert draws_per_chunk(Kind.H4, natural_basis(Kind.H4, 6)) >= 4
     for kind, n in [(Kind.H1, 6), (Kind.H2, 6), (Kind.H3, 8), (Kind.H4, 8)]:

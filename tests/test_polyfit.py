@@ -301,6 +301,61 @@ def test_bw_system_is_integer_and_scales_rows_by_powers_of_two():
         assert [Fraction(v) for v in row] == [scale * w for w in want[:-1]]
 
 
+def _fraction_bw_system(ts, ys, nq, ne, e_max):
+    """Oracle: the Berlekamp-Welch rows from Fraction powers and products,
+    each row scaled by the LCM of its denominators."""
+    rows, rhs = [], []
+    for t, y in zip(ts, ys):
+        row = [t**a for a in range(nq)] + [-y * t**b for b in range(ne)]
+        row.append(y * t**e_max)
+        scale = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        rows.append(ints[:-1])
+        rhs.append(ints[-1])
+    return rows, rhs
+
+
+def _solve_or_refuse(rows, rhs):
+    try:
+        return _exact_solve(rows, rhs)
+    except RecoveryError:
+        return "inconsistent"
+
+
+def test_bw_system_rows_are_positive_multiples_of_the_fraction_rows():
+    # odd seeds: full-precision float nodes and samples, square systems;
+    # even seeds: nodes k / 4 (integers when the seed is a multiple of 4)
+    # and integer coefficients, so every sample is exact and the
+    # overdetermined systems stay consistent; every case has a t = 0 node
+    for seed in range(20):
+        g = Rng(107, seed).generator()
+        d, e = int(g.integers(0, 11)), int(g.integers(0, 5))
+        if seed % 2:
+            L = d + 1 + 2 * e
+            ts = [float(t) for t in g.uniform(-2.0, 2.0, size=L)]
+            coeffs = [Fraction(float(c)) for c in g.standard_normal(d + 1)]
+        else:
+            L = d + 1 + 2 * e + int(g.integers(0, 3))
+            ks = g.choice(np.arange(-20, 21), size=L, replace=False)
+            ts = [float(k) / (1 if seed % 4 == 0 else 4) for k in ks]
+            coeffs = [Fraction(int(c)) for c in g.integers(-9, 10, size=d + 1)]
+        ts[int(g.integers(0, L))] = 0.0
+        ys = [float(sum(c * Fraction(t) ** k for k, c in enumerate(coeffs))) for t in ts]
+        for i in g.choice(L, size=e, replace=False):
+            ys[int(i)] += float(g.integers(1, 9))
+        nq = d + e + 1
+        rows, rhs = _bw_system(ts, ys, nq, e, e)
+        want_rows, want_rhs = _fraction_bw_system(
+            [Fraction(t) for t in ts], [Fraction(y) for y in ys], nq, e, e
+        )
+        for row, b, want, wb in zip(rows, rhs, want_rows, want_rhs):
+            assert all(type(v) is int for v in row + [b])
+            scale = Fraction(row[0], want[0])
+            assert scale > 0
+            assert [Fraction(v) for v in row + [b]] == [scale * w for w in want + [wb]]
+        assert _solve_or_refuse(rows, rhs) == _solve_or_refuse(want_rows, want_rhs), seed
+
+
 # -- robust_median_fit -----------------------------------------------------
 
 
