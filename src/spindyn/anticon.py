@@ -34,7 +34,6 @@ from .core import (
 from .evolve import (
     DecompositionError,
     KrylovConvergenceError,
-    Propagator,
     draws_per_chunk,
     probability_tables,
 )
@@ -143,12 +142,9 @@ def _ensemble_sums(
     positions = basis.pos[hamming_class_states(n, n // 2)]
 
     def one_chunk(draws: range) -> list[np.ndarray]:
-        props = [
-            Propagator(HamiltonianSpec(kind, sample_coupling(n, rng.substream(j))), basis=basis)
-            for j in draws
-        ]
+        specs = [HamiltonianSpec(kind, sample_coupling(n, rng.substream(j))) for j in draws]
         try:
-            return probability_tables(props, times, positions)
+            return probability_tables(specs, basis, times, positions)
         except (KrylovConvergenceError, DecompositionError) as exc:
             j = draws[exc.draw]
             raise type(exc)(f"coupling draw {j}: {exc}", j) from exc

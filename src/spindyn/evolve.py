@@ -22,35 +22,37 @@ so a draw's table has the same bits in a chunk of any size; a single
 `Propagator` is a chunk of one.  This saves per-call overhead, not
 arithmetic: the eigh of each 38 x 38 block (H3 n = 4) stays ~60 us.
 
-Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a, where a
-is `Propagator.norm_bound`, the smaller of two rigorous bounds on ||H||,
-`coupling_norm_bound` and `SparseAction.norm_bound` (H1's closed form,
-or a Collatz-Wielandt bound on |H|; for H3 and H4 at n = 6 and 8 it is
-0.45-0.6 times the first and cuts the series order by 27-45 %): one real
+Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): one real
 three-term recurrence from |y0> serves every requested time at once,
 keeping only the rows the caller asks for, and the Bessel coefficients
-J_k(a t) carry the time dependence (Tal-Ezer & Kosloff, J. Chem. Phys.
-81, 3967 (1984)).  Its k-th vector lies on E for even k and on O for odd
-k, so for a chiral spec each step is one product with B^T or B.  The
+J_k(a t) carry the time dependence.  Its k-th vector lies on E for even
+k and on O for odd k, so for a chiral spec each step is one product with
+B^T or B.  The scale a is the smaller of two rigorous bounds on ||H||,
+`coupling_norm_bound` and `hamiltonian.norm_bounds` (H1's closed form,
+or a Collatz-Wielandt bound on |H|; for H3 and H4 at n = 6 and 8 it is
+0.45-0.6 times the first and cuts the series order by 27-45 %).  The
 series order is certified by a Bessel tail bound, and the norm of the
 state at the largest |t| is checked, so a wrong spectral bound fails
 loudly instead of returning a wrong table.
 `Propagator._parts` is the one switch between the engines, and every
 table, probability and state is read from its parts, never renormalized.
 
-One recurrence also serves a chunk of coupling draws on one basis
-(`probability_tables`, the ensemble path): each half-step is one product
-with the draws' block-diagonal `hamiltonian.stacked_half_steps`, and one
-backward Bessel loop serves every draw's columns, each draw's held at
-exactly 0 until the loop reaches that draw's own start.  Every draw keeps
-its own scale, series order, guards and final products, and every
-operation acts row by row or column by column, so a draw's table has the
-same bits in a chunk of any size.  At small dimensions this trades
-per-call overhead for longer products: `equilibrate --model H4 --n 6
---num-j 16` (33 times to 8 ln n) took a median 31-33 ms draw by draw and
-24-25 ms in chunks of 5-6, in process on a 2-core AMD EPYC with one BLAS
-thread.  `draws_per_chunk` sizes the chunks of both engines from one
-byte budget, which keeps d >= 4096 at one draw per chunk.
+This engine too takes a chunk of draws on one basis, and a single
+`Propagator` is a chunk of one.  One Collatz-Wielandt sweep over the
+chunk's block-diagonal |H| gives every draw's scale, each half-step is
+one product with the chunk's block-diagonal
+`hamiltonian.stacked_half_steps`, and one backward Bessel loop serves
+every draw's columns, each draw's held at exactly 0 until the loop
+reaches that draw's own start.  Every draw keeps its own scale, series
+order, guards and final products, and every operation acts row by row
+or column by column, so a draw's table has the same bits in a chunk of
+any size.  At small dimensions this trades per-call overhead for longer
+products: `equilibrate --model H4 --n 6 --num-j 16` (33 times to
+8 ln n) took a median 31-33 ms draw by draw and 24-25 ms in chunks of
+5-6, in process on a 2-core AMD EPYC with one BLAS thread.
+`draws_per_chunk` sizes the chunks of both engines from one byte
+budget, which keeps d >= 4096 at one draw per chunk.
 """
 from __future__ import annotations
 
@@ -70,14 +72,15 @@ from .core import (
     hamming_class_states,
 )
 from .hamiltonian import (
-    SparseAction,
     chiral,
     coupling_norm_bound,
     leading_blocks,
     natural_basis,
+    norm_bounds,
     spectral_bytes,
     spectral_parts,
     stacked_half_steps,
+    step_sides,
 )
 
 __all__ = [
@@ -130,7 +133,7 @@ class KrylovConvergenceError(RuntimeError):
     """Raised when the propagation cannot certify its accuracy.
 
     `draw` is the position, in the chunk given to `probability_tables`, of
-    the propagator whose guard failed (0 for a single propagator), or None.
+    the draw whose guard failed (0 for a single propagator), or None.
     """
 
     def __init__(self, message: str, draw: int | None = None):
@@ -169,12 +172,6 @@ def _series_order(z: float) -> int:
     while order < _MAX_ORDER and _bessel_tail_bound(z, order) > _TAIL_TOL:
         order += 1
     return order
-
-
-def _bessel_table(z: np.ndarray, order: int) -> np.ndarray:
-    """J_k(z) for 0 <= k < order (rows) at each z (columns); see
-    `_bessel_tables`."""
-    return _bessel_tables([z], [order])[0]
 
 
 def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.ndarray]:
@@ -298,9 +295,9 @@ class Propagator:
     """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian.
 
     A `chiral` spec (field-free H1, H3) runs on the two sides E and O of
-    `SparseAction.sides`; every other spec runs on the whole basis, which
-    is the split whose two sides are both the basis and whose half-steps
-    are both H.  The amplitude's real part lies on side 0 and its
+    `step_sides`; every other spec runs on the whole basis, which is the
+    split whose two sides are both the basis and whose half-steps are
+    both H.  The amplitude's real part lies on side 0 and its
     imaginary part on side 1; `_parts`, the one engine switch, returns
     both at the asked rows and times and the state at the largest |t|.
     """
@@ -308,8 +305,7 @@ class Propagator:
     def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
         self.spec = spec
         self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
-        self.action = SparseAction(spec, self.basis)
-        self._sides = self.action.sides
+        self._sides = step_sides(spec, self.basis)
         self._y0_half = _y0_half(self.basis, self._sides[0])
         self.dense = self.basis.dimension <= _DENSE_LIMIT
         if self.dense:  # refused here, before the first read decomposes H
@@ -329,7 +325,7 @@ class Propagator:
         else the Chebyshev series scale, an upper bound on it."""
         if self.dense:
             return float(np.abs(self._spectrum[0]).max())
-        return min(coupling_norm_bound(self.spec), self.action.norm_bound)
+        return _chebyshev_scales([self.spec], self.basis)[0]
 
     def all_probabilities_at(
         self, times: Sequence[float], rows: Sequence[int] | None = None
@@ -348,7 +344,7 @@ class Propagator:
         `ts`, and the state at the largest |t| (its real part on side 0,
         its imaginary part on side 1), each engine's chunk of one."""
         if not self.dense:
-            return _chebyshev_parts([self], ts, rows)[0]
+            return _chebyshev_parts([self.spec], self.basis, [self.norm_bound], ts, rows)[0]
         re, im, far = _dense_parts(self._spectrum, self._sides, self._y0_half, ts, rows)
         return re[0], im[0], [f[0] for f in far]
 
@@ -428,11 +424,22 @@ def _dense_parts(
     return parts[0], parts[1], far
 
 
+def _chebyshev_scales(specs: Sequence[HamiltonianSpec], basis: Basis) -> list[float]:
+    """Each draw's Chebyshev scale a: the smaller of `coupling_norm_bound`
+    and its `norm_bounds`, one Collatz-Wielandt sweep for the chunk."""
+    bounds = norm_bounds(specs, basis)
+    return [min(coupling_norm_bound(s), float(b)) for s, b in zip(specs, bounds)]
+
+
 def _chebyshev_parts(
-    props: Sequence[Propagator], ts: np.ndarray, rows: np.ndarray
+    specs: Sequence[HamiltonianSpec],
+    basis: Basis,
+    scales: Sequence[float],
+    ts: np.ndarray,
+    rows: np.ndarray,
 ) -> list[_Parts]:
-    """`Propagator._parts` of every propagator of a chunk from one
-    Chebyshev recurrence.
+    """`Propagator._parts` of every draw of a chunk on one basis from one
+    Chebyshev recurrence, draw j at scale `scales[j]`.
 
     The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
     k mod 2.  Each (draws x side) array holds one draw per row, and each
@@ -444,13 +451,12 @@ def _chebyshev_parts(
     dimension)).  The products, the Bessel loop and the updates act row
     by row, so each draw's table has the bits of a chunk of one.  A
     failed guard sets the error's `draw` to the draw's position in
-    `props`.
+    `specs`.
     """
     t_far = float(ts[np.argmax(np.abs(ts))])
-    scales, orders = [], []
-    for j, prop in enumerate(props):
-        a = prop.norm_bound or 1.0  # a = 0 means H = 0
-        order = _series_order(a * t_far)
+    scales = [a or 1.0 for a in scales]  # a = 0 means H = 0
+    orders = [_series_order(a * t_far) for a in scales]
+    for j, (a, order) in enumerate(zip(scales, orders)):
         tail = _bessel_tail_bound(a * t_far, order)
         if tail > _TAIL_TOL:
             raise KrylovConvergenceError(
@@ -458,9 +464,7 @@ def _chebyshev_parts(
                 f"{_TAIL_TOL} (a*|t| = {a * abs(t_far):.3e})",
                 j,
             )
-        scales.append(a)
-        orders.append(order)
-    rank = sorted(range(len(props)), key=lambda j: -orders[j])
+    rank = sorted(range(len(specs)), key=lambda j: -orders[j])
     m, order = len(rank), orders[rank[0]]
     ranked = [orders[j] for j in rank]
     # live[k]: the draws that still need phi_k, which are the first of `rank`
@@ -473,12 +477,9 @@ def _chebyshev_parts(
         w_far[: first.shape[0], i, 0] = first[:, -1]
     a = np.array([scales[j] for j in rank])[:, None]
     shape = (m, -1)
-    if m == 1:  # a chunk of one steps plain vectors with scalar weights
-        a, w_far, shape = scales[rank[0]], w_far.ravel(), (-1,)
     two_a = 2.0 / a
-    lead = props[0]
-    stack = stacked_half_steps([props[j].action for j in rank])
-    sides = lead.action.sides
+    stack = stacked_half_steps([specs[j] for j in rank], basis)
+    sides = step_sides(specs[0], basis)
     picks = [_gather(side, rows) for side in sides]
     # where each kept row of each draw sits in a flattened (draws x side) array
     flat = [(np.arange(m)[:, None] * side.size + local).ravel()
@@ -487,7 +488,7 @@ def _chebyshev_parts(
     kept = [np.empty((orders[j], rows.size)) for j in rank]
     far = [np.zeros(m * side.size).reshape(shape) for side in sides]
     prev, phi = None, np.zeros(m * sides[0].size).reshape(shape)
-    phi.reshape(m, -1)[:, _y0_half(lead.basis, sides[0])] = 1.0
+    phi.reshape(m, -1)[:, _y0_half(basis, sides[0])] = 1.0
     steps, far_live, n = stack, far, m
     for k in range(order):
         if live[k] < n:  # the last draws have reached their order: drop them
@@ -546,34 +547,27 @@ def _series_sums(
 
 
 def probability_tables(
-    props: Sequence[Propagator],
+    specs: Sequence[HamiltonianSpec],
+    basis: Basis,
     times: Sequence[float],
     rows: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
-    """`Propagator.all_probabilities_at(times, rows)` of every propagator
-    of a chunk of draws that share one basis and one chiral split, each
+    """`Propagator(spec, basis).all_probabilities_at(times, rows)` of every
+    draw of a chunk that shares one layout and one chiral split, each
     table the same bits as its own call.
 
     A dense chunk takes one stacked eigendecomposition (`_spectra`) and
-    one stacked read (`_dense_parts`); a Chebyshev chunk shares one
-    recurrence (`_chebyshev_parts`): one product with the stacked
-    half-steps per step and one Bessel loop for the chunk.  Either costs
-    less than a call per draw at small dimensions.  A failed guard names
-    the failing draw's position in `props` as its `draw`.
+    one stacked read (`_dense_parts`); a Chebyshev chunk takes one
+    Collatz-Wielandt sweep for its scales and one recurrence
+    (`_chebyshev_parts`).  A failed guard names the failing draw's
+    position in `specs` as its `draw`.
     """
-    if len(props) == 1:
-        return [props[0].all_probabilities_at(times, rows)]
-    lead = props[0]
-    if any(prop.dense != lead.dense for prop in props):
-        raise ValueError("a chunk needs one engine")
-    if any(prop.basis is not lead.basis for prop in props):
-        raise ValueError("a chunk needs one basis")
-    ts, keep = _read_grid(lead.basis, times, rows)
-    if not lead.dense:
-        return [_probabilities(parts) for parts in _chebyshev_parts(props, ts, keep)]
-    sides = lead.action.sides
-    spectrum = _spectra([prop.spec for prop in props], lead.basis)
-    parts = _dense_parts(spectrum, sides, _y0_half(lead.basis, sides[0]), ts, keep)
+    ts, keep = _read_grid(basis, times, rows)
+    if basis.dimension > _DENSE_LIMIT:
+        parts = _chebyshev_parts(specs, basis, _chebyshev_scales(specs, basis), ts, keep)
+        return [_probabilities(p) for p in parts]
+    sides = step_sides(specs[0], basis)
+    parts = _dense_parts(_spectra(specs, basis), sides, _y0_half(basis, sides[0]), ts, keep)
     return list(_probabilities(parts))
 
 
@@ -603,7 +597,7 @@ def engine(spec: HamiltonianSpec) -> str:
     name = "dense" if basis.dimension <= _DENSE_LIMIT else "chebyshev"
     if not chiral(spec):
         return f"{name} {basis.dimension}"
-    e, o = SparseAction(spec, basis).sides
+    e, o = step_sides(spec, basis)
     return f"{name} chiral {e.size}+{o.size}"
 
 

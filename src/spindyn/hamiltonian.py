@@ -10,28 +10,27 @@ Every function here takes a `core.Basis`: the full basis, the sector, or
 one block of `symmetry_blocks`.  `_layout` lays H out as CSR index arrays
 from the basis's flip partners; it is cached per basis, so a coupling
 draw computes only the stored values and the diagonal (`_values`, one
-row per draw of a chunk).  Two builders read those values:
-`SparseAction._matrix` wraps them in a scipy CSR matrix for sparse
-products (and so `moment_table`'s), and `dense_matrix` scatters them
-into a numpy array, a chunk of draws into one (draws, d, d) stack with
-one scatter for `spectral_parts`.  scipy.sparse is imported inside
-`_csr`, which builds every scipy matrix, so it loads with the first
-sparse product and never for a command that stays dense.
+row per draw of a chunk).  Two builders read those values: `_csr` wraps
+them in scipy CSR matrices for sparse products, and `dense_matrix`
+scatters them into a numpy array, a chunk of draws into one (draws, d,
+d) stack with one scatter for `spectral_parts`.  scipy.sparse is
+imported inside `_csr`, which builds every scipy matrix, so it loads
+with the first sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
 its entry [k, x.index()], and sweeps over many outcomes x read one table.
 
-`SparseAction.norm_bound` bounds ||H|| on the basis from above: H1's
-closed form without z fields, otherwise a Collatz-Wielandt ratio of |H|,
-whose CSR matrices wrap the absolute values of the draw's stored entries
-over the same cached layouts.
-
-`stacked_half_steps` lays a chunk of coupling draws on one basis out as
-block-diagonal CSR matrices, one per half-step: the cached layout
-repeated at offsets (`_stacked_layout`) over the draws' stored values, so
-one product steps every draw of the chunk with each row's bits unchanged;
-`leading_blocks` keeps the first draws of such a stack.
+The sparse products, like the dense algebra, take a chunk of coupling
+draws on one basis, and one draw is a chunk of one (`SparseAction`'s
+half-steps and norm bound).  Each half-step of a chunk is one
+block-diagonal CSR matrix (`_stacks`): the cached layout repeated at
+offsets (`_stacked_layout`) over one (draws x entries) value array, so
+one product steps every draw with each row's bits unchanged.
+`stacked_half_steps` holds H's values, and `leading_blocks` keeps the
+first draws of such a stack; `norm_bounds` bounds each draw's ||H|| from
+above, by H1's closed form without z fields, otherwise by one
+Collatz-Wielandt sweep over the chunk's |H|.
 
 `symmetry_blocks` is the partition H conserves (weight or Z-parity
 blocks), and `natural_basis` the smallest basis holding y0's dynamics
@@ -43,15 +42,15 @@ with H.  Ordered by sigma parity, H = [[0, B], [B^T, 0]] between the
 even class E (that of |y0>, whose sigma half is empty) and the odd class
 O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
 per basis, so a draw again computes only the stored values:
-`SparseAction.half_steps` holds both blocks, and `chiral_block` builds B
-as a numpy array for dense algebra.  `spectral_parts` is the one dense
-eigendecomposition, two-sided over E and O (`parity_sides`), that both
-`evolve.Propagator` and the Trotter error algebra read.  It takes a
-chunk of draws on one basis: one scatter builds the chunk's B (or H)
-stack, one stacked eigh decomposes it and one batched product forms V,
-each draw's parts the bits of its own chunk of one; `spectral_bytes` is
-the per-draw working set it refuses above the memory cap, before
-allocating.
+`stacked_half_steps` holds both blocks, between the sides of
+`step_sides`, and `chiral_block` builds B as a numpy array for dense
+algebra.  `spectral_parts` is the one dense eigendecomposition,
+two-sided over E and O (`parity_sides`), that both `evolve.Propagator`
+and the Trotter error algebra read.  It takes a chunk of draws on one
+basis: one scatter builds the chunk's B (or H) stack, one stacked eigh
+decomposes it and one batched product forms V, each draw's parts the
+bits of its own chunk of one; `spectral_bytes` is the per-draw working
+set it refuses above the memory cap, before allocating.
 """
 
 from __future__ import annotations
@@ -84,10 +83,12 @@ __all__ = [
     "leading_blocks",
     "moment_table",
     "natural_basis",
+    "norm_bounds",
     "parity_sides",
     "spectral_bytes",
     "spectral_parts",
     "stacked_half_steps",
+    "step_sides",
     "symmetry_blocks",
     "coupling_norm_bound",
     "norm_tail_probability",
@@ -98,10 +99,10 @@ __all__ = [
 # exposed exactly as printed (no tightening attempted).
 NORM_BOUND_PREFACTOR = {Kind.H1: 1.0, Kind.H2: 2.0, Kind.H3: 1.0, Kind.H4: 1.5}
 
-# Products with |H| behind `SparseAction.norm_bound`.  40 instead of 5
-# lower the bound by under 0.04 x `coupling_norm_bound` (two draws each:
-# H3 at n = 6, 8 and 10 from ~0.58 to 0.57, 0.55 and 0.54 of it; H4 at
-# n = 6 from 0.45 to 0.44).
+# Products with |H| behind `norm_bounds`.  40 instead of 5 lower the
+# bound by under 0.04 x `coupling_norm_bound` (two draws each: H3 at
+# n = 6, 8 and 10 from ~0.58 to 0.57, 0.55 and 0.54 of it; H4 at n = 6
+# from 0.45 to 0.44).
 _CW_STEPS = 5
 # Relative slack on a computed norm bound.  Each (|H| v)_i sums at most
 # n^2 + 1 non-negative terms, so it and its ratio to v_i carry a relative
@@ -138,7 +139,7 @@ def _layout(basis: Basis, hopping: bool) -> tuple[np.ndarray, ...]:
     canonical (no duplicates: distinct flips reach distinct rows, so the
     sorted order is unique).  term[e] is the site i*n + j of entry e (0
     for a diagonal, whose value each draw writes itself) and diag[r] is
-    the entry holding row r's diagonal.  Both `SparseAction._matrix` and
+    the entry holding row r's diagonal.  Every sparse matrix (`_csr`) and
     `dense_matrix` read this layout; building it needs no scipy.
     """
     n, dim = basis.n, basis.dimension
@@ -291,16 +292,15 @@ def spectral_bytes(basis: Basis, split: bool) -> int:
 
 def _chiral_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
     """B of every draw of a chunk, shape (draws, |E|, |O|); see `chiral_block`."""
-    for spec in specs:
-        if not chiral(spec):
-            raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
-        _check_basis(spec, basis)
+    hopping, split = _chunk_key(specs, basis)
+    if not split:
+        raise ValueError(f"{specs[0].kind.value} with these fields has no chiral split")
     e, o = (side.size for side in parity_sides(basis))
     _check_bytes(
         len(specs) * spectral_bytes(basis, True),
         f"{len(specs)} x chiral split {e}+{o} (dense)",
     )
-    half = _chiral_layout(basis, specs[0].kind is Kind.H3)[0]
+    half = _chiral_layout(basis, hopping)[0]
     out = np.zeros((len(specs), e, o))
     out[:, half[2], half[1]] = _half_values(specs, half)
     return out
@@ -318,7 +318,7 @@ def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
 def spectral_parts(
     specs: Sequence[HamiltonianSpec], basis: Basis
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(omega, (P, V)): H's spectrum on the two sides of `SparseAction.sides`
+    """(omega, (P, V)): H's spectrum on the two sides of `step_sides`
     for every draw of a chunk, each array stacked along a leading draw axis.
 
     For a `chiral` spec B B^T = P diag(omega^2) P^T on E and V = B^T P;
@@ -333,11 +333,7 @@ def spectral_parts(
     BLAS on each matrix of a stack as on that matrix alone, so every
     draw's parts have the bits of a chunk of one.
     """
-    key = (_hopping(specs[0]), chiral(specs[0]))
-    for spec in specs[1:]:
-        if (_hopping(spec), chiral(spec)) != key:
-            raise ValueError("a stack needs one layout and one chiral split")
-    if key[1]:
+    if _chunk_key(specs, basis)[1]:
         b = _chiral_stack(specs, basis)
         bt = b.transpose(0, 2, 1)
         w2, p = np.linalg.eigh(b @ bt)
@@ -377,9 +373,22 @@ def _check_basis(spec: HamiltonianSpec, basis: Basis) -> None:
         )
 
 
+def step_sides(spec: HamiltonianSpec, basis: Basis) -> tuple[np.ndarray, np.ndarray]:
+    """Basis positions of the two sides H's half-steps map onto each other:
+    E and O (`parity_sides`) for a `chiral` spec, else the whole basis
+    twice.  Refuses a basis the spec does not fit."""
+    _check_basis(spec, basis)
+    if chiral(spec):
+        return parity_sides(basis)
+    rows = np.arange(basis.dimension)
+    return rows, rows
+
+
 @dataclass(frozen=True)
 class SparseAction:
-    """H as a linear map on state vectors, held as a sparse matrix."""
+    """H as a linear map on state vectors, held as a sparse matrix; its
+    half-steps and norm bound are the chunk of one of `stacked_half_steps`
+    and `norm_bounds`."""
 
     spec: HamiltonianSpec
     basis: Basis
@@ -399,123 +408,124 @@ class SparseAction:
         return self._matrix @ arr
 
     @cached_property
-    def sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """Basis positions of the two sides H maps onto each other.
-
-        For a `chiral` spec these are E and O; otherwise both sides are the
-        whole basis, and each half-step is H itself.
-        """
-        if chiral(self.spec):
-            return parity_sides(self.basis)
-        rows = np.arange(self.basis.dimension)
-        return rows, rows
-
-    @cached_property
-    def _halves(self) -> tuple[sp.csr_matrix, sp.csr_matrix] | None:
-        """(B^T, B) for a chiral spec, None otherwise."""
-        if not chiral(self.spec):
-            return None
-        e, o = (side.size for side in self.sides)
-        b, bt = _chiral_layout(self.basis, self.spec.kind is Kind.H3)
-        return (
-            _csr(*bt[:2], _half_values([self.spec], bt)[0], (o, e)),
-            _csr(*b[:2], _half_values([self.spec], b)[0], (e, o)),
-        )
-
-    @cached_property
     def half_steps(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The blocks of H from side 0 and from side 1 of `sides` to the
-        other: (B^T, B) for a chiral spec, (H, H) otherwise.  Block s
+        """The blocks of H from side 0 and from side 1 of `step_sides` to
+        the other: (B^T, B) for a chiral spec, (H, H) otherwise.  Block s
         times a vector on side s gives H's product read on the other side."""
-        return self._halves or (self._matrix, self._matrix)
+        return stacked_half_steps([self.spec], self.basis)
 
     @cached_property
     def norm_bound(self) -> float:
-        """A rigorous upper bound on ||H|| on the basis, or inf.
+        """A rigorous upper bound on ||H|| on the basis, or inf; see
+        `norm_bounds`."""
+        return float(norm_bounds([self.spec], self.basis)[0])
 
-        Field-free H1 takes its closed form `_h1_norm`.  Otherwise, for
-        symmetric H, ||H|| <= rho(|H|) <= max_i (|H| v)_i / v_i for every
-        v > 0 (Wielandt's comparison and the Collatz-Wielandt bound; Horn
-        and Johnson, Matrix Analysis, ch. 8).  v is |H|^(_CW_STEPS - 1)
-        applied to ones, normalised by its max after each product; one more
-        product gives the ratio, times 1 + `_NORM_MARGIN`.  A chiral |H| is
-        applied as |B^T| from E and |B| from O.  inf when v has a zero
-        entry (|H| with a zero row, J = 0) or the ratio is not finite.
-        """
-        if self.spec.kind is Kind.H1 and self.spec.z_fields is None:
-            return _h1_norm(self.spec) * (1.0 + _NORM_MARGIN)
-        # |H| on the cached layouts: scipy's abs() of a CSR matrix costs more
-        blocks = [
-            _csr(m.indptr, m.indices, np.abs(m.data), m.shape)
-            for m in self._halves or (self._matrix,)
-        ]
 
-        def step(vs: list[np.ndarray]) -> list[np.ndarray]:
-            # block s maps side s to the other, so the products come reversed
-            return [m @ v for m, v in zip(blocks, vs)][::-1]
+def _chunk_key(specs: Sequence[HamiltonianSpec], basis: Basis) -> tuple[bool, bool]:
+    """(hopping, chiral), which every draw of a chunk must share, each
+    draw checked against the basis."""
+    key = (_hopping(specs[0]), chiral(specs[0]))
+    for spec in specs:
+        if (_hopping(spec), chiral(spec)) != key:
+            raise ValueError("a stack needs one layout and one chiral split")
+        _check_basis(spec, basis)
+    return key
 
-        vs = [np.ones(m.shape[1]) for m in blocks]
-        for _ in range(_CW_STEPS - 1):
-            ws = step(vs)
-            top = max(float(w.max()) for w in ws)
-            if not top > 0.0:
-                return math.inf
-            vs = [w / top for w in ws]
-        if min(float(v.min()) for v in vs) <= 0.0:
-            return math.inf
-        bound = max(float(np.max(w / v)) for w, v in zip(step(vs), vs))
-        return bound * (1.0 + _NORM_MARGIN) if math.isfinite(bound) else math.inf
+
+def _stacks(
+    specs: Sequence[HamiltonianSpec], basis: Basis, magnitude: bool
+) -> list[sp.csr_matrix]:
+    """Each half-step of a chunk as one block-diagonal CSR matrix whose
+    block j carries draw j's stored values (their absolute values if
+    `magnitude`) over the cached layout repeated at offsets
+    (`_stacked_layout`): B^T and B for a chiral chunk, H otherwise.  Each
+    half-step's values are one (draws x entries) array."""
+    hopping, split = _chunk_key(specs, basis)
+    # per stored entry: the values, and the stacked indices
+    nnz = int(_layout(basis, hopping)[0][-1])
+    _check_bytes(12 * len(specs) * nnz, f"stack of {len(specs)} draws")
+    if split:
+        halves = _chiral_layout(basis, hopping)
+        rows = [(h, _half_values(specs, halves[1 - h])) for h in (0, 1)]
+    else:
+        rows = [(-1, _values(specs, basis)[2])]
+    out = []
+    for half, values in rows:
+        indptr, indices, shape = _stacked_layout(basis, hopping, half, len(specs))
+        data = np.abs(values, out=values) if magnitude else values
+        out.append(_csr(indptr, indices, data.ravel(), shape))
+    return out
 
 
 def stacked_half_steps(
-    actions: Sequence[SparseAction],
+    specs: Sequence[HamiltonianSpec], basis: Basis
 ) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """`SparseAction.half_steps` of a chunk of draws on one basis, each as
-    one block-diagonal matrix whose block j is draw j's.
-
-    Block j repeats the cached CSR layout at offset j (`_stacked_layout`)
-    and carries draw j's stored values, so each row adds the same
-    products in the same order as the draw's own matrix, and a product
-    with the stack gives every draw's product bit for bit.  A chunk of
-    one is its own half-steps, with no stacking copy.
-    """
-    lead = actions[0]
-    key = (lead.basis, _hopping(lead.spec), chiral(lead.spec))
-    if any((a.basis, _hopping(a.spec), chiral(a.spec)) != key for a in actions):
-        raise ValueError("a stack needs one basis, one layout and one chiral split")
-    if len(actions) == 1:
-        return lead.half_steps
-    count = len(actions)
-    halves = (0, 1) if key[2] else (0,)  # a non-chiral H is both half-steps
-    # per stored entry: the stacked values, and the cached stacked indices
-    _check_bytes(
-        12 * count * sum(lead.half_steps[h].nnz for h in halves),
-        f"stack of {count} draws",
-    )
-    stacks = [
-        _csr(
-            *_stacked_layout(lead.basis, key[1], h if key[2] else -1, count),
-            np.concatenate([a.half_steps[h].data for a in actions]),
-            tuple(size * count for size in lead.half_steps[h].shape),
-        )
-        for h in halves
-    ]
+    """`SparseAction.half_steps` for a chunk of draws on one basis, each as
+    one block-diagonal matrix whose block j is draw j's (`_stacks`).  Each
+    row adds the same products in the same order as in a chunk of one, so
+    a product with the stack gives every draw's product bit for bit."""
+    stacks = _stacks(specs, basis, False)
     return stacks[0], stacks[-1]
+
+
+def norm_bounds(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
+    """A rigorous upper bound on ||H|| on the basis, or inf, for every draw
+    of a chunk on one basis.
+
+    Field-free H1 takes its closed form `_h1_norm`.  Otherwise, for
+    symmetric H, ||H|| <= rho(|H|) <= max_i (|H| v)_i / v_i for every
+    v > 0 (Wielandt's comparison and the Collatz-Wielandt bound; Horn
+    and Johnson, Matrix Analysis, ch. 8).  v is |H|^(_CW_STEPS - 1)
+    applied to ones, normalised by its max after each product; one more
+    product gives the ratio, times 1 + `_NORM_MARGIN`.  A chiral |H| is
+    applied as |B^T| from E and |B| from O.  inf when v has a zero
+    entry (|H| with a zero row, J = 0) or the ratio is not finite.
+
+    One sweep serves the chunk, over |H|'s block-diagonal `_stacks`, and
+    every max, zero check and division is taken per draw, so each draw's
+    bound has the bits of its chunk of one.
+    """
+    if _chunk_key(specs, basis) == (False, True):  # field-free H1
+        return np.array([_h1_norm(spec) * (1.0 + _NORM_MARGIN) for spec in specs])
+    m, blocks = len(specs), _stacks(specs, basis, True)
+
+    def step(vs: list[np.ndarray]) -> list[np.ndarray]:
+        # block s maps side s to the other, so the products come reversed
+        return [(b @ v.ravel()).reshape(m, -1) for b, v in zip(blocks, vs)][::-1]
+
+    vs = [np.ones((m, b.shape[1] // m)) for b in blocks]
+    dead = np.zeros(m, dtype=bool)  # the draws whose bound is inf
+    for _ in range(_CW_STEPS - 1):
+        ws = step(vs)
+        top = np.max([w.max(axis=1) for w in ws], axis=0)
+        dead |= ~(top > 0.0)
+        top[dead] = 1.0
+        vs = [w / top[:, None] for w in ws]
+    dead |= ~(np.min([v.min(axis=1) for v in vs], axis=0) > 0.0)
+    for v in vs:
+        v[dead] = 1.0  # read no ratio off a zero
+    bound = np.max([(w / v).max(axis=1) for w, v in zip(step(vs), vs)], axis=0)
+    dead |= ~np.isfinite(bound)
+    return np.where(dead, math.inf, bound * (1.0 + _NORM_MARGIN))
 
 
 @lru_cache(maxsize=8)
 def _stacked_layout(
     basis: Basis, hopping: bool, half: int, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of `count` copies of one half-step's CSR layout
-    on the block diagonal: H's (half -1), or that of B^T (half 0) or B
-    (half 1) in the chiral split."""
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """(indptr, indices, shape) of `count` copies of one half-step's CSR
+    layout on the block diagonal: H's (half -1), or that of B^T (half 0,
+    from E to O) or B (half 1, from O to E) in the chiral split.  One copy
+    is the cached layout itself."""
     if half < 0:
         indptr, indices = _layout(basis, hopping)[:2]
         cols = basis.dimension
     else:
         indptr, indices = _chiral_layout(basis, hopping)[1 - half][:2]
         cols = parity_sides(basis)[half].size
+    shape = ((indptr.size - 1) * count, cols * count)
+    if count == 1:
+        return indptr, indices, shape
     nnz = int(indptr[-1])
     shift = np.arange(count, dtype=np.int64)[:, None]
     _check_bytes(16 * count * nnz, f"stacked layout of {count} x {nnz} entries")
@@ -525,7 +535,7 @@ def _stacked_layout(
     )
     for arr in out:  # the cache shares them with every chunk
         arr.flags.writeable = False
-    return out
+    return *out, shape
 
 
 def leading_blocks(stack: sp.csr_matrix, count: int, blocks: int) -> sp.csr_matrix:
@@ -544,8 +554,7 @@ def _dense_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
         len(specs) * spectral_bytes(basis, False),
         f"{len(specs)} x dense dimension {d} (3 d^2 float64)",
     )
-    for spec in specs:
-        _check_basis(spec, basis)
+    _chunk_key(specs, basis)
     indptr, indices, data = _values(specs, basis)
     out = np.zeros((len(specs), d, d))
     out[:, _entry_rows(indptr), indices] += data

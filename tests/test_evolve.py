@@ -22,7 +22,7 @@ from spindyn.evolve import (
     DecompositionError,
     KrylovConvergenceError,
     Propagator,
-    _bessel_table,
+    _bessel_tables,
     _series_order,
     draws_per_chunk,
     engine,
@@ -37,8 +37,10 @@ from spindyn.hamiltonian import (
     SparseAction,
     coupling_norm_bound,
     dense_matrix,
+    norm_bounds,
     spectral_bytes,
     spectral_parts,
+    step_sides,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
 
@@ -297,7 +299,7 @@ def test_non_chiral_specs_take_the_general_path(kind, fields, limit, monkeypatch
     spec = random_spec(kind, 2, 97, fields=fields)
     prop = Propagator(spec)
     whole = np.arange(prop.basis.dimension)
-    assert all(np.array_equal(side, whole) for side in prop.action.sides)
+    assert all(np.array_equal(side, whole) for side in step_sides(spec, prop.basis))
     assert engine(spec) == f"{'dense' if limit > 1 else 'chebyshev'} {whole.size}"
     got = prop.state_at(1.3).amplitudes
     assert np.max(np.abs(got - expm_oracle(spec, prop.basis, 1.3))) <= 1e-12
@@ -332,7 +334,8 @@ def test_propagator_norm_bound(kind, n, fields, monkeypatch):
     if prop.dense:
         assert prop.norm_bound == pytest.approx(exact, rel=1e-12)
     else:
-        assert prop.norm_bound == min(coupling_norm_bound(spec), prop.action.norm_bound)
+        sparse = SparseAction(spec, prop.basis)
+        assert prop.norm_bound == min(coupling_norm_bound(spec), sparse.norm_bound)
         assert exact <= prop.norm_bound
 
 
@@ -340,7 +343,7 @@ def test_bessel_table_matches_scipy():
     z = np.array([0.0, 1e-30, 1e-9, 1e-3, 0.5, -3.0, 26.0, -103.0, 400.0])
     order = _series_order(400.0)
     want = scipy.special.jv(np.arange(order)[:, None], z[None, :])
-    assert np.max(np.abs(_bessel_table(z, order) - want)) <= 5e-14
+    assert np.max(np.abs(_bessel_tables([z], [order])[0] - want)) <= 5e-14
 
 
 def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
@@ -388,7 +391,7 @@ def test_chebyshev_propagates_zero_coupling_rows(kind, monkeypatch):
         assert not prop.dense
         table = prop.all_probabilities_at(grid)
         assert np.max(np.abs(table - eigh_oracle(spec, prop.basis, grid))) <= 1e-12
-    assert prop.action.norm_bound == (0.0 if kind is Kind.H1 else np.inf)
+    assert SparseAction(spec, prop.basis).norm_bound == (0.0 if kind is Kind.H1 else np.inf)
 
 
 def chunk_specs(kind, n, fields):
@@ -420,7 +423,8 @@ def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatc
     if limit is not None:
         monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
     basis = natural_basis(kind, n)
-    props = [Propagator(spec, basis=basis) for spec in chunk_specs(kind, n, fields)]
+    specs = chunk_specs(kind, n, fields)
+    props = [Propagator(spec, basis=basis) for spec in specs]
     assert not props[0].dense
     assert len({_series_order(p.norm_bound * 6.0) for p in props}) >= 3
     grid = np.array([0.0, -0.7, 2.5, 6.0])
@@ -428,12 +432,12 @@ def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatc
     alone = [p.all_probabilities_at(grid, rows) for p in props]
     for size in (1, 3, 16):
         tables = []
-        for s in range(0, len(props), size):
-            tables += probability_tables(props[s : s + size], grid, rows)
+        for s in range(0, len(specs), size):
+            tables += probability_tables(specs[s : s + size], basis, grid, rows)
         assert len(tables) == len(props)
         for got, want in zip(tables, alone):
             assert np.array_equal(got, want)
-    full = probability_tables(props[:3], grid[:2])
+    full = probability_tables(specs[:3], basis, grid[:2])
     for got, prop in zip(full, props):
         assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
 
@@ -454,15 +458,16 @@ def test_chunked_guards_name_the_draw(monkeypatch):
         return 0.2 * real(spec) if low else real(spec)
 
     monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", bound)
+    basis = props[0].basis
     with pytest.raises(KrylovConvergenceError, match="norm drift") as err:
-        probability_tables([Propagator(spec) for spec in specs], [0.5, 10.0])
+        probability_tables(specs, basis, [0.5, 10.0])
     assert err.value.draw == 1
     monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", real)
     big = HamiltonianSpec(Kind.H3, CouplingMatrix(1e5 * specs[2].couplings.entries))
     with pytest.raises(KrylovConvergenceError, match="tail bound") as err:
-        probability_tables([props[0], props[1], Propagator(big)], [0.5, 10.0])
+        probability_tables([specs[0], specs[1], big], basis, [0.5, 10.0])
     assert err.value.draw == 2
-    for got, want in zip(probability_tables(props, [0.5, 10.0]), alone):
+    for got, want in zip(probability_tables(specs, basis, [0.5, 10.0]), alone):
         assert np.array_equal(got, want)
 
 
@@ -494,8 +499,8 @@ def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields):
             ]
             for size in (1, 3, 16):
                 tables = []
-                for s in range(0, len(props), size):
-                    tables += probability_tables(props[s : s + size], grid, rows)
+                for s in range(0, len(specs), size):
+                    tables += probability_tables(specs[s : s + size], basis, grid, rows)
                 assert len(tables) == len(props)
                 for got, want in zip(tables, alone):
                     assert np.array_equal(got, want)
@@ -522,27 +527,86 @@ def test_failed_eigh_names_the_draw(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(DecompositionError, match="eigendecomposition failed") as err:
-        probability_tables(props, [0.5, 2.0])
+        probability_tables(specs, basis, [0.5, 2.0])
     assert err.value.draw == 1
     assert isinstance(err.value, np.linalg.LinAlgError)
     with pytest.raises(DecompositionError) as err:
         props[1].all_probabilities_at([0.5])
     assert err.value.draw == 0
-    tables = probability_tables([props[0], props[2]], [0.5, 2.0])
+    tables = probability_tables([specs[0], specs[2]], basis, [0.5, 2.0])
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     for got, prop in zip(tables, [props[0], props[2]]):
         assert np.array_equal(got, prop.all_probabilities_at([0.5, 2.0]))
 
 
-def test_chunk_refuses_mixed_engines_and_bases(monkeypatch):
-    sector = Propagator(random_spec(Kind.H3, 5, 1))
-    other = Propagator(random_spec(Kind.H3, 5, 2), basis=Basis.full(5))
-    with pytest.raises(ValueError, match="one basis"):
-        probability_tables([sector, other], [1.0])
-    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", 300)
-    dense = Propagator(random_spec(Kind.H3, 5, 3))
-    with pytest.raises(ValueError, match="one engine"):
-        probability_tables([sector, dense], [1.0])
+@pytest.mark.parametrize("limit", [4096, 1])
+def test_chunk_refuses_mixed_layouts_and_sizes(limit, monkeypatch):
+    # the chunk's basis is given, so what a chunk can still mix is its
+    # draws' layouts and chiral splits, or a spec whose n misses the basis
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+    basis = Basis.full(3)
+    h3 = random_spec(Kind.H3, 3, 1)
+    for other in (random_spec(Kind.H4, 3, 2), random_spec(Kind.H3, 3, 3, fields=True)):
+        with pytest.raises(ValueError, match="one layout"):
+            probability_tables([h3, other], basis, [1.0])
+    for chunk in ([h3, random_spec(Kind.H3, 4, 4)], [random_spec(Kind.H3, 4, 4), h3]):
+        with pytest.raises(ValueError, match="basis size"):
+            probability_tables(chunk, basis, [1.0])
+
+
+@pytest.mark.parametrize(
+    "kind,where,fields",
+    [
+        (Kind.H2, "full", True),
+        (Kind.H2, "parity", True),
+        (Kind.H3, "sector", False),
+        (Kind.H3, "full", False),
+        (Kind.H4, "sector", False),
+        (Kind.H4, "full", False),
+    ],
+)
+def test_chunk_norm_bounds_match_each_draw_alone(kind, where, fields):
+    # one Collatz-Wielandt sweep for a chunk gives every draw the bits of
+    # its own; J = 0 (draw 7) reads inf on that draw only, unless z fields
+    # fill the diagonal.  H3's |H| on the full basis has zero rows (weights
+    # 0 and 2n hop nowhere), so there every draw reads inf
+    basis = {"full": Basis.full(3), "parity": Basis.of(3, "parity", 0)}.get(where, Basis.sector(4))
+    specs = chunk_specs(kind, basis.n, fields)
+    bounds = norm_bounds(specs, basis)
+    alone = [SparseAction(spec, basis).norm_bound for spec in specs]
+    assert np.array_equal(bounds, alone)
+    infinite = [j for j, b in enumerate(bounds) if np.isinf(b)]
+    if kind is Kind.H3 and where == "full":
+        assert infinite == list(range(16))
+    else:
+        assert infinite == ([] if fields else [7])
+
+
+@pytest.mark.parametrize("kind", [Kind.H3, Kind.H4])
+def test_chebyshev_chunk_builds_its_matrices_once(kind, monkeypatch):
+    # a chunk builds one |H| and one stack per half-step however many
+    # draws it holds; `leading_blocks` views the stack as draws finish
+    basis = natural_basis(kind, 5)
+    assert basis.dimension > spindyn.evolve._DENSE_LIMIT
+    specs = [random_spec(kind, 5, 400 + j) for j in range(16)]
+    csr, leading = spindyn.hamiltonian._csr, spindyn.evolve.leading_blocks
+    calls = {"csr": 0, "views": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spindyn.hamiltonian, "_csr", counted("csr", csr))
+    monkeypatch.setattr(spindyn.evolve, "leading_blocks", counted("views", leading))
+    builds = []
+    for m in (3, 16):
+        calls.update(csr=0, views=0)
+        probability_tables(specs[:m], basis, [0.5, 3.0], np.arange(10))
+        builds.append(calls["csr"] - calls["views"])
+    assert builds == ([4, 4] if kind is Kind.H3 else [2, 2])  # chiral: B^T and B
 
 
 def test_draws_per_chunk_keeps_large_dimensions_alone():

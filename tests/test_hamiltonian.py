@@ -34,6 +34,7 @@ from spindyn.hamiltonian import (
     natural_basis,
     norm_tail_probability,
     stacked_half_steps,
+    step_sides,
     symmetry_blocks,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
@@ -268,8 +269,7 @@ def test_chiral_split_leaves_both_diagonal_blocks_zero(kind, basis_kind, n):
     spec = random_spec(kind, n, 300 + n)
     basis = Basis.full(n) if basis_kind == "full" else Basis.sector(n)
     assert chiral(spec)
-    action = SparseAction(spec, basis)
-    e, o = action.sides
+    e, o = step_sides(spec, basis)
     assert np.array_equal(np.sort(np.r_[e, o]), np.arange(basis.dimension))
     sigma_weight = [sum(BitString.from_index(int(s), n).bits[:n]) for s in basis.states]
     assert all(sigma_weight[r] % 2 == 0 for r in e)
@@ -287,8 +287,9 @@ def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
     spec = random_spec(kind, n, 310 + n)
     basis = Basis.full(n) if basis_kind == "full" else Basis.sector(n)
     action = SparseAction(spec, basis)
+    sides = step_sides(spec, basis)
     g = np.random.default_rng(n)
-    for side, (src, dst) in enumerate([action.sides, action.sides[::-1]]):
+    for side, (src, dst) in enumerate([sides, sides[::-1]]):
         v = g.standard_normal(src.size)
         full = np.zeros(action.basis.dimension)
         full[src] = v
@@ -305,20 +306,25 @@ def test_stacked_half_steps_give_each_draws_product(kind, fields):
     # leading blocks are the stack of the first draws
     n = 3
     basis = Basis.full(n)
-    actions = [SparseAction(random_spec(kind, n, 330 + j, fields=fields), basis) for j in range(3)]
-    stack = stacked_half_steps(actions)
-    assert stacked_half_steps(actions[:1]) == actions[0].half_steps
+    specs = [random_spec(kind, n, 330 + j, fields=fields) for j in range(3)]
+    actions = [SparseAction(spec, basis) for spec in specs]
+    stack = stacked_half_steps(specs, basis)
     g = np.random.default_rng(7)
     for side in (0, 1):
         vs = [g.standard_normal(a.half_steps[side].shape[1]) for a in actions]
         want = [a.half_steps[side] @ v for a, v in zip(actions, vs)]
+        for spec, a, v, w in zip(specs, actions, vs, want):  # a chunk of one steps as H does
+            sides = step_sides(spec, basis)
+            full = np.zeros(basis.dimension)
+            full[sides[side]] = v
+            assert np.array_equal(w, a.apply_array(full)[sides[1 - side]])
         assert np.array_equal(stack[side] @ np.concatenate(vs), np.concatenate(want))
         head = leading_blocks(stack[side], 2, 3)
         assert np.array_equal(head @ np.concatenate(vs[:2]), np.concatenate(want[:2]))
-    mixed = SparseAction(random_spec(kind, n, 339, fields=not fields), basis)
-    if chiral(mixed.spec) != chiral(actions[0].spec):
+    mixed = random_spec(kind, n, 339, fields=not fields)
+    if chiral(mixed) != chiral(specs[0]):
         with pytest.raises(ValueError, match="one chiral split"):
-            stacked_half_steps([actions[0], mixed])
+            stacked_half_steps([specs[0], mixed], basis)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -346,7 +352,7 @@ def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
     basis = Basis.full(2)
     assert not chiral(spec)
     action = SparseAction(spec, basis)
-    e, o = action.sides
+    e, o = step_sides(spec, basis)
     assert np.array_equal(e, np.arange(16)) and np.array_equal(o, np.arange(16))
     v = np.random.default_rng(2).standard_normal(16)
     assert np.array_equal(action.half_steps[1] @ v, action.apply_array(v))
