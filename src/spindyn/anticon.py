@@ -31,12 +31,7 @@ from .core import (
     hamming_class_states,
     sample_coupling,
 )
-from .evolve import (
-    DecompositionError,
-    KrylovConvergenceError,
-    draws_per_chunk,
-    probability_tables,
-)
+from .evolve import KrylovConvergenceError, draws_per_chunk, probability_tables
 from .hamiltonian import natural_basis
 from .hardness import anticoncentration_thresholds
 
@@ -122,13 +117,13 @@ def _ensemble_sums(
     and `mean2` sum each draw's X_{n/2} mean of p, and its square, per t.
     Only the X_{n/2} rows are propagated.  The pool takes the draws in
     chunks of `draws_per_chunk` consecutive indices, each one
-    `probability_tables` call: on the dense engine (the sector up to
-    n = 4, the full basis up to n = 3) one stacked eigendecomposition and
-    one stacked read, above it one Chebyshev recurrence for the whole
-    chunk.  Draws are independent substreams and a draw's table has the
-    same bits in any chunk, and the sums take the tables in draw order,
-    so neither the thread count nor the chunking changes a bit.  A failed
-    guard or eigendecomposition names the ensemble's draw index.
+    `probability_tables` call: one Chebyshev recurrence for the whole
+    chunk, on dense stacks up to `evolve._DENSE_LIMIT` (the sector up to
+    n = 4, the full basis up to n = 3).  Draws are independent substreams
+    and a draw's table has the same bits in any chunk, and the sums take
+    the tables in draw order, so neither the thread count nor the
+    chunking changes a bit.  A failed guard names the ensemble's draw
+    index.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and at least 2 for the X_{n/2} sweep")
@@ -145,9 +140,9 @@ def _ensemble_sums(
         specs = [HamiltonianSpec(kind, sample_coupling(n, rng.substream(j))) for j in draws]
         try:
             return probability_tables(specs, basis, times, positions)
-        except (KrylovConvergenceError, DecompositionError) as exc:
+        except KrylovConvergenceError as exc:
             j = draws[exc.draw]
-            raise type(exc)(f"coupling draw {j}: {exc}", j) from exc
+            raise KrylovConvergenceError(f"coupling draw {j}: {exc}", j) from exc
 
     # equal chunks of at most draws_per_chunk draws, in draw order
     count = -(-num_J // draws_per_chunk(kind, basis))

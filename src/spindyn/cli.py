@@ -211,8 +211,9 @@ def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
 
 
 def _report_engine(kind: Kind, n: int) -> None:
-    """Names the engine of the sweep's draws on stderr; it depends on the
-    kind and size only, so any couplings will do."""
+    """Names the engine the sweep's chunks ran (`evolve.engine`) on
+    stderr; it depends on the kind and size only, so any couplings will
+    do."""
     spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
     print(f"engine: {engine(spec)}", file=sys.stderr)
 

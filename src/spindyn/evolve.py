@@ -6,23 +6,20 @@ between the even and odd sigma-parity classes E (which holds |y0>) and O,
 so their propagation runs on half-vectors; every other spec runs on the
 whole basis, the split whose two sides are both the basis.
 
-Dimensions within `_DENSE_LIMIT` use one eigendecomposition per draw,
-`hamiltonian.spectral_parts` (omega, (U, V)), and reuse it for every
+Two engines, and `Propagator._parts` is the one switch between them for
+a single draw; every table, probability and state is read from its
+parts, never renormalized.
+
+A lone `Propagator` within `_DENSE_LIMIT` uses one eigendecomposition,
+`hamiltonian.spectral_parts` (omega, (U, V)), and reuses it for every
 requested time, reading the amplitude in real arithmetic as
 U cos(omega t) c on side 0 and -i V (sin(omega t) / omega) c on side 1,
 with c = U^T e_y0.  For a chiral spec that is the eigh of B B^T on E
 alone, with V = B^T U; for any other spec the eigh of H on the whole
-basis, with V = U diag(omega).  A chunk of draws on one basis
-(`probability_tables`, the ensemble path) is built, decomposed and read
-together: one scatter builds its B or H stack, one stacked eigh
-decomposes it, and one batched product per side reads every draw's
-amplitudes (`_dense_parts`).  numpy runs LAPACK and BLAS on each matrix
-of a stack as on that matrix alone and the rest acts element by element,
-so a draw's table has the same bits in a chunk of any size; a single
-`Propagator` is a chunk of one.  This saves per-call overhead, not
-arithmetic: the eigh of each 38 x 38 block (H3 n = 4) stays ~60 us.
+basis, with V = U diag(omega).  Its `norm_bound` is then exact, and the
+Trotter error algebra reads the same parts.
 
-Larger problems expand e^{-iHt} in Chebyshev polynomials of H/a
+Everything else expands e^{-iHt} in Chebyshev polynomials of H/a
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): one real
 three-term recurrence from |y0> serves every requested time at once,
 keeping only the rows the caller asks for, and the Bessel coefficients
@@ -35,24 +32,24 @@ or a Collatz-Wielandt bound on |H|; for H3 and H4 at n = 6 and 8 it is
 series order is certified by a Bessel tail bound, and the norm of the
 state at the largest |t| is checked, so a wrong spectral bound fails
 loudly instead of returning a wrong table.
-`Propagator._parts` is the one switch between the engines, and every
-table, probability and state is read from its parts, never renormalized.
 
-This engine too takes a chunk of draws on one basis, and a single
-`Propagator` is a chunk of one.  One Collatz-Wielandt sweep over the
-chunk's block-diagonal |H| gives every draw's scale, each half-step is
-one product with the chunk's block-diagonal
-`hamiltonian.stacked_half_steps`, and one backward Bessel loop serves
-every draw's columns, each draw's held at exactly 0 until the loop
-reaches that draw's own start.  Every draw keeps its own scale, series
-order, guards and final products, and every operation acts row by row
-or column by column, so a draw's table has the same bits in a chunk of
-any size.  At small dimensions this trades per-call overhead for longer
-products: `equilibrate --model H4 --n 6 --num-j 16` (33 times to
-8 ln n) took a median 31-33 ms draw by draw and 24-25 ms in chunks of
-5-6, in process on a 2-core AMD EPYC with one BLAS thread.
-`draws_per_chunk` sizes the chunks of both engines from one byte
-budget, which keeps d >= 4096 at one draw per chunk.
+The recurrence takes a chunk of draws on one basis (`probability_tables`,
+which the ensembles call at every dimension), and a single `Propagator`
+above `_DENSE_LIMIT` is a chunk of one.  One Collatz-Wielandt sweep over
+the chunk's |H| gives every draw's scale, each half-step is one product
+with the chunk's `hamiltonian.stacked_half_steps` (within `_DENSE_LIMIT`
+batched numpy products with a dense (draws, rows, columns) stack, which
+needs no scipy; above it one block-diagonal CSR matrix), and one
+backward Bessel loop serves every draw's columns, each draw's held at
+exactly 0 until the loop reaches that draw's own start.  Every draw keeps
+its own scale, series order, guards and final products, and every
+operation acts row by row, column by column or matrix by matrix, so a
+draw's table has the same bits in a chunk of any size.  So ensembles
+never decompose H: `anticon --model H3 --n 4 --num-j 256` took a median
+23.1-23.9 ms with one eigh per draw in stacked chunks and 11.4-11.9 ms
+with one recurrence per chunk of up to 140 draws, in process on a 2-core
+AMD EPYC with one BLAS thread.  `draws_per_chunk` sizes the chunks from
+one byte budget, which keeps d >= 4096 at one draw per chunk.
 """
 from __future__ import annotations
 
@@ -77,8 +74,10 @@ from .hamiltonian import (
     leading_blocks,
     natural_basis,
     norm_bounds,
+    parity_sides,
     spectral_bytes,
     spectral_parts,
+    stack_product,
     stacked_half_steps,
     step_sides,
 )
@@ -95,27 +94,31 @@ __all__ = [
     "time_average",
 ]
 
-# Dense eigh beats the Chebyshev recurrence up to about this dimension d.
-# Per draw (fresh Propagator, the X_{n/2} rows at t = 4 ln n, one BLAS
-# thread, median of 30 draws, best of 5 passes, range over 3 rounds):
-# d = 70 (H3 n = 4, chiral 38 + 32) 0.11-0.12 ms dense against
-# 0.46-0.47 ms Chebyshev; d = 256 (H1 n = 4, chiral 128 + 128)
-# 0.93-0.97 ms against 0.44-0.46 ms.  No basis has 70 < d < 252.
+# A lone Propagator diagonalises up to this dimension d, and a chunk of
+# draws steps on dense stacks up to it.  Per draw (X_{n/2} rows at
+# t = 4 ln n, one BLAS thread, best of 5 passes): a lone Propagator takes
+# 0.09 ms dense against 0.5 ms Chebyshev at d = 70 (H3 n = 4, chiral
+# 38 + 32) and 0.81 ms against 0.48 ms at d = 256 (H1 n = 4, chiral
+# 128 + 128).  In chunks, the recurrence takes 0.025-0.027 ms per draw on
+# dense stacks and 0.028 ms on CSR at d = 70; at d = 256 dense stacks
+# take 0.12 ms and CSR 0.084 ms.  No basis has 70 < d < 252.
 _DENSE_LIMIT = 128
 # Coupling draws per ensemble chunk are sized so the chunk's stacked H and
-# vectors stay within this many bytes (`draws_per_chunk`).  On the dense
-# engine a draw counts its `spectral_bytes`: 54 kB for the H3 n = 4 split
-# 38 + 32 (33 draws per chunk), 118 kB for the H4 n = 4 sector (15).
-# Stacked chunks save per-call Python, so once a chunk holds a few dozen
-# draws larger ones save little.  On the Chebyshev engine the n = 6
-# sector (d = 924) needs about 0.28 MB per draw, so 16 draws run as chunks
-# of 5, 5 and 6; at d >= 4096 (n = 6 in the full basis, the n = 8 sector)
-# a draw needs about 2 MB and runs alone, where stacking saved nothing.
-# Each chunk also keeps its draws' X_{n/2} rows at every series order, so
-# larger chunks cost memory: on a 2-core AMD EPYC, chunks of 8 took
-# `equilibrate --model H4 --n 6 --num-j 16` from a median 30-33 ms to
-# 22-24 ms, and chunks of 5-6 to 24-25 ms, but chunks of 8 raised the
-# peak RSS of a two-thread benchmark pass by 9 MB (+14 %) against 4-6 MB.
+# vectors stay within this many bytes (`draws_per_chunk`).  Within
+# _DENSE_LIMIT a draw's stack is dense: 13 kB for the H3 n = 4 split
+# 38 + 32 (140 draws per chunk), 43 kB for the H4 n = 4 sector (43).
+# Chunks save per-step Python; `anticon --model H3 --n 4 --num-j 256`
+# took 19.2 / 14.2 / 12.7 / 12.1 / 12.0 ms with budgets of 0.25 / 0.5 /
+# 1 / 1.75 / 4 MiB, and 13.2 ms at 16 MiB.  Above _DENSE_LIMIT the stack
+# is CSR: the n = 6 sector (d = 924) needs about 0.28 MB per draw, so 16
+# draws run as chunks of 5, 5 and 6; at d >= 4096 (n = 6 in the full
+# basis, the n = 8 sector) a draw needs about 2 MB and runs alone, where
+# stacking saved nothing.  Each chunk also keeps its draws' X_{n/2} rows
+# at every series order, so larger chunks cost memory: on a 2-core AMD
+# EPYC, chunks of 8 took `equilibrate --model H4 --n 6 --num-j 16` from a
+# median 30-33 ms to 22-24 ms, and chunks of 5-6 to 24-25 ms, but chunks
+# of 8 raised the peak RSS of a two-thread benchmark pass by 9 MB (+14 %)
+# against 4-6 MB.
 _CHUNK_BYTES = 7 << 18
 _NORM_DRIFT_TOL = 1e-9
 _TAIL_TOL = 1e-16  # bound on sum_{k >= K} (2 - delta_k0) |J_k(a t)|
@@ -142,13 +145,7 @@ class KrylovConvergenceError(RuntimeError):
 
 
 class DecompositionError(np.linalg.LinAlgError):
-    """Raised when the dense engine's eigendecomposition fails; `draw` is
-    the failing draw's position in its chunk, as for
-    `KrylovConvergenceError`."""
-
-    def __init__(self, message: str, draw: int | None = None):
-        super().__init__(message)
-        self.draw = draw
+    """Raised when a dense `Propagator`'s eigendecomposition fails."""
 
 
 def _bessel_tail_bound(z: float, order: int) -> float:
@@ -167,16 +164,33 @@ def _bessel_tail_bound(z: float, order: int) -> float:
 
 
 def _series_order(z: float) -> int:
-    """Smallest order whose tail bound is within _TAIL_TOL, up to _MAX_ORDER."""
-    order = max(1, math.ceil(abs(z)))
-    while order < _MAX_ORDER and _bessel_tail_bound(z, order) > _TAIL_TOL:
-        order += 1
-    return order
+    """Smallest order from max(1, ceil|z|) whose tail bound is within
+    _TAIL_TOL, or _MAX_ORDER if no smaller one is.
+
+    From ceil|z| on, each order at least halves the bound, so the orders
+    that pass form one run to the end: the first is bracketed by steps
+    that double, then found by bisection.
+    """
+
+    def passes(order: int) -> bool:
+        return order >= _MAX_ORDER or _bessel_tail_bound(z, order) <= _TAIL_TOL
+
+    lo = max(1, math.ceil(abs(z)))
+    if passes(lo):
+        return lo
+    step = 8
+    while not passes(lo + step):
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # lo fails, hi passes
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
 
 
-def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.ndarray]:
-    """J_k(z) for 0 <= k < orders[g] (rows) at each z of zs[g] (columns),
-    for every group g from one loop.
+def _bessel_tables(z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """J_k(z[g, c]) for 0 <= k < max(orders), shape (max(orders), groups,
+    columns), from one loop over every group g (a row of z) at once.
 
     Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, started
     well above both a group's order and its largest |z|, normalized by
@@ -184,11 +198,12 @@ def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.n
     J_k(-z) = (-1)^k J_k(z).  A group's columns hold exactly 0 until k
     reaches the group's own start, where they are set to 1: a zero column
     stays 0 under the recurrence and adds 0 to the even sum, and every
-    step and rescale acts per column, so each table has the bits it has
-    alone.
+    step and rescale acts per column, so the first orders[g] rows of group
+    g have the bits of that group's table alone.
     """
-    z = np.concatenate([np.asarray(g, dtype=float).ravel() for g in zs])
-    bounds = np.cumsum([0, *(np.size(g) for g in zs)])
+    groups, cols = np.shape(z)
+    z = np.asarray(z, dtype=float).ravel()
+    bounds = np.arange(groups + 1) * cols
     x = np.abs(z)
     order = max(orders)
     out = np.zeros((order, x.size))
@@ -207,13 +222,14 @@ def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.n
                 base = max(o, math.ceil(xl[lo:hi].max()))
                 starts.setdefault(base + 16 + math.isqrt(40 * base), []).append(slice(lo, hi))
         inv = 2.0 / xl
-        tab = np.zeros((order, xl.size))
+        # every row below `order` is written before it is read
+        tab = out if live.all() else np.zeros((order, xl.size))
         evens = np.zeros(xl.size)  # sum of j_k over even k >= 2
         nxt, cur = np.zeros(xl.size), np.zeros(xl.size)  # j_{k+1}, j_k
         tops = sorted(starts, reverse=True)
         for top, below in zip(tops, tops[1:] + [0]):
-            for cols in starts[top]:
-                cur[cols] = 1.0
+            for span in starts[top]:
+                cur[span] = 1.0
             for k in range(top, below, -1):
                 if k < order:
                     tab[k] = cur
@@ -228,26 +244,24 @@ def _bessel_tables(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.n
                         arr[big] /= _BESSEL_RESCALE
                     tab[k:, big] /= _BESSEL_RESCALE
         tab[0] = cur
-        out[:, live] = tab / (cur + 2.0 * evens)
+        tab /= cur + 2.0 * evens
+        if tab is not out:
+            out[:, live] = tab
     out[1::2, z < 0] *= -1.0
-    return [
-        np.ascontiguousarray(out[:o, lo:hi])
-        for lo, hi, o in zip(bounds[:-1], bounds[1:], orders)
-    ]
+    return out.reshape(order, groups, cols)
 
 
-def _chebyshev_weights(zs: Sequence[np.ndarray], orders: Sequence[int]) -> list[np.ndarray]:
-    """Real weights w_k(z) of the Chebyshev series of e^{-izx}, one table
-    per group of `_bessel_tables`.
+def _chebyshev_weights(z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Real weights w_k(z) of the Chebyshev series of e^{-izx}, laid out
+    as `_bessel_tables`.
 
     e^{-izx} = sum_k (2 - delta_k0) (-i)^k J_k(z) T_k(x); w_k is that
     coefficient's real part for even k and its imaginary part for odd k.
     """
-    tables = _bessel_tables(zs, orders)
-    for w in tables:
-        w *= 2.0 * np.resize(_PHASE_SIGN, w.shape[0])[:, None]
-        w[0] /= 2.0
-    return tables
+    w = _bessel_tables(z, orders)
+    w *= 2.0 * np.resize(_PHASE_SIGN, w.shape[0])[:, None, None]
+    w[0] /= 2.0
+    return w
 
 
 def _y0_half(basis: Basis, side0: np.ndarray) -> int:
@@ -316,8 +330,11 @@ class Propagator:
 
     @cached_property
     def _spectrum(self) -> _Spectrum:
-        """The dense engine's `spectral_parts` of this draw, a chunk of one."""
-        return _spectra([self.spec], self.basis)
+        """The dense engine's `spectral_parts` of this draw."""
+        try:
+            return spectral_parts(self.spec, self.basis)
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
 
     @cached_property
     def norm_bound(self) -> float:
@@ -342,11 +359,11 @@ class Propagator:
     def _parts(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
         """The one engine switch: the real and imaginary parts at `rows` x
         `ts`, and the state at the largest |t| (its real part on side 0,
-        its imaginary part on side 1), each engine's chunk of one."""
+        its imaginary part on side 1), from the eigendecomposition within
+        `_DENSE_LIMIT`, else from the recurrence's chunk of one."""
         if not self.dense:
             return _chebyshev_parts([self.spec], self.basis, [self.norm_bound], ts, rows)[0]
-        re, im, far = _dense_parts(self._spectrum, self._sides, self._y0_half, ts, rows)
-        return re[0], im[0], [f[0] for f in far]
+        return _dense_parts(self._spectrum, self._sides, self._y0_half, ts, rows)
 
     def state_at(self, t: float) -> StateVector:
         """e^{-iHt}|y0>; refused, not renormalized, if its norm drifts."""
@@ -369,21 +386,6 @@ class Propagator:
         return float(self.all_probabilities_at([t], rows=[pos])[0, 0])
 
 
-def _spectra(specs: Sequence[HamiltonianSpec], basis: Basis) -> _Spectrum:
-    """`spectral_parts` of a chunk of draws.  If the stacked eigh fails,
-    the draws are decomposed again one at a time, so that the error names
-    the failing draw's position in `specs` (`DecompositionError.draw`)."""
-    try:
-        return spectral_parts(specs, basis)
-    except np.linalg.LinAlgError:
-        for j, spec in enumerate(specs):
-            try:
-                spectral_parts([spec], basis)
-            except np.linalg.LinAlgError as exc:
-                raise DecompositionError(f"eigendecomposition failed: {exc}", j) from exc
-        raise
-
-
 def _dense_parts(
     spectrum: _Spectrum,
     sides: tuple[np.ndarray, np.ndarray],
@@ -391,19 +393,16 @@ def _dense_parts(
     ts: np.ndarray,
     rows: np.ndarray,
 ) -> _Parts:
-    """`Propagator._parts` of every draw of a dense chunk, each array with
-    a leading draw axis, from the chunk's stacked `_spectra`.
+    """`Propagator._parts` on the dense engine, from `spectral_parts`.
 
     Side 0 reads P cos(omega t) c and side 1 -V (sin(omega t) / omega) c,
-    with c = P^T e_y0, one batched product per side.  The product covers
-    each whole side before `rows` are read, so a row's bits do not depend
-    on the other rows, and its largest-|t| column is the state.  Every
-    step acts element by element or matrix by matrix, so each draw's
-    parts have the bits of a chunk of one.
+    with c = P^T e_y0, one product per side.  The product covers each
+    whole side before `rows` are read, so a row's bits do not depend on
+    the other rows, and its largest-|t| column is the state.
     """
     omega, halves = spectrum
-    c0 = halves[0][:, y0_half, :, None]
-    omega = omega[:, :, None]
+    c0 = halves[0][y0_half, :, None]
+    omega = omega[:, None]
     wt = omega * ts
     cos = np.cos(wt)
     sinc = np.empty_like(wt)
@@ -417,17 +416,18 @@ def _dense_parts(
     for side, vecs, f in zip(sides, halves, (cos, sinc)):
         local, off = _gather(side, rows)
         whole = vecs @ f
-        far.append(whole[:, :, far_col])
-        part = whole[:, local]
-        part[:, off] = 0.0
+        far.append(whole[:, far_col])
+        part = whole[local]
+        part[off] = 0.0
         parts.append(part)
     return parts[0], parts[1], far
 
 
 def _chebyshev_scales(specs: Sequence[HamiltonianSpec], basis: Basis) -> list[float]:
     """Each draw's Chebyshev scale a: the smaller of `coupling_norm_bound`
-    and its `norm_bounds`, one Collatz-Wielandt sweep for the chunk."""
-    bounds = norm_bounds(specs, basis)
+    and its `norm_bounds`, one Collatz-Wielandt sweep for the chunk, on
+    dense stacks within `_DENSE_LIMIT`."""
+    bounds = norm_bounds(specs, basis, basis.dimension <= _DENSE_LIMIT)
     return [min(coupling_norm_bound(s), float(b)) for s, b in zip(specs, bounds)]
 
 
@@ -443,15 +443,17 @@ def _chebyshev_parts(
 
     The vectors phi_k = T_k(H/a)|y0> stay real and phi_k lies on side
     k mod 2.  Each (draws x side) array holds one draw per row, and each
-    half-step is one product with the chunk's `stacked_half_steps`.
-    Each draw keeps its own scale a, series order and guards; draws run
-    in order of decreasing series order, and the last draws leave the
-    stack (`leading_blocks`) once their order is reached.  Only
-    phi_k[rows] is kept, so memory is O(draws * (order * len(rows) +
-    dimension)).  The products, the Bessel loop and the updates act row
-    by row, so each draw's table has the bits of a chunk of one.  A
-    failed guard sets the error's `draw` to the draw's position in
-    `specs`.
+    half-step is one `stack_product` with the chunk's
+    `stacked_half_steps`: numpy stacks within `_DENSE_LIMIT`, else
+    block-diagonal CSR.  Each draw keeps its own scale a, series order and
+    guards; draws run in order of decreasing series order, and the last
+    draws leave the stack (`leading_blocks`) once their order is reached.
+    Only phi_k[rows] is kept, in one (order x draws x rows) array, so
+    memory is O(draws * (order * len(rows) + dimension)).  The products,
+    the Bessel loop and the updates act row by row, and each draw's sums
+    are its own products, so each draw's table has the bits of a chunk of
+    one.  A failed guard sets the error's `draw` to the first failing
+    draw's position in `specs`.
     """
     t_far = float(ts[np.argmax(np.abs(ts))])
     scales = [a or 1.0 for a in scales]  # a = 0 means H = 0
@@ -466,83 +468,81 @@ def _chebyshev_parts(
             )
     rank = sorted(range(len(specs)), key=lambda j: -orders[j])
     m, order = len(rank), orders[rank[0]]
-    ranked = [orders[j] for j in rank]
+    ranked, ranked_scales = [orders[j] for j in rank], [scales[j] for j in rank]
     # live[k]: the draws that still need phi_k, which are the first of `rank`
     live = (np.array(ranked)[:, None] > np.arange(order)).sum(axis=0).tolist()
+    a = np.array(ranked_scales)[:, None]
     # the first chunk of times carries t_far along as its last column
-    head = np.append(ts[:_TIME_CHUNK], t_far)
-    firsts = _chebyshev_weights([scales[j] * head for j in rank], ranked)
-    w_far = np.zeros((order, m, 1))
-    for i, first in enumerate(firsts):
-        w_far[: first.shape[0], i, 0] = first[:, -1]
-    a = np.array([scales[j] for j in rank])[:, None]
-    shape = (m, -1)
+    first = _chebyshev_weights(a * np.append(ts[:_TIME_CHUNK], t_far), ranked)
+    w_far = first[:, :, -1:]
     two_a = 2.0 / a
-    stack = stacked_half_steps([specs[j] for j in rank], basis)
+    dense = basis.dimension <= _DENSE_LIMIT
+    stack = stacked_half_steps([specs[j] for j in rank], basis, dense)
     sides = step_sides(specs[0], basis)
     picks = [_gather(side, rows) for side in sides]
-    # where each kept row of each draw sits in a flattened (draws x side) array
-    flat = [(np.arange(m)[:, None] * side.size + local).ravel()
-            for side, (local, _) in zip(sides, picks)]
-    # each draw's kept rows in an array of its own, the shape one draw had
-    kept = [np.empty((orders[j], rows.size)) for j in rank]
-    far = [np.zeros(m * side.size).reshape(shape) for side in sides]
-    prev, phi = None, np.zeros(m * sides[0].size).reshape(shape)
-    phi.reshape(m, -1)[:, _y0_half(basis, sides[0])] = 1.0
+    kept = np.empty((order, m, rows.size))
+    far = [np.zeros((m, side.size)) for side in sides]
+    phi = np.zeros((m, sides[0].size))
+    phi[:, _y0_half(basis, sides[0])] = 1.0
+    prev = phi  # replaced at k = 1, before it is read
     steps, far_live, n = stack, far, m
     for k in range(order):
         if live[k] < n:  # the last draws have reached their order: drop them
             n = live[k]
-            shape = (n, -1)
             steps = tuple(leading_blocks(s, n, m) for s in stack)
             phi, prev, a, two_a, w_far = phi[:n], prev[:n], a[:n], two_a[:n], w_far[:, :n]
             far_live = [f[:n] for f in far]
-            flat = [f[: n * rows.size] for f in flat]
         if k == 1:
-            prev, phi = phi, (steps[0] @ phi.ravel()).reshape(shape) / a
+            prev, phi = phi, stack_product(steps[0], phi) / a
         elif k > 1:
-            step = (steps[1 - k % 2] @ phi.ravel()).reshape(shape)
+            step = stack_product(steps[1 - k % 2], phi)
             step *= two_a
             step -= prev
             prev, phi = phi, step
-        got = phi.ravel()[flat[k % 2]].reshape(n, -1)
-        for i in range(n):
-            kept[i][k] = got[i]
+        np.take(phi, picks[k % 2][0], axis=1, out=kept[k, :n])
         far_live[k % 2] += w_far[k] * phi
-    out = {}
-    for i, j in enumerate(rank):
-        state = [f.reshape(m, -1)[i] for f in far]
-        drift = abs(math.hypot(*(float(np.linalg.norm(f)) for f in state)) - 1.0)
-        if not drift <= _NORM_DRIFT_TOL:
-            raise KrylovConvergenceError(
-                f"norm drift {drift:.3e} exceeds {_NORM_DRIFT_TOL} "
-                f"at t = {t_far} (series order {orders[j]})",
-                j,
-            )
-        out[j] = (*_series_sums(kept[i], picks, firsts[i], scales[j], ts), state)
-    return [out[j] for j in range(m)]
+    del stack, steps  # the sums need only the kept rows
+    drift = np.abs(np.hypot(*(np.linalg.norm(f, axis=1) for f in far)) - 1.0)
+    failed = [j for i, j in enumerate(rank) if not drift[i] <= _NORM_DRIFT_TOL]
+    if failed:
+        j = min(failed)
+        raise KrylovConvergenceError(
+            f"norm drift {drift[rank.index(j)]:.3e} exceeds {_NORM_DRIFT_TOL} "
+            f"at t = {t_far} (series order {orders[j]})",
+            j,
+        )
+    for s, (_, off) in enumerate(picks):
+        kept[s::2, :, off] = 0.0  # phi_k is zero off its side
+    re, im = _series_sums(kept, ranked, first, ranked_scales, ts)
+    return [(re[i], im[i], [f[i] for f in far]) for i in np.argsort(rank)]
 
 
 def _series_sums(
     kept: np.ndarray,
-    picks: list[tuple[np.ndarray, np.ndarray]],
+    orders: Sequence[int],
     first: np.ndarray,
-    a: float,
+    scales: Sequence[float],
     ts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One draw's real and imaginary parts at its kept rows and `ts`: the
-    weighted sums of its even and of its odd Chebyshev vectors."""
-    for s, (_, off) in enumerate(picks):
-        kept[s::2, off] = 0.0  # phi_k is zero off its side
-    order = kept.shape[0]
-    re, im = np.empty((kept.shape[1], ts.size)), np.empty((kept.shape[1], ts.size))
-    for s in range(0, ts.size, _TIME_CHUNK):
-        if s == 0:
-            w = first[:, :-1]
-        else:
-            (w,) = _chebyshev_weights([a * ts[s : s + _TIME_CHUNK]], [order])
-        re[:, s : s + _TIME_CHUNK] = kept[0::2].T @ w[0::2]
-        im[:, s : s + _TIME_CHUNK] = kept[1::2].T @ w[1::2]
+    """Every draw's real and imaginary parts at its kept rows and `ts`,
+    shape (draws, rows, times): the weighted sums of its even and of its
+    odd Chebyshev vectors, draw i's from its own first orders[i] rows of
+    `kept` and of the chunk's weight tables (`first` for the first
+    `_TIME_CHUNK` times, one more table per further chunk of times).
+    Each draw's sums are products of its own, so they have the bits of
+    its chunk of one.
+    """
+    tables = [first[:, :, :-1]]
+    a = np.array(scales)[:, None]
+    for s in range(_TIME_CHUNK, ts.size, _TIME_CHUNK):
+        tables.append(_chebyshev_weights(a * ts[s : s + _TIME_CHUNK], orders))
+    re, im = (np.empty((kept.shape[1], kept.shape[2], ts.size)) for _ in range(2))
+    for i, order in enumerate(orders):
+        k = kept[:order, i]
+        for s, w in zip(range(0, ts.size, _TIME_CHUNK), tables):
+            w = w[:order, i]
+            re[i, :, s : s + _TIME_CHUNK] = k[0::2].T @ w[0::2]
+            im[i, :, s : s + _TIME_CHUNK] = k[1::2].T @ w[1::2]
     return re, im
 
 
@@ -552,35 +552,35 @@ def probability_tables(
     times: Sequence[float],
     rows: Sequence[int] | None = None,
 ) -> list[np.ndarray]:
-    """`Propagator(spec, basis).all_probabilities_at(times, rows)` of every
-    draw of a chunk that shares one layout and one chiral split, each
-    table the same bits as its own call.
+    """p(x; t) at `rows` x `times` for every draw of a chunk that shares
+    one layout and one chiral split, as `Propagator.all_probabilities_at`
+    lays it out, from one Chebyshev recurrence (`_chebyshev_parts`) after
+    one Collatz-Wielandt sweep for the scales.
 
-    A dense chunk takes one stacked eigendecomposition (`_spectra`) and
-    one stacked read (`_dense_parts`); a Chebyshev chunk takes one
-    Collatz-Wielandt sweep for its scales and one recurrence
-    (`_chebyshev_parts`).  A failed guard names the failing draw's
-    position in `specs` as its `draw`.
+    Each draw's table has the same bits in a chunk of any size.  Above
+    `_DENSE_LIMIT` that is its own `Propagator`'s table; within it the
+    chunk steps on dense stacks while a lone `Propagator` diagonalises,
+    and the two agree to rounding (1e-13 in the tests).  A failed guard
+    names the failing draw's position in `specs` as its `draw`.
     """
     ts, keep = _read_grid(basis, times, rows)
-    if basis.dimension > _DENSE_LIMIT:
-        parts = _chebyshev_parts(specs, basis, _chebyshev_scales(specs, basis), ts, keep)
-        return [_probabilities(p) for p in parts]
-    sides = step_sides(specs[0], basis)
-    parts = _dense_parts(_spectra(specs, basis), sides, _y0_half(basis, sides[0]), ts, keep)
-    return list(_probabilities(parts))
+    parts = _chebyshev_parts(specs, basis, _chebyshev_scales(specs, basis), ts, keep)
+    return [_probabilities(p) for p in parts]
 
 
 def draws_per_chunk(kind: Kind | str, basis: Basis) -> int:
     """How many coupling draws of `kind` on `basis` one `probability_tables`
-    call takes in an ensemble: as many as keep the chunk's working set
-    within `_CHUNK_BYTES`.  On the dense engine that is each draw's
-    `spectral_bytes` (ensemble draws carry no z fields, so H1 and H3 take
-    the chiral split); on the Chebyshev engine the chunk's stacked H
-    (8-byte values and 4-byte indices) and its six vectors per side."""
+    call takes in an ensemble: as many as keep the chunk's stacked H and
+    its six vectors per side within `_CHUNK_BYTES`.  Within `_DENSE_LIMIT`
+    the stack is dense, |E| x |O| float64 per draw for the chiral split
+    (ensemble draws carry no z fields, so H1 and H3 take it) and d x d
+    otherwise; above it, block-diagonal CSR (8-byte values and 4-byte
+    indices)."""
     d = basis.dimension
     if d <= _DENSE_LIMIT:
-        per_draw = spectral_bytes(basis, Kind(kind) in (Kind.H1, Kind.H3))
+        split = Kind(kind) in (Kind.H1, Kind.H3)
+        e, o = (side.size for side in parity_sides(basis)) if split else (d, d)
+        per_draw = 8 * e * o + 48 * d
     else:
         # the hopping kinds store only the flips whose two bits differ
         hops = Kind(kind) in (Kind.H3, Kind.H4)
@@ -590,15 +590,15 @@ def draws_per_chunk(kind: Kind | str, basis: Basis) -> int:
 
 
 def engine(spec: HamiltonianSpec) -> str:
-    """The engine `Propagator` runs for `spec` in its natural basis, as
-    reports name it: "dense" or "chebyshev", then "chiral |E|+|O|" or the
-    dimension."""
+    """The engine an ensemble of `spec`'s kind runs in its natural basis
+    (`probability_tables`), as reports name it: "chebyshev", then
+    "chiral |E|+|O|" or the dimension, then the form of its products."""
     basis = natural_basis(spec.kind, spec.n)
-    name = "dense" if basis.dimension <= _DENSE_LIMIT else "chebyshev"
+    form = "dense" if basis.dimension <= _DENSE_LIMIT else "sparse"
     if not chiral(spec):
-        return f"{name} {basis.dimension}"
+        return f"chebyshev {basis.dimension}, {form} products"
     e, o = step_sides(spec, basis)
-    return f"{name} chiral {e.size}+{o.size}"
+    return f"chebyshev chiral {e.size}+{o.size}, {form} products"
 
 
 def evolve_exact(spec: HamiltonianSpec, t: float) -> StateVector:

@@ -13,24 +13,26 @@ draw computes only the stored values and the diagonal (`_values`, one
 row per draw of a chunk).  Two builders read those values: `_csr` wraps
 them in scipy CSR matrices for sparse products, and `dense_matrix`
 scatters them into a numpy array, a chunk of draws into one (draws, d,
-d) stack with one scatter for `spectral_parts`.  scipy.sparse is
-imported inside `_csr`, which builds every scipy matrix, so it loads
-with the first sparse product and never for a command that stays dense.
+d) stack with one scatter (`_dense_stack`).  scipy.sparse is imported
+inside `_csr`, which builds every scipy matrix, so it loads with the
+first sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
 the full basis, from k sparse applications; the moment <x|H^k|y0> is
 its entry [k, x.index()], and sweeps over many outcomes x read one table.
 
-The sparse products, like the dense algebra, take a chunk of coupling
+The half-steps of the Chebyshev recurrence take a chunk of coupling
 draws on one basis, and one draw is a chunk of one (`SparseAction`'s
-half-steps and norm bound).  Each half-step of a chunk is one
-block-diagonal CSR matrix (`_stacks`): the cached layout repeated at
-offsets (`_stacked_layout`) over one (draws x entries) value array, so
-one product steps every draw with each row's bits unchanged.
-`stacked_half_steps` holds H's values, and `leading_blocks` keeps the
-first draws of such a stack; `norm_bounds` bounds each draw's ||H|| from
-above, by H1's closed form without z fields, otherwise by one
-Collatz-Wielandt sweep over the chunk's |H|.
+half-steps and norm bound).  Each half-step of a chunk (`_stacks`) is
+either one block-diagonal CSR matrix, the cached layout repeated at
+offsets (`_stacked_layout`) over one (draws x entries) value array, or,
+for small bases, where dense products cost about what sparse ones do
+and scipy need not load, one dense numpy stack (draws, rows, columns)
+from one scatter.  Either way one `stack_product` steps every draw with each
+draw's bits unchanged.  `stacked_half_steps` holds H's values, and
+`leading_blocks` keeps the first draws of such a stack; `norm_bounds`
+bounds each draw's ||H|| from above, by H1's closed form without z
+fields, otherwise by one Collatz-Wielandt sweep over the chunk's |H|.
 
 `symmetry_blocks` is the partition H conserves (weight or Z-parity
 blocks), and `natural_basis` the smallest basis holding y0's dynamics
@@ -44,13 +46,11 @@ O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
 per basis, so a draw again computes only the stored values:
 `stacked_half_steps` holds both blocks, between the sides of
 `step_sides`, and `chiral_block` builds B as a numpy array for dense
-algebra.  `spectral_parts` is the one dense eigendecomposition,
-two-sided over E and O (`parity_sides`), that both `evolve.Propagator`
-and the Trotter error algebra read.  It takes a chunk of draws on one
-basis: one scatter builds the chunk's B (or H) stack, one stacked eigh
-decomposes it and one batched product forms V, each draw's parts the
-bits of its own chunk of one; `spectral_bytes` is the per-draw working
-set it refuses above the memory cap, before allocating.
+algebra.  `spectral_parts` is the one dense eigendecomposition of one
+draw, two-sided over E and O (`parity_sides`), that both a lone
+`evolve.Propagator` and the Trotter error algebra read;
+`spectral_bytes` is the working set it refuses above the memory cap,
+before allocating.
 """
 
 from __future__ import annotations
@@ -87,6 +87,7 @@ __all__ = [
     "parity_sides",
     "spectral_bytes",
     "spectral_parts",
+    "stack_product",
     "stacked_half_steps",
     "step_sides",
     "symmetry_blocks",
@@ -105,7 +106,8 @@ NORM_BOUND_PREFACTOR = {Kind.H1: 1.0, Kind.H2: 2.0, Kind.H3: 1.0, Kind.H4: 1.5}
 # from 0.45 to 0.44).
 _CW_STEPS = 5
 # Relative slack on a computed norm bound.  Each (|H| v)_i sums at most
-# n^2 + 1 non-negative terms, so it and its ratio to v_i carry a relative
+# n^2 + 1 non-zero non-negative terms, in any order (a dense stack's zero
+# terms add exactly), so it and its ratio to v_i carry a relative
 # rounding error of at most (n^2 + 2) 2^-53, 1.1e-14 at n = 10.  H1's
 # closed form rounds by at most ~2n 2^-53 Sum|J_ij| against a maximum of
 # at least Sum|J_ij| / sqrt(2n) (Khintchine), again ~1e-14 at n = 10.
@@ -290,16 +292,11 @@ def spectral_bytes(basis: Basis, split: bool) -> int:
     return 3 * 8 * basis.dimension**2
 
 
-def _chiral_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
-    """B of every draw of a chunk, shape (draws, |E|, |O|); see `chiral_block`."""
-    hopping, split = _chunk_key(specs, basis)
-    if not split:
-        raise ValueError(f"{specs[0].kind.value} with these fields has no chiral split")
+def _chiral_stack(specs: Sequence[HamiltonianSpec], basis: Basis, hopping: bool) -> np.ndarray:
+    """B of every draw of a chunk that `_chunk_key` found chiral, shape
+    (draws, |E|, |O|); see `chiral_block`."""
     e, o = (side.size for side in parity_sides(basis))
-    _check_bytes(
-        len(specs) * spectral_bytes(basis, True),
-        f"{len(specs)} x chiral split {e}+{o} (dense)",
-    )
+    _check_bytes(8 * len(specs) * e * o, f"{len(specs)} x chiral split {e}+{o} (dense)")
     half = _chiral_layout(basis, hopping)[0]
     out = np.zeros((len(specs), e, o))
     out[:, half[2], half[1]] = _half_values(specs, half)
@@ -312,14 +309,21 @@ def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     Refuses, before allocating, a split whose dense working set
     (`spectral_bytes`) exceeds the memory cap.
     """
-    return _chiral_stack([spec], basis)[0]
+    if not chiral(spec):
+        raise ValueError(f"{spec.kind.value} with these fields has no chiral split")
+    _check_basis(spec, basis)
+    e, o = (side.size for side in parity_sides(basis))
+    _check_bytes(spectral_bytes(basis, True), f"chiral split {e}+{o} (dense)")
+    half = _chiral_layout(basis, _hopping(spec))[0]
+    out = np.zeros((e, o))
+    out[half[2], half[1]] = (spec.couplings.entries.ravel() / spec.n)[half[3]]
+    return out
 
 
 def spectral_parts(
-    specs: Sequence[HamiltonianSpec], basis: Basis
+    spec: HamiltonianSpec, basis: Basis
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """(omega, (P, V)): H's spectrum on the two sides of `step_sides`
-    for every draw of a chunk, each array stacked along a leading draw axis.
+    """(omega, (P, V)): H's spectrum on the two sides of `step_sides`.
 
     For a `chiral` spec B B^T = P diag(omega^2) P^T on E and V = B^T P;
     for any other spec H = P diag(omega) P^T on the whole basis and
@@ -327,19 +331,14 @@ def spectral_parts(
     cos(Ht) maps side 0 to itself as P cos(omega t) P^T and sin(Ht) maps
     side 0 to side 1 as V (sin(omega t) / omega) P^T; for a chiral spec
     cos(Ht) maps O to itself as I - V (2 sin^2(omega t / 2) / omega^2) V^T.
-    The chunk's B or H stack comes from one scatter over the cached
-    layout and takes one stacked eigh, of half the size for a chiral spec,
-    and V one batched product.  numpy's eigh and matmul run LAPACK and
-    BLAS on each matrix of a stack as on that matrix alone, so every
-    draw's parts have the bits of a chunk of one.
+    One eigh, of half the size for a chiral spec.
     """
-    if _chunk_key(specs, basis)[1]:
-        b = _chiral_stack(specs, basis)
-        bt = b.transpose(0, 2, 1)
-        w2, p = np.linalg.eigh(b @ bt)
-        return np.sqrt(np.maximum(w2, 0.0)), (p, bt @ p)
-    omega, p = np.linalg.eigh(_dense_stack(specs, basis))
-    return omega, (p, p * omega[:, None, :])
+    if chiral(spec):
+        b = chiral_block(spec, basis)
+        w2, p = np.linalg.eigh(b @ b.T)
+        return np.sqrt(np.maximum(w2, 0.0)), (p, b.T @ p)
+    omega, p = np.linalg.eigh(dense_matrix(spec, basis))
+    return omega, (p, p * omega)
 
 
 def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:
@@ -433,14 +432,23 @@ def _chunk_key(specs: Sequence[HamiltonianSpec], basis: Basis) -> tuple[bool, bo
 
 
 def _stacks(
-    specs: Sequence[HamiltonianSpec], basis: Basis, magnitude: bool
-) -> list[sp.csr_matrix]:
-    """Each half-step of a chunk as one block-diagonal CSR matrix whose
-    block j carries draw j's stored values (their absolute values if
-    `magnitude`) over the cached layout repeated at offsets
-    (`_stacked_layout`): B^T and B for a chiral chunk, H otherwise.  Each
-    half-step's values are one (draws x entries) array."""
+    specs: Sequence[HamiltonianSpec], basis: Basis, magnitude: bool, dense: bool
+) -> list[sp.csr_matrix | np.ndarray]:
+    """Each half-step of a chunk (their absolute values if `magnitude`):
+    B^T and B for a chiral chunk, H otherwise.
+
+    If `dense`, each is a numpy stack (draws, rows, columns) scattered by
+    `_chiral_stack` (B^T a transposed view of it) or `_dense_stack`.
+    Otherwise each is one block-diagonal CSR matrix whose block j carries
+    draw j's stored values over the cached layout repeated at offsets
+    (`_stacked_layout`), each half-step's values one (draws x entries)
+    array."""
     hopping, split = _chunk_key(specs, basis)
+    if dense:
+        stack = _chiral_stack(specs, basis, hopping) if split else _dense_stack(specs, basis)
+        if magnitude:
+            np.abs(stack, out=stack)
+        return [stack.transpose(0, 2, 1), stack] if split else [stack]
     # per stored entry: the values, and the stacked indices
     nnz = int(_layout(basis, hopping)[0][-1])
     _check_bytes(12 * len(specs) * nnz, f"stack of {len(specs)} draws")
@@ -458,17 +466,30 @@ def _stacks(
 
 
 def stacked_half_steps(
-    specs: Sequence[HamiltonianSpec], basis: Basis
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """`SparseAction.half_steps` for a chunk of draws on one basis, each as
-    one block-diagonal matrix whose block j is draw j's (`_stacks`).  Each
-    row adds the same products in the same order as in a chunk of one, so
-    a product with the stack gives every draw's product bit for bit."""
-    stacks = _stacks(specs, basis, False)
+    specs: Sequence[HamiltonianSpec], basis: Basis, dense: bool = False
+) -> tuple[sp.csr_matrix | np.ndarray, sp.csr_matrix | np.ndarray]:
+    """`SparseAction.half_steps` for a chunk of draws on one basis: one
+    block-diagonal CSR matrix whose block j is draw j's, or if `dense` one
+    numpy stack whose matrix j is (`_stacks`).  `stack_product` applies
+    either to one row per draw.  A CSR row adds the same products in the
+    same order as in a chunk of one, and numpy runs BLAS on each matrix of
+    a stack as on that matrix alone, so either form gives every draw's
+    product the bits of its own chunk of one."""
+    stacks = _stacks(specs, basis, False, dense)
     return stacks[0], stacks[-1]
 
 
-def norm_bounds(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
+def stack_product(stack: sp.csr_matrix | np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each draw's half-step: `stack` (either form of `stacked_half_steps`)
+    times each row of v, one row per draw, shape (draws, rows)."""
+    if isinstance(stack, np.ndarray):
+        return np.matmul(stack, v[:, :, None])[:, :, 0]
+    return (stack @ v.ravel()).reshape(v.shape[0], -1)
+
+
+def norm_bounds(
+    specs: Sequence[HamiltonianSpec], basis: Basis, dense: bool = False
+) -> np.ndarray:
     """A rigorous upper bound on ||H|| on the basis, or inf, for every draw
     of a chunk on one basis.
 
@@ -478,29 +499,40 @@ def norm_bounds(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
     and Johnson, Matrix Analysis, ch. 8).  v is |H|^(_CW_STEPS - 1)
     applied to ones, normalised by its max after each product; one more
     product gives the ratio, times 1 + `_NORM_MARGIN`.  A chiral |H| is
-    applied as |B^T| from E and |B| from O.  inf when v has a zero
-    entry (|H| with a zero row, J = 0) or the ratio is not finite.
+    applied as |B^T| from E and |B| from O.  |H| is symmetric and
+    non-negative, so v vanishes exactly on |H|'s zero rows (the rows whose
+    first product is 0), and those rows neither feed nor read any other:
+    |H| restricted to the rest has the same spectral radius, and the
+    ratio is read there.  inf when v has another zero entry, when |H| = 0
+    (J = 0), or when the ratio is not finite.
 
-    One sweep serves the chunk, over |H|'s block-diagonal `_stacks`, and
-    every max, zero check and division is taken per draw, so each draw's
-    bound has the bits of its chunk of one.
+    One sweep serves the chunk, over |H|'s `_stacks` (numpy stacks if
+    `dense`, else block-diagonal CSR), and every max, zero check and
+    division is taken per draw, so each draw's bound has the bits of its
+    chunk of one.
     """
     if _chunk_key(specs, basis) == (False, True):  # field-free H1
         return np.array([_h1_norm(spec) * (1.0 + _NORM_MARGIN) for spec in specs])
-    m, blocks = len(specs), _stacks(specs, basis, True)
+    m, blocks = len(specs), _stacks(specs, basis, True, dense)
 
     def step(vs: list[np.ndarray]) -> list[np.ndarray]:
         # block s maps side s to the other, so the products come reversed
-        return [(b @ v.ravel()).reshape(m, -1) for b, v in zip(blocks, vs)][::-1]
+        return [stack_product(b, v) for b, v in zip(blocks, vs)][::-1]
 
-    vs = [np.ones((m, b.shape[1] // m)) for b in blocks]
+    sides = step_sides(specs[0], basis)[: len(blocks)]
+    vs = [np.ones((m, side.size)) for side in sides]
+    empty = None  # |H|'s zero rows, from the first product
     dead = np.zeros(m, dtype=bool)  # the draws whose bound is inf
     for _ in range(_CW_STEPS - 1):
         ws = step(vs)
+        if empty is None:
+            empty = [w == 0.0 for w in ws]
         top = np.max([w.max(axis=1) for w in ws], axis=0)
         dead |= ~(top > 0.0)
         top[dead] = 1.0
         vs = [w / top[:, None] for w in ws]
+    for v, e in zip(vs, empty):
+        v[e] = 1.0  # |H| v is 0 there, and no other row reads them
     dead |= ~(np.min([v.min(axis=1) for v in vs], axis=0) > 0.0)
     for v in vs:
         v[dead] = 1.0  # read no ratio off a zero
@@ -538,23 +570,24 @@ def _stacked_layout(
     return *out, shape
 
 
-def leading_blocks(stack: sp.csr_matrix, count: int, blocks: int) -> sp.csr_matrix:
-    """The first `count` of the `blocks` diagonal blocks of a
-    `stacked_half_steps` matrix, over its own index and value arrays."""
+def leading_blocks(
+    stack: sp.csr_matrix | np.ndarray, count: int, blocks: int
+) -> sp.csr_matrix | np.ndarray:
+    """The first `count` of the `blocks` draws of a `stacked_half_steps`
+    stack, over its own arrays: the leading diagonal blocks of a CSR
+    matrix, or the leading matrices of a numpy stack."""
+    if isinstance(stack, np.ndarray):
+        return stack[:count]
     rows, cols = (size // blocks * count for size in stack.shape)
     end = int(stack.indptr[rows])
     return _csr(stack.indptr[: rows + 1], stack.indices[:end], stack.data[:end], (rows, cols))
 
 
 def _dense_stack(specs: Sequence[HamiltonianSpec], basis: Basis) -> np.ndarray:
-    """H on the basis for every draw of a chunk, shape (draws, d, d); see
-    `dense_matrix`."""
+    """H on the basis for every draw of a chunk that passed `_chunk_key`,
+    shape (draws, d, d); see `dense_matrix`."""
     d = basis.dimension
-    _check_bytes(
-        len(specs) * spectral_bytes(basis, False),
-        f"{len(specs)} x dense dimension {d} (3 d^2 float64)",
-    )
-    _chunk_key(specs, basis)
+    _check_bytes(8 * len(specs) * d * d, f"{len(specs)} x dense dimension {d}")
     indptr, indices, data = _values(specs, basis)
     out = np.zeros((len(specs), d, d))
     out[:, _entry_rows(indptr), indices] += data
@@ -572,7 +605,13 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     `SparseAction(spec, basis)._matrix.toarray()` bit for bit (a -0.0
     coupling becomes 0.0 in both).
     """
-    return _dense_stack([spec], basis)[0]
+    d = basis.dimension
+    _check_bytes(spectral_bytes(basis, False), f"dense dimension {d} (3 d^2 float64)")
+    _check_basis(spec, basis)
+    indptr, indices, data = _values([spec], basis)
+    out = np.zeros((d, d))
+    out[_entry_rows(indptr), indices] += data[0]
+    return out
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:

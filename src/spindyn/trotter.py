@@ -38,10 +38,10 @@ A' = G^H A G and Pi = G^2 = diag(1 on E, -1 on O), S' = (Pi A'^T Pi) A'.
 
 The exact part.  Each block's H is `hamiltonian.dense_matrix` or, for a
 chiral kind, its E x O block B, never a slice of the whole 4^n matrix;
-`hamiltonian.spectral_parts`, as a chunk of one, gives the same
-two-sided parts (omega, (P, V)) the dense `evolve.Propagator` reads, once
-per call for every step count M.  For the chiral kinds that is one eigh
-of B B^T, half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht) is
+`hamiltonian.spectral_parts` gives the same two-sided parts
+(omega, (P, V)) the dense `evolve.Propagator` reads, once per call for
+every step count M.  For the chiral kinds that is one eigh of B B^T,
+half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht) is
 real: P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O,
 minus its transpose on O x E, and I - V (2 sin^2(omega t / 2) / omega^2)
 V^T on O x O.  H2 and H4 take cos(Ht) - i sin(Ht) from the first two.
@@ -303,8 +303,7 @@ def _exact_part(spec: HamiltonianSpec, block: Basis, t: float) -> np.ndarray:
     and I - V (2 sin^2(omega t / 2) / omega^2) V^T on O x O.  Any other
     spec reads cos(Ht) - i sin(Ht) from the first two parts.
     """
-    omega, (p, v) = spectral_parts([spec], block)
-    omega, p, v = omega[0], p[0], v[0]
+    omega, (p, v) = spectral_parts(spec, block)
     wt = omega * t
     # sin(omega t) / omega and sin(omega t / 2) / omega, t and t / 2 at omega = 0
     sinc, half = np.full_like(wt, t), np.full_like(wt, t / 2)

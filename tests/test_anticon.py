@@ -21,7 +21,7 @@ from spindyn.anticon import (
 import spindyn.evolve
 from spindyn.core import BitString, HamiltonianSpec, Kind, Rng, sample_coupling
 from spindyn.evolve import KrylovConvergenceError, Propagator, draws_per_chunk
-from spindyn.hamiltonian import chiral_block, natural_basis
+from spindyn.hamiltonian import natural_basis
 from spindyn.hardness import anticoncentration_thresholds
 
 
@@ -97,8 +97,8 @@ def test_full_distribution_normalization():
 
 def test_moment_statistics_time_grid_matches_single_times():
     # One propagation per draw over the grid gives, record for record, what
-    # one call per time gives (to rounding: the dense engine multiplies a
-    # matrix by one phase column or by three); the pool changes nothing.
+    # one call per time gives (to rounding: the series order follows the
+    # largest |t| of the call); the pool changes nothing.
     grid = [0.4, 1.1, 2.5]
     sweep = moment_statistics(Kind.H3, 2, grid, 16, Rng(12))
     assert moment_statistics(Kind.H3, 2, grid, 16, Rng(12), threads=3) == sweep
@@ -149,14 +149,14 @@ def test_thread_count_does_not_change_results():
     assert equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=3) == (
         equilibration_curve(Kind.H3, 2, grid, 32, Rng(9), threads=1)
     )
-    # the dense H3 n = 4 sector takes 33 draws per chunk: 100 draws run as
-    # four stacked chunks
+    # the H3 n = 4 sector takes 140 draws per chunk: 300 draws run as
+    # three chunks, each one recurrence on dense stacks
     basis = natural_basis(Kind.H3, 4)
-    assert -(-100 // draws_per_chunk(Kind.H3, basis)) >= 3
-    serial = moment_statistics(Kind.H3, 4, [0.6, 2.4], 100, Rng(9), threads=1)
-    assert serial == moment_statistics(Kind.H3, 4, [0.6, 2.4], 100, Rng(9), threads=3)
-    assert equilibration_curve(Kind.H3, 4, grid, 100, Rng(9), threads=3) == (
-        equilibration_curve(Kind.H3, 4, grid, 100, Rng(9), threads=1)
+    assert -(-300 // draws_per_chunk(Kind.H3, basis)) >= 3
+    serial = moment_statistics(Kind.H3, 4, [0.6, 2.4], 300, Rng(9), threads=1)
+    assert serial == moment_statistics(Kind.H3, 4, [0.6, 2.4], 300, Rng(9), threads=3)
+    assert equilibration_curve(Kind.H3, 4, grid, 300, Rng(9), threads=3) == (
+        equilibration_curve(Kind.H3, 4, grid, 300, Rng(9), threads=1)
     )
 
 
@@ -176,7 +176,7 @@ def test_chunking_does_not_change_results(monkeypatch):
     grid = [0.4, 2.2]
     chunked = moment_statistics(Kind.H3, 6, grid, 20, Rng(23))
     curve = equilibration_curve(Kind.H1, 4, grid, 40, Rng(23))
-    dense = moment_statistics(Kind.H3, 4, grid, 100, Rng(23))  # four dense chunks
+    dense = moment_statistics(Kind.H3, 4, grid, 100, Rng(23))  # one chunk on dense stacks
     dense_curve = equilibration_curve(Kind.H3, 4, grid, 100, Rng(23))
     monkeypatch.setattr(spindyn.evolve, "_CHUNK_BYTES", 1)
     assert moment_statistics(Kind.H3, 6, grid, 20, Rng(23)) == chunked
@@ -200,23 +200,19 @@ def test_failed_guard_names_the_coupling_draw(monkeypatch):
     assert err.value.draw == 5
 
 
-def test_failed_eigh_names_the_coupling_draw(monkeypatch):
-    # the stacked eigh of a dense chunk fails on draw 5's B B^T
-    basis = natural_basis(Kind.H3, 4)
-    b = chiral_block(HamiltonianSpec(Kind.H3, sample_coupling(4, Rng(31).substream(5))), basis)
-    marked = b @ b.T
-    eigh = np.linalg.eigh
+def test_failed_dense_chunk_guard_names_the_coupling_draw(monkeypatch):
+    # draw 5 of an H3 n = 4 ensemble, which steps on dense stacks, gets a
+    # spectral bound far below ||H||
+    bad = sample_coupling(4, Rng(31).substream(5)).entries
+    real = spindyn.evolve.coupling_norm_bound
 
-    def failing(a):
-        if any(np.array_equal(m, marked) for m in a.reshape(-1, *marked.shape)):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a)
+    def bound(spec):
+        low = np.array_equal(spec.couplings.entries, bad)
+        return 0.2 * real(spec) if low else real(spec)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing)
-    with pytest.raises(
-        np.linalg.LinAlgError, match="coupling draw 5: eigendecomposition failed"
-    ) as err:
-        moment_statistics(Kind.H3, 4, [1.0], 16, Rng(31), threads=2)
+    monkeypatch.setattr(spindyn.evolve, "coupling_norm_bound", bound)
+    with pytest.raises(KrylovConvergenceError, match="coupling draw 5: norm drift") as err:
+        moment_statistics(Kind.H3, 4, [10.0], 16, Rng(31), threads=2)
     assert err.value.draw == 5
 
 

@@ -451,13 +451,17 @@ def test_usage_errors_leave_no_run_dir(tmp_path, argv, capsys):
 
 def test_dense_commands_never_load_scipy_sparse(tmp_path):
     # only a sparse product needs scipy; commands that stay on dense
-    # engines must not pay its import, and a Chebyshev command loads it
-    # at its first product, from the thread pool, with unchanged bytes
+    # products (the ensembles within _DENSE_LIMIT step on dense stacks)
+    # must not pay its import, and a sparse Chebyshev command loads it at
+    # its first product, from the thread pool, with unchanged bytes
     script = (
         "import sys\n"
         "from spindyn import cli\n"
         f"out = {str(tmp_path)!r}\n"
         "for args in (['anticon', '--model', 'H3', '--n', '2', '--num-j', '16'],\n"
+        "             ['anticon', '--model', 'H3', '--n', '4', '--num-j', '16'],\n"
+        "             ['equilibrate', '--model', 'H4', '--n', '4', '--num-j', '16'],\n"
+        "             ['equilibrate', '--model', 'H2', '--n', '2', '--num-j', '16'],\n"
         "             ['trotter-error', '--model', 'H3', '--n', '2', '--m-grid', '4'],\n"
         "             ['trotter-error', '--model', 'H1', '--n', '2', '--m-grid', '4'],\n"
         "             ['extract-permanent', '--n', '2'],\n"
@@ -485,10 +489,10 @@ def test_dense_commands_never_load_scipy_sparse(tmp_path):
 
 
 def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
-    # the dense engine's eigh and products run on numpy's OpenBLAS from
-    # the sweep's thread pool; neither pool size may move a bit, on the
-    # chiral split or on the whole basis
-    cases = (("h3-anticon", ["anticon", "--model", "H3", "--n", "4", "--num-j", "64"]),
+    # the dense stacks' products run on numpy's OpenBLAS from the sweep's
+    # thread pool; neither pool size may move a bit, on the chiral split
+    # (300 draws: three chunks) or on the whole basis (64 draws: two)
+    cases = (("h3-anticon", ["anticon", "--model", "H3", "--n", "4", "--num-j", "300"]),
              ("h3-equilibrate", ["equilibrate", "--model", "H3", "--n", "4", "--num-j", "16"]),
              ("h4-anticon", ["anticon", "--model", "H4", "--n", "4", "--num-j", "64"]))
     script = (
@@ -496,7 +500,7 @@ def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
         "from spindyn import cli\n"
         "out = sys.argv[1]\n"
         f"for label, args in {cases!r}:\n"
-        "    for threads in ('1', '2'):\n"
+        "    for threads in ('1', '2', '3'):\n"
         "        argv = [*args, '--threads', threads, '--outdir', f'{out}/{label}/t{threads}']\n"
         "        assert cli.main(argv) == 0, argv\n"
     )
@@ -509,12 +513,12 @@ def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
             env=env, capture_output=True, text=True,
         )
         assert run.returncode == 0, run.stderr
-        assert run.stderr.count("engine: dense chiral 38+32") == 4
-        assert run.stderr.count("engine: dense 70") == 2
+        assert run.stderr.count("engine: chebyshev chiral 38+32, dense products") == 6
+        assert run.stderr.count("engine: chebyshev 70, dense products") == 3
     for label, args in cases:
         names = ("moments.csv", "ratio.csv") if args[0] == "anticon" else ("equilibration.csv",)
         dirs = [only_run_dir(tmp_path / b / label / t, args[0])
-                for b in ("b1", "b2") for t in ("t1", "t2")]
+                for b in ("b1", "b2") for t in ("t1", "t2", "t3")]
         for name in names:
             outputs = {(d / name).read_bytes() for d in dirs}
             assert len(outputs) == 1, (label, name)
@@ -522,12 +526,15 @@ def test_dense_chiral_outputs_do_not_depend_on_threads(tmp_path):
 
 def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
     cases = [
-        (["anticon", "--model", "H3", "--n", "4", "--num-j", "16"], "dense chiral 38+32"),
-        (["anticon", "--model", "H1", "--n", "2", "--num-j", "16"], "dense chiral 8+8"),
-        (["anticon", "--model", "H4", "--n", "2", "--num-j", "16"], "dense 6"),
+        (["anticon", "--model", "H3", "--n", "4", "--num-j", "16"],
+         "chebyshev chiral 38+32, dense products"),
+        (["anticon", "--model", "H1", "--n", "2", "--num-j", "16"],
+         "chebyshev chiral 8+8, dense products"),
+        (["anticon", "--model", "H4", "--n", "2", "--num-j", "16"], "chebyshev 6, dense products"),
         (["equilibrate", "--model", "H1", "--n", "4", "--num-j", "16", "--points", "3"],
-         "chebyshev chiral 128+128"),
-        (["equilibrate", "--model", "H2", "--n", "2", "--num-j", "16"], "dense 16"),
+         "chebyshev chiral 128+128, sparse products"),
+        (["equilibrate", "--model", "H2", "--n", "2", "--num-j", "16"],
+         "chebyshev 16, dense products"),
     ]
     for args, want in cases:
         assert run_cli(args, tmp_path / args[0]) == 0

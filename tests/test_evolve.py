@@ -1,5 +1,6 @@
 """Propagation tests against an independent expm oracle and closed forms."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,7 +23,10 @@ from spindyn.evolve import (
     DecompositionError,
     KrylovConvergenceError,
     Propagator,
+    _MAX_ORDER,
+    _TAIL_TOL,
     _bessel_tables,
+    _bessel_tail_bound,
     _series_order,
     draws_per_chunk,
     engine,
@@ -35,11 +39,11 @@ from spindyn.evolve import (
 from spindyn.hamiltonian import (
     DenseMemoryError,
     SparseAction,
+    chiral,
     coupling_norm_bound,
     dense_matrix,
     norm_bounds,
-    spectral_bytes,
-    spectral_parts,
+    parity_sides,
     step_sides,
 )
 from spindyn.permanent import permanent_bruteforce, submatrix_for_outcome
@@ -204,7 +208,7 @@ def test_chiral_dense_engine_matches_oracles(kind, n, zero):
     spec = random_spec(kind, n, 90 + n)
     if zero:  # J = 0: omega = 0 on every mode
         spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
-    assert engine(spec).startswith("dense chiral")
+    assert chiral(spec)
     assert_dense_engine_matches_oracles(Propagator(spec))
 
 
@@ -221,9 +225,8 @@ def test_whole_basis_dense_engine_matches_oracles(kind, n, fields, zero):
     spec = random_spec(kind, n, 80 + n, fields=fields)
     if zero:
         spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))), spec.z_fields)
-    prop = Propagator(spec)
-    assert engine(spec) == f"dense {prop.basis.dimension}"
-    assert_dense_engine_matches_oracles(prop)
+    assert not chiral(spec)
+    assert_dense_engine_matches_oracles(Propagator(spec))
 
 
 @pytest.mark.parametrize(
@@ -231,9 +234,11 @@ def test_whole_basis_dense_engine_matches_oracles(kind, n, fields, zero):
     [(Kind.H3, 3, "dense chiral"), (Kind.H4, 3, "dense 20"), (Kind.H4, 5, "chebyshev 252")],
 )
 def test_rows_outside_the_basis_are_refused(kind, n, name):
+    # `name` is the engine of the lone Propagator
     spec = random_spec(kind, n, 1)
-    assert engine(spec).startswith(name)
     prop = Propagator(spec)
+    assert prop.dense == name.startswith("dense")
+    assert chiral(spec) == name.endswith("chiral")
     d = prop.basis.dimension
     for rows in ([-1], [d], [0, d + 5]):
         with pytest.raises(ValueError, match="rows must lie in"):
@@ -300,18 +305,21 @@ def test_non_chiral_specs_take_the_general_path(kind, fields, limit, monkeypatch
     prop = Propagator(spec)
     whole = np.arange(prop.basis.dimension)
     assert all(np.array_equal(side, whole) for side in step_sides(spec, prop.basis))
-    assert engine(spec) == f"{'dense' if limit > 1 else 'chebyshev'} {whole.size}"
+    assert prop.dense == (limit > 1)
+    assert engine(spec) == f"chebyshev {whole.size}, {'dense' if limit > 1 else 'sparse'} products"
     got = prop.state_at(1.3).amplitudes
     assert np.max(np.abs(got - expm_oracle(spec, prop.basis, 1.3))) <= 1e-12
 
 
 def test_engine_names_the_split_and_its_sides():
-    assert engine(random_spec(Kind.H3, 4, 1)) == "dense chiral 38+32"
-    assert engine(random_spec(Kind.H1, 3, 1)) == "dense chiral 32+32"
-    assert engine(random_spec(Kind.H3, 6, 1)) == "chebyshev chiral 452+472"
-    assert engine(random_spec(Kind.H1, 4, 1)) == "chebyshev chiral 128+128"
-    assert engine(random_spec(Kind.H4, 6, 1)) == "chebyshev 924"
-    assert engine(random_spec(Kind.H3, 3, 1, fields=True)) == "dense 20"
+    # the ensembles' engine: one recurrence per chunk, on dense stacks up
+    # to _DENSE_LIMIT and on block-diagonal CSR above it
+    assert engine(random_spec(Kind.H3, 4, 1)) == "chebyshev chiral 38+32, dense products"
+    assert engine(random_spec(Kind.H1, 3, 1)) == "chebyshev chiral 32+32, dense products"
+    assert engine(random_spec(Kind.H3, 6, 1)) == "chebyshev chiral 452+472, sparse products"
+    assert engine(random_spec(Kind.H1, 4, 1)) == "chebyshev chiral 128+128, sparse products"
+    assert engine(random_spec(Kind.H4, 6, 1)) == "chebyshev 924, sparse products"
+    assert engine(random_spec(Kind.H3, 3, 1, fields=True)) == "chebyshev 20, dense products"
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -343,7 +351,27 @@ def test_bessel_table_matches_scipy():
     z = np.array([0.0, 1e-30, 1e-9, 1e-3, 0.5, -3.0, 26.0, -103.0, 400.0])
     order = _series_order(400.0)
     want = scipy.special.jv(np.arange(order)[:, None], z[None, :])
-    assert np.max(np.abs(_bessel_tables([z], [order])[0] - want)) <= 5e-14
+    assert np.max(np.abs(_bessel_tables(z[None, :], [order])[:, 0] - want)) <= 5e-14
+
+
+def test_series_order_matches_the_unit_step_scan():
+    # the bracketed search finds the order a scan up from ceil|z| finds,
+    # from z = 0 through orders near and past _MAX_ORDER
+    def scan(z):
+        order = max(1, math.ceil(abs(z)))
+        while order < _MAX_ORDER and _bessel_tail_bound(z, order) > _TAIL_TOL:
+            order += 1
+        return order
+
+    zs = np.concatenate([
+        [0.0, 1e-30, -1e-30, 1e-17, 1e-9, 1e-3, -0.5, 1.0],
+        np.linspace(0.01, 60.0, 1500),
+        -np.geomspace(60.0, 1e4, 300),
+        np.geomspace(300.0, 7e4, 80),
+        [65000.0, 65535.0, 65536.0, 65536.5, 1e6],
+    ])
+    for z in zs:
+        assert _series_order(z) == scan(z), z
 
 
 def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
@@ -407,6 +435,15 @@ def chunk_specs(kind, n, fields):
     return specs
 
 
+# every dense size: class I up to n = 3, class II up to n = 4
+_DENSE_CHUNKS = [
+    (k, n, f, None)
+    for k, sizes in ((Kind.H1, (2, 3)), (Kind.H2, (2, 3)), (Kind.H3, (2, 3, 4)), (Kind.H4, (2, 3, 4)))
+    for n in sizes
+    for f in (False, True)
+]
+
+
 @pytest.mark.parametrize(
     "kind,n,fields,limit",
     [
@@ -415,21 +452,31 @@ def chunk_specs(kind, n, fields):
         (Kind.H4, 5, False, None),
         (Kind.H2, 3, True, 1),
         (Kind.H4, 4, True, 1),
-    ],
+    ]
+    + _DENSE_CHUNKS,
 )
 def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatch):
     # one recurrence and one Bessel loop for a chunk give every draw the
-    # bits of its own Propagator, whatever the chunk holds
+    # bits of its own chunk of one, whatever the chunk holds.  Above
+    # _DENSE_LIMIT that is the draw's own Propagator; within it the chunk
+    # steps on dense stacks and a lone Propagator diagonalises, and the
+    # two agree to rounding
     if limit is not None:
         monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
     basis = natural_basis(kind, n)
     specs = chunk_specs(kind, n, fields)
     props = [Propagator(spec, basis=basis) for spec in specs]
-    assert not props[0].dense
+    dense = props[0].dense
+    assert dense == (limit is None and basis.dimension <= 128)
     assert len({_series_order(p.norm_bound * 6.0) for p in props}) >= 3
     grid = np.array([0.0, -0.7, 2.5, 6.0])
     rows = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
-    alone = [p.all_probabilities_at(grid, rows) for p in props]
+    if dense:
+        alone = [probability_tables([spec], basis, grid, rows)[0] for spec in specs]
+        for got, prop in zip(alone, props):
+            assert np.max(np.abs(got - prop.all_probabilities_at(grid, rows))) <= 1e-13
+    else:
+        alone = [p.all_probabilities_at(grid, rows) for p in props]
     for size in (1, 3, 16):
         tables = []
         for s in range(0, len(specs), size):
@@ -438,8 +485,12 @@ def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatc
         for got, want in zip(tables, alone):
             assert np.array_equal(got, want)
     full = probability_tables(specs[:3], basis, grid[:2])
-    for got, prop in zip(full, props):
-        assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
+    for got, spec, prop in zip(full, specs, props):
+        if dense:
+            assert np.array_equal(got, probability_tables([spec], basis, grid[:2])[0])
+            assert np.max(np.abs(got - prop.all_probabilities_at(grid[:2]))) <= 1e-13
+        else:
+            assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
 
 
 def test_chunked_guards_name_the_draw(monkeypatch):
@@ -483,60 +534,56 @@ def test_chunked_guards_name_the_draw(monkeypatch):
         (Kind.H4, 2, True),
     ],
 )
-def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields):
-    # one stacked eigh and one stacked read for a chunk give every draw the
-    # bits of its own Propagator; chunk_specs holds a J = 0 draw
+def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields, monkeypatch):
+    # a chunk within _DENSE_LIMIT steps on numpy stacks: it calls no eigh
+    # and builds no scipy matrix, and for one time or several, a row
+    # subset or every row, every chunk size gives each draw the bits of
+    # its chunk of one, within 1e-13 of its own dense Propagator;
+    # chunk_specs holds a J = 0 draw
     basis = natural_basis(kind, n)
     specs = chunk_specs(kind, n, fields)
+    subset = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
+    cases = [(grid, rows) for grid in ([1.3], [0.0, -0.7, 2.5, 6.0]) for rows in (subset, None)]
     props = [Propagator(spec, basis=basis) for spec in specs]
     assert props[0].dense
-    subset = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
-    for grid in ([1.3], [0.0, -0.7, 2.5, 6.0]):
-        for rows in (subset, None):
-            alone = [
-                Propagator(spec, basis=basis).all_probabilities_at(grid, rows)
-                for spec in specs
-            ]
-            for size in (1, 3, 16):
-                tables = []
-                for s in range(0, len(specs), size):
-                    tables += probability_tables(specs[s : s + size], basis, grid, rows)
-                assert len(tables) == len(props)
-                for got, want in zip(tables, alone):
-                    assert np.array_equal(got, want)
-    omega, (p, v) = spectral_parts(specs, basis)
-    for j, spec in enumerate(specs):
-        (w1,), ((p1,), (v1,)) = spectral_parts([spec], basis)
-        assert np.array_equal(omega[j], w1)
-        assert np.array_equal(p[j], p1) and np.array_equal(v[j], v1)
+    near = [[p.all_probabilities_at(grid, rows) for p in props] for grid, rows in cases]
+
+    def refuse(*args):
+        raise AssertionError("a dense chunk decomposed H or built a scipy matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(spindyn.hamiltonian, "_csr", refuse)
+    for (grid, rows), dense in zip(cases, near):
+        alone = [probability_tables([spec], basis, grid, rows)[0] for spec in specs]
+        for got, want in zip(alone, dense):
+            assert np.max(np.abs(got - want)) <= 1e-13
+        for size in (1, 3, 16):
+            tables = []
+            for s in range(0, len(specs), size):
+                tables += probability_tables(specs[s : s + size], basis, grid, rows)
+            assert len(tables) == len(specs)
+            for got, want in zip(tables, alone):
+                assert np.array_equal(got, want)
 
 
-def test_failed_eigh_names_the_draw(monkeypatch):
-    # the stacked eigh fails on draw 1 of 3; the chunk is decomposed again
-    # draw by draw, the error names draw 1, and no sibling table comes back
+def test_failed_eigh_raises_decomposition_error(monkeypatch):
+    # a lone dense Propagator names a failed eigh; ensembles never decompose
     basis = natural_basis(Kind.H4, 2)
     specs = [random_spec(Kind.H4, 2, 83 + j) for j in range(3)]
-    props = [Propagator(spec, basis=basis) for spec in specs]
-    marked = dense_matrix(specs[1], basis)
+    want = [Propagator(spec, basis=basis).all_probabilities_at([0.5, 2.0]) for spec in specs]
     eigh = np.linalg.eigh
 
     def failing(a):
-        if any(np.array_equal(m, marked) for m in a.reshape(-1, *marked.shape)):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(a)
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
     with pytest.raises(DecompositionError, match="eigendecomposition failed") as err:
-        probability_tables(specs, basis, [0.5, 2.0])
-    assert err.value.draw == 1
+        Propagator(specs[1], basis=basis).all_probabilities_at([0.5])
     assert isinstance(err.value, np.linalg.LinAlgError)
-    with pytest.raises(DecompositionError) as err:
-        props[1].all_probabilities_at([0.5])
-    assert err.value.draw == 0
-    tables = probability_tables([specs[0], specs[2]], basis, [0.5, 2.0])
+    tables = probability_tables(specs, basis, [0.5, 2.0])
     monkeypatch.setattr(np.linalg, "eigh", eigh)
-    for got, prop in zip(tables, [props[0], props[2]]):
-        assert np.array_equal(got, prop.all_probabilities_at([0.5, 2.0]))
+    for got, table in zip(tables, want):
+        assert np.max(np.abs(got - table)) <= 1e-13
 
 
 @pytest.mark.parametrize("limit", [4096, 1])
@@ -567,19 +614,41 @@ def test_chunk_refuses_mixed_layouts_and_sizes(limit, monkeypatch):
 )
 def test_chunk_norm_bounds_match_each_draw_alone(kind, where, fields):
     # one Collatz-Wielandt sweep for a chunk gives every draw the bits of
-    # its own; J = 0 (draw 7) reads inf on that draw only, unless z fields
-    # fill the diagonal.  H3's |H| on the full basis has zero rows (weights
-    # 0 and 2n hop nowhere), so there every draw reads inf
+    # its own, on CSR and on dense stacks, and the two forms agree to
+    # rounding; J = 0 (draw 7) reads inf on that draw only, unless z
+    # fields fill the diagonal.  H3's |H| on the full basis has zero rows
+    # (weights 0 and 2n hop nowhere), which the ratio skips
     basis = {"full": Basis.full(3), "parity": Basis.of(3, "parity", 0)}.get(where, Basis.sector(4))
     specs = chunk_specs(kind, basis.n, fields)
     bounds = norm_bounds(specs, basis)
     alone = [SparseAction(spec, basis).norm_bound for spec in specs]
     assert np.array_equal(bounds, alone)
-    infinite = [j for j, b in enumerate(bounds) if np.isinf(b)]
-    if kind is Kind.H3 and where == "full":
-        assert infinite == list(range(16))
-    else:
-        assert infinite == ([] if fields else [7])
+    stacked = norm_bounds(specs, basis, dense=True)
+    assert np.array_equal(stacked, [norm_bounds([s], basis, dense=True)[0] for s in specs])
+    finite = np.isfinite(bounds)
+    assert np.array_equal(np.isfinite(stacked), finite)
+    assert np.allclose(stacked[finite], bounds[finite], rtol=1e-13, atol=0.0)
+    for spec, bound in zip(specs, bounds):
+        exact = np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, basis))))
+        assert exact <= bound
+    assert np.flatnonzero(~finite).tolist() == ([] if fields else [7])
+
+
+@pytest.mark.parametrize("seed,orders", [(0, (70, 53)), (1, (81, 60)), (2, (74, 56))])
+def test_norm_bound_skips_the_zero_rows_of_abs_h(seed, orders):
+    # H3 on the full basis at n = 4: |H| has zero rows (weights 0 and 8),
+    # where v = |H|^4 1 vanishes; the ratio over the rest is finite, still
+    # bounds ||H||, and shortens the series at t = 8 ln 4
+    spec = random_spec(Kind.H3, 4, seed)
+    basis = Basis.full(4)
+    exact = np.max(np.abs(np.linalg.eigvalsh(dense_matrix(spec, basis))))
+    for dense in (False, True):
+        bound = norm_bounds([spec], basis, dense)[0]
+        assert exact <= bound < coupling_norm_bound(spec)
+    t = 8.0 * np.log(4)
+    scale = min(coupling_norm_bound(spec), float(norm_bounds([spec], basis)[0]))
+    assert (_series_order(coupling_norm_bound(spec) * t), _series_order(scale * t)) == orders
+    assert Propagator(spec, basis=basis).norm_bound == scale
 
 
 @pytest.mark.parametrize("kind", [Kind.H3, Kind.H4])
@@ -611,13 +680,16 @@ def test_chebyshev_chunk_builds_its_matrices_once(kind, monkeypatch):
 
 def test_draws_per_chunk_keeps_large_dimensions_alone():
     # stacking pays at small d; from d = 4096 each draw runs alone.  The
-    # dense H3 n = 4 split (38 + 32) holds 8 (3 * 38^2 + 2 * 38 * 32)
-    # bytes per draw, so the 1.75 MiB budget takes 33 draws
+    # H3 n = 4 split (38 + 32) steps on a dense B of 8 * 38 * 32 bytes and
+    # six vectors of 8 * 70 per draw, so the 1.75 MiB budget takes 140
+    # draws; the H4 n = 4 sector steps on a dense 70 x 70 H (43 draws)
     sector = natural_basis(Kind.H3, 4)
-    assert draws_per_chunk(Kind.H3, sector) == 33
+    assert [side.size for side in parity_sides(sector)] == [38, 32]
+    assert draws_per_chunk(Kind.H3, sector) == 140
     assert draws_per_chunk(Kind.H3, sector) == (
-        spindyn.evolve._CHUNK_BYTES // spectral_bytes(sector, True)
+        spindyn.evolve._CHUNK_BYTES // (8 * 38 * 32 + 48 * 70)
     )
+    assert draws_per_chunk(Kind.H4, sector) == 43
     assert draws_per_chunk(Kind.H1, natural_basis(Kind.H1, 4)) > 16
     assert draws_per_chunk(Kind.H4, natural_basis(Kind.H4, 6)) >= 4
     for kind, n in [(Kind.H1, 6), (Kind.H2, 6), (Kind.H3, 8), (Kind.H4, 8)]:

@@ -33,6 +33,7 @@ from spindyn.hamiltonian import (
     moment_table,
     natural_basis,
     norm_tail_probability,
+    stack_product,
     stacked_half_steps,
     step_sides,
     symmetry_blocks,
@@ -309,6 +310,7 @@ def test_stacked_half_steps_give_each_draws_product(kind, fields):
     specs = [random_spec(kind, n, 330 + j, fields=fields) for j in range(3)]
     actions = [SparseAction(spec, basis) for spec in specs]
     stack = stacked_half_steps(specs, basis)
+    dense = stacked_half_steps(specs, basis, dense=True)
     g = np.random.default_rng(7)
     for side in (0, 1):
         vs = [g.standard_normal(a.half_steps[side].shape[1]) for a in actions]
@@ -321,6 +323,17 @@ def test_stacked_half_steps_give_each_draws_product(kind, fields):
         assert np.array_equal(stack[side] @ np.concatenate(vs), np.concatenate(want))
         head = leading_blocks(stack[side], 2, 3)
         assert np.array_equal(head @ np.concatenate(vs[:2]), np.concatenate(want[:2]))
+        # the dense form: each draw's product has the bits of its own
+        # chunk of one and agrees with the sparse one to rounding
+        rows = np.array(vs)
+        got = stack_product(dense[side], rows)
+        for j, spec in enumerate(specs):
+            own = stacked_half_steps([spec], basis, dense=True)[side]
+            alone = stack_product(own, rows[j : j + 1])
+            assert np.array_equal(got[j], alone[0])
+            assert np.allclose(got[j], want[j], rtol=0.0, atol=1e-14)
+        assert np.array_equal(stack_product(leading_blocks(dense[side], 2, 3), rows[:2]), got[:2])
+        assert np.array_equal(stack_product(stack[side], rows), np.array(want))
     mixed = random_spec(kind, n, 339, fields=not fields)
     if chiral(mixed) != chiral(specs[0]):
         with pytest.raises(ValueError, match="one chiral split"):
@@ -571,8 +584,9 @@ def test_sparse_norm_bound_is_tight_for_h3():
 @pytest.mark.parametrize("kind", list(Kind))
 def test_sparse_norm_bound_with_zero_rows(kind):
     # a zero row of J keeps v > 0; one coupling alone gives H3's |H| zero
-    # rows (H2 and H4 keep a z-z diagonal on every row), and J = 0 gives
-    # |H| = 0: no ratio is read there (inf), except by H1's closed form
+    # rows (H2 and H4 keep a z-z diagonal on every row), where the ratio
+    # is not read, and J = 0 gives |H| = 0: no ratio is read at all (inf),
+    # except by H1's closed form
     n = 3
     rowless = sample_coupling(n, Rng(31)).entries.copy()
     rowless[1] = 0.0
@@ -586,7 +600,7 @@ def test_sparse_norm_bound_with_zero_rows(kind):
         bounds.append(SparseAction(spec, basis).norm_bound)
         assert float(np.max(np.abs(np.linalg.eigvalsh(h)))) <= bounds[-1]
     assert bounds[0] <= coupling_norm_bound(specs[0]) * (1.0 + _NORM_MARGIN)
-    assert math.isinf(bounds[1]) == (kind is Kind.H3)
+    assert math.isfinite(bounds[1])
     assert bounds[2] == (0.0 if kind is Kind.H1 else math.inf)
 
 
