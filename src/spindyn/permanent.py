@@ -23,14 +23,20 @@ __all__ = [
 
 _GLYNN_MAX = 30
 _BRUTE_MAX = 9
-# Columns whose sign patterns are tabulated at once; the rest are walked in
-# Python.  2^11 subsets keep a table of one matrix near 2^11 * m * 8 bytes.
-_LOW_COLUMNS = 11
-# Matrices per chunk are sized so one chunk's table is about this many bytes,
-# which keeps the doubling's two table buffers inside a 2 MiB L2: on
-# a 2-core Xeon a (16000, 8, 8) stack took 0.08-0.11 s with 512 KiB chunks
-# and 0.28-0.36 s with 1 MiB chunks.
-_CHUNK_BYTES = 1 << 19
+# Free columns whose sign patterns are tabulated together, as the sum of a
+# low and a high table; the columns past them are walked in Python.  With
+# 14, one matrix's scratch stays under 1 MiB up to m = 20.
+_INNER_COLUMNS = 14
+# One call's scratch (the chunk's columns, both tables, the product and the
+# row sums) is sized to about this many bytes, unless one matrix needs
+# more, as the single-table kernel's was.  With 2 MiB the benchmark's
+# cheap phases ran 3-7 % slower on one thread, bw-demo among them, which
+# never calls the kernel; with 1 MiB they read 0-3 % (2-core Xeon).
+_SCRATCH_BYTES = 1 << 20
+# Terms trials * 2^(m-1) * m one `gaussian_permanent_variance_check` may
+# sum: about 0.2 s on a 2-core Xeon, and 10^3 trials up to m = 13.  As
+# m^2 <= 2^(m-1) * m, its draws then take at most 512 MiB.
+_VARIANCE_CHECK_TERMS = 1 << 26
 
 
 def permanent_ryser(matrix: np.ndarray) -> float:
@@ -54,15 +60,22 @@ def permanents(stack: np.ndarray) -> np.ndarray:
 def _glynn(matrix: np.ndarray, ndim: int) -> np.ndarray:
     """The permanent kernel: every guard runs before the kernel allocates.
 
-    Row sums over the first `_LOW_COLUMNS` signed columns are tabulated by
-    doubling, t -> concat(t + a_j, t - a_j), so bit k of a subset index is
-    the sign of column k + 1 and the signs of the products are Thue-Morse;
-    folding p -> p[:h] - p[h:] then applies them.  Column 0, whose sign is
-    fixed at +1, and the higher columns enter as one offset per sign pattern
-    of the higher columns, walked by the same split-and-subtract.  Only
-    elementwise operations act along the batch axis, so the result does
-    not depend on the BLAS thread count or on the other matrices of the
-    stack.
+    The free columns 1..m-1 split into an inner block of at most
+    `_INNER_COLUMNS` and the outer rest, and the inner block splits again
+    into low and high columns (`_layout`).  A low table holds each
+    row's sums over the signed low columns, and a high table, seeded with
+    column 0 plus the outer columns' signs, those over the high ones.  Both
+    are built by doubling, t -> (t + a_j, t - a_j), so bit k of a table
+    index is the sign of its k-th column.  Row i's sums over every inner
+    sign pattern are then one add, high_i[:, None] + low_i[None, :],
+    multiplied into the running product row by row.  The pattern index is
+    hi * 2^lo + lo, so folding p -> p[:h] - p[h:] applies the Thue-Morse
+    signs of the products, and the outer columns are walked by the same
+    split-and-subtract.  Up to m = 5 the high table is column 0 alone, so
+    every sum and product is the one a single table over the free columns
+    forms.  Only elementwise operations act along the batch axis, so the
+    result does not depend on the BLAS thread count or on the other
+    matrices of the stack.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
@@ -78,45 +91,81 @@ def _glynn(matrix: np.ndarray, ndim: int) -> np.ndarray:
     if m == 0:
         return np.ones(a.shape[:-2])
     flat = a.reshape(-1, m, m)
-    low = min(m - 1, _LOW_COLUMNS)
-    step = max(1, min(len(flat), _CHUNK_BYTES // ((8 * m) << low)))
+    inner, lo, hi, step = _layout(m, len(flat))
     out = np.empty(len(flat))
-    # The doubling alternates between the two halves of one buffer
-    # allocated per call, each step written contiguously into the other.
-    # Fresh temporaries per step would make the time depend on the
-    # allocator's state: glibc returns their freed pages and faults them in
-    # again unless an earlier large free has raised its thresholds (a
-    # (1000, 8, 8) stack: 5.6-6.3 ms against 2.1-2.2 ms, 2-core box).
-    bufs = np.empty((2, (m << low) * step))
+    # Every buffer is allocated once per call and each chunk takes a
+    # contiguous prefix.  Fresh temporaries per chunk would make the time
+    # depend on the allocator's state: glibc returns their freed pages and
+    # faults them in again unless an earlier large free has raised its
+    # thresholds (a (1000, 8, 8) stack: 5.6-6.3 ms against 2.1-2.2 ms,
+    # 2-core box).
+    col_buf = np.empty(m * m * step)
+    low_buf = np.empty((m << lo) * step)
+    high_buf = np.empty((m << hi) * step)
+    prod_buf = np.empty((1 << inner) * step)
+    sum_buf = np.empty((1 << inner) * step)
     for s0 in range(0, len(flat), step):
+        chunk = flat[s0 : s0 + step]
+        b = len(chunk)
         # cols[j] holds column j of every matrix as (row, 1, batch).
-        cols = flat[s0 : s0 + step].transpose(2, 1, 0)[:, :, None, :].copy()
-        b = cols.shape[-1]
-        table = bufs[0][: m * b].reshape(m, 1, b)
-        table[:] = 0.0
-        for j in range(1, low + 1):
-            h = 1 << (j - 1)
-            doubled = bufs[j % 2][: 2 * h * m * b].reshape(m, 2 * h, b)
-            np.add(table, cols[j], out=doubled[:, :h])
-            np.subtract(table, cols[j], out=doubled[:, h:])
-            table = doubled
-        out[s0 : s0 + b] = _glynn_high(table, cols[low + 1 :], cols[0])
+        cols = col_buf[: m * m * b].reshape(m, m, 1, b)
+        np.copyto(cols, chunk.transpose(2, 1, 0)[:, :, None, :])
+        low = low_buf[: (m << lo) * b].reshape(m, 1 << lo, b)
+        low[:, :1] = 0.0
+        _double(low, cols[1 : lo + 1])
+        high = high_buf[: (m << hi) * b].reshape(m, 1 << hi, b)
+        prod = prod_buf[: (1 << inner) * b].reshape(1 << hi, 1 << lo, b)
+        sums = sum_buf[: (1 << inner) * b].reshape(1 << hi, 1 << lo, b)
+
+        def inner_sum(offset: np.ndarray) -> np.ndarray:
+            high[:, :1] = offset
+            _double(high, cols[lo + 1 : inner + 1])
+            np.add(high[0][:, None], low[0][None], out=prod)
+            for i in range(1, m):
+                np.add(high[i][:, None], low[i][None], out=sums)
+                np.multiply(prod, sums, out=prod)
+            p = prod.reshape(1 << inner, b)
+            while len(p) > 1:
+                h = len(p) // 2
+                np.subtract(p[:h], p[h:], out=p[:h])
+                p = p[:h]
+            return p[0].copy()  # prod is reused by the next pattern
+
+        out[s0 : s0 + b] = _walk(inner_sum, cols[0], cols[inner + 1 :])
     return np.ldexp(out, 1 - m).reshape(a.shape[:-2])
 
 
-def _glynn_high(table: np.ndarray, high: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Signed sum over the sign patterns of the `high` columns."""
-    if len(high) == 0:
-        sums = table + offset
-        p = sums[0]
-        for row in sums[1:]:
-            p *= row
-        while len(p) > 1:
-            h = len(p) // 2
-            p = p[:h] - p[h:]
-        return p[0]
-    return (_glynn_high(table, high[1:], offset + high[0])
-            - _glynn_high(table, high[1:], offset - high[0]))
+def _layout(m: int, count: int) -> tuple[int, int, int, int]:
+    """Inner, low and high column counts and matrices per chunk for `count`
+    m x m matrices.  The low table takes at least 4 columns, so up to m = 5
+    it holds every free column.  From 12 inner columns on it takes 12: a
+    single matrix's row add then runs over 2^12 contiguous low entries,
+    where numpy's broadcast loop is about 4x faster per entry than over
+    2^11 or fewer.  Below that the high table takes up to 4, which keeps
+    the two tables small next to the product."""
+    inner = min(m - 1, _INNER_COLUMNS)
+    hi = min(max(inner - 4, 0), 4) if inner < 12 else inner - 12
+    lo = inner - hi
+    per_matrix = m * m + (m << lo) + (m << hi) + (2 << inner)
+    return inner, lo, hi, max(1, min(count, _SCRATCH_BYTES // (8 * per_matrix)))
+
+
+def _double(table: np.ndarray, cols: np.ndarray) -> None:
+    """Doubles `table` (row, pattern, batch) in place once per column,
+    t -> (t + a_j, t - a_j), from the seed in its first pattern."""
+    for k, col in enumerate(cols):
+        h = 1 << k
+        np.subtract(table[:, :h], col, out=table[:, h : 2 * h])
+        np.add(table[:, :h], col, out=table[:, :h])
+
+
+def _walk(inner_sum, offset: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Signed sum of `inner_sum` over the sign patterns of the `outer`
+    columns, each added to the column-0 `offset`."""
+    if len(outer) == 0:
+        return inner_sum(offset)
+    return (_walk(inner_sum, offset + outer[0], outer[1:])
+            - _walk(inner_sum, offset - outer[0], outer[1:]))
 
 
 def permanent_bruteforce(matrix: np.ndarray) -> float:
@@ -167,9 +216,17 @@ def submatrix_for_outcome(J: CouplingMatrix, x: BitString) -> np.ndarray:
 
 
 def gaussian_permanent_variance_check(m: int, trials: int, rng: Rng) -> float:
-    """Sample mean of Per(J)^2 / m! over Gaussian draws; tends to 1."""
-    if m > 8:
-        raise ValueError("m above 8 makes the Monte Carlo too costly")
+    """Sample mean of Per(J)^2 / m! over Gaussian draws; tends to 1.
+
+    The cost guard bounds the kernel's trials * 2^(m-1) * m terms by
+    `_VARIANCE_CHECK_TERMS` before anything is drawn.
+    """
+    terms = trials * m * 2 ** (m - 1)
+    if terms > _VARIANCE_CHECK_TERMS:
+        raise ValueError(
+            f"variance check cost guard: {trials} trials at m = {m} are "
+            f"{terms:.3g} terms, above {_VARIANCE_CHECK_TERMS}"
+        )
     if trials < 10**3:
         raise ValueError("need at least 10^3 trials for a meaningful mean")
     draws = rng.generator().standard_normal((trials, m, m))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from spindyn import permanent
 from spindyn.core import BitString, CouplingMatrix, Rng, hamming_class_members, sample_coupling
 from spindyn.permanent import (
     class_submatrices,
@@ -52,12 +54,46 @@ def test_ryser_vs_bruteforce_random(m):
 
 def test_batch_ryser_matches_scalar():
     rng = np.random.default_rng(7)
-    # m = 13 walks sign patterns of columns past the tabulated ones.
-    for count, m in ((50, 5), (5, 1), (5, 7), (5, 13)):
+    # Every m up to the split edge and one past it, where the columns past
+    # the inner block are walked; at m = 8 and 12, and wherever five
+    # matrices do, the stack spans several chunks.
+    for m in range(1, permanent._INNER_COLUMNS + 3):
+        per_chunk = permanent._layout(m, 10**9)[3]
+        count = 2 * per_chunk + 3 if m in (8, 12) else 5
         stack = rng.standard_normal((count, m, m))
         batch = permanents(stack)
         for i in range(count):
             assert batch[i] == permanent_ryser(stack[i])
+
+
+# sha256 of `permanents` on default_rng(500 + m).standard_normal((300, m, m)):
+# up to m = 5 every free column is in the low table, and the bits are those
+# of the single-table kernel the meet-in-the-middle one replaced.
+_SMALL_M_DIGESTS = {
+    1: "fa14709310e9e54f07c37cdea1af2ffaaaef58544b0a14a10f0e613ff3d16435",
+    2: "a47e52af8cd36ded09e8c74e87d0aca666da5e97379db8891bfb765dffcf48d1",
+    3: "ab69deb605188047a486188b34bb16c90d86d0944979649bdbb89b56e4e76709",
+    4: "4f8a9c7858f1f3bd3ccfb9bf5087a0a0317747e298b12b7e8dd3e3346bd6be2f",
+    5: "dad680573acbd22b5a5149ee0df2e90a5eb2e12ae872bfb1b08abf1b64493013",
+}
+
+
+@pytest.mark.parametrize("m", sorted(_SMALL_M_DIGESTS))
+def test_small_m_permanents_keep_their_bits(m):
+    stack = np.random.default_rng(500 + m).standard_normal((300, m, m))
+    digest = hashlib.sha256(permanents(stack).tobytes()).hexdigest()
+    assert digest == _SMALL_M_DIGESTS[m]
+
+
+def test_stack_scratch_is_sized_by_the_budget():
+    tracemalloc.start()
+    try:
+        a = np.random.default_rng(8).standard_normal((16000, 8, 8))
+        permanents(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes + 4 * 2**20
 
 
 def test_permutation_invariance_exhaustive():
@@ -129,6 +165,27 @@ def test_gaussian_variance_near_one(m):
     assert abs(est - 1.0) <= 5 * se
 
 
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_gaussian_variance_past_m_8_tends_to_one(m):
+    est = gaussian_permanent_variance_check(m, 10**3, Rng(12, m))
+    draws = Rng(12, m).generator().standard_normal((10**3, m, m))
+    vals = permanents(draws) ** 2 / math.factorial(m)
+    se = float(np.std(vals) / math.sqrt(vals.size))
+    assert abs(est - 1.0) <= 5 * se
+
+
+@pytest.mark.parametrize("m, trials", [(14, 10**3), (20, 10**3), (8, 10**9), (1, 10**12)])
+def test_gaussian_variance_cost_guard_refuses_before_allocating(m, trials):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cost guard"):
+            gaussian_permanent_variance_check(m, trials, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
 def test_chebyshev_envelope():
     m = 4
     draws = Rng(5).generator().standard_normal((10**4, m, m))
@@ -162,7 +219,22 @@ def test_glynn_matches_50_digit_oracle(m):
     assert float(abs((permanent_ryser(a) - truth) / truth)) <= 1e-13
 
 
-@pytest.mark.parametrize("m", [16, 18, 20])
+@pytest.mark.parametrize("m", [5, 6, 9, 13])
+def test_table_split_edges_match_50_digit_oracle(m):
+    # m = 5 is the last size whose free columns all sit in the low table,
+    # m = 6 gives the high table its first column, m = 9 its fourth, and at
+    # m = 13 the low table takes 12 columns and the high table none.
+    a = np.random.default_rng(200 + m).standard_normal((m, m))
+    truth = _glynn_mpmath(a)
+    assert float(abs((permanent_ryser(a) - truth) / truth)) <= 1e-13
+
+
+# The inner-block edges join 16, 18 and 20: the largest m with no outer
+# column and the next one, which walks one.  A 50-digit oracle there takes
+# several seconds, so these identities stand in for it.
+@pytest.mark.parametrize(
+    "m", sorted({16, 18, 20, permanent._INNER_COLUMNS + 1, permanent._INNER_COLUMNS + 2})
+)
 def test_structured_identities_at_large_m(m):
     rng = np.random.default_rng(m)
     u, v = rng.uniform(0.5, 1.5, (2, m))
