@@ -40,7 +40,6 @@ from .evolve import (  # noqa: F401
 )
 from .hamiltonian import (  # noqa: F401
     DenseMemoryError,
-    SparseAction,
     dense_matrix,
     moment_table,
     natural_basis,

@@ -11,19 +11,20 @@ one block of `symmetry_blocks`.  `_layout` lays H out as CSR index arrays
 from the basis's flip partners; it is cached per basis, so a coupling
 draw computes only the stored values and the diagonal (`_values`, one
 row per draw of a chunk).  Two builders read those values: `_csr` wraps
-them in scipy CSR matrices for sparse products, and `dense_matrix`
-scatters them into a numpy array, a chunk of draws into one (draws, d,
-d) stack with one scatter (`_dense_stack`).  scipy.sparse is imported
+them in scipy CSR matrices for sparse products, and `_dense_stack`
+scatters a chunk of draws into one (draws, d, d) numpy stack; a lone
+draw is a chunk of one (`dense_matrix`).  scipy.sparse is imported
 inside `_csr`, which builds every scipy matrix, so it loads with the
 first sparse product and never for a command that stays dense.
 
 `moment_table(spec, kmax)` holds the real rows H^k|y0> for k <= kmax in
-the full basis, from k sparse applications; the moment <x|H^k|y0> is
-its entry [k, x.index()], and sweeps over many outcomes x read one table.
+the full basis, from k products with one CSR matrix of the draw's
+values; the moment <x|H^k|y0> is its entry [k, x.index()], and sweeps
+over many outcomes x read one table.
 
 The half-steps of the Chebyshev recurrence take a chunk of coupling
-draws on one basis, and one draw is a chunk of one (`SparseAction`'s
-half-steps and norm bound).  Each half-step of a chunk (`_stacks`) is
+draws on one basis, and one draw is a chunk of one.  Each half-step of
+a chunk (`_stacks`) is
 either one block-diagonal CSR matrix, the cached layout repeated at
 offsets (`_stacked_layout`) over one (draws x entries) value array, or,
 for small bases, where dense products cost about what sparse ones do
@@ -45,9 +46,10 @@ even class E (that of |y0>, whose sigma half is empty) and the odd class
 O.  `_chiral_layout` takes B's and B^T's CSR layouts from `_layout`, once
 per basis, so a draw again computes only the stored values:
 `stacked_half_steps` holds both blocks, between the sides of
-`step_sides`, and `chiral_block` builds B as a numpy array for dense
-algebra.  `spectral_parts` is the one dense eigendecomposition of one
-draw, two-sided over E and O (`parity_sides`), that both a lone
+`step_sides`, and `_chiral_stack` scatters a chunk's B into one numpy
+stack, of which `chiral_block` is the chunk of one for dense algebra.
+`spectral_parts` is the one dense eigendecomposition of one draw,
+two-sided over E and O (`parity_sides`), that both a lone
 `evolve.Propagator` and the Trotter error algebra read;
 `spectral_bytes` is the working set it refuses above the memory cap,
 before allocating.
@@ -56,8 +58,7 @@ before allocating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -76,7 +77,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DenseMemoryError",
-    "SparseAction",
     "chiral",
     "chiral_block",
     "dense_matrix",
@@ -184,7 +184,7 @@ def _values(
     J_ij / 2n); the diagonal entries carry `_diag_values`.
     """
     indptr, indices, term, diag = _layout(basis, _hopping(specs[0]))
-    data = (_coupling_rows(specs) / basis.n)[:, term]
+    data = (_coupling_rows(specs) / basis.n).take(term, axis=1)
     for row, spec in zip(data, specs):
         row[diag] = _diag_values(spec, basis.signs)
     return indptr, indices, data
@@ -276,7 +276,7 @@ def _half_values(
 ) -> np.ndarray:
     """The stored values of one block of the chiral split, one row per
     draw: J_ij / n per flip."""
-    return (_coupling_rows(specs) / specs[0].n)[:, half[3]]
+    return (_coupling_rows(specs) / specs[0].n).take(half[3], axis=1)
 
 
 def spectral_bytes(basis: Basis, split: bool) -> int:
@@ -314,10 +314,7 @@ def chiral_block(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     _check_basis(spec, basis)
     e, o = (side.size for side in parity_sides(basis))
     _check_bytes(spectral_bytes(basis, True), f"chiral split {e}+{o} (dense)")
-    half = _chiral_layout(basis, _hopping(spec))[0]
-    out = np.zeros((e, o))
-    out[half[2], half[1]] = (spec.couplings.entries.ravel() / spec.n)[half[3]]
-    return out
+    return _chiral_stack([spec], basis, _hopping(spec))[0]
 
 
 def spectral_parts(
@@ -383,43 +380,6 @@ def step_sides(spec: HamiltonianSpec, basis: Basis) -> tuple[np.ndarray, np.ndar
     return rows, rows
 
 
-@dataclass(frozen=True)
-class SparseAction:
-    """H as a linear map on state vectors, held as a sparse matrix; its
-    half-steps and norm bound are the chunk of one of `stacked_half_steps`
-    and `norm_bounds`."""
-
-    spec: HamiltonianSpec
-    basis: Basis
-
-    def __post_init__(self) -> None:
-        _check_basis(self.spec, self.basis)
-
-    @cached_property
-    def _matrix(self) -> sp.csr_matrix:
-        """H on the basis as a scipy CSR matrix."""
-        dim = self.basis.dimension
-        indptr, indices, data = _values([self.spec], self.basis)
-        return _csr(indptr, indices, data[0], (dim, dim))
-
-    def apply_array(self, arr: np.ndarray) -> np.ndarray:
-        """H @ arr for a raw vector (or stack of column vectors)."""
-        return self._matrix @ arr
-
-    @cached_property
-    def half_steps(self) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The blocks of H from side 0 and from side 1 of `step_sides` to
-        the other: (B^T, B) for a chiral spec, (H, H) otherwise.  Block s
-        times a vector on side s gives H's product read on the other side."""
-        return stacked_half_steps([self.spec], self.basis)
-
-    @cached_property
-    def norm_bound(self) -> float:
-        """A rigorous upper bound on ||H|| on the basis, or inf; see
-        `norm_bounds`."""
-        return float(norm_bounds([self.spec], self.basis)[0])
-
-
 def _chunk_key(specs: Sequence[HamiltonianSpec], basis: Basis) -> tuple[bool, bool]:
     """(hopping, chiral), which every draw of a chunk must share, each
     draw checked against the basis."""
@@ -468,10 +428,11 @@ def _stacks(
 def stacked_half_steps(
     specs: Sequence[HamiltonianSpec], basis: Basis, dense: bool = False
 ) -> tuple[sp.csr_matrix | np.ndarray, sp.csr_matrix | np.ndarray]:
-    """`SparseAction.half_steps` for a chunk of draws on one basis: one
-    block-diagonal CSR matrix whose block j is draw j's, or if `dense` one
-    numpy stack whose matrix j is (`_stacks`).  `stack_product` applies
-    either to one row per draw.  A CSR row adds the same products in the
+    """The blocks of H from side 0 and from side 1 of `step_sides` to the
+    other, (B^T, B) for a chiral chunk and (H, H) otherwise, for a chunk of
+    draws on one basis: one block-diagonal CSR matrix whose block j is
+    draw j's, or if `dense` one numpy stack whose matrix j is (`_stacks`).
+    `stack_product` applies either to one row per draw.  A CSR row adds the same products in the
     same order as in a chunk of one, and numpy runs BLAS on each matrix of
     a stack as on that matrix alone, so either form gives every draw's
     product the bits of its own chunk of one."""
@@ -601,28 +562,31 @@ def dense_matrix(spec: HamiltonianSpec, basis: Basis) -> np.ndarray:
     set (matrix, eigenvectors, eigh workspace) exceeds the memory cap:
     d = 4096 needs 0.4 GB, the n = 8 sector (d = 12870) 4 GB.  The layout
     has no duplicates, so each value lands in its own slot; adding into
-    zeros, as scipy's toarray() does, keeps the result equal to
-    `SparseAction(spec, basis)._matrix.toarray()` bit for bit (a -0.0
-    coupling becomes 0.0 in both).
+    zeros, as scipy's toarray() does, keeps every entry equal bit for bit
+    to the toarray() of the same values in CSR form, such as the CSR
+    half-steps of `stacked_half_steps` (a -0.0 coupling becomes 0.0 in
+    both).
     """
     d = basis.dimension
     _check_bytes(spectral_bytes(basis, False), f"dense dimension {d} (3 d^2 float64)")
     _check_basis(spec, basis)
-    indptr, indices, data = _values([spec], basis)
-    out = np.zeros((d, d))
-    out[_entry_rows(indptr), indices] += data[0]
-    return out
+    return _dense_stack([spec], basis)[0]
 
 
 def moment_table(spec: HamiltonianSpec, kmax: int) -> np.ndarray:
-    """Real rows H^k |y0> for k = 0..kmax in the full basis, shape (kmax+1, 4^n)."""
+    """Real rows H^k |y0> for k = 0..kmax in the full basis, shape (kmax+1, 4^n).
+
+    Refuses, before allocating, a table above the memory cap."""
     if kmax < 0:
         raise ValueError("kmax must be non-negative")
-    action = SparseAction(spec, Basis.full(spec.n))
-    table = np.zeros((kmax + 1, 1 << (2 * spec.n)))
+    d = 1 << (2 * spec.n)
+    _check_bytes(8 * (kmax + 1) * d, f"moment table of {kmax + 1} x {d} float64")
+    indptr, indices, data = _values([spec], Basis.full(spec.n))
+    h = _csr(indptr, indices, data[0], (d, d))
+    table = np.zeros((kmax + 1, d))
     table[0, hamming_class_states(spec.n, 0)] = 1.0  # X_0 holds y0 alone
     for k in range(kmax):
-        table[k + 1] = action.apply_array(table[k])
+        table[k + 1] = h @ table[k]
     return table
 
 

@@ -4,7 +4,8 @@ Each module keeps its helpers private, and siblings go through public
 names only.  The one shared private helper is the memory guard
 `core._check_bytes`, which every module that allocates calls.  Every
 `__all__` names only what its module defines, and the package re-exports
-only names that their module's `__all__` lists.
+only names that their module's `__all__` lists.  scipy.sparse, slow to
+import, loads only in the one CSR builder, `hamiltonian._csr`.
 """
 
 import ast
@@ -84,3 +85,52 @@ def test_export_lists_match_the_modules_and_the_package():
                     if a.name not in listed
                 ]
     assert missing == []
+
+
+def sparse_imports(tree):
+    """(line, scope) of every import of scipy.sparse or a submodule of it:
+    scope is the innermost enclosing function's name, "TYPE_CHECKING"
+    inside `if TYPE_CHECKING:`, or None at the top level."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            names = []
+        if any(name == "scipy.sparse" or name.startswith("scipy.sparse.") for name in names):
+            found.append((node.lineno, scope))
+        if isinstance(node, ast.If) and isinstance(node.test, ast.Name) and (
+            node.test.id == "TYPE_CHECKING"
+        ):
+            for child in node.body:
+                visit(child, "TYPE_CHECKING")
+            for child in node.orelse:
+                visit(child, scope)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_scipy_sparse_is_imported_only_by_the_csr_builder():
+    # a dense command must start without paying for scipy.sparse's import,
+    # so no module loads it at import time or outside `_csr`
+    found = {
+        p.stem: sparse_imports(ast.parse(p.read_text(), filename=str(p)))
+        for p in sorted(SRC.glob("*.py"))
+    }
+    stray = [
+        f"{stem}.py:{line} imports scipy.sparse in {scope or 'the module body'}"
+        for stem, imports in found.items()
+        for line, scope in imports
+        if scope != "TYPE_CHECKING" and (stem, scope) != ("hamiltonian", "_csr")
+    ]
+    assert stray == []
+    assert "_csr" in {scope for _, scope in found["hamiltonian"]}

@@ -549,7 +549,7 @@ def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
     "args, moments_sha256, ratio_sha256",
     [
         # moments.csv: the bytes of the recurrence scaled by the smaller of
-        # coupling_norm_bound and SparseAction.norm_bound (within 8.3e-15
+        # coupling_norm_bound and the draw's norm_bounds (within 8.3e-15
         # relative of the coupling-bound scale's); ratio.csv: the bytes
         # from before the chiral split, unmoved by either scale
         (["--model", "H3", "--n", "6", "--t-mult", "3", "--num-j", "16", "--seed", "0"],
@@ -575,8 +575,11 @@ def test_chebyshev_anticon_csv_is_pinned(tmp_path, args, moments_sha256, ratio_s
          "96571a1ff36da7c90bb0c28b08308cafa9f1d92411a7d5171b20e2e1a4ee2a87"),
         (["--model", "H2", "--n", "5", "--seed", "11", "--draws", "2"],
          "552141987aede8fde59ab5776474ecb96bd40d640f8a88ee732e20338f1a1a25"),
+        # a chiral kind, whose half-steps split into B and B^T
+        (["--model", "H3", "--n", "4", "--seed", "3", "--draws", "2"],
+         "348f946aacacf44f07c31577bdaba8a13f80cb4ebb9480f9f9ee741bb6524dc7"),
     ],
-    ids=["H4-n3-seed7", "H2-n5-seed11-draws2"],
+    ids=["H4-n3-seed7", "H2-n5-seed11-draws2", "H3-n4-seed3-draws2"],
 )
 def test_moments_check_csv_is_pinned(tmp_path, args, sha256):
     # digests of the row-by-row sweep's output: the per-class arrays must

@@ -38,7 +38,6 @@ from spindyn.evolve import (
 )
 from spindyn.hamiltonian import (
     DenseMemoryError,
-    SparseAction,
     chiral,
     coupling_norm_bound,
     dense_matrix,
@@ -342,8 +341,8 @@ def test_propagator_norm_bound(kind, n, fields, monkeypatch):
     if prop.dense:
         assert prop.norm_bound == pytest.approx(exact, rel=1e-12)
     else:
-        sparse = SparseAction(spec, prop.basis)
-        assert prop.norm_bound == min(coupling_norm_bound(spec), sparse.norm_bound)
+        alone = norm_bounds([spec], prop.basis)[0]
+        assert prop.norm_bound == min(coupling_norm_bound(spec), alone)
         assert exact <= prop.norm_bound
 
 
@@ -394,7 +393,7 @@ def test_chebyshev_table_matches_the_dense_engine(kind, n, monkeypatch):
     # the Chebyshev scale is the Collatz-Wielandt bound here, well below
     # coupling_norm_bound; both engines on a grid to 8 ln n and back
     spec = random_spec(kind, n, 110 + n)
-    assert SparseAction(spec, natural_basis(kind, n)).norm_bound < 0.8 * coupling_norm_bound(spec)
+    assert norm_bounds([spec], natural_basis(kind, n))[0] < 0.8 * coupling_norm_bound(spec)
     grid = np.linspace(-2.0, 8.0 * np.log(n), 33)
     tables = []
     for limit in (4096, 1):
@@ -419,7 +418,7 @@ def test_chebyshev_propagates_zero_coupling_rows(kind, monkeypatch):
         assert not prop.dense
         table = prop.all_probabilities_at(grid)
         assert np.max(np.abs(table - eigh_oracle(spec, prop.basis, grid))) <= 1e-12
-    assert SparseAction(spec, prop.basis).norm_bound == (0.0 if kind is Kind.H1 else np.inf)
+    assert norm_bounds([spec], prop.basis)[0] == (0.0 if kind is Kind.H1 else np.inf)
 
 
 def chunk_specs(kind, n, fields):
@@ -621,7 +620,7 @@ def test_chunk_norm_bounds_match_each_draw_alone(kind, where, fields):
     basis = {"full": Basis.full(3), "parity": Basis.of(3, "parity", 0)}.get(where, Basis.sector(4))
     specs = chunk_specs(kind, basis.n, fields)
     bounds = norm_bounds(specs, basis)
-    alone = [SparseAction(spec, basis).norm_bound for spec in specs]
+    alone = [norm_bounds([spec], basis)[0] for spec in specs]
     assert np.array_equal(bounds, alone)
     stacked = norm_bounds(specs, basis, dense=True)
     assert np.array_equal(stacked, [norm_bounds([s], basis, dense=True)[0] for s in specs])
@@ -731,12 +730,12 @@ def test_dense_memory_guard_raises_before_allocating(monkeypatch):
 def test_energy_is_conserved():
     spec = random_spec(Kind.H2, 3, 17, fields=True)
     prop = Propagator(spec)
-    action = SparseAction(spec, prop.basis)
+    h = dense_matrix(spec, prop.basis)
     v0 = prop.state_at(0.0).amplitudes
-    e0 = np.vdot(v0, action.apply_array(v0)).real
+    e0 = np.vdot(v0, h @ v0).real
     for t in (0.7, 2.2, 5.1):
         v = prop.state_at(t).amplitudes
-        assert np.vdot(v, action.apply_array(v)).real == pytest.approx(e0, abs=1e-8)
+        assert np.vdot(v, h @ v).real == pytest.approx(e0, abs=1e-8)
 
 
 def test_sector_and_full_basis_agree_for_class_two():

@@ -20,7 +20,6 @@ from spindyn.core import (
 from spindyn.evolve import Propagator
 from spindyn.hamiltonian import (
     DenseMemoryError,
-    SparseAction,
     _CW_STEPS,
     _NORM_MARGIN,
     _chiral_layout,
@@ -32,6 +31,7 @@ from spindyn.hamiltonian import (
     leading_blocks,
     moment_table,
     natural_basis,
+    norm_bounds,
     norm_tail_probability,
     stack_product,
     stacked_half_steps,
@@ -86,6 +86,27 @@ def random_spec(kind, n, seed, fields=False):
     return HamiltonianSpec(kind, J, z_fields=zf)
 
 
+def h_product(spec, basis, v):
+    """H @ v, for v of shape (d,) or (d, k), from the draw's chunk of one:
+    CSR half-step s maps side s of `step_sides` to the other (for a spec
+    with no chiral split, H maps the whole basis to itself)."""
+    sides = step_sides(spec, basis)
+    out = np.zeros_like(v)
+    for step, src, dst in zip(stacked_half_steps([spec], basis), sides, sides[::-1]):
+        out[dst] = step @ v[src]
+    return out
+
+
+def half_step_array(spec, basis):
+    """H assembled from the `toarray()` of each CSR half-step of the draw's
+    chunk of one, block s placed from side s of `step_sides` to the other."""
+    sides = step_sides(spec, basis)
+    out = np.zeros((basis.dimension,) * 2)
+    for step, src, dst in zip(stacked_half_steps([spec], basis), sides, sides[::-1]):
+        out[np.ix_(dst, src)] = step.toarray()
+    return out
+
+
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("fields", [False, True])
@@ -101,22 +122,21 @@ def test_dense_matches_kron_oracle(kind, n, fields):
 def test_apply_matches_dense(kind):
     n = 2
     spec = random_spec(kind, n, 31)
-    action = SparseAction(spec, Basis.full(n))
     h = dense_matrix(spec, Basis.full(n))
     g = np.random.default_rng(4)
     v = g.standard_normal(h.shape[0]) + 1j * g.standard_normal(h.shape[0])
-    assert np.allclose(action.apply_array(v), h @ v, atol=1e-12)
+    assert np.allclose(h_product(spec, Basis.full(n), v), h @ v, atol=1e-12)
     # batched columns too
     vs = g.standard_normal((h.shape[0], 3))
-    assert np.allclose(action.apply_array(vs), h @ vs, atol=1e-12)
+    assert np.allclose(h_product(spec, Basis.full(n), vs), h @ vs, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("fields", [False, True])
 def test_apply_and_dense_match_oracle(kind, n, fields):
-    # apply_array and dense_matrix read one sparse builder, so both are
-    # checked against the kron oracle, restricted to each basis H allows
+    # the half-steps and dense_matrix read one layout, so both are checked
+    # against the kron oracle, restricted to each basis H allows
     spec = random_spec(kind, n, 31 + n, fields=fields)
     oracle = dense_oracle(spec)
     bases = [Basis.full(n)]
@@ -127,17 +147,16 @@ def test_apply_and_dense_match_oracle(kind, n, fields):
         rows = basis.states
         want = oracle[np.ix_(rows, rows)]
         assert np.allclose(dense_matrix(spec, basis), want.real, atol=1e-12)
-        action = SparseAction(spec, basis)
         d = rows.size
         v = g.standard_normal(d) + 1j * g.standard_normal(d)
-        assert np.allclose(action.apply_array(v), want @ v, atol=1e-12)
+        assert np.allclose(h_product(spec, basis, v), want @ v, atol=1e-12)
         vs = g.standard_normal((d, 3)) + 1j * g.standard_normal((d, 3))
-        assert np.allclose(action.apply_array(vs), want @ vs, atol=1e-12)
+        assert np.allclose(h_product(spec, basis, vs), want @ vs, atol=1e-12)
 
 
 @pytest.mark.parametrize("basis", [Basis.full(3), Basis.sector(3)])
 def test_flip_index_is_built_once_and_shared(basis):
-    a, b = (SparseAction(random_spec(Kind.H4, 3, s), basis)._matrix for s in (1, 2))
+    a, b = (stacked_half_steps([random_spec(Kind.H4, 3, s)], basis)[0] for s in (1, 2))
     assert np.shares_memory(a.indptr, b.indptr)
     assert np.shares_memory(a.indices, b.indices)
     assert not np.shares_memory(a.data, b.data)
@@ -159,11 +178,11 @@ def test_flip_index_is_built_once_and_shared(basis):
 def test_cached_layout_is_canonical(kind, basis, block):
     # scipy's abs() and max() deduplicate in place unless the matrix is
     # canonical, which would write into the shared read-only layout
-    spec = random_spec(kind, 3, 8, fields=True)
+    spec = random_spec(kind, 3, 8, fields=True)  # no chiral split: the half-step is H
     if basis is not None:
-        m, dense = SparseAction(spec, basis)._matrix, dense_matrix(spec, basis)
+        m, dense = stacked_half_steps([spec], basis)[0], dense_matrix(spec, basis)
     else:
-        m = SparseAction(spec, block)._matrix
+        m = stacked_half_steps([spec], block)[0]
         rows = block.states
         dense = dense_oracle(spec)[np.ix_(rows, rows)].real
     assert m.has_canonical_format
@@ -191,14 +210,14 @@ def test_dense_block_equals_sparse_toarray_bit_for_bit(kind, fields):
         spec = random_spec(kind, n, 40 + n, fields=fields)
         for basis in block_bases(kind, n):
             got = dense_matrix(spec, basis)
-            want = SparseAction(spec, basis)._matrix.toarray()
+            want = half_step_array(spec, basis)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
     # toarray adds into zeros, so a -0.0 coupling reads 0.0 in both
     J = CouplingMatrix(np.array([[-0.0, 1.5], [0.25, -0.0]]))
     for basis in block_bases(kind, 2):
         spec = HamiltonianSpec(kind, J)
-        want = SparseAction(spec, basis)._matrix.toarray()
+        want = half_step_array(spec, basis)
         assert dense_matrix(spec, basis).tobytes() == want.tobytes()
 
 
@@ -242,7 +261,7 @@ def test_index_and_layout_builds_are_guarded(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(DenseMemoryError, match="flip index"):
-            SparseAction(spec, Basis.full(10)).apply_array(np.zeros(1 << 20))
+            moment_table(spec, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -283,19 +302,22 @@ def test_chiral_split_leaves_both_diagonal_blocks_zero(kind, basis_kind, n):
 
 @pytest.mark.parametrize("kind,basis_kind,n", _CHIRAL_CASES)
 def test_half_steps_add_what_the_full_product_adds(kind, basis_kind, n):
-    # each half-step gives, bit for bit, H's product on a vector that is
-    # zero off the side it starts from, read on the other side
+    # each half-step gives, bit for bit, the product of H's one CSR matrix
+    # (the build `moment_table` steps by) on a vector that is zero off the
+    # side it starts from, read on the other side
     spec = random_spec(kind, n, 310 + n)
     basis = Basis.full(n) if basis_kind == "full" else Basis.sector(n)
-    action = SparseAction(spec, basis)
-    sides = step_sides(spec, basis)
+    d = basis.dimension
+    indptr, indices, data = hamiltonian._values([spec], basis)
+    h = hamiltonian._csr(indptr, indices, data[0], (d, d))
+    steps, sides = stacked_half_steps([spec], basis), step_sides(spec, basis)
     g = np.random.default_rng(n)
     for side, (src, dst) in enumerate([sides, sides[::-1]]):
         v = g.standard_normal(src.size)
-        full = np.zeros(action.basis.dimension)
+        full = np.zeros(d)
         full[src] = v
-        want = action.apply_array(full)
-        assert np.array_equal(action.half_steps[side] @ v, want[dst])
+        want = h @ full
+        assert np.array_equal(steps[side] @ v, want[dst])
         assert not want[src].any()
 
 
@@ -308,18 +330,19 @@ def test_stacked_half_steps_give_each_draws_product(kind, fields):
     n = 3
     basis = Basis.full(n)
     specs = [random_spec(kind, n, 330 + j, fields=fields) for j in range(3)]
-    actions = [SparseAction(spec, basis) for spec in specs]
+    singles = [stacked_half_steps([spec], basis) for spec in specs]
     stack = stacked_half_steps(specs, basis)
     dense = stacked_half_steps(specs, basis, dense=True)
     g = np.random.default_rng(7)
     for side in (0, 1):
-        vs = [g.standard_normal(a.half_steps[side].shape[1]) for a in actions]
-        want = [a.half_steps[side] @ v for a, v in zip(actions, vs)]
-        for spec, a, v, w in zip(specs, actions, vs, want):  # a chunk of one steps as H does
+        vs = [g.standard_normal(a[side].shape[1]) for a in singles]
+        want = [a[side] @ v for a, v in zip(singles, vs)]
+        for spec, v, w in zip(specs, vs, want):  # a chunk of one steps as H does
             sides = step_sides(spec, basis)
             full = np.zeros(basis.dimension)
             full[sides[side]] = v
-            assert np.array_equal(w, a.apply_array(full)[sides[1 - side]])
+            assert np.allclose(w, (dense_matrix(spec, basis) @ full)[sides[1 - side]],
+                               rtol=0.0, atol=1e-14)
         assert np.array_equal(stack[side] @ np.concatenate(vs), np.concatenate(want))
         head = leading_blocks(stack[side], 2, 3)
         assert np.array_equal(head @ np.concatenate(vs[:2]), np.concatenate(want[:2]))
@@ -364,11 +387,11 @@ def test_non_chiral_specs_keep_the_whole_basis(kind, fields):
     spec = random_spec(kind, 2, 320, fields=fields)
     basis = Basis.full(2)
     assert not chiral(spec)
-    action = SparseAction(spec, basis)
     e, o = step_sides(spec, basis)
     assert np.array_equal(e, np.arange(16)) and np.array_equal(o, np.arange(16))
-    v = np.random.default_rng(2).standard_normal(16)
-    assert np.array_equal(action.half_steps[1] @ v, action.apply_array(v))
+    steps = stacked_half_steps([spec], basis)
+    assert steps[0] is steps[1]  # both half-steps are H, bit for bit
+    assert np.array_equal(steps[1].toarray(), dense_matrix(spec, basis))
     with pytest.raises(ValueError, match="no chiral split"):
         chiral_block(spec, basis)
     # z fields and ZZ terms put a diagonal inside the even sigma class
@@ -397,9 +420,8 @@ def test_single_term_h1():
 
 def test_h1_zero_couplings():
     spec = HamiltonianSpec(Kind.H1, CouplingMatrix(np.zeros((2, 2))))
-    action = SparseAction(spec, Basis.full(2))
     v = np.random.default_rng(0).standard_normal(16)
-    assert np.allclose(action.apply_array(v), 0.0)
+    assert np.allclose(h_product(spec, Basis.full(2), v), 0.0)
 
 
 def test_h2_equals_h1_plus_zz():
@@ -421,14 +443,14 @@ def test_h2_equals_h1_plus_zz():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hermiticity_on_random_vectors(kind, n):
     spec = random_spec(kind, n, 17 * n + 1, fields=True)
-    action = SparseAction(spec, Basis.full(n))
+    basis = Basis.full(n)
     g = np.random.default_rng(n)
     dim = 1 << (2 * n)
     for _ in range(100):
         u = g.standard_normal(dim) + 1j * g.standard_normal(dim)
         v = g.standard_normal(dim) + 1j * g.standard_normal(dim)
-        lhs = np.vdot(u, action.apply_array(v))
-        rhs = np.conj(np.vdot(v, action.apply_array(u)))
+        lhs = np.vdot(u, h_product(spec, basis, v))
+        rhs = np.conj(np.vdot(v, h_product(spec, basis, u)))
         assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -453,7 +475,7 @@ def test_sector_rejected_for_class_one():
         spec = random_spec(kind, 2, 3)
         for w in range(5):
             with pytest.raises(ValueError, match="leaves the weight-n sector"):
-                SparseAction(spec, Basis.of(2, "weight", w))
+                stacked_half_steps([spec], Basis.of(2, "weight", w))
             with pytest.raises(ValueError, match="leaves the weight-n sector"):
                 dense_matrix(spec, Basis.of(2, "weight", w))
         for p in range(2):
@@ -464,9 +486,8 @@ def test_h3_on_y0_lands_in_class_one():
     n = 3
     spec = random_spec(Kind.H3, n, 8)
     basis = Basis.full(n)
-    v = SparseAction(spec, basis).apply_array(
-        StateVector.basis_state(BitString.y0(n), basis).amplitudes
-    )
+    v = h_product(spec, basis, StateVector.basis_state(BitString.y0(n), basis).amplitudes)
+    assert np.array_equal(v, moment_table(spec, 1)[1])
     support = {int(i) for i in np.nonzero(np.abs(v) > 1e-14)[0]}
     class_one = {x.index() for x in hamming_class_members(n, 1)}
     assert support and support <= class_one
@@ -476,9 +497,8 @@ def test_h1_changes_total_weight_by_two_or_zero():
     n = 3
     spec = random_spec(Kind.H1, n, 12)
     basis = Basis.full(n)
-    action = SparseAction(spec, basis)
     for x in hamming_class_members(n, 1):
-        v = action.apply_array(StateVector.basis_state(x, basis).amplitudes)
+        v = h_product(spec, basis, StateVector.basis_state(x, basis).amplitudes)
         for idx in np.nonzero(np.abs(v) > 1e-14)[0]:
             w = BitString.from_index(int(idx), n).weight()
             assert w in (n - 2, n, n + 2)
@@ -519,6 +539,19 @@ def test_moment_table_matches_dense_powers(kind, n, fields):
 def test_moment_table_validation():
     with pytest.raises(ValueError):
         moment_table(random_spec(Kind.H3, 2, 5), -1)
+
+
+def test_moment_table_is_guarded_before_allocating():
+    # 2^40 + 1 rows of 16 float64 values
+    spec = random_spec(Kind.H3, 2, 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseMemoryError, match="moment table"):
+            moment_table(spec, 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -564,7 +597,7 @@ def test_sparse_norm_bound_covers_the_spectrum(kind, n, fields):
     spec = random_spec(kind, n, 600 + 10 * n, fields=fields)
     basis = natural_basis(kind, n)
     h = dense_matrix(spec, basis)
-    bound = SparseAction(spec, basis).norm_bound
+    bound = norm_bounds([spec], basis)[0]
     exact = float(np.max(np.abs(np.linalg.eigvalsh(h))))
     assert exact <= bound <= coupling_norm_bound(spec) * (1.0 + _NORM_MARGIN)
     if kind is Kind.H1 and not fields:  # the closed form
@@ -577,7 +610,7 @@ def test_sparse_norm_bound_covers_the_spectrum(kind, n, fields):
 def test_sparse_norm_bound_is_tight_for_h3():
     for seed in range(4):
         spec = random_spec(Kind.H3, 6, 650 + seed)
-        bound = SparseAction(spec, Basis.sector(6)).norm_bound
+        bound = norm_bounds([spec], Basis.sector(6))[0]
         assert bound <= 0.7 * coupling_norm_bound(spec)
 
 
@@ -597,7 +630,7 @@ def test_sparse_norm_bound_with_zero_rows(kind):
     for spec in specs:
         basis = natural_basis(kind, n)
         h = dense_matrix(spec, basis)
-        bounds.append(SparseAction(spec, basis).norm_bound)
+        bounds.append(norm_bounds([spec], basis)[0])
         assert float(np.max(np.abs(np.linalg.eigvalsh(h)))) <= bounds[-1]
     assert bounds[0] <= coupling_norm_bound(specs[0]) * (1.0 + _NORM_MARGIN)
     assert math.isfinite(bounds[1])
