@@ -78,6 +78,7 @@ from .trotter import (  # noqa: F401
     estimate_prefactor,
     gate_count_plan,
     l1_unitary_bound_check,
+    trotter_error_grid,
     trotter_operator_error,
     trotter_operator_errors,
     upsilon,

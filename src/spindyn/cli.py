@@ -67,7 +67,7 @@ from .trotter import (
     CALIBRATED_PREFACTOR,
     block_arithmetic,
     gate_count_plan,
-    trotter_operator_errors,
+    trotter_error_grid,
 )
 
 _MOMENT_SUB_TOL = 1e-9
@@ -349,12 +349,12 @@ def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     spec = HamiltonianSpec(kind, sample_coupling(ns.n, Rng(ns.seed)))
     orders = [int(v) for v in ns.orders.split(",")]
     m_grid = [int(v) for v in ns.m_grid.split(",")]
+    grid = trotter_error_grid(spec, t, m_grid, orders)  # checks it all before a write
     name = "trotter_error.csv"
     with open(run_dir / name, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "n", "t", "order", "M", "error"])
-        for order in orders:
-            errs = trotter_operator_errors(spec, t, m_grid, order)
+        for order, errs in zip(orders, grid):
             for M, err in zip(m_grid, errs):
                 writer.writerow(
                     [kind.value, ns.n, repr(float(t)), order, M, repr(float(err))]

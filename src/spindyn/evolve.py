@@ -199,54 +199,57 @@ def _bessel_tables(z: np.ndarray, orders: Sequence[int]) -> np.ndarray:
     reaches the group's own start, where they are set to 1: a zero column
     stays 0 under the recurrence and adds 0 to the even sum, and every
     step and rescale acts per column, so the first orders[g] rows of group
-    g have the bits of that group's table alone.
+    g have the bits of that group's table alone.  A column with |z| below
+    `_BESSEL_TINY` runs in place with the rest but is never started and
+    steps by 0, so it stays 0 until its closed form is written last.
     """
     groups, cols = np.shape(z)
     z = np.asarray(z, dtype=float).ravel()
-    bounds = np.arange(groups + 1) * cols
     x = np.abs(z)
     order = max(orders)
     out = np.zeros((order, x.size))
-    out[0] = 1.0
     small = x < _BESSEL_TINY
+    live = ~small
+    # each group's live columns, keyed by the start of their recurrence
+    starts: dict[int, list[slice | np.ndarray]] = {}
+    counts = live.reshape(groups, cols).sum(axis=1).tolist()
+    for g, (o, count) in enumerate(zip(orders, counts)):
+        span = slice(g * cols, (g + 1) * cols)
+        if count < cols:
+            span = np.flatnonzero(live[span]) + g * cols
+        if count:
+            base = max(o, math.ceil(x[span].max()))
+            starts.setdefault(base + 16 + math.isqrt(40 * base), []).append(span)
+    # a tiny column is never started and steps by 0, so it stays 0
+    inv = np.zeros(x.size)
+    np.divide(2.0, x, out=inv, where=live)
+    evens = np.zeros(x.size)  # sum of j_k over even k >= 2
+    nxt, cur = np.zeros(x.size), np.zeros(x.size)  # j_{k+1}, j_k
+    tops = sorted(starts, reverse=True)
+    for top, below in zip(tops, tops[1:] + [0]):
+        for span in starts[top]:
+            cur[span] = 1.0
+        for k in range(top, below, -1):
+            if k < order:
+                out[k] = cur
+            if k % 2 == 0:
+                evens += cur
+            nxt, cur = cur, (k * inv) * cur - nxt
+            # one step grows a column by at most 2 top / _BESSEL_TINY,
+            # so checking every fourth step keeps it far below overflow
+            if k % 4 == 0 and np.abs(cur).max() > _BESSEL_RESCALE:
+                big = np.abs(cur) > _BESSEL_RESCALE
+                for arr in (cur, nxt, evens):
+                    arr[big] /= _BESSEL_RESCALE
+                out[k:, big] /= _BESSEL_RESCALE
+    out[0] = cur
+    norm = cur + 2.0 * evens
+    norm[small] = 1.0
+    out /= norm
+    # the closed form, last: J_0 = 1, J_1 = z/2 and every higher order 0
+    out[0, small] = 1.0
     if order > 1:
         out[1, small] = x[small] / 2.0
-    live = ~small
-    if live.any():
-        xl = x[live]
-        # each group's live columns are one slice of xl; key them by start
-        at = np.cumsum(np.concatenate([[0], live]))[bounds]
-        starts: dict[int, list[slice]] = {}
-        for lo, hi, o in zip(at[:-1], at[1:], orders):
-            if hi > lo:
-                base = max(o, math.ceil(xl[lo:hi].max()))
-                starts.setdefault(base + 16 + math.isqrt(40 * base), []).append(slice(lo, hi))
-        inv = 2.0 / xl
-        # every row below `order` is written before it is read
-        tab = out if live.all() else np.zeros((order, xl.size))
-        evens = np.zeros(xl.size)  # sum of j_k over even k >= 2
-        nxt, cur = np.zeros(xl.size), np.zeros(xl.size)  # j_{k+1}, j_k
-        tops = sorted(starts, reverse=True)
-        for top, below in zip(tops, tops[1:] + [0]):
-            for span in starts[top]:
-                cur[span] = 1.0
-            for k in range(top, below, -1):
-                if k < order:
-                    tab[k] = cur
-                if k % 2 == 0:
-                    evens += cur
-                nxt, cur = cur, (k * inv) * cur - nxt
-                # one step grows a column by at most 2 top / _BESSEL_TINY,
-                # so checking every fourth step keeps it far below overflow
-                if k % 4 == 0 and np.abs(cur).max() > _BESSEL_RESCALE:
-                    big = np.abs(cur) > _BESSEL_RESCALE
-                    for arr in (cur, nxt, evens):
-                        arr[big] /= _BESSEL_RESCALE
-                    tab[k:, big] /= _BESSEL_RESCALE
-        tab[0] = cur
-        tab /= cur + 2.0 * evens
-        if tab is not out:
-            out[:, live] = tab
     out[1::2, z < 0] *= -1.0
     return out.reshape(order, groups, cols)
 
@@ -499,7 +502,7 @@ def _chebyshev_parts(
             step *= two_a
             step -= prev
             prev, phi = phi, step
-        np.take(phi, picks[k % 2][0], axis=1, out=kept[k, :n])
+        np.take(phi, picks[k % 2][0], axis=1, out=kept[k, :n], mode="clip")
         far_live[k % 2] += w_far[k] * phi
     del stack, steps  # the sums need only the kept rows
     drift = np.abs(np.hypot(*(np.linalg.norm(f, axis=1) for f in far)) - 1.0)

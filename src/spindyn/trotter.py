@@ -20,7 +20,11 @@ partition (2n+1 weight blocks or 2 parity blocks, from
 singular value over the blocks of U_b - S_b^M, where S_b is one step
 applied inside block b.  A spin flip that commutes with every gate pairs
 blocks of equal error, so only one block of each mirror pair is computed
-(`_error_blocks`).
+(`_error_blocks`).  A grid of orders and step counts runs as one stack
+per kept block (`_error_stacks`): each (order, M) is a slice, and every
+slice's step has the gate layout of one order-1 step, so one gate pass,
+one shared ladder of squares and one values-only SVD serve the stack,
+with the bits of each slice computed alone.
 
 The E/O gauge.  Every double flip moves a row between E and O, the rows
 of even and odd sigma parity (`hamiltonian.parity_sides`).  With
@@ -39,10 +43,10 @@ A' = G^H A G and Pi = G^2 = diag(1 on E, -1 on O), S' = (Pi A'^T Pi) A'.
 The exact part.  Each block's H is `hamiltonian.dense_matrix` or, for a
 chiral kind, its E x O block B, never a slice of the whole 4^n matrix;
 `hamiltonian.spectral_parts` gives the same two-sided parts
-(omega, (P, V)) the dense `evolve.Propagator` reads, once per call for
-every step count M.  For the chiral kinds that is one eigh of B B^T,
-half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht) is
-real: P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O,
+(omega, (P, V)) the dense `evolve.Propagator` reads, once per block for
+every order and step count of a grid.  For the chiral kinds that is one
+eigh of B B^T, half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht)
+is real: P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O,
 minus its transpose on O x E, and I - V (2 sin^2(omega t / 2) / omega^2)
 V^T on O x O.  H2 and H4 take cos(Ht) - i sin(Ht) from the first two.
 All dense algebra runs on numpy's LAPACK, so one BLAS thread pool serves it.
@@ -62,6 +66,9 @@ from .hamiltonian import chiral, parity_sides, spectral_parts, symmetry_blocks
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
 _DENSE_MAX_DIM = 4096
+# steps per slice group of an error grid, at the largest kept block; a
+# group holds at least one slice, so the budget never refuses a grid
+_GRID_BYTES = 1 << 22
 
 # default prefactor from the n=5 calibration; see estimate_prefactor
 CALIBRATED_PREFACTOR = 2.97e-4
@@ -145,10 +152,11 @@ def _flip_pairs(basis: Basis) -> tuple[list[list[dict[str, tuple]]], np.ndarray]
     two addressed bits differ), the "stay" pairs (they agree; none in a
     weight block, which an equal-bit flip leaves) and "all": rows lists
     the pairs' E rows and then their O partners, swapped each row's
-    partner, and sign (a column) is +1 on the E rows and -1 on the O
-    rows.  A part that holds every row of the basis is the slice of all
-    rows, so its gates run on the whole array in place.  Pi is +1 on E
-    and -1 on O.  Like the flip index, every array is read-only and shared.
+    partner, and sign (shape (rows, 1, 1), to scale a (rows, slices,
+    columns) array) is +1 on the E rows and -1 on the O rows.  A part
+    that holds every row of the basis is the slice of all rows, so its
+    gates run on the whole array in place.  Pi is +1 on E and -1 on O.
+    Like the flip index, every array is read-only and shared.
     """
     even, odd = parity_sides(basis)
     pi = np.ones(basis.dimension)
@@ -164,9 +172,9 @@ def _flip_pairs(basis: Basis) -> tuple[list[list[dict[str, tuple]]], np.ndarray]
             parts = {}
             for part, e in (("hop", hop), ("stay", stay), ("all", np.r_[hop, stay])):
                 if 2 * e.size == basis.dimension:
-                    parts[part] = (slice(None), partner, pi[:, None])
+                    parts[part] = (slice(None), partner, pi[:, None, None])
                     continue
-                sign = np.r_[np.ones(e.size), -np.ones(e.size)][:, None]
+                sign = np.r_[np.ones(e.size), -np.ones(e.size)][:, None, None]
                 parts[part] = (np.r_[e, partner[e]], np.r_[partner[e], e], sign)
                 for arr in parts[part]:
                     arr.flags.writeable = False
@@ -175,30 +183,66 @@ def _flip_pairs(basis: Basis) -> tuple[list[list[dict[str, tuple]]], np.ndarray]
     return pairs, pi
 
 
-def _apply_gates(arr: np.ndarray, gates: Sequence[Gate], basis: Basis) -> np.ndarray:
-    """Apply the gates in order to the first axis of a (rows,) or (rows,
-    cols) array, in place, and return it.
+class _GateTable(NamedTuple):
+    """Gate sequences of one layout (the same sites and tags, gate by
+    gate), as coefficient columns over the sequences: its slices.
+
+    gates[g] = (i, j, phase, moves) for the g-th gate of every slice:
+    phase is None when every slice's is 1, else a (slices, 1) column, and
+    each move (part, a, b) holds (slices, 1) columns of `_gate_moves`'s a
+    and b.  In the gauge (`_in_gauge`) b holds -Im b, the factor of the
+    E row of a pair (its O row takes the opposite).
+    """
+
+    gauge: bool
+    slices: int
+    gates: list[tuple[int, int, np.ndarray | None, list[tuple[str, np.ndarray, np.ndarray]]]]
+
+
+def _gate_table(slices: Sequence[Sequence[Gate]]) -> _GateTable:
+    """The `_GateTable` of gate sequences that share one layout.
+
+    Each slice's coefficients are those `_gate_moves` gives its own gate,
+    so math.cos and math.sin set their bits.
+    """
+    gauge = _in_gauge(slices[0])
+    gates = []
+    for column in zip(*slices):
+        phases, moves = zip(*(_gate_moves(g.tag, float(g.angle)) for g in column))
+        phase = None if all(p == 1.0 for p in phases) else np.array(phases)[:, None]
+        coefs = []
+        for k, (part, _, _) in enumerate(moves[0]):
+            a = np.array([m[k][1] for m in moves])[:, None]
+            b = np.array([m[k][2] for m in moves])[:, None]
+            coefs.append((part, a, -b.imag if gauge else b))
+        gates.append((column[0].i, column[0].j, phase, coefs))
+    return _GateTable(gauge, len(slices), gates)
+
+
+def _apply_gates(arr: np.ndarray, table: _GateTable, basis: Basis) -> np.ndarray:
+    """Apply each slice's gates in order to a (rows, slices) or (rows,
+    slices, columns) array, slice s by the table's slice s, in place, and
+    return it.
 
     Every gate mixes the two rows of each flip pair (`_flip_pairs`) and
     leaves or phases the rest, so the same code acts on the full basis
-    and on any set of rows closed under the gates' flips.  If
-    `_in_gauge(gates)`, each gate acts as G^H g G with G = diag(1 on E,
-    i on O): a pair's b becomes i b on its E row and -i b on its O row,
-    both real, so a real array stays real.  Otherwise G = I and the array
-    must be complex.
+    and on any set of rows closed under the gates' flips.  In the gauge,
+    each gate acts as G^H g G with G = diag(1 on E, i on O): a pair's b
+    becomes i b on its E row and -i b on its O row, both real, so a real
+    array stays real.  Otherwise G = I and the array must be complex.
+    Every coefficient scales whole (slice, columns) rows, as a scalar
+    would scale one slice, so a slice has the bits of a table of one.
     """
     pairs = _flip_pairs(basis)[0]
-    gauge = _in_gauge(gates)
-    cols = arr.reshape(arr.shape[0], -1)  # a view: a vector is one column
-    for g in gates:
-        phase, moves = _gate_moves(g.tag, g.angle)
-        if phase != 1.0:
+    cols = arr.reshape(arr.shape[0], arr.shape[1], -1)  # a view
+    for i, j, phase, moves in table.gates:
+        if phase is not None:
             cols *= phase
         for part, a, b in moves:
-            rows, swapped, sign = pairs[g.i][g.j][part]
+            rows, swapped, sign = pairs[i][j][part]
             mixed, moved = cols[rows], cols[swapped]
             mixed *= a
-            moved *= sign * -b.imag if gauge else b
+            moved *= sign * b if table.gauge else b
             mixed += moved
             cols[rows] = mixed
     return arr
@@ -210,11 +254,13 @@ def apply_sequence(seq: GateSequence, v: np.ndarray) -> np.ndarray:
         raise ValueError("state dimension does not match the gate layout")
     basis = Basis.full(seq.n)
     arr = v.astype(complex, copy=True)
-    if not _in_gauge(seq.gates):
-        return _apply_gates(arr, seq.gates, basis)
+    table = _gate_table([seq.gates])
+    if not table.gauge:
+        _apply_gates(arr[:, None], table, basis)
+        return arr
     odd = parity_sides(basis)[1]
     arr[odd] *= -1j  # G^H v
-    _apply_gates(arr, seq.gates, basis)
+    _apply_gates(arr[:, None], table, basis)
     arr[odd] *= 1j
     return arr
 
@@ -252,16 +298,21 @@ def _step_gates(spec: HamiltonianSpec, dt: float) -> list[Gate]:
     return out
 
 
+def _check_circuit(spec: HamiltonianSpec, grid: Sequence[tuple[int, int]]) -> None:
+    """Refuse any (order, M) of the grid that build_trotter cannot build."""
+    if any(M < 1 for _, M in grid):
+        raise ValueError("M must be at least 1")
+    if any(order not in (1, 2) for order, _ in grid):
+        raise ValueError("only orders 1 and 2 are supported")
+    if spec.z_fields is not None:
+        raise ValueError("the circuit model covers two-spin couplings only")
+
+
 def build_trotter(
     spec: HamiltonianSpec, t: float, M: int, order: int
 ) -> GateSequence:
     """M product-formula steps for e^{-iHt}; order 1 or 2 (Strang)."""
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    if order not in (1, 2):
-        raise ValueError("only orders 1 and 2 are supported")
-    if spec.z_fields is not None:
-        raise ValueError("the circuit model covers two-spin couplings only")
+    _check_circuit(spec, [(order, M)])
     dt = t / M
     if order == 1:
         step = _step_gates(spec, dt)
@@ -274,24 +325,72 @@ def build_trotter(
 # -- block-diagonal error algebra ------------------------------------------
 
 
-def _step_matrix(gates: Sequence[Gate], block: Basis, order: int) -> np.ndarray:
-    """One product-formula step (the gates of build_trotter) inside a
-    block, in the gauge `_apply_gates` takes: real for flip-only gates.
+def _steps(table: _GateTable, block: Basis, halves: Sequence[int]) -> np.ndarray:
+    """Every slice's product-formula step inside a block, shape (slices,
+    d, d), in the gauge `_apply_gates` takes: real for flip-only gates.
 
-    Every gate is complex-symmetric and the Strang step is a palindrome,
-    so at order 2 the step is A^T A with A the first half applied to the
-    block identity: half the gate work for one block product.  In the E/O
-    gauge, with A' = G^H A G and G^2 = Pi, that is (Pi A'^T Pi) A'.
+    One `_apply_gates` pass runs the table over a (rows, slices, d)
+    identity.  A slice holds its whole step, or, for the slices listed in
+    `halves`, the first half A of a Strang step.  Every gate is
+    complex-symmetric and the Strang step is a palindrome, so that step
+    is A^T A: half the gate work.  In the E/O gauge, with A' = G^H A G
+    and G^2 = Pi, it is (Pi A'^T Pi) A'.  Every product is one matrix of
+    a batched matmul, which numpy hands to BLAS as it would that matrix
+    alone.
     """
-    gauge = _in_gauge(gates)
-    eye = np.eye(block.dimension, dtype=float if gauge else complex)
-    if order == 1:
-        return _apply_gates(eye, gates, block)
-    half = _apply_gates(eye, gates[: len(gates) // 2], block)
-    if not gauge:
-        return half.T @ half
-    pi = _flip_pairs(block)[1]
-    return (pi[:, None] * half.T * pi) @ half
+    d = block.dimension
+    eye = np.zeros((d, table.slices, d), dtype=float if table.gauge else complex)
+    eye[np.arange(d), :, np.arange(d)] = 1.0
+    steps = _apply_gates(eye, table, block).transpose(1, 0, 2)
+    if not halves:
+        return steps
+    whole = len(halves) == table.slices
+    half = steps if whole else steps[halves]
+    left = half.transpose(0, 2, 1)  # A^T A: numpy takes syrk for complex A
+    if table.gauge:
+        pi = _flip_pairs(block)[1]
+        left = pi[:, None] * left * pi
+    if whole:
+        return np.matmul(left, half)
+    steps[halves] = np.matmul(left, half)
+    return steps
+
+
+def _powers(steps: np.ndarray, ms: Sequence[int]) -> np.ndarray:
+    """steps[s] to the power ms[s] for every slice, ms non-increasing,
+    with the products np.linalg.matrix_power makes for each power alone.
+
+    That is the step itself for M = 1, (S S) S for M = 3, and otherwise
+    the binary ladder: the squares S^(2^k) multiplied into the result
+    from the lowest set bit of M up.  One shared ladder serves the stack:
+    rung k squares only the slices with M >= 2^k, which lead it, and
+    each rung's products are one batched matmul.
+    """
+    count = len(ms)
+    out = None  # a slice holds its partial product once a set bit is reached
+    z = steps
+    for k in range(ms[0].bit_length()):
+        live = sum(1 for m in ms if m >> k)
+        if k:
+            z = np.matmul(z[:live], z[:live])
+        low = (1 << k) - 1
+        bits = [s for s in range(live) if ms[s] >> k & 1]
+        first = [s for s in bits if not ms[s] & low]
+        more = [s for s in bits if ms[s] & low and ms[s] != 3]
+        three = [s for s in bits if k == 1 and ms[s] == 3]
+        if three:  # matrix_power's M = 3 is (S S) S, not S (S S)
+            out[three] = np.matmul(z[three], steps[three])
+        if len(more) == count:
+            out = np.matmul(out, z)
+        elif more:
+            out[more] = np.matmul(out[more], z[more])
+        if len(first) == count:
+            out = z
+        elif first:
+            if out is None:
+                out = np.empty_like(steps)
+            out[first] = z[first]
+    return out
 
 
 def _exact_part(spec: HamiltonianSpec, block: Basis, t: float) -> np.ndarray:
@@ -348,30 +447,45 @@ def _error_blocks(kind: Kind, n: int) -> list[Basis]:
     return blocks[: n + 1]
 
 
-def _block_products(spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int):
-    """Per kept block (`_error_blocks`): (block, exact U_b, [S_b^M for each M]).
+def _error_stacks(spec: HamiltonianSpec, t: float, grid: Sequence[tuple[int, int]]):
+    """||U_b - S_b^M|| for every (order, M) slice of the grid, block by
+    block (`_error_blocks`): per kept block and group of slices, (block,
+    U_b, the group's positions in `grid`, S_b^M, the norms).
 
-    S_b is one product-formula step of size t/M applied inside the block;
-    the exact part comes from one eigendecomposition per block, shared by
-    every M.  Both are in the gauge of the block's gates, which keeps the
-    singular values of U_b - S_b^M (a unitary similarity).
+    S_b is one product-formula step of size t/M inside the block.  All
+    slices share the gate layout of `_step_gates` (order 1 at dt = t/M,
+    order 2 its first half at dt/2), so one `_gate_table` serves every
+    block.  The slices run by decreasing M, which `_powers` needs, in
+    consecutive groups of at most `_GRID_BYTES` of steps at the largest
+    kept block (at least one slice each).  Per block and group, one
+    `_steps` pass, one `_powers` ladder and one values-only SVD of the
+    stack; the exact part comes from one eigendecomposition per block,
+    shared by every slice.  Both are in the gauge of the block's gates,
+    which keeps the singular values of U_b - S_b^M (a unitary
+    similarity), and every slice has the bits of a grid of one.
     """
     _check_dense_dim(1 << (2 * spec.n))
-    if any(M < 1 for M in Ms):
-        raise ValueError("M must be at least 1")
-    steps = [build_trotter(spec, t / M, 1, order).gates for M in Ms]
-    for block in _error_blocks(spec.kind, spec.n):
+    _check_circuit(spec, grid)
+    if not grid:
+        return
+    blocks = _error_blocks(spec.kind, spec.n)
+    gauge = _in_gauge(_step_gates(spec, 1.0))
+    width = (8 if gauge else 16) * max(b.dimension for b in blocks) ** 2
+    size = max(1, _GRID_BYTES // width)
+    rank = sorted(range(len(grid)), key=lambda s: -grid[s][1])
+    groups = []
+    for lo in range(0, len(rank), size):
+        where = rank[lo : lo + size]
+        slices = [grid[s] for s in where]
+        table = _gate_table([_step_gates(spec, t / M / order) for order, M in slices])
+        halves = [s for s, (order, _) in enumerate(slices) if order == 2]
+        groups.append((where, table, halves, [int(M) for _, M in slices]))
+    for block in blocks:
         exact = _exact_part(spec, block, t)
-        powers = [
-            np.linalg.matrix_power(_step_matrix(step, block, order), M)
-            for step, M in zip(steps, Ms)
-        ]
-        yield block, exact, powers
-
-
-def _block_error(exact: np.ndarray, power: np.ndarray) -> float:
-    """||U_b - S_b^M||: the largest singular value, from a values-only SVD."""
-    return float(np.linalg.svd(exact - power, compute_uv=False)[0])
+        for where, table, halves, ms in groups:
+            powers = _powers(_steps(table, block, halves), ms)
+            norms = np.linalg.svd(exact - powers, compute_uv=False)[:, 0]
+            yield block, exact, where, powers, norms
 
 
 def block_arithmetic(spec: HamiltonianSpec) -> str:
@@ -381,14 +495,26 @@ def block_arithmetic(spec: HamiltonianSpec) -> str:
     return "real (E/O gauge)" if _in_gauge(_step_gates(spec, 1.0)) else "complex"
 
 
+def trotter_error_grid(
+    spec: HamiltonianSpec, t: float, Ms: Sequence[int], orders: Sequence[int]
+) -> list[list[float]]:
+    """||e^{-iHt} - T^M|| for every order and every M, as the maximum over
+    symmetry blocks: row o holds orders[o]'s errors at Ms.
+
+    The whole grid is checked before any block is computed.
+    """
+    grid = [(order, M) for order in orders for M in Ms]
+    errs = np.zeros(len(grid))
+    for _, _, where, _, norms in _error_stacks(spec, t, grid):
+        errs[where] = np.maximum(errs[where], norms)
+    return errs.reshape(len(orders), len(Ms)).tolist()
+
+
 def trotter_operator_errors(
     spec: HamiltonianSpec, t: float, Ms: Sequence[int], order: int
 ) -> list[float]:
-    """||e^{-iHt} - T^M|| for every M, as the maximum over symmetry blocks."""
-    errs = np.zeros(len(Ms))
-    for _, exact, powers in _block_products(spec, t, Ms, order):
-        errs = np.maximum(errs, [_block_error(exact, p) for p in powers])
-    return [float(e) for e in errs]
+    """||e^{-iHt} - T^M|| for every M at one order (see trotter_error_grid)."""
+    return trotter_error_grid(spec, t, Ms, [order])[0]
 
 
 def trotter_operator_error(
@@ -408,12 +534,12 @@ def l1_unitary_bound_check(
     """
     (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
     l1, norm = 0.0, 0.0
-    for block, exact, (power,) in _block_products(spec, t, [M], order):
+    for block, exact, _, (power,), (err,) in _error_stacks(spec, t, [(order, M)]):
         col = block.pos[y0]
         if col >= 0:
             p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
             l1 = float(np.sum(np.abs(p_exact - p_trotter)))
-        norm = max(norm, _block_error(exact, power))
+        norm = max(norm, float(err))
     bound = 4.0 * norm
     if l1 > bound + 1e-9:
         raise RuntimeError(

@@ -435,7 +435,10 @@ def test_extract_permanent_refuses_class_outside_one_to_n(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["extract-permanent", "--n", "3", "--m", "5"], ["anticon", "--n", "3", "--num-j", "16"]],
+    [["extract-permanent", "--n", "3", "--m", "5"], ["anticon", "--n", "3", "--num-j", "16"],
+     # the grid is checked whole before the CSV is opened
+     ["trotter-error", "--n", "2", "--orders", "1,3", "--m-grid", "4"],
+     ["trotter-error", "--n", "2", "--orders", "2", "--m-grid", "4,0"]],
 )
 def test_usage_errors_leave_no_run_dir(tmp_path, argv, capsys):
     assert run_cli(argv, tmp_path) == 2
@@ -620,3 +623,43 @@ def test_moments_check_guards_name_the_first_offending_row(tmp_path, monkeypatch
     err, last = run("sub", leaks)
     assert "sub-moment at draw 0, x 101010 leaked 1.000e-06" in err
     assert last.startswith("2,3,111000,")  # every row is written first
+
+
+# sha256 of trotter_error.csv with one BLAS thread, from the one-(order, M)
+# at-a-time block algebra the stacked grid replaced.  H4's complex blocks
+# of 70 rows at n = 4 round differently on 1 and 2 OpenBLAS threads, so
+# the pins run in a subprocess with one.
+TROTTER_CSV_SHA256 = {
+    "--n 3 --seed 0": "30bc5aac728f8f17640c59e2cdeb5cd60535c4f847138bf8d875d32a26e3354f",
+    "--n 3 --seed 1": "30aafad8ab2e1bacbaf1abea04158254526e63498667836ae404fa7e04402cac",
+    "--n 3 --seed 2": "cd073c420d6cb6a83e5151784cfa0e35ca3b8c0af221b61bd4c6f0ca83ff1856",
+    "--n 3 --seed 3": "39b52833991ef7d9f2991e0cf5feaa6d7a0a88ea195b84e851297b09f16bb64b",
+    "--model H4 --n 4 --m-grid 1,2,3,3,8 --seed 0":
+        "a4cb4905be5049548d86c78e0e8662da8f4797d68383f21901288157e67c098c",
+    "--model H3 --n 4 --m-grid 1,2,3,3,8 --seed 0":
+        "5f35fb2ae10d3c4b211f8fd44315acca374f3e1aeebbcbd3dc6d3c93a8e356df",
+    "--model H1 --n 3 --m-grid 1,2,3,3,8 --seed 0":
+        "c562dd665ca9662d0f2748d0e7adc880d5840937bed02345d4f2fb89bd4387e7",
+    "--model H2 --n 3 --m-grid 1,2,3,3,8 --seed 0":
+        "b3650d960a2b92ffd9bd1a38ff0c0a649af26f030f222a77d49196e84d6f0868",
+}
+
+
+def test_trotter_error_csv_is_pinned(tmp_path):
+    script = (
+        "import sys\n"
+        "from spindyn import cli\n"
+        f"for k, args in enumerate({list(TROTTER_CSV_SHA256)!r}):\n"
+        "    argv = ['trotter-error', *args.split(), '--outdir', f'{sys.argv[1]}/{k}']\n"
+        "    assert cli.main(argv) == 0, argv\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    for k, (args, sha256) in enumerate(TROTTER_CSV_SHA256.items()):
+        csv_path = only_run_dir(tmp_path / str(k), "trotter-error") / "trotter_error.csv"
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256, args

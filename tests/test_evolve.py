@@ -1,5 +1,6 @@
 """Propagation tests against an independent expm oracle and closed forms."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -351,6 +352,22 @@ def test_bessel_table_matches_scipy():
     order = _series_order(400.0)
     want = scipy.special.jv(np.arange(order)[:, None], z[None, :])
     assert np.max(np.abs(_bessel_tables(z[None, :], [order])[:, 0] - want)) <= 5e-14
+
+
+def test_bessel_table_with_tiny_columns_is_pinned():
+    # every equilibrate grid starts at t = 0, so tiny columns share a
+    # table with live ones; a scale-0 and a 1e-25 group hold nothing else.
+    # sha256 of the table from before tiny columns ran in place.
+    rng = np.random.default_rng(7)
+    ts = np.linspace(0.0, 12.0, 42)
+    a = np.concatenate([rng.uniform(0.5, 3.0, 5), [-2.0, 0.0, 1e-25]])
+    z = a[:, None] * ts
+    orders = [_series_order(v) for v in np.abs(z).max(axis=1)]
+    table = _bessel_tables(z, orders)
+    assert table.shape == (73, 8, 42)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "a3668f63352fc23de6e0c99ffc7fdaf3d8a2559f77192f56548a1de88cbe30fd"
+    )
 
 
 def test_series_order_matches_the_unit_step_scan():

@@ -8,11 +8,14 @@ import scipy.linalg
 
 from spindyn.core import Basis, BitString, HamiltonianSpec, Kind, Rng, sample_coupling
 from spindyn.hamiltonian import dense_matrix, parity_sides, stacked_half_steps, symmetry_blocks
+from spindyn import trotter
 from spindyn.trotter import (
     _apply_gates,
-    _block_products,
     _error_blocks,
-    _step_matrix,
+    _error_stacks,
+    _gate_table,
+    _powers,
+    _steps,
     CALIBRATED_PREFACTOR,
     Gate,
     GateSequence,
@@ -22,6 +25,7 @@ from spindyn.trotter import (
     gate_count_plan,
     l1_unitary_bound_check,
     sequence_unitary,
+    trotter_error_grid,
     trotter_operator_error,
     trotter_operator_errors,
     upsilon,
@@ -50,6 +54,20 @@ def gate_oracle(gate, n):
 
 def random_spec(kind, n, seed):
     return HamiltonianSpec(kind, sample_coupling(n, Rng(seed)))
+
+
+def apply_gates(arr, gates, block):
+    """Apply one gate sequence to the rows of arr in place (a table of one slice)."""
+    _apply_gates(arr[:, None], _gate_table([gates]), block)
+    return arr
+
+
+def step_matrix(gates, block, order):
+    """One step of build_trotter's gates inside the block, as `_steps`
+    builds it: from the first half of the gates at order 2."""
+    if order == 1:
+        return _steps(_gate_table([gates]), block, [])[0]
+    return _steps(_gate_table([gates[: len(gates) // 2]]), block, [0])[0]
 
 
 # -- gates -----------------------------------------------------------------
@@ -207,9 +225,9 @@ def test_strang_step_from_half_step_matches_every_gate(kind):
     gates = build_trotter(spec, 0.8, 1, 2).gates
     for block in symmetry_blocks(kind, n)[1]:
         eye = np.eye(block.dimension, dtype=complex)
-        want = _apply_gates(eye, gates, block)
-        assert np.max(np.abs(_step_matrix(gates, block, 2) - want)) <= 1e-13
-        assert np.array_equal(_step_matrix(gates, block, 1), want)
+        want = apply_gates(eye, gates, block)
+        assert np.max(np.abs(step_matrix(gates, block, 2) - want)) <= 1e-13
+        assert np.array_equal(step_matrix(gates, block, 1), want)
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -253,7 +271,7 @@ def gauge(block):
 
 
 def original_basis(step, block):
-    """G S' G^H: a step of `_step_matrix` back in the block's own basis
+    """G S' G^H: a step of `step_matrix` back in the block's own basis
     (only real steps, those of flip-only gates, are in the E/O gauge)."""
     if np.iscomplexobj(step):
         return step
@@ -271,7 +289,7 @@ def assert_flip_maps_block(spec, src, dst, mask):
     for order in (1, 2):
         gates = build_trotter(spec, 0.7, 1, order).gates
         s_src, s_dst = (
-            original_basis(_step_matrix(gates, b, order), b) for b in (src, dst)
+            original_basis(step_matrix(gates, b, order), b) for b in (src, dst)
         )
         assert np.max(np.abs(s_dst[moved] - s_src)) <= 1e-14
 
@@ -308,7 +326,7 @@ def test_h2_parity_blocks_are_not_paired(n):
     assert np.max(np.abs(spectra[0] - spectra[1])) > 0.1
     errs = [
         np.linalg.norm(exact - power, 2)
-        for _, exact, (power,) in _block_products(spec, 1.3, [4], 2)
+        for _, exact, _, (power,), _ in _error_stacks(spec, 1.3, [(2, 4)])
     ]
     assert len(errs) == 2
     if n == 2:
@@ -336,12 +354,12 @@ def test_chiral_blocks_run_real_in_the_eo_gauge(kind, n):
         for gate in gates:
             product = gate_oracle(gate, n) @ product
         for block in _error_blocks(kind, n):
-            step = _step_matrix(gates, block, order)
+            step = step_matrix(gates, block, order)
             assert step.dtype == np.float64
             g = gauge(block)
             want = g.conj()[:, None] * product[np.ix_(block.states, block.states)] * g
             assert np.max(np.abs(step - want)) <= 1e-13
-    for block, exact, _ in _block_products(spec, t, [1], 2):
+    for block, exact, *_ in _error_stacks(spec, t, [(2, 1)]):
         assert exact.dtype == np.float64
         assert np.max(np.abs(exact.T @ exact - np.eye(block.dimension))) <= 1e-13
         g = gauge(block)
@@ -385,6 +403,48 @@ def test_errors_match_the_complex_block_algebra(case):
             assert abs(g - w) <= 1e-12
         else:
             assert abs(g - w) <= 1e-12 * w + 1e-14
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_power_ladder_makes_the_products_of_matrix_power(dtype):
+    # one ladder for a stack of steps: each power, M = 1 and M = 3
+    # included, has the bits of np.linalg.matrix_power on its step alone
+    rng = np.random.default_rng(151)
+    ms = [40, 33, 32, 17, 8, 8, 7, 5, 4, 3, 3, 2, 1]
+    stack = rng.standard_normal((len(ms), 6, 6)).astype(dtype) / 2.5
+    if dtype is complex:
+        stack += 1j * rng.standard_normal(stack.shape) / 2.5
+    got = _powers(stack.copy(), ms)
+    for s, M in enumerate(ms):
+        want = np.linalg.matrix_power(stack[s], M)
+        assert np.array_equal(got[s], want), M
+        assert np.array_equal(_powers(stack[s : s + 1].copy(), [M])[0], want), M
+
+
+@pytest.mark.parametrize("kind", list(Kind))
+def test_grid_slice_groups_keep_every_bit(kind, monkeypatch):
+    # the grid in one stack, with orders given as 2,1 and a repeated M,
+    # has the bits of one group per slice and of a grid of one per slice
+    spec = random_spec(kind, 3, 139)
+    Ms, orders = [3, 1, 8, 2, 3], [2, 1]
+    whole = trotter_error_grid(spec, 1.9, Ms, orders)
+    singles = [[trotter_error_grid(spec, 1.9, [M], [o])[0][0] for M in Ms] for o in orders]
+    assert whole == singles
+    monkeypatch.setattr(trotter, "_GRID_BYTES", 1)
+    assert trotter_error_grid(spec, 1.9, Ms, orders) == whole
+    assert trotter_operator_errors(spec, 1.9, Ms, 1) == whole[1]
+
+
+def test_grid_is_checked_before_any_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block was computed")
+
+    monkeypatch.setattr(trotter, "_exact_part", refuse)
+    spec = random_spec(Kind.H3, 2, 149)
+    for Ms, orders in (([4], [1, 3]), ([4, 0], [2]), ([0], [3])):
+        with pytest.raises(ValueError):
+            trotter_error_grid(spec, 1.0, Ms, orders)
+    assert trotter_error_grid(spec, 1.0, [], [1, 2]) == [[], []]
 
 
 def test_error_rejects_nonpositive_step_count():
