@@ -8,17 +8,16 @@ moment sweep and the curve read one accumulator, `_ensemble_sums`, which
 propagates each draw once over the whole time grid and sums in
 draw-index order from per-draw substreams, so identical seeds reproduce
 results bit for bit.  It reads X_{n/2} as `hamming_class_states` rows;
-only `moment_statistics` builds `BitString`s, for its records.
+only `moment_statistics` builds `BitString`s, for its records.  It returns
+values and writes no file: the CLI renders records and curves as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -251,56 +250,3 @@ def equilibration_curve(
         out.append((float(t), float(mean), math.sqrt(var / num_J)))
     return out
 
-
-def write_equilibration_csv(
-    path: str | Path, n: int, rows: Iterable[tuple[float, float, float]]
-) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "t", "mean_p", "stderr"])
-        for t, mean, stderr in rows:
-            writer.writerow([n, repr(float(t)), repr(float(mean)), repr(float(stderr))])
-
-
-def write_moments_csv(
-    path: str | Path,
-    records: Iterable[MomentRecord],
-    model_class: str,
-) -> None:
-    """Moment table scaled by the class benchmark (the plot coordinates).
-
-    Standard errors are scaled consistently with their means, so each
-    column pairs with its error bar directly.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "t", "x_bits", "mean_p_scaled", "mean_p2_scaled", "stderr_p", "stderr_p2"]
-        )
-        for record in records:
-            scale = anticoncentration_thresholds(model_class, record.n)
-            writer.writerow(
-                [
-                    record.n,
-                    repr(record.t),
-                    str(record.x),
-                    repr(record.mean_p / scale),
-                    repr(record.mean_p2 / scale**2),
-                    repr(record.se_p / scale),
-                    repr(record.se_p2 / scale**2),
-                ]
-            )
-
-
-def write_ratio_csv(
-    path: str | Path,
-    rows: Iterable[tuple[int, float, float, int, int, int]],
-) -> None:
-    """Rows of (n, t_over_logn, r, num_x, num_J, seed)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "t_over_logn", "r", "num_x", "num_J", "seed"])
-        for n, t_over_logn, r, num_x, num_J, seed in rows:
-            writer.writerow(
-                [n, repr(float(t_over_logn)), repr(float(r)), num_x, num_J, seed]
-            )

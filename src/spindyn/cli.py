@@ -1,14 +1,18 @@
 """Command-line front end: seeded experiments with CSV/JSON provenance.
 
-Every experiment writes into its own run directory
-`<outdir>/<command>-<UTCstamp>-seed<seed>/` holding the output files plus
-a `manifest.json` recording the command, its argument list, the seed, the
-git state, and the output names.  `rerun <manifest>` replays a recorded
-run into a fresh directory; outputs reproduce byte for byte.
+Each experiment (`_cmd_*`) takes the parsed arguments and returns its
+named outputs as bytes, rendered by `_csv` or `_json`; it opens no file.
+`main` is the only code that touches the disk: it makes the run directory
+`<outdir>/<command>-<UTCstamp>-seed<seed>/` before the experiment runs,
+then writes the outputs and a `manifest.json` recording the command, its
+argument list, the seed, the git state, and the output names.
+`rerun <manifest>` replays a recorded run into a fresh directory; outputs
+reproduce byte for byte.
 
 Exit codes: 0 success; 1 a numerical guard tripped (the diagnostic names
-the guard); 2 usage error.  A failed run leaves no empty run directory
-and none of the parents it created.
+the guard); 2 usage error.  A failed run leaves no run directory and none
+of the parents it made, except that moments-check keeps its rows up to
+the first offender of the moment identity (without a manifest).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -32,9 +37,6 @@ from .anticon import (
     equilibration_curve,
     moment_statistics,
     ratio_r,
-    write_equilibration_csv,
-    write_moments_csv,
-    write_ratio_csv,
 )
 from .core import (
     BitString,
@@ -128,29 +130,31 @@ def _strip_outdir(args: list[str]) -> list[str]:
     return out
 
 
-def _write_manifest(
-    run_dir: Path,
-    command: str,
-    args: list[str],
-    seed: int,
-    started_at: str,
-    outputs: list[str],
-) -> None:
-    manifest = {
-        "command": command,
-        "args": args,
-        "seed": seed,
-        "git_describe": _git_describe(),
-        "started_at": started_at,
-        "outputs": outputs,
-    }
-    path = run_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _csv(header: list[str], rows) -> bytes:
+    """A CSV file's bytes, with csv.writer's \\r\\n line ends."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
 
 
-def _write_json(run_dir: Path, name: str, payload: dict) -> str:
-    (run_dir / name).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return name
+def _json(payload: dict) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _write(run_dir: Path, outputs: dict[str, bytes]) -> None:
+    for name, data in outputs.items():
+        (run_dir / name).write_bytes(data)
+
+
+class _GuardKeepsOutputs(RuntimeError):
+    """A guard that trips after outputs were made; `main` writes them
+    without a manifest."""
+
+    def __init__(self, message: str, outputs: dict[str, bytes]) -> None:
+        super().__init__(message)
+        self.outputs = outputs
 
 
 def _threads(ns: argparse.Namespace) -> int:
@@ -162,52 +166,57 @@ def _threads(ns: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ handlers
 
 
-def _cmd_moments_check(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _labels(n: int, m: int) -> list[str]:
+    """The x_bits label of each member of X_m, in class order."""
+    return ["".join(map(str, row)) for row in hamming_class_bits(n, m).tolist()]
+
+
+def _cmd_moments_check(ns: argparse.Namespace) -> dict[str, bytes]:
     kind = Kind(ns.model)
     n = ns.n
     if ns.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {ns.draws}")
-    classes = []
-    for m in range(1, n + 1):
-        labels = ["".join(map(str, row)) for row in hamming_class_bits(n, m).tolist()]
-        classes.append((m, hamming_class_states(n, m), labels))
+    classes = [(m, hamming_class_states(n, m), _labels(n, m)) for m in range(1, n + 1)]
     worst: tuple[float, str] = (0.0, "")
-    name = "moments_check.csv"
-    with open(run_dir / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw", "m", "x_bits", "max_abs_sub_moment", "mth_rel_error"])
-        for draw in range(ns.draws):
-            J = sample_coupling(n, Rng(ns.seed).substream(draw))
-            table = moment_table(HamiltonianSpec(kind, J), n)
-            for m, states, labels in classes:
-                pers = permanents(class_submatrices(J, m))
-                columns = table[:, states]  # column c holds <x_c|H^k|y0> for every k
-                sub = np.abs(columns[1:m]).max(axis=0, initial=0.0)
-                truth = math.factorial(m) / float(n) ** m * pers
-                diff = np.abs(columns[m] - truth)
-                rel = diff / np.maximum(np.abs(truth), _MOMENT_TRUTH_FLOOR)
-                bad = np.flatnonzero((rel > _MOMENT_REL_TOL) & (diff > _MOMENT_NOISE))
-                # rows up to the first offender, as a row-by-row sweep writes them
-                stop = int(bad[0]) + 1 if bad.size else len(labels)
-                writer.writerows(
-                    [draw, m, label, repr(s), repr(r)]
-                    for label, s, r in zip(labels[:stop], sub.tolist(), rel.tolist())
+    rows: list[list] = []
+
+    def made() -> dict[str, bytes]:
+        header = ["draw", "m", "x_bits", "max_abs_sub_moment", "mth_rel_error"]
+        return {"moments_check.csv": _csv(header, rows)}
+
+    for draw in range(ns.draws):
+        J = sample_coupling(n, Rng(ns.seed).substream(draw))
+        table = moment_table(HamiltonianSpec(kind, J), n)
+        for m, states, labels in classes:
+            pers = permanents(class_submatrices(J, m))
+            columns = table[:, states]  # column c holds <x_c|H^k|y0> for every k
+            sub = np.abs(columns[1:m]).max(axis=0, initial=0.0)
+            truth = math.factorial(m) / float(n) ** m * pers
+            diff = np.abs(columns[m] - truth)
+            rel = diff / np.maximum(np.abs(truth), _MOMENT_TRUTH_FLOOR)
+            bad = np.flatnonzero((rel > _MOMENT_REL_TOL) & (diff > _MOMENT_NOISE))
+            # rows up to the first offender, as a row-by-row sweep makes them
+            stop = int(bad[0]) + 1 if bad.size else len(labels)
+            rows += (
+                [draw, m, label, repr(s), repr(r)]
+                for label, s, r in zip(labels[:stop], sub.tolist(), rel.tolist())
+            )
+            if bad.size:
+                raise _GuardKeepsOutputs(
+                    f"moment identity guard: relative error {rel[bad[0]]:.3e} at "
+                    f"draw {draw}, m {m}, x {labels[bad[0]]}",
+                    made(),
                 )
-                if bad.size:
-                    raise RuntimeError(
-                        f"moment identity guard: relative error {rel[bad[0]]:.3e} at "
-                        f"draw {draw}, m {m}, x {labels[bad[0]]}"
-                    )
-                top = int(np.argmax(sub))  # the first member at the class maximum
-                if sub[top] > worst[0]:
-                    where = f"draw {draw}, x {labels[top]}"
-                    worst = (float(sub[top]), f"sub-moment at {where}")
+            top = int(np.argmax(sub))  # the first member at the class maximum
+            if sub[top] > worst[0]:
+                where = f"draw {draw}, x {labels[top]}"
+                worst = (float(sub[top]), f"sub-moment at {where}")
     if worst[0] > _MOMENT_SUB_TOL:
-        raise RuntimeError(
-            f"moment identity guard: {worst[1]} leaked {worst[0]:.3e}"
+        raise _GuardKeepsOutputs(
+            f"moment identity guard: {worst[1]} leaked {worst[0]:.3e}", made()
         )
     print(f"all moment identities within tolerance over {ns.draws} draws")
-    return [name]
+    return made()
 
 
 def _report_engine(kind: Kind, n: int) -> None:
@@ -218,17 +227,21 @@ def _report_engine(kind: Kind, n: int) -> None:
     print(f"engine: {engine(spec)}", file=sys.stderr)
 
 
-def _cmd_equilibrate(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_equilibrate(ns: argparse.Namespace) -> dict[str, bytes]:
     grid = np.linspace(0.0, ns.t_mult_max * math.log(ns.n), ns.points)
     rows = equilibration_curve(
         Kind(ns.model), ns.n, grid, ns.num_j, Rng(ns.seed), threads=_threads(ns)
     )
-    write_equilibration_csv(run_dir / "equilibration.csv", ns.n, rows)
     _report_engine(Kind(ns.model), ns.n)
-    return ["equilibration.csv"]
+    return {
+        "equilibration.csv": _csv(
+            ["n", "t", "mean_p", "stderr"],
+            ([ns.n, repr(t), repr(mean), repr(se)] for t, mean, se in rows),
+        )
+    }
 
 
-def _cmd_anticon(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_anticon(ns: argparse.Namespace) -> dict[str, bytes]:
     kind = Kind(ns.model)
     t = ns.t_mult * math.log(ns.n)
     (records,) = moment_statistics(
@@ -239,17 +252,26 @@ def _cmd_anticon(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     )
     cls = model_class(kind)
     r = ratio_r(records, thresholds, cls)
-    write_moments_csv(run_dir / "moments.csv", records, cls)
-    write_ratio_csv(
-        run_dir / "ratio.csv",
-        [(ns.n, ns.t_mult, r, len(records), ns.num_j, ns.seed)],
-    )
     print(f"r = {r!r} over {len(records)} outcomes")
     _report_engine(kind, ns.n)
-    return ["moments.csv", "ratio.csv"]
+    # the moments in the class benchmark's units, each error bar with its mean
+    scale = anticoncentration_thresholds(cls, ns.n)
+    moments = (
+        [ns.n, repr(rec.t), label, repr(rec.mean_p / scale),
+         repr(rec.mean_p2 / scale**2), repr(rec.se_p / scale), repr(rec.se_p2 / scale**2)]
+        for rec, label in zip(records, _labels(ns.n, ns.n // 2))
+    )
+    header = ["n", "t", "x_bits", "mean_p_scaled", "mean_p2_scaled", "stderr_p", "stderr_p2"]
+    return {
+        "moments.csv": _csv(header, moments),
+        "ratio.csv": _csv(
+            ["n", "t_over_logn", "r", "num_x", "num_J", "seed"],
+            [[ns.n, repr(ns.t_mult), repr(r), len(records), ns.num_j, ns.seed]],
+        ),
+    }
 
 
-def _cmd_extract_permanent(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_extract_permanent(ns: argparse.Namespace) -> dict[str, bytes]:
     kind = Kind(ns.model)
     n = ns.n
     m = ns.m if ns.m is not None else n
@@ -268,33 +290,29 @@ def _cmd_extract_permanent(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     nodes = np.linspace(
         ns.t0 * (1 - ns.delta_window), ns.t0 * (1 + ns.delta_window), K + 1
     )
-    name = _write_json(
-        run_dir,
-        "extraction.json",
-        {
-            "inputs": {
-                "model": kind.value,
-                "n": n,
-                "m": m,
-                "x_bits": str(x),
-                "t0": ns.t0,
-                "delta_window": ns.delta_window,
-                "K": K,
-                "mode": "noisy-oracle" if ns.noise_delta > 0 else "exact-oracle",
-                "noise_delta": ns.noise_delta,
-            },
-            "nodes": [float(v) for v in nodes],
-            "estimate": float(estimate),
-            "truth": float(truth),
-            "bound": float(bound),
-            "seed": ns.seed,
-        },
-    )
     print(f"estimate = {estimate!r}, truth = {truth!r}, bound = {bound!r}")
-    return [name]
+    payload = {
+        "inputs": {
+            "model": kind.value,
+            "n": n,
+            "m": m,
+            "x_bits": str(x),
+            "t0": ns.t0,
+            "delta_window": ns.delta_window,
+            "K": K,
+            "mode": "noisy-oracle" if ns.noise_delta > 0 else "exact-oracle",
+            "noise_delta": ns.noise_delta,
+        },
+        "nodes": [float(v) for v in nodes],
+        "estimate": float(estimate),
+        "truth": float(truth),
+        "bound": float(bound),
+        "seed": ns.seed,
+    }
+    return {"extraction.json": _json(payload)}
 
 
-def _cmd_worst_to_average(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_worst_to_average(ns: argparse.Namespace) -> dict[str, bytes]:
     m = ns.m
     base = Rng(ns.seed)
     X = (base.substream(2).generator().uniform(0, 1, (m, m)) < 0.5).astype(float)
@@ -303,62 +321,45 @@ def _cmd_worst_to_average(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     )
     window = ns.delta_window if ns.delta_window is not None else (16.0 * m) ** -2
     bound = interpolation_recovery_bound(ns.noise_delta, window, m)
-    name = _write_json(
-        run_dir,
-        "worst_to_average.json",
-        {
-            "inputs": {
-                "m": m,
-                "delta_window": window,
-                "noise_delta": ns.noise_delta,
-            },
-            "X": [[int(v) for v in row] for row in X],
-            "estimate": float(estimate),
-            "truth": float(truth),
-            "rounded": int(round(estimate)),
-            "recovery_bound": float(bound),
-            "interpolation_tvd_at_window": float(interpolation_tvd(window, m)),
-            "seed": ns.seed,
-        },
-    )
     print(f"estimate = {estimate!r}, truth = {truth!r}, bound = {bound!r}")
-    return [name]
+    payload = {
+        "inputs": {
+            "m": m,
+            "delta_window": window,
+            "noise_delta": ns.noise_delta,
+        },
+        "X": [[int(v) for v in row] for row in X],
+        "estimate": float(estimate),
+        "truth": float(truth),
+        "rounded": int(round(estimate)),
+        "recovery_bound": float(bound),
+        "interpolation_tvd_at_window": float(interpolation_tvd(window, m)),
+        "seed": ns.seed,
+    }
+    return {"worst_to_average.json": _json(payload)}
 
 
-def _cmd_trotter_plan(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_trotter_plan(ns: argparse.Namespace) -> dict[str, bytes]:
     t0 = ns.t0_mult * math.log(ns.n)
     gates = gate_count_plan(ns.n, t0, ns.eps, ns.prefactor)
-    name = _write_json(
-        run_dir,
-        "plan.json",
-        {
-            "n": ns.n,
-            "t0": t0,
-            "eps_t": ns.eps,
-            "prefactor": ns.prefactor,
-            "gates": int(gates),
-        },
-    )
     print(f"gates = {gates} (~ {float(gates):.3e})")
-    return [name]
+    plan = {"n": ns.n, "t0": t0, "eps_t": ns.eps, "prefactor": ns.prefactor, "gates": int(gates)}
+    return {"plan.json": _json(plan)}
 
 
-def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_trotter_error(ns: argparse.Namespace) -> dict[str, bytes]:
     kind = Kind(ns.model)
     t = ns.t_mult * math.log(ns.n)
     spec = HamiltonianSpec(kind, sample_coupling(ns.n, Rng(ns.seed)))
     orders = [int(v) for v in ns.orders.split(",")]
     m_grid = [int(v) for v in ns.m_grid.split(",")]
-    grid = trotter_error_grid(spec, t, m_grid, orders)  # checks it all before a write
-    name = "trotter_error.csv"
-    with open(run_dir / name, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "n", "t", "order", "M", "error"])
-        for order, errs in zip(orders, grid):
-            for M, err in zip(m_grid, errs):
-                writer.writerow(
-                    [kind.value, ns.n, repr(float(t)), order, M, repr(float(err))]
-                )
+    grid = trotter_error_grid(spec, t, m_grid, orders)
+    rows = (
+        [kind.value, ns.n, repr(float(t)), order, M, repr(float(err))]
+        for order, errs in zip(orders, grid)
+        for M, err in zip(m_grid, errs)
+    )
+    csv_bytes = _csv(["model", "n", "t", "order", "M", "error"], rows)
     symmetry, blocks = symmetry_blocks(kind, ns.n)
     largest = max(b.dimension for b in blocks)
     print(
@@ -366,10 +367,10 @@ def _cmd_trotter_error(ns: argparse.Namespace, run_dir: Path) -> list[str]:
         f"largest {largest}",
         file=sys.stderr,
     )
-    return [name]
+    return {"trotter_error.csv": csv_bytes}
 
 
-def _cmd_bw_demo(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_bw_demo(ns: argparse.Namespace) -> dict[str, bytes]:
     d = ns.degree
     planted = ns.errors
     budget = ns.budget if ns.budget is not None else planted
@@ -395,27 +396,23 @@ def _cmd_bw_demo(ns: argparse.Namespace, run_dir: Path) -> list[str]:
     match = recovered == coefficients
     if not match:
         raise RuntimeError("recovery guard: decoded coefficients do not match plant")
-    name = _write_json(
-        run_dir,
-        "bw.json",
-        {
-            "degree": d,
-            "planted_errors": planted,
-            "budget": budget,
-            "exact": True,
-            "sample_count": L,
-            "corrupted_positions": sorted(positions),
-            "planted_coefficients": coefficients,
-            "recovered_coefficients": recovered,
-            "match": match,
-            "seed": ns.seed,
-        },
-    )
     print(f"recovered degree-{d} polynomial through {planted} corruptions")
-    return [name]
+    payload = {
+        "degree": d,
+        "planted_errors": planted,
+        "budget": budget,
+        "exact": True,
+        "sample_count": L,
+        "corrupted_positions": sorted(positions),
+        "planted_coefficients": coefficients,
+        "recovered_coefficients": recovered,
+        "match": match,
+        "seed": ns.seed,
+    }
+    return {"bw.json": _json(payload)}
 
 
-def _cmd_bounds(ns: argparse.Namespace, run_dir: Path) -> list[str]:
+def _cmd_bounds(ns: argparse.Namespace) -> dict[str, bytes]:
     values = {
         "truncation_error": truncation_error(ns.normh, ns.t, ns.K),
         "short_time_xi_bound": short_time_xi_bound(ns.normh, ns.n, ns.t),
@@ -441,10 +438,9 @@ def _cmd_bounds(ns: argparse.Namespace, run_dir: Path) -> list[str]:
             "noise_delta", "delta_window", "degree",
         )
     }
-    name = _write_json(run_dir, "bounds.json", {"inputs": inputs, "values": values})
     for key, value in values.items():
         print(f"{key} = {value!r}")
-    return [name]
+    return {"bounds.json": _json({"inputs": inputs, "values": values})}
 
 
 def _cmd_rerun(ns: argparse.Namespace) -> int:
@@ -452,11 +448,19 @@ def _cmd_rerun(ns: argparse.Namespace) -> int:
     if path.is_dir():
         path = path / "manifest.json"
     if not path.is_file():
-        print(f"usage error: no manifest at {path}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no manifest at {path}")
     data = json.loads(path.read_text())
-    argv = [data["command"], *data["args"], "--outdir", ns.outdir]
-    return main(argv)
+    if not (
+        isinstance(data, dict)
+        and data.get("command") in ns.experiments
+        and isinstance(data.get("args"), list)
+        and all(isinstance(arg, str) for arg in data["args"])
+    ):
+        raise ValueError(
+            f"{path} is not a run manifest: it needs a \"command\" naming an "
+            f"experiment and \"args\", a list of strings"
+        )
+    return main([data["command"], *data["args"], "--outdir", ns.outdir])
 
 
 # --------------------------------------------------------------- the parser
@@ -584,10 +588,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_bounds)
 
+    experiments = tuple(subs.choices)  # every subcommand so far; rerun replays them
     p = subs.add_parser("rerun", help="replay a recorded run from its manifest")
     p.add_argument("manifest", help="manifest.json or its run directory")
     p.add_argument("--outdir", default="runs")
-    p.set_defaults(handler=None)
+    p.set_defaults(handler=None, experiments=experiments)
 
     return parser
 
@@ -608,19 +613,29 @@ def main(argv: list[str] | None = None) -> int:
         created = _new_run_dir(ns.outdir, ns.command, ns.seed)
         run_dir = created[0]
         started_at = _utc_now().isoformat()
-        outputs = ns.handler(ns, run_dir)
-        _write_manifest(
-            run_dir, ns.command, _strip_outdir(argv[1:]), ns.seed, started_at, outputs
-        )
+        outputs = ns.handler(ns)
+        manifest = {
+            "command": ns.command,
+            "args": _strip_outdir(argv[1:]),
+            "seed": ns.seed,
+            "git_describe": _git_describe(),
+            "started_at": started_at,
+            "outputs": list(outputs),
+        }
+        _write(run_dir, {**outputs, "manifest.json": _json(manifest)})
         print(f"run-dir: {run_dir}")
         return 0
+    except _GuardKeepsOutputs as exc:
+        _write(run_dir, exc.outputs)
+        print(f"numerical guard [RuntimeError]: {exc}", file=sys.stderr)
+        code = 1
     except (np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical guard [{type(exc).__name__}]: {exc}", file=sys.stderr)
         code = 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = 2
-    # drop the run dir and the parents made for it, unless a handler wrote there
+    # drop the run dir and the parents made for it, unless outputs were kept
     for path in created:
         if any(path.iterdir()):
             break

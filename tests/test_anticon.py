@@ -14,9 +14,6 @@ from spindyn.anticon import (
     moment_statistics,
     paley_zygmund_bound,
     ratio_r,
-    write_equilibration_csv,
-    write_moments_csv,
-    write_ratio_csv,
 )
 import spindyn.evolve
 from spindyn.core import BitString, HamiltonianSpec, Kind, Rng, sample_coupling
@@ -341,25 +338,3 @@ def test_equilibration_validation():
     with pytest.raises(ValueError):
         equilibration_curve(Kind.H3, 2, [0.0, math.inf], 16, Rng(0))
 
-
-# -------------------------------------------------------------- CSV output
-
-
-def test_csv_outputs_reproducible(tmp_path):
-    (records,) = moment_statistics(Kind.H3, 2, [1.5], 16, Rng(3))
-    curve = equilibration_curve(Kind.H3, 2, [0.0, 1.0], 16, Rng(3))
-    paths = []
-    for tag in ("a", "b"):
-        m = tmp_path / f"moments-{tag}.csv"
-        e = tmp_path / f"equilibration-{tag}.csv"
-        r = tmp_path / f"ratio-{tag}.csv"
-        write_moments_csv(m, records, "II")
-        write_equilibration_csv(e, 2, curve)
-        write_ratio_csv(r, [(2, 4.0, 0.75, 4, 16, 3)])
-        paths.append((m, e, r))
-    for first, second in zip(paths[0], paths[1]):
-        assert first.read_bytes() == second.read_bytes()
-    header = paths[0][0].read_text().splitlines()[0]
-    assert header == "n,t,x_bits,mean_p_scaled,mean_p2_scaled,stderr_p,stderr_p2"
-    assert paths[0][1].read_text().splitlines()[0] == "n,t,mean_p,stderr"
-    assert paths[0][2].read_text().splitlines()[0] == "n,t_over_logn,r,num_x,num_J,seed"

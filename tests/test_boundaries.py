@@ -5,7 +5,8 @@ names only.  The one shared private helper is the memory guard
 `core._check_bytes`, which every module that allocates calls.  Every
 `__all__` names only what its module defines, and the package re-exports
 only names that their module's `__all__` lists.  scipy.sparse, slow to
-import, loads only in the one CSR builder, `hamiltonian._csr`.
+import, loads only in the one CSR builder, `hamiltonian._csr`.  Only `cli`
+touches the disk or renders CSV: every other module returns values.
 """
 
 import ast
@@ -134,3 +135,37 @@ def test_scipy_sparse_is_imported_only_by_the_csr_builder():
     ]
     assert stray == []
     assert "_csr" in {scope for _, scope in found["hamiltonian"]}
+
+
+FILE_WRITES = {"write_text", "write_bytes", "mkdir"}
+
+
+def disk_touches(tree):
+    """(line, what) of every call of `open`, `.write_text`, `.write_bytes`
+    or `.mkdir`, and of every import of csv."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                yield node.lineno, "calls open"
+            elif isinstance(func, ast.Attribute) and func.attr in FILE_WRITES:
+                yield node.lineno, f"calls .{func.attr}"
+        elif isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            yield node.lineno, "imports csv"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "csv":
+            yield node.lineno, "imports csv"
+
+
+def test_only_the_cli_touches_the_disk():
+    # experiments hand their outputs back as bytes; `cli.main` writes them
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    found = [
+        f"{name}:{line} {what}"
+        for name, tree in trees.items()
+        if name != "cli.py"
+        for line, what in disk_touches(tree)
+    ]
+    assert found == []
+    assert {what for _, what in disk_touches(trees["cli.py"])} == {
+        "imports csv", "calls .mkdir", "calls .write_bytes"
+    }

@@ -663,3 +663,69 @@ def test_trotter_error_csv_is_pinned(tmp_path):
     for k, (args, sha256) in enumerate(TROTTER_CSV_SHA256.items()):
         csv_path = only_run_dir(tmp_path / str(k), "trotter-error") / "trotter_error.csv"
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256, args
+
+
+def test_anticon_and_equilibrate_csv_headers(tmp_path):
+    assert run_cli(["anticon", "--model", "H3", "--n", "2", "--num-j", "16", "--seed", "3"],
+                   tmp_path) == 0
+    assert run_cli(["equilibrate", "--model", "H3", "--n", "2", "--num-j", "16",
+                    "--points", "2", "--seed", "3"], tmp_path) == 0
+    anticon = only_run_dir(tmp_path, "anticon")
+    headers = {
+        anticon / "moments.csv": "n,t,x_bits,mean_p_scaled,mean_p2_scaled,stderr_p,stderr_p2",
+        anticon / "ratio.csv": "n,t_over_logn,r,num_x,num_J,seed",
+        only_run_dir(tmp_path, "equilibrate") / "equilibration.csv": "n,t,mean_p,stderr",
+    }
+    for path, header in headers.items():
+        assert path.read_bytes().split(b"\r\n")[0] == header.encode()
+
+
+# one small argv per experiment subcommand
+HANDLER_ARGV = {
+    "moments-check": ["--n", "2", "--model", "H4", "--draws", "2"],
+    "equilibrate": ["--n", "2", "--num-j", "16", "--points", "3", "--threads", "1"],
+    "anticon": ["--model", "H1", "--n", "2", "--num-j", "16", "--threads", "1"],
+    "extract-permanent": ["--n", "2", "--seed", "5"],
+    "worst-to-average": ["--m", "3"],
+    "trotter-plan": ["--n", "10", "--t0-mult", "1", "--eps", "0.1"],
+    "trotter-error": ["--n", "2", "--m-grid", "4,8"],
+    "bw-demo": ["--degree", "4", "--errors", "1"],
+    "bounds": ["--n", "3"],
+}
+
+
+def test_handler_argv_cover_every_experiment():
+    rerun = cli._build_parser().parse_args(["rerun", "manifest.json"])
+    assert set(HANDLER_ARGV) == set(rerun.experiments)
+
+
+@pytest.mark.parametrize("command", list(HANDLER_ARGV))
+def test_handlers_return_outputs_and_write_nothing(tmp_path, monkeypatch, command):
+    argv = [command, *HANDLER_ARGV[command]]
+    assert run_cli(argv, tmp_path / "out") == 0
+    run_dir = only_run_dir(tmp_path / "out", command)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    monkeypatch.chdir(fresh)
+    ns = cli._build_parser().parse_args(argv)
+    outputs = ns.handler(ns)
+    assert list(fresh.iterdir()) == []
+    assert isinstance(outputs, dict)
+    assert all(isinstance(data, bytes) for data in outputs.values())
+    assert list(outputs) == manifest["outputs"]
+    for name, data in outputs.items():
+        assert (run_dir / name).read_bytes() == data
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted([*outputs, "manifest.json"])
+
+
+def test_rerun_refuses_malformed_manifests(tmp_path, capsys):
+    recursive = {"command": "rerun", "args": [str(tmp_path / "recursive.json")]}
+    for name, data in (("no-command.json", {"seed": 1}), ("list.json", [1, 2]),
+                       ("recursive.json", recursive),
+                       ("args.json", {"command": "bounds", "args": ["--n", 3]})):
+        (tmp_path / name).write_text(json.dumps(data))
+        rc = main(["rerun", str(tmp_path / name), "--outdir", str(tmp_path / "out")])
+        assert rc == 2, name
+        assert "is not a run manifest" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
