@@ -6,50 +6,41 @@ between the even and odd sigma-parity classes E (which holds |y0>) and O,
 so their propagation runs on half-vectors; every other spec runs on the
 whole basis, the split whose two sides are both the basis.
 
-Two engines, and `Propagator._parts` is the one switch between them for
-a single draw; every table, probability and state is read from its
-parts, never renormalized.
-
-A lone `Propagator` within `_DENSE_LIMIT` uses one eigendecomposition,
-`hamiltonian.spectral_parts` (omega, (U, V)), and reuses it for every
-requested time, reading the amplitude in real arithmetic as
-U cos(omega t) c on side 0 and -i V (sin(omega t) / omega) c on side 1,
-with c = U^T e_y0.  For a chiral spec that is the eigh of B B^T on E
-alone, with V = B^T U; for any other spec the eigh of H on the whole
-basis, with V = U diag(omega).  Its `norm_bound` is then exact, and the
-Trotter error algebra reads the same parts.
-
-Everything else expands e^{-iHt} in Chebyshev polynomials of H/a
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)): one real
-three-term recurrence from |y0> serves every requested time at once,
-keeping only the rows the caller asks for, and the Bessel coefficients
-J_k(a t) carry the time dependence.  Its k-th vector lies on E for even
-k and on O for odd k, so for a chiral spec each step is one product with
-B^T or B.  The scale a is the smaller of two rigorous bounds on ||H||,
-`coupling_norm_bound` and `hamiltonian.norm_bounds` (H1's closed form,
-or a Collatz-Wielandt bound on |H|; for H3 and H4 at n = 6 and 8 it is
-0.45-0.6 times the first and cuts the series order by 27-45 %).  The
-series order is certified by a Bessel tail bound, and the norm of the
-state at the largest |t| is checked, so a wrong spectral bound fails
-loudly instead of returning a wrong table.
+One engine expands e^{-iHt} in Chebyshev polynomials of H/a (Tal-Ezer &
+Kosloff, J. Chem. Phys. 81, 3967 (1984)): one real three-term recurrence
+from |y0> serves every requested time at once, keeping only the rows the
+caller asks for, and the Bessel coefficients J_k(a t) carry the time
+dependence.  Its k-th vector lies on E for even k and on O for odd k, so
+for a chiral spec each step is one product with B^T or B.  T_k(H/a)|y0>
+is exactly 0 on X_m for k < m, so p(x; t) keeps its relative accuracy
+where it is O(t^{2m}) small.  The scale a is the smaller of two rigorous
+bounds on ||H||, `coupling_norm_bound` and `hamiltonian.norm_bounds`
+(H1's closed form, or a Collatz-Wielandt bound on |H|; for H3 and H4 at
+n = 6 and 8 it is 0.45-0.6 times the first and cuts the series order by
+27-45 %).  The series order is certified by a Bessel tail bound, and the
+norm of the state at the largest |t| is checked, so a wrong spectral
+bound fails loudly instead of returning a wrong table.  Every table,
+probability and state is read from the recurrence, never renormalized.
 
 The recurrence takes a chunk of draws on one basis (`probability_tables`,
-which the ensembles call at every dimension), and a single `Propagator`
-above `_DENSE_LIMIT` is a chunk of one.  One Collatz-Wielandt sweep over
-the chunk's |H| gives every draw's scale, each half-step is one product
-with the chunk's `hamiltonian.stacked_half_steps` (within `_DENSE_LIMIT`
-batched numpy products with a dense (draws, rows, columns) stack, which
-needs no scipy; above it one block-diagonal CSR matrix), and one
-backward Bessel loop serves every draw's columns, each draw's held at
-exactly 0 until the loop reaches that draw's own start.  Every draw keeps
-its own scale, series order, guards and final products, and every
-operation acts row by row, column by column or matrix by matrix, so a
-draw's table has the same bits in a chunk of any size.  So ensembles
-never decompose H: `anticon --model H3 --n 4 --num-j 256` took a median
-23.1-23.9 ms with one eigh per draw in stacked chunks and 11.4-11.9 ms
-with one recurrence per chunk of up to 140 draws, in process on a 2-core
-AMD EPYC with one BLAS thread.  `draws_per_chunk` sizes the chunks from
-one byte budget, which keeps d >= 4096 at one draw per chunk.
+which the ensembles call), and a single `Propagator` is a chunk of one at
+every dimension.  One Collatz-Wielandt sweep over the chunk's |H| gives
+every draw's scale, each half-step is one product with the chunk's
+`hamiltonian.stacked_half_steps` (within `_DENSE_LIMIT` batched numpy
+products with a dense (draws, rows, columns) stack, which needs no
+scipy; above it one block-diagonal CSR matrix), and one backward Bessel
+loop serves every draw's columns, each draw's held at exactly 0 until
+the loop reaches that draw's own start.  Every draw keeps its own scale,
+series order, guards and final products, and every operation acts row
+by row, column by column or matrix by matrix, so a draw's table has the
+same bits in a chunk of any size, and a `Propagator`'s table has them
+too.  So nothing here decomposes H but `Propagator.norm_bound`, which
+within `_DENSE_LIMIT` reads ||H|| exactly off one `spectral_parts`.
+`anticon --model H3 --n 4 --num-j 256` took a median 23.1-23.9 ms with
+one eigh per draw in stacked chunks and 11.4-11.9 ms with one recurrence
+per chunk of up to 140 draws, in process on a 2-core AMD EPYC with one
+BLAS thread.  `draws_per_chunk` sizes the chunks from one byte budget,
+which keeps d >= 4096 at one draw per chunk.
 """
 from __future__ import annotations
 
@@ -94,14 +85,13 @@ __all__ = [
     "time_average",
 ]
 
-# A lone Propagator diagonalises up to this dimension d, and a chunk of
-# draws steps on dense stacks up to it.  Per draw (X_{n/2} rows at
-# t = 4 ln n, one BLAS thread, best of 5 passes): a lone Propagator takes
-# 0.09 ms dense against 0.5 ms Chebyshev at d = 70 (H3 n = 4, chiral
-# 38 + 32) and 0.81 ms against 0.48 ms at d = 256 (H1 n = 4, chiral
-# 128 + 128).  In chunks, the recurrence takes 0.025-0.027 ms per draw on
-# dense stacks and 0.028 ms on CSR at d = 70; at d = 256 dense stacks
-# take 0.12 ms and CSR 0.084 ms.  No basis has 70 < d < 252.
+# The recurrence steps on dense stacks up to this dimension d, and on CSR
+# above it; `Propagator.norm_bound` is exact up to it.  Per draw in chunks
+# (X_{n/2} rows at t = 4 ln n, one BLAS thread, best of 5 passes), the
+# recurrence takes 0.025-0.027 ms on dense stacks and 0.028 ms on CSR at
+# d = 70 (H3 n = 4, chiral 38 + 32); at d = 256 (H1 n = 4, chiral
+# 128 + 128) dense stacks take 0.12 ms and CSR 0.084 ms.  No basis has
+# 70 < d < 252.
 _DENSE_LIMIT = 128
 # Coupling draws per ensemble chunk are sized so the chunk's stacked H and
 # vectors stay within this many bytes (`draws_per_chunk`).  Within
@@ -129,7 +119,6 @@ _BESSEL_TINY = 1e-20  # below this J_0 = 1, J_1 = z/2 and J_k>1 = 0 to 1e-40
 # (-i)^k is real for even k and imaginary for odd k; this is its sign.
 _PHASE_SIGN = np.array([1.0, -1.0, -1.0, 1.0])
 _Parts = tuple[np.ndarray, np.ndarray, list[np.ndarray]]  # see Propagator._parts
-_Spectrum = tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]  # see spectral_parts
 
 
 class KrylovConvergenceError(RuntimeError):
@@ -145,7 +134,7 @@ class KrylovConvergenceError(RuntimeError):
 
 
 class DecompositionError(np.linalg.LinAlgError):
-    """Raised when a dense `Propagator`'s eigendecomposition fails."""
+    """Raised when the eigendecomposition of `Propagator.norm_bound` fails."""
 
 
 def _bessel_tail_bound(z: float, order: int) -> float:
@@ -309,76 +298,73 @@ def _gather(side: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 class Propagator:
-    """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian.
+    """Reusable e^{-iHt}|y0> evaluator for one Hamiltonian: the Chebyshev
+    recurrence's chunk of one, so every table it reads has the bits of
+    `probability_tables([spec], basis, ...)`.
 
     A `chiral` spec (field-free H1, H3) runs on the two sides E and O of
     `step_sides`; every other spec runs on the whole basis, which is the
     split whose two sides are both the basis and whose half-steps are
     both H.  The amplitude's real part lies on side 0 and its
-    imaginary part on side 1; `_parts`, the one engine switch, returns
-    both at the asked rows and times and the state at the largest |t|.
+    imaginary part on side 1.  `dense` says whether the recurrence steps
+    on dense stacks (within `_DENSE_LIMIT`) or on CSR.
     """
 
     def __init__(self, spec: HamiltonianSpec, basis: Basis | None = None):
         self.spec = spec
         self.basis = basis if basis is not None else natural_basis(spec.kind, spec.n)
         self._sides = step_sides(spec, self.basis)
-        self._y0_half = _y0_half(self.basis, self._sides[0])
         self.dense = self.basis.dimension <= _DENSE_LIMIT
-        if self.dense:  # refused here, before the first read decomposes H
+        # refused here, before a read builds a dense stack or norm_bound
+        # decomposes H
+        if self.dense:
             _check_bytes(
                 spectral_bytes(self.basis, chiral(spec)),
                 f"dense dimension {self.basis.dimension}",
             )
 
     @cached_property
-    def _spectrum(self) -> _Spectrum:
-        """The dense engine's `spectral_parts` of this draw."""
-        try:
-            return spectral_parts(self.spec, self.basis)
-        except np.linalg.LinAlgError as exc:
-            raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+    def _scale(self) -> float:
+        """The Chebyshev scale a, as `probability_tables` takes it."""
+        return _chebyshev_scales([self.spec], self.basis)[0]
 
     @cached_property
     def norm_bound(self) -> float:
-        """||H|| on the basis: the dense engine's largest |omega| (exact),
-        else the Chebyshev series scale, an upper bound on it."""
-        if self.dense:
-            return float(np.abs(self._spectrum[0]).max())
-        return _chebyshev_scales([self.spec], self.basis)[0]
+        """||H|| on the basis: within `_DENSE_LIMIT` exactly, the largest
+        |omega| of one `spectral_parts`; above it the Chebyshev scale, an
+        upper bound on it."""
+        if not self.dense:
+            return self._scale
+        try:
+            omega = spectral_parts(self.spec, self.basis)[0]
+        except np.linalg.LinAlgError as exc:
+            raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
+        return float(np.abs(omega).max())
 
     def all_probabilities_at(
         self, times: Sequence[float], rows: Sequence[int] | None = None
     ) -> np.ndarray:
         """p(x; t) for the basis positions `rows` (default: all), shape
         (len(rows), len(times)).  A row outside [0, dimension) is refused.
-        A column's bits may depend on the other times: the dense engine's
-        BLAS product rounds one column differently from several, and the
-        Chebyshev series order and Bessel table follow the largest |t|.
-        With one time, a Chebyshev row's bits may depend on the row count."""
+        A column's bits may depend on the other times, since the series
+        order and the Bessel table follow the largest |t|, and with one
+        time a row's bits may depend on the row count."""
         ts, keep = _read_grid(self.basis, times, rows)
         return _probabilities(self._parts(ts, keep))
 
     def _parts(self, ts: np.ndarray, rows: np.ndarray) -> _Parts:
-        """The one engine switch: the real and imaginary parts at `rows` x
-        `ts`, and the state at the largest |t| (its real part on side 0,
-        its imaginary part on side 1), from the eigendecomposition within
-        `_DENSE_LIMIT`, else from the recurrence's chunk of one."""
-        if not self.dense:
-            return _chebyshev_parts([self.spec], self.basis, [self.norm_bound], ts, rows)[0]
-        return _dense_parts(self._spectrum, self._sides, self._y0_half, ts, rows)
+        """The real and imaginary parts at `rows` x `ts`, and the state at
+        the largest |t| (its real part on side 0, its imaginary part on
+        side 1), from the recurrence's chunk of one."""
+        return _chebyshev_parts([self.spec], self.basis, [self._scale], ts, rows)[0]
 
     def state_at(self, t: float) -> StateVector:
-        """e^{-iHt}|y0>; refused, not renormalized, if its norm drifts."""
+        """e^{-iHt}|y0>; the recurrence refuses it, not renormalized, if
+        its norm drifts."""
         re, im = self._parts(np.array([float(t)]), np.empty(0, np.intp))[2]
         amps = np.zeros(self.basis.dimension, dtype=complex)
         amps.real[self._sides[0]] = re
         amps.imag[self._sides[1]] = im
-        nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
-            raise KrylovConvergenceError(
-                f"norm drift {abs(nrm - 1.0):.3e} exceeds {_NORM_DRIFT_TOL}"
-            )
         return StateVector(amps, self.basis)
 
     def probability(self, x: BitString, t: float) -> float:
@@ -387,43 +373,6 @@ class Propagator:
         if pos is None:
             return 0.0
         return float(self.all_probabilities_at([t], rows=[pos])[0, 0])
-
-
-def _dense_parts(
-    spectrum: _Spectrum,
-    sides: tuple[np.ndarray, np.ndarray],
-    y0_half: int,
-    ts: np.ndarray,
-    rows: np.ndarray,
-) -> _Parts:
-    """`Propagator._parts` on the dense engine, from `spectral_parts`.
-
-    Side 0 reads P cos(omega t) c and side 1 -V (sin(omega t) / omega) c,
-    with c = P^T e_y0, one product per side.  The product covers each
-    whole side before `rows` are read, so a row's bits do not depend on
-    the other rows, and its largest-|t| column is the state.
-    """
-    omega, halves = spectrum
-    c0 = halves[0][y0_half, :, None]
-    omega = omega[:, None]
-    wt = omega * ts
-    cos = np.cos(wt)
-    sinc = np.empty_like(wt)
-    sinc[:] = ts  # the omega = 0 rows, which the division skips
-    np.divide(np.sin(wt, out=wt), omega, out=sinc, where=omega != 0.0)
-    # in place; (-s) c and s (-c) round alike
-    cos *= c0
-    sinc *= -c0
-    far_col = np.abs(ts).argmax()
-    parts, far = [], []
-    for side, vecs, f in zip(sides, halves, (cos, sinc)):
-        local, off = _gather(side, rows)
-        whole = vecs @ f
-        far.append(whole[:, far_col])
-        part = whole[local]
-        part[off] = 0.0
-        parts.append(part)
-    return parts[0], parts[1], far
 
 
 def _chebyshev_scales(specs: Sequence[HamiltonianSpec], basis: Basis) -> list[float]:
@@ -531,19 +480,22 @@ def _series_sums(
     shape (draws, rows, times): the weighted sums of its even and of its
     odd Chebyshev vectors, draw i's from its own first orders[i] rows of
     `kept` and of the chunk's weight tables (`first` for the first
-    `_TIME_CHUNK` times, one more table per further chunk of times).
-    Each draw's sums are products of its own, so they have the bits of
-    its chunk of one.
+    `_TIME_CHUNK` times).  Each further chunk of times gets one more
+    table, in which each draw's series order is certified for that
+    chunk's own largest |t|, so a long grid's early times do not pay for
+    its last.  Each draw's sums are products of its own, so they have
+    the bits of its chunk of one.
     """
-    tables = [first[:, :, :-1]]
+    tables = [(first[:, :, :-1], orders)]
     a = np.array(scales)[:, None]
     for s in range(_TIME_CHUNK, ts.size, _TIME_CHUNK):
-        tables.append(_chebyshev_weights(a * ts[s : s + _TIME_CHUNK], orders))
+        z = a * ts[s : s + _TIME_CHUNK]
+        own = [min(o, _series_order(v)) for o, v in zip(orders, np.abs(z).max(axis=1))]
+        tables.append((_chebyshev_weights(z, own), own))
     re, im = (np.empty((kept.shape[1], kept.shape[2], ts.size)) for _ in range(2))
-    for i, order in enumerate(orders):
-        k = kept[:order, i]
-        for s, w in zip(range(0, ts.size, _TIME_CHUNK), tables):
-            w = w[:order, i]
+    for i in range(len(orders)):
+        for s, (w, own) in zip(range(0, ts.size, _TIME_CHUNK), tables):
+            k, w = kept[: own[i], i], w[: own[i], i]
             re[i, :, s : s + _TIME_CHUNK] = k[0::2].T @ w[0::2]
             im[i, :, s : s + _TIME_CHUNK] = k[1::2].T @ w[1::2]
     return re, im
@@ -560,11 +512,9 @@ def probability_tables(
     lays it out, from one Chebyshev recurrence (`_chebyshev_parts`) after
     one Collatz-Wielandt sweep for the scales.
 
-    Each draw's table has the same bits in a chunk of any size.  Above
-    `_DENSE_LIMIT` that is its own `Propagator`'s table; within it the
-    chunk steps on dense stacks while a lone `Propagator` diagonalises,
-    and the two agree to rounding (1e-13 in the tests).  A failed guard
-    names the failing draw's position in `specs` as its `draw`.
+    Each draw's table has the same bits in a chunk of any size, which
+    are its own `Propagator`'s.  A failed guard names the failing draw's
+    position in `specs` as its `draw`.
     """
     ts, keep = _read_grid(basis, times, rows)
     parts = _chebyshev_parts(specs, basis, _chebyshev_scales(specs, basis), ts, keep)

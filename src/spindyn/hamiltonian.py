@@ -49,8 +49,8 @@ per basis, so a draw again computes only the stored values:
 `step_sides`, and `_chiral_stack` scatters a chunk's B into one numpy
 stack, of which `chiral_block` is the chunk of one for dense algebra.
 `spectral_parts` is the one dense eigendecomposition of one draw,
-two-sided over E and O (`parity_sides`), that both a lone
-`evolve.Propagator` and the Trotter error algebra read;
+two-sided over E and O (`parity_sides`), that the Trotter error algebra
+reads and `evolve.Propagator.norm_bound` takes ||H|| from;
 `spectral_bytes` is the working set it refuses above the memory cap,
 before allocating.
 """

@@ -30,36 +30,46 @@ class RecoveryError(RuntimeError):
 
 
 def roots_to_coefficients(roots: Sequence[float]) -> Polynomial:
-    """Expand prod_k (t - r_k) into monomial coefficients.
+    """Expand prod_k (t - r_k) into monomial coefficients."""
+    return Polynomial(_root_products(np.asarray(roots, dtype=float)))
 
-    Divide-and-conquer product tree; each merge is a plain convolution,
-    which is plenty below degree ~500.
+
+def _root_products(roots: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of prod_k (t - r_k) for every row of `roots`
+    along its last axis: shape (..., m) to (..., m + 1).
+
+    One divide-and-conquer product tree for all rows: each level merges
+    neighbouring factors by a plain convolution, which is plenty below
+    degree ~500, and carries an odd last factor up, padded with zero
+    coefficients (which add exact zeros to every merge).
     """
-    leaves = [np.array([-float(r), 1.0]) for r in roots]
-    if not leaves:
-        return Polynomial(np.array([1.0]))
-    while len(leaves) > 1:
-        merged = []
-        for i in range(0, len(leaves) - 1, 2):
-            merged.append(np.convolve(leaves[i], leaves[i + 1]))
-        if len(leaves) % 2:
-            merged.append(leaves[-1])
-        leaves = merged
-    return Polynomial(leaves[0])
+    m = roots.shape[-1]
+    level = np.stack([-roots, np.ones_like(roots)], axis=-1)
+    while level.shape[-2] > 1:
+        p, q = level[..., 0:-1:2, :], level[..., 1::2, :]
+        w = level.shape[-1]
+        merged = np.zeros(p.shape[:-1] + (2 * w - 1,))
+        for j in range(w):
+            merged[..., j : j + w] += p * q[..., j, None]
+        if level.shape[-2] % 2:
+            last = np.zeros(merged.shape[:-2] + (1, 2 * w - 1))
+            last[..., :w] = level[..., -1:, :]
+            merged = np.concatenate([merged, last], axis=-2)
+        level = merged
+    if m == 0:
+        return np.ones(roots.shape[:-1] + (1,))
+    return level[..., 0, : m + 1]
 
 
 def lagrange_fit(samples: SampleSet) -> Polynomial:
-    """Monomial coefficients of the unique interpolant through the samples."""
+    """Monomial coefficients of the unique interpolant through the samples:
+    the L numerators, each the product over the other nodes, come from one
+    product tree over the (L, L - 1) table of other nodes."""
     ts = samples.t
-    ys = samples.y
     L = ts.size
-    coeffs = np.zeros(L)
-    for i in range(L):
-        others = np.delete(ts, i)
-        numer = roots_to_coefficients(others).coefficients
-        denom = np.prod(ts[i] - others)
-        coeffs += (ys[i] / denom) * numer
-    return Polynomial(coeffs)
+    others = np.broadcast_to(ts, (L, L))[~np.eye(L, dtype=bool)].reshape(L, L - 1)
+    denoms = np.prod(ts[:, None] - others, axis=1)
+    return Polynomial((samples.y / denoms) @ _root_products(others))
 
 
 def extract_coefficient(

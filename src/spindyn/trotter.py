@@ -42,9 +42,8 @@ A' = G^H A G and Pi = G^2 = diag(1 on E, -1 on O), S' = (Pi A'^T Pi) A'.
 
 The exact part.  Each block's H is `hamiltonian.dense_matrix` or, for a
 chiral kind, its E x O block B, never a slice of the whole 4^n matrix;
-`hamiltonian.spectral_parts` gives the same two-sided parts
-(omega, (P, V)) the dense `evolve.Propagator` reads, once per block for
-every order and step count of a grid.  For the chiral kinds that is one
+`hamiltonian.spectral_parts` gives its two-sided parts (omega, (P, V)),
+once per block for every order and step count of a grid.  For the chiral kinds that is one
 eigh of B B^T, half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht)
 is real: P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O,
 minus its transpose on O x E, and I - V (2 sin^2(omega t / 2) / omega^2)

@@ -6,7 +6,10 @@ names only.  The one shared private helper is the memory guard
 `__all__` names only what its module defines, and the package re-exports
 only names that their module's `__all__` lists.  scipy.sparse, slow to
 import, loads only in the one CSR builder, `hamiltonian._csr`.  Only `cli`
-touches the disk or renders CSV: every other module returns values.
+touches the disk or renders CSV: every other module returns values.  The
+one evolution engine is the Chebyshev recurrence: H's dense
+eigendecomposition serves only the Trotter error algebra and the exact
+`Propagator.norm_bound`.
 """
 
 import ast
@@ -169,3 +172,43 @@ def test_only_the_cli_touches_the_disk():
     assert {what for _, what in disk_touches(trees["cli.py"])} == {
         "imports csv", "calls .mkdir", "calls .write_bytes"
     }
+
+
+def calls_of(tree, name):
+    """The qualified scope ("Class.method", "function" or "<module>") of
+    every call of `name`, as a bare name or as an attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                found.append(scope or "<module>")
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_trotter_and_the_norm_bound_decompose_h():
+    # a lone Propagator reads its tables from the recurrence at every
+    # dimension; spectral_parts serves the Trotter algebra and the exact
+    # norm within _DENSE_LIMIT
+    found = {
+        p.stem: calls_of(ast.parse(p.read_text(), filename=str(p)), "spectral_parts")
+        for p in sorted(SRC.glob("*.py"))
+    }
+    stray = [
+        f"{stem}.py calls spectral_parts in {scope}"
+        for stem, scopes in found.items()
+        for scope in scopes
+        if stem != "trotter" and (stem, scope) != ("evolve", "Propagator.norm_bound")
+    ]
+    assert stray == []
+    assert found["evolve"] == ["Propagator.norm_bound"]
+    assert found["trotter"]

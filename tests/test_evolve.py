@@ -187,8 +187,8 @@ _CHIRAL_DENSE = [(Kind.H1, n) for n in (1, 2, 3)] + [(Kind.H3, n) for n in (1, 2
 
 
 def assert_dense_engine_matches_oracles(prop):
-    """States against expm, tables against the complex eigh oracle, and a
-    row subset bit for bit equal to the same rows of the whole table."""
+    """A lone Propagator on dense stacks: states against expm, tables
+    against the complex eigh oracle."""
     spec, basis = prop.spec, prop.basis
     assert prop.dense
     for t in (0.0, 0.35, -2.4, 30.0):
@@ -198,8 +198,6 @@ def assert_dense_engine_matches_oracles(prop):
     table = prop.all_probabilities_at(grid)
     assert table.shape == (basis.dimension, grid.size)
     assert np.max(np.abs(table - eigh_oracle(spec, basis, grid))) <= 1e-13
-    rows = np.arange(basis.dimension)[::-3]
-    assert np.array_equal(prop.all_probabilities_at(grid, rows=rows), table[rows])
 
 
 @pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
@@ -234,7 +232,7 @@ def test_whole_basis_dense_engine_matches_oracles(kind, n, fields, zero):
     [(Kind.H3, 3, "dense chiral"), (Kind.H4, 3, "dense 20"), (Kind.H4, 5, "chebyshev 252")],
 )
 def test_rows_outside_the_basis_are_refused(kind, n, name):
-    # `name` is the engine of the lone Propagator
+    # `name` is the form of the lone Propagator's products
     spec = random_spec(kind, n, 1)
     prop = Propagator(spec)
     assert prop.dense == name.startswith("dense")
@@ -256,8 +254,7 @@ _READ_CASES = [(Kind.H1, 3), (Kind.H3, 4), (Kind.H4, 3), (Kind.H2, 2)]
 @pytest.mark.parametrize("kind,n", _READ_CASES)
 @pytest.mark.parametrize("limit", [4096, 1])
 def test_every_read_of_p_is_the_table_bit_for_bit(kind, n, limit, monkeypatch):
-    # probability and output_probability read all_probabilities_at; on the
-    # dense engine |state_at|^2 is the table too, with no renormalization
+    # probability and output_probability read all_probabilities_at
     monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
     spec = random_spec(kind, n, 120 + n)
     prop = Propagator(spec)
@@ -268,23 +265,8 @@ def test_every_read_of_p_is_the_table_bit_for_bit(kind, n, limit, monkeypatch):
             want = prop.all_probabilities_at([t], rows=[pos])[0, 0]
             assert prop.probability(x, t) == want
             assert output_probability(spec, x, t) == want
-        if prop.dense:
-            table = prop.all_probabilities_at([t])[:, 0]
-            amps = prop.state_at(t).amplitudes
-            assert np.array_equal(amps.real * amps.real + amps.imag * amps.imag, table)
     if prop.basis.symmetry == "weight":  # all ones lies outside the sector
         assert prop.probability(BitString((1,) * (2 * n)), 0.3) == 0.0
-
-
-@pytest.mark.parametrize("kind,n", [(Kind.H3, 3), (Kind.H4, 3)])
-def test_dense_state_drift_is_refused_not_renormalized(kind, n, monkeypatch):
-    # eigenvectors 1e-6 too long put the state's norm 2e-6 off 1
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], eigh(a)[1] * (1 + 1e-6)))
-    prop = Propagator(random_spec(kind, n, 130))
-    assert prop.dense
-    with pytest.raises(KrylovConvergenceError, match="norm drift"):
-        prop.state_at(0.8)
 
 
 @pytest.mark.parametrize("kind,n", _CHIRAL_DENSE)
@@ -326,8 +308,8 @@ def test_engine_names_the_split_and_its_sides():
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("fields", [False, True])
 def test_propagator_norm_bound(kind, n, fields, monkeypatch):
-    # the dense engine reads ||H|| on its basis off its own eigenvalues; the
-    # Chebyshev engine (class I at n = 4) reads the series scale
+    # within _DENSE_LIMIT ||H|| on the basis is read off its eigenvalues;
+    # above it (class I at n = 4) it is the series scale
     spec = random_spec(kind, n, 500 + 10 * n, fields=fields)
     if fields:  # z fields break H1's X-basis closed form
 
@@ -408,17 +390,36 @@ def test_chebyshev_low_spectral_bound_fails_loudly(monkeypatch):
 @pytest.mark.parametrize("kind,n", [(Kind.H3, 5), (Kind.H4, 4), (Kind.H4, 5)])
 def test_chebyshev_table_matches_the_dense_engine(kind, n, monkeypatch):
     # the Chebyshev scale is the Collatz-Wielandt bound here, well below
-    # coupling_norm_bound; both engines on a grid to 8 ln n and back
+    # coupling_norm_bound; on dense stacks and on CSR, on a grid to 8 ln n
+    # and back, a lone Propagator's table is its chunk of one's bit for bit
+    # and matches the eigh oracle
     spec = random_spec(kind, n, 110 + n)
     assert norm_bounds([spec], natural_basis(kind, n))[0] < 0.8 * coupling_norm_bound(spec)
     grid = np.linspace(-2.0, 8.0 * np.log(n), 33)
-    tables = []
     for limit in (4096, 1):
         monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
         prop = Propagator(spec)
         assert prop.dense == (limit > 1)
-        tables.append(prop.all_probabilities_at(grid))
-    assert np.max(np.abs(tables[0] - tables[1])) <= 1e-13
+        table = prop.all_probabilities_at(grid)
+        assert np.array_equal(table, probability_tables([spec], prop.basis, grid)[0])
+        assert np.max(np.abs(table - eigh_oracle(spec, prop.basis, grid))) <= 1e-13
+
+
+@pytest.mark.parametrize("limit", [4096, 1])
+def test_long_grid_chunks_of_times_match_the_oracle(limit, monkeypatch):
+    # 700 times run as three chunks of times; the later chunks certify
+    # their own series orders, shorter than the last time's, and every
+    # column still matches the eigh oracle.  A chunk of draws keeps each
+    # draw's bits
+    monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
+    specs = [random_spec(Kind.H3, 3, 140 + j) for j in range(3)]
+    basis = natural_basis(Kind.H3, 3)
+    grid = np.linspace(40.0, -5.0, 700)
+    assert grid.size > 2 * spindyn.evolve._TIME_CHUNK
+    tables = probability_tables(specs, basis, grid)
+    for spec, table in zip(specs, tables):
+        assert np.array_equal(table, Propagator(spec).all_probabilities_at(grid))
+        assert np.max(np.abs(table - eigh_oracle(spec, basis, grid))) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(Kind))
@@ -473,26 +474,18 @@ _DENSE_CHUNKS = [
 )
 def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatch):
     # one recurrence and one Bessel loop for a chunk give every draw the
-    # bits of its own chunk of one, whatever the chunk holds.  Above
-    # _DENSE_LIMIT that is the draw's own Propagator; within it the chunk
-    # steps on dense stacks and a lone Propagator diagonalises, and the
-    # two agree to rounding
+    # bits of its own chunk of one, whatever the chunk holds, and that is
+    # the draw's own Propagator on dense stacks and on CSR alike
     if limit is not None:
         monkeypatch.setattr(spindyn.evolve, "_DENSE_LIMIT", limit)
     basis = natural_basis(kind, n)
     specs = chunk_specs(kind, n, fields)
     props = [Propagator(spec, basis=basis) for spec in specs]
-    dense = props[0].dense
-    assert dense == (limit is None and basis.dimension <= 128)
+    assert props[0].dense == (limit is None and basis.dimension <= 128)
     assert len({_series_order(p.norm_bound * 6.0) for p in props}) >= 3
     grid = np.array([0.0, -0.7, 2.5, 6.0])
     rows = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
-    if dense:
-        alone = [probability_tables([spec], basis, grid, rows)[0] for spec in specs]
-        for got, prop in zip(alone, props):
-            assert np.max(np.abs(got - prop.all_probabilities_at(grid, rows))) <= 1e-13
-    else:
-        alone = [p.all_probabilities_at(grid, rows) for p in props]
+    alone = [p.all_probabilities_at(grid, rows) for p in props]
     for size in (1, 3, 16):
         tables = []
         for s in range(0, len(specs), size):
@@ -501,12 +494,8 @@ def test_chunked_tables_match_each_draw_alone(kind, n, fields, limit, monkeypatc
         for got, want in zip(tables, alone):
             assert np.array_equal(got, want)
     full = probability_tables(specs[:3], basis, grid[:2])
-    for got, spec, prop in zip(full, specs, props):
-        if dense:
-            assert np.array_equal(got, probability_tables([spec], basis, grid[:2])[0])
-            assert np.max(np.abs(got - prop.all_probabilities_at(grid[:2]))) <= 1e-13
-        else:
-            assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
+    for got, prop in zip(full, props):
+        assert np.array_equal(got, prop.all_probabilities_at(grid[:2]))
 
 
 def test_chunked_guards_name_the_draw(monkeypatch):
@@ -551,28 +540,25 @@ def test_chunked_guards_name_the_draw(monkeypatch):
     ],
 )
 def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields, monkeypatch):
-    # a chunk within _DENSE_LIMIT steps on numpy stacks: it calls no eigh
-    # and builds no scipy matrix, and for one time or several, a row
-    # subset or every row, every chunk size gives each draw the bits of
-    # its chunk of one, within 1e-13 of its own dense Propagator;
-    # chunk_specs holds a J = 0 draw
+    # a chunk within _DENSE_LIMIT steps on numpy stacks: neither it nor
+    # a lone Propagator calls eigh or builds a scipy matrix, and for one
+    # time or several, a row subset or every row, every chunk size gives
+    # each draw the bits of its own Propagator; chunk_specs holds a J = 0
+    # draw
     basis = natural_basis(kind, n)
     specs = chunk_specs(kind, n, fields)
     subset = np.flatnonzero(np.arange(basis.dimension) % 3 != 1)
     cases = [(grid, rows) for grid in ([1.3], [0.0, -0.7, 2.5, 6.0]) for rows in (subset, None)]
     props = [Propagator(spec, basis=basis) for spec in specs]
     assert props[0].dense
-    near = [[p.all_probabilities_at(grid, rows) for p in props] for grid, rows in cases]
 
     def refuse(*args):
         raise AssertionError("a dense chunk decomposed H or built a scipy matrix")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(spindyn.hamiltonian, "_csr", refuse)
-    for (grid, rows), dense in zip(cases, near):
-        alone = [probability_tables([spec], basis, grid, rows)[0] for spec in specs]
-        for got, want in zip(alone, dense):
-            assert np.max(np.abs(got - want)) <= 1e-13
+    for grid, rows in cases:
+        alone = [p.all_probabilities_at(grid, rows) for p in props]
         for size in (1, 3, 16):
             tables = []
             for s in range(0, len(specs), size):
@@ -583,23 +569,24 @@ def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields, monkeypatch
 
 
 def test_failed_eigh_raises_decomposition_error(monkeypatch):
-    # a lone dense Propagator names a failed eigh; ensembles never decompose
+    # Propagator.norm_bound names a failed eigh; no table read decomposes
+    # H, and a lone Propagator's table is its chunk's, bit for bit
     basis = natural_basis(Kind.H4, 2)
     specs = [random_spec(Kind.H4, 2, 83 + j) for j in range(3)]
-    want = [Propagator(spec, basis=basis).all_probabilities_at([0.5, 2.0]) for spec in specs]
-    eigh = np.linalg.eigh
 
     def failing(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
+    prop = Propagator(specs[1], basis=basis)
+    assert prop.dense
     with pytest.raises(DecompositionError, match="eigendecomposition failed") as err:
-        Propagator(specs[1], basis=basis).all_probabilities_at([0.5])
+        prop.norm_bound
     assert isinstance(err.value, np.linalg.LinAlgError)
     tables = probability_tables(specs, basis, [0.5, 2.0])
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    for got, table in zip(tables, want):
-        assert np.max(np.abs(got - table)) <= 1e-13
+    for got, spec in zip(tables, specs):
+        want = Propagator(spec, basis=basis).all_probabilities_at([0.5, 2.0])
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("limit", [4096, 1])

@@ -311,6 +311,21 @@ def test_extraction_end_to_end(n):
             assert abs(est - truth) <= max(bound, 1e-6 * (1.0 + abs(truth)))
 
 
+@pytest.mark.parametrize("kind, n", [(Kind.H3, 4), (Kind.H4, 4), (Kind.H1, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extraction_keeps_p_relative_accuracy_at_small_dimension(kind, n, seed):
+    # the CLI defaults at d = 70 and 64, within _DENSE_LIMIT: p(x; t) is
+    # O(t^{2m}) on X_n, and reading it from the recurrence keeps its
+    # relative accuracy, so the estimate lands within 1e-2 of the truth
+    # (an eigendecomposition read missed it by up to 4.4e3 relative)
+    m = n
+    x = BitString.class_representative(n, m)
+    spec = HamiltonianSpec(kind, sample_coupling(n, Rng(seed)))
+    assert Propagator(spec).dense
+    est, truth, _ = extract_permanent_from_dynamics(spec, x, 0.1, 0.5, 2 * m + 6)
+    assert abs(est - truth) <= 1e-2 * abs(truth)
+
+
 @pytest.mark.parametrize(
     "kind, n",
     [(Kind.H1, 2), (Kind.H1, 3), (Kind.H3, 3)],

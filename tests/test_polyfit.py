@@ -48,6 +48,36 @@ def test_lagrange_degree_ten_round_trip():
     assert np.max(np.abs(fit.coefficients - coeffs)) < 1e-8 * np.max(np.abs(coeffs))
 
 
+def fraction_interpolant(ts, ys):
+    """Monomial coefficients of the interpolant through the float samples,
+    in exact rational arithmetic, rounded once at the end."""
+    ts = [Fraction(float(t)) for t in ts]
+    coeffs = [Fraction(0)] * len(ts)
+    for i, (ti, yi) in enumerate(zip(ts, ys)):
+        numer, denom = [Fraction(1)], Fraction(1)
+        for j, tj in enumerate(ts):
+            if j != i:
+                numer = [a - tj * b for a, b in zip([Fraction(0)] + numer, numer + [Fraction(0)])]
+                denom *= ti - tj
+        for k, c in enumerate(numer):
+            coeffs[k] += Fraction(float(yi)) * c / denom
+    return np.array([float(c) for c in coeffs])
+
+
+@pytest.mark.parametrize("L", range(9, 22))
+def test_lagrange_matches_the_exact_interpolant(L):
+    # extraction windows (t0 = 0.1, window 0.5 at the CLI defaults): the
+    # one product tree over every row of other nodes keeps the float fit
+    # within 1e-12 of the largest exact coefficient
+    g = Rng(90 + L).generator()
+    for t0, dw in ((0.1, 0.5), (1.0, 0.5), (0.3, 0.9)):
+        ts = np.linspace(t0 * (1 - dw), t0 * (1 + dw), L)
+        ys = g.uniform(0.0, 1e-3, L)
+        want = fraction_interpolant(ts, ys)
+        got = lagrange_fit(SampleSet(ts, ys)).coefficients
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_duplicate_nodes_rejected():
     with pytest.raises(ValueError):
         SampleSet(np.array([1.0, 1.0, 2.0]), np.array([0.0, 0.0, 0.0]))
