@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -102,6 +103,24 @@ class _EnsembleSums(NamedTuple):
     mean2: np.ndarray
 
 
+def ensemble_workers(kind: Kind | str, n: int, num_J: int, threads: int) -> int:
+    """How many worker threads an ensemble of `num_J` draws of `kind` at
+    size n runs on, given a cap of `threads`.
+
+    Chunks of several draws (`draws_per_chunk` > 1: dense stacks, and
+    CSR up to the n = 6 sector) run on the calling thread: on 2 cores
+    two workers took 1.31x the time of one at H3 n = 6 (chunks of 5-6
+    draws), as scipy's CSR product and numpy's small elementwise calls
+    do not overlap across threads.  Only chunks of one draw (the n >= 8
+    sectors, the full basis from n = 6) go to a pool of up to `threads`
+    workers, one per chunk at most: two workers took 1.00x at H1 n = 6,
+    0.69x at H3 n = 8 and 0.47x at H3 n = 10 (README).
+    """
+    if draws_per_chunk(kind, natural_basis(kind, n)) > 1:
+        return 1
+    return max(1, min(threads, num_J))
+
+
 def _ensemble_sums(
     kind: Kind | str,
     n: int,
@@ -114,15 +133,18 @@ def _ensemble_sums(
 
     `p`, `p2` and `p4` sum p, p^2 and p^4 per (x in X_{n/2}, t); `mean`
     and `mean2` sum each draw's X_{n/2} mean of p, and its square, per t.
-    Only the X_{n/2} rows are propagated.  The pool takes the draws in
-    chunks of `draws_per_chunk` consecutive indices, each one
-    `probability_tables` call: one Chebyshev recurrence for the whole
-    chunk, on dense stacks up to `evolve._DENSE_LIMIT` (the sector up to
-    n = 4, the full basis up to n = 3).  Draws are independent substreams
-    and a draw's table has the same bits in any chunk, and the sums take
-    the tables in draw order, so neither the thread count nor the
-    chunking changes a bit.  A failed guard names the ensemble's draw
-    index.
+    Only the X_{n/2} rows are propagated.  The draws run in chunks of
+    `draws_per_chunk` consecutive indices, each one `probability_tables`
+    call: one Chebyshev recurrence for the whole chunk, on dense stacks
+    up to `evolve._DENSE_LIMIT` (the sector up to n = 4, the full basis
+    up to n = 3).  The chunks run on `ensemble_workers` threads.  Each
+    chunk's tables, squares, fourth powers and means are laid out as
+    rows after the running sums, and one reduction over that draw axis
+    adds them in draw order (its other axis always holds two entries or
+    more, so numpy does not sum it pairwise).  Draws are independent
+    substreams and a draw's table has the same bits in any chunk, so
+    neither the thread count nor the chunking changes a bit.  A failed
+    guard names the ensemble's draw index.
     """
     if n < 2 or n % 2:
         raise ValueError("n must be even and at least 2 for the X_{n/2} sweep")
@@ -147,18 +169,26 @@ def _ensemble_sums(
     count = -(-num_J // draws_per_chunk(kind, basis))
     edges = [i * num_J // count for i in range(count + 1)]
     chunks = [range(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    p, p2, p4 = (np.zeros((positions.size, times.size)) for _ in range(3))
-    mean, mean2 = np.zeros(times.size), np.zeros(times.size)
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        for tables in (pool.map if threads > 1 else map)(one_chunk, chunks):
-            for table in tables:
-                sq = table * table
-                p += table
-                p2 += sq
-                p4 += sq * sq
-                draw_mean = table.mean(axis=0)
-                mean += draw_mean
-                mean2 += draw_mean * draw_mean
+    # one row of sums: p, p^2 and p^4 over (x, t), then mean and mean^2 over
+    # t; each chunk fills the rows after a copy of it, in one reused buffer
+    shape, cells = (positions.size, times.size), positions.size * times.size
+    sums = np.zeros(3 * cells + 2 * times.size)
+    buffer = np.empty((max(map(len, chunks)) + 1, sums.size))
+    workers = ensemble_workers(kind, n, num_J, threads)
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for tables in pool.map(one_chunk, chunks) if pool else map(one_chunk, chunks):
+            rows = buffer[: len(tables) + 1]
+            rows[0] = sums
+            powers = rows[1:, : 3 * cells].reshape(len(tables), 3, *shape)
+            means = rows[1:, 3 * cells :].reshape(len(tables), 2, times.size)
+            np.stack(tables, out=powers[:, 0])
+            np.multiply(powers[:, 0], powers[:, 0], out=powers[:, 1])
+            np.multiply(powers[:, 1], powers[:, 1], out=powers[:, 2])
+            np.mean(powers[:, 0], axis=1, out=means[:, 0])
+            np.multiply(means[:, 0], means[:, 0], out=means[:, 1])
+            np.add.reduce(rows, axis=0, out=sums)
+    p, p2, p4 = sums[: 3 * cells].reshape(3, *shape)
+    mean, mean2 = sums[3 * cells :].reshape(2, times.size)
     return _EnsembleSums(kind, times, p, p2, p4, mean, mean2)
 
 

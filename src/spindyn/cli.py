@@ -5,7 +5,10 @@ named outputs as bytes, rendered by `_csv` or `_json`; it opens no file.
 `main` is the only code that touches the disk: it makes the run directory
 `<outdir>/<command>-<UTCstamp>-seed<seed>/` before the experiment runs,
 then writes the outputs and a `manifest.json` recording the command, its
-argument list, the seed, the git state, and the output names.
+argument list, the seed, the git state, the output names and whether
+numpy's OpenBLAS was held at one thread (`core.one_blas_thread`, which
+every experiment runs inside, so its bytes do not depend on
+`OPENBLAS_NUM_THREADS`).
 `rerun <manifest>` replays a recorded run into a fresh directory; outputs
 reproduce byte for byte.
 
@@ -34,6 +37,7 @@ import numpy as np
 
 from .anticon import (
     AnticonThresholds,
+    ensemble_workers,
     equilibration_curve,
     moment_statistics,
     ratio_r,
@@ -47,6 +51,7 @@ from .core import (
     hamming_class_bits,
     hamming_class_states,
     model_class,
+    one_blas_thread,
     sample_coupling,
 )
 from .evolve import engine
@@ -167,8 +172,10 @@ def _threads(ns: argparse.Namespace) -> int:
 
 
 def _labels(n: int, m: int) -> list[str]:
-    """The x_bits label of each member of X_m, in class order."""
-    return ["".join(map(str, row)) for row in hamming_class_bits(n, m).tolist()]
+    """The x_bits label of each member of X_m, in class order: each row
+    of bits plus ord("0") read as one 2n-byte string."""
+    digits = hamming_class_bits(n, m) + ord("0")
+    return digits.view(f"S{2 * n}").ravel().astype(str).tolist()
 
 
 def _cmd_moments_check(ns: argparse.Namespace) -> dict[str, bytes]:
@@ -219,12 +226,15 @@ def _cmd_moments_check(ns: argparse.Namespace) -> dict[str, bytes]:
     return made()
 
 
-def _report_engine(kind: Kind, n: int) -> None:
-    """Names the engine the sweep's chunks ran (`evolve.engine`) on
-    stderr; it depends on the kind and size only, so any couplings will
-    do."""
+def _report_engine(ns: argparse.Namespace) -> None:
+    """Names on stderr the engine the sweep's chunks ran (`evolve.engine`)
+    and the worker threads they ran on (`anticon.ensemble_workers`); the
+    engine depends on the kind and size only, so any couplings will do."""
+    kind, n = Kind(ns.model), ns.n
     spec = HamiltonianSpec(kind, CouplingMatrix(np.zeros((n, n))))
-    print(f"engine: {engine(spec)}", file=sys.stderr)
+    workers = ensemble_workers(kind, n, ns.num_j, _threads(ns))
+    plural = "s" if workers > 1 else ""
+    print(f"engine: {engine(spec)}, {workers} worker{plural}", file=sys.stderr)
 
 
 def _cmd_equilibrate(ns: argparse.Namespace) -> dict[str, bytes]:
@@ -232,7 +242,7 @@ def _cmd_equilibrate(ns: argparse.Namespace) -> dict[str, bytes]:
     rows = equilibration_curve(
         Kind(ns.model), ns.n, grid, ns.num_j, Rng(ns.seed), threads=_threads(ns)
     )
-    _report_engine(Kind(ns.model), ns.n)
+    _report_engine(ns)
     return {
         "equilibration.csv": _csv(
             ["n", "t", "mean_p", "stderr"],
@@ -253,7 +263,7 @@ def _cmd_anticon(ns: argparse.Namespace) -> dict[str, bytes]:
     cls = model_class(kind)
     r = ratio_r(records, thresholds, cls)
     print(f"r = {r!r} over {len(records)} outcomes")
-    _report_engine(kind, ns.n)
+    _report_engine(ns)
     # the moments in the class benchmark's units, each error bar with its mean
     scale = anticoncentration_thresholds(cls, ns.n)
     moments = (
@@ -481,7 +491,9 @@ def _add_common(sub: argparse.ArgumentParser, threads: bool = False) -> None:
             "--threads",
             type=int,
             default=None,
-            help="worker cap for J draws (default: available parallelism)",
+            help="worker cap for J draws (default: available parallelism); "
+            "only sweeps of one draw per chunk (the n >= 8 sectors, the full "
+            "basis from n = 6) use more than one, and BLAS runs on one thread",
         )
 
 
@@ -613,7 +625,8 @@ def main(argv: list[str] | None = None) -> int:
         created = _new_run_dir(ns.outdir, ns.command, ns.seed)
         run_dir = created[0]
         started_at = _utc_now().isoformat()
-        outputs = ns.handler(ns)
+        with one_blas_thread() as pin:
+            outputs = ns.handler(ns)
         manifest = {
             "command": ns.command,
             "args": _strip_outdir(argv[1:]),
@@ -621,6 +634,7 @@ def main(argv: list[str] | None = None) -> int:
             "git_describe": _git_describe(),
             "started_at": started_at,
             "outputs": list(outputs),
+            "blas_pin": {"pinned": pin.pinned, "detail": pin.detail},
         }
         _write(run_dir, {**outputs, "manifest.json": _json(manifest)})
         print(f"run-dir: {run_dir}")

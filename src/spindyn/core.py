@@ -17,18 +17,32 @@ which row each flip reaches, is built once per (n, symmetry, label) by
 the cached `Basis.of`, and is the one row-set type every other module
 takes: the Hamiltonian is laid out from it and the Trotter gates read
 their partners from it.
+
+`one_blas_thread` runs a block of code with numpy's bundled OpenBLAS on
+one thread, whatever `OPENBLAS_NUM_THREADS` says: LAPACK's eigh and SVD
+and a plain GEMM round differently on 1 and 2 threads, so every call
+whose result reaches output bytes runs inside it.  It is the one module
+that talks to OpenBLAS directly.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
 __all__ = [
+    "BlasPin",
+    "one_blas_thread",
     "Kind",
     "BitString",
     "CouplingMatrix",
@@ -45,6 +59,90 @@ __all__ = [
     "hamming_class_members",
     "model_class",
 ]
+
+
+# numpy's wheels bundle OpenBLAS as numpy.libs/libscipy_openblas64_-<hash>.so,
+# its exported names suffixed for the 64-bit integer build
+_OPENBLAS_LIBRARY = "libscipy_openblas64_*.so"
+_OPENBLAS_SET = "scipy_openblas_set_num_threads64_"
+_OPENBLAS_GET = "scipy_openblas_get_num_threads64_"
+
+
+@dataclass(frozen=True)
+class BlasPin:
+    """What `one_blas_thread` did: `pinned` says whether numpy's OpenBLAS
+    runs on one thread, `detail` names the library or what was missing."""
+
+    pinned: bool
+    detail: str
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads() -> tuple[Callable[[int], None], Callable[[], int], str]:
+    """The set and get thread-count calls of numpy's bundled OpenBLAS, and
+    the library's file name; raises OSError naming what it cannot find.
+
+    Opening the library numpy already loaded returns numpy's own handle.
+    Found once per process (a failure is not cached).
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    found = sorted(libs.glob(_OPENBLAS_LIBRARY))
+    if not found:
+        raise OSError(f"no {_OPENBLAS_LIBRARY} in {libs}")
+    lib = ctypes.CDLL(str(found[0]))
+    try:
+        set_threads, get_threads = lib[_OPENBLAS_SET], lib[_OPENBLAS_GET]
+    except AttributeError as exc:
+        raise OSError(f"{found[0].name} lacks {_OPENBLAS_SET} or {_OPENBLAS_GET}") from exc
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return set_threads, get_threads, found[0].name
+
+
+class _Pin:
+    """The state `one_blas_thread` shares between nested and concurrent
+    entries: how many are open, the caller's thread count to restore on
+    the outermost exit, and what the outermost entry found."""
+
+    lock = threading.Lock()
+    depth = 0
+    restore: Callable[[], None] | None = None
+    state: BlasPin
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[BlasPin]:
+    """Run the block with numpy's OpenBLAS on one thread; yields a `BlasPin`.
+
+    Entries nest, from one thread or several: the outermost entry reads
+    the caller's thread count and sets 1, the outermost exit restores the
+    count it read.  Where the library or its thread calls cannot be
+    found, the block runs as the caller left OpenBLAS, and the entry
+    says so: the pin reads "not pinned: ..." and a RuntimeWarning names
+    what is missing.
+    """
+    with _Pin.lock:
+        if _Pin.depth == 0:
+            try:
+                set_threads, get_threads, name = _openblas_threads()
+            except OSError as exc:
+                _Pin.state = BlasPin(False, f"not pinned: {exc}")
+                warnings.warn(f"BLAS threads {_Pin.state.detail}", RuntimeWarning, 3)
+            else:
+                caller = get_threads()
+                set_threads(1)
+                _Pin.restore = lambda: set_threads(caller)
+                _Pin.state = BlasPin(True, f"1 thread in {name}")
+        _Pin.depth += 1
+        state = _Pin.state
+    try:
+        yield state
+    finally:
+        with _Pin.lock:
+            _Pin.depth -= 1
+            if _Pin.depth == 0 and _Pin.restore is not None:
+                _Pin.restore()
+                _Pin.restore = None
 
 
 class Kind(str, Enum):

@@ -35,7 +35,8 @@ series order, guards and final products, and every operation acts row
 by row, column by column or matrix by matrix, so a draw's table has the
 same bits in a chunk of any size, and a `Propagator`'s table has them
 too.  So nothing here decomposes H but `Propagator.norm_bound`, which
-within `_DENSE_LIMIT` reads ||H|| exactly off one `spectral_parts`.
+within `_DENSE_LIMIT` reads ||H|| exactly off one eigenvalues-only
+`operator_norm`, on one BLAS thread (`core.one_blas_thread`).
 `anticon --model H3 --n 4 --num-j 256` took a median 23.1-23.9 ms with
 one eigh per draw in stacked chunks and 11.4-11.9 ms with one recurrence
 per chunk of up to 140 draws, in process on a 2-core AMD EPYC with one
@@ -58,6 +59,7 @@ from .core import (
     StateVector,
     _check_bytes,
     hamming_class_states,
+    one_blas_thread,
 )
 from .hamiltonian import (
     chiral,
@@ -65,9 +67,9 @@ from .hamiltonian import (
     leading_blocks,
     natural_basis,
     norm_bounds,
+    operator_norm,
     parity_sides,
     spectral_bytes,
-    spectral_parts,
     stack_product,
     stacked_half_steps,
     step_sides,
@@ -330,16 +332,16 @@ class Propagator:
 
     @cached_property
     def norm_bound(self) -> float:
-        """||H|| on the basis: within `_DENSE_LIMIT` exactly, the largest
-        |omega| of one `spectral_parts`; above it the Chebyshev scale, an
-        upper bound on it."""
+        """||H|| on the basis: within `_DENSE_LIMIT` exactly, from one
+        eigenvalues-only `operator_norm` on one BLAS thread; above it the
+        Chebyshev scale, an upper bound on it."""
         if not self.dense:
             return self._scale
         try:
-            omega = spectral_parts(self.spec, self.basis)[0]
+            with one_blas_thread():
+                return operator_norm(self.spec, self.basis)
         except np.linalg.LinAlgError as exc:
             raise DecompositionError(f"eigendecomposition failed: {exc}") from exc
-        return float(np.abs(omega).max())
 
     def all_probabilities_at(
         self, times: Sequence[float], rows: Sequence[int] | None = None

@@ -50,9 +50,9 @@ per basis, so a draw again computes only the stored values:
 stack, of which `chiral_block` is the chunk of one for dense algebra.
 `spectral_parts` is the one dense eigendecomposition of one draw,
 two-sided over E and O (`parity_sides`), that the Trotter error algebra
-reads and `evolve.Propagator.norm_bound` takes ||H|| from;
-`spectral_bytes` is the working set it refuses above the memory cap,
-before allocating.
+reads; `operator_norm` takes ||H|| from the same spectrum without the
+eigenvectors, for `evolve.Propagator.norm_bound`.  `spectral_bytes` is
+the working set either refuses above the memory cap, before allocating.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ __all__ = [
     "moment_table",
     "natural_basis",
     "norm_bounds",
+    "operator_norm",
     "parity_sides",
     "spectral_bytes",
     "spectral_parts",
@@ -336,6 +337,16 @@ def spectral_parts(
         return np.sqrt(np.maximum(w2, 0.0)), (p, b.T @ p)
     omega, p = np.linalg.eigh(dense_matrix(spec, basis))
     return omega, (p, p * omega)
+
+
+def operator_norm(spec: HamiltonianSpec, basis: Basis) -> float:
+    """||H|| on the basis: the largest |omega| of `spectral_parts`'
+    spectrum, from one eigenvalues-only eigvalsh (of B B^T for a `chiral`
+    spec, else of H)."""
+    if chiral(spec):
+        b = chiral_block(spec, basis)
+        return math.sqrt(max(float(np.linalg.eigvalsh(b @ b.T)[-1]), 0.0))
+    return float(np.abs(np.linalg.eigvalsh(dense_matrix(spec, basis))[[0, -1]]).max())
 
 
 def symmetry_blocks(kind: Kind | str, n: int) -> tuple[str, list[Basis]]:

@@ -48,7 +48,10 @@ eigh of B B^T, half the block, and G^H e^{-iHt} G = cos(Ht) + Pi sin(Ht)
 is real: P cos(omega t) P^T on E x E, P (sin(omega t) / omega) V^T on E x O,
 minus its transpose on O x E, and I - V (2 sin^2(omega t / 2) / omega^2)
 V^T on O x O.  H2 and H4 take cos(Ht) - i sin(Ht) from the first two.
-All dense algebra runs on numpy's LAPACK, so one BLAS thread pool serves it.
+All dense algebra runs on numpy's LAPACK, so one BLAS thread pool serves it,
+and `trotter_error_grid` and `l1_unitary_bound_check` run it on one BLAS
+thread (`core.one_blas_thread`): eigh, the powers and the SVD round
+differently on 1 and 2 threads, from d = 70 in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -60,7 +63,15 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Basis, HamiltonianSpec, Kind, Rng, hamming_class_states, sample_coupling
+from .core import (
+    Basis,
+    HamiltonianSpec,
+    Kind,
+    Rng,
+    hamming_class_states,
+    one_blas_thread,
+    sample_coupling,
+)
 from .hamiltonian import chiral, parity_sides, spectral_parts, symmetry_blocks
 
 _TAGS = ("XX", "YY", "ZZ", "XX+YY", "XX+YY+ZZ")
@@ -500,12 +511,14 @@ def trotter_error_grid(
     """||e^{-iHt} - T^M|| for every order and every M, as the maximum over
     symmetry blocks: row o holds orders[o]'s errors at Ms.
 
-    The whole grid is checked before any block is computed.
+    The whole grid is checked before any block is computed, and every
+    block runs on one BLAS thread.
     """
     grid = [(order, M) for order in orders for M in Ms]
     errs = np.zeros(len(grid))
-    for _, _, where, _, norms in _error_stacks(spec, t, grid):
-        errs[where] = np.maximum(errs[where], norms)
+    with one_blas_thread():
+        for _, _, where, _, norms in _error_stacks(spec, t, grid):
+            errs[where] = np.maximum(errs[where], norms)
     return errs.reshape(len(orders), len(Ms)).tolist()
 
 
@@ -529,16 +542,17 @@ def l1_unitary_bound_check(
     """(sum_x |p - p'|, 4 ||U - T^M||); the first never exceeds the second.
 
     y0 lies on E, where the gauge is 1, so its columns carry the
-    probabilities |.|^2 unchanged.
+    probabilities |.|^2 unchanged.  Every block runs on one BLAS thread.
     """
     (y0,) = hamming_class_states(spec.n, 0)  # X_0 holds y0 alone
     l1, norm = 0.0, 0.0
-    for block, exact, _, (power,), (err,) in _error_stacks(spec, t, [(order, M)]):
-        col = block.pos[y0]
-        if col >= 0:
-            p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
-            l1 = float(np.sum(np.abs(p_exact - p_trotter)))
-        norm = max(norm, float(err))
+    with one_blas_thread():
+        for block, exact, _, (power,), (err,) in _error_stacks(spec, t, [(order, M)]):
+            col = block.pos[y0]
+            if col >= 0:
+                p_exact, p_trotter = np.abs(exact[:, col]) ** 2, np.abs(power[:, col]) ** 2
+                l1 = float(np.sum(np.abs(p_exact - p_trotter)))
+            norm = max(norm, float(err))
     bound = 4.0 * norm
     if l1 > bound + 1e-9:
         raise RuntimeError(

@@ -2,22 +2,31 @@
 
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import spindyn.anticon
 from spindyn.anticon import (
     AnticonThresholds,
     MomentRecord,
+    ensemble_workers,
     equilibration_curve,
     moment_statistics,
     paley_zygmund_bound,
     ratio_r,
 )
+import spindyn.core
 import spindyn.evolve
 from spindyn.core import BitString, HamiltonianSpec, Kind, Rng, sample_coupling
-from spindyn.evolve import KrylovConvergenceError, Propagator, draws_per_chunk
+from spindyn.evolve import (
+    KrylovConvergenceError,
+    Propagator,
+    draws_per_chunk,
+    probability_tables,
+)
 from spindyn.hamiltonian import natural_basis
 from spindyn.hardness import anticoncentration_thresholds
 
@@ -180,6 +189,67 @@ def test_chunking_does_not_change_results(monkeypatch):
     assert equilibration_curve(Kind.H1, 4, grid, 40, Rng(23)) == curve
     assert moment_statistics(Kind.H3, 4, grid, 100, Rng(23)) == dense
     assert equilibration_curve(Kind.H3, 4, grid, 100, Rng(23)) == dense_curve
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def record(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return started
+
+
+def test_pool_runs_only_chunks_of_one_draw(monkeypatch, started_threads):
+    # the H3 n = 4 sector (dense stacks) and the H4 n = 6 sector (CSR)
+    # take several draws per chunk: they stay on the calling thread
+    grid = [0.4, 2.2]
+    for kind, n, num_J in ((Kind.H3, 4, 100), (Kind.H4, 6, 16)):
+        assert draws_per_chunk(kind, natural_basis(kind, n)) > 1
+        assert ensemble_workers(kind, n, num_J, 3) == 1
+        serial = moment_statistics(kind, n, grid, num_J, Rng(37), threads=1)
+        assert moment_statistics(kind, n, grid, num_J, Rng(37), threads=3) == serial
+    assert started_threads == []
+    # with one draw per chunk the pool runs, and moves no bit
+    monkeypatch.setattr(spindyn.evolve, "_CHUNK_BYTES", 1)
+    assert ensemble_workers(Kind.H3, 4, 20, 3) == 3
+    assert ensemble_workers(Kind.H3, 4, 20, 1) == 1
+    serial = moment_statistics(Kind.H3, 4, grid, 20, Rng(37), threads=1)
+    curve = equilibration_curve(Kind.H4, 4, grid, 20, Rng(37), threads=1)
+    assert started_threads == []
+    assert moment_statistics(Kind.H3, 4, grid, 20, Rng(37), threads=3) == serial
+    assert equilibration_curve(Kind.H4, 4, grid, 20, Rng(37), threads=3) == curve
+    assert 1 <= len(started_threads) <= 6
+
+
+@pytest.mark.parametrize("times", [1, 33])
+@pytest.mark.parametrize("kind, n, num_J", [(Kind.H3, 4, 300), (Kind.H1, 2, 16), (Kind.H4, 6, 16)])
+def test_ensemble_sums_add_in_draw_order(kind, n, num_J, times):
+    # one reduction per chunk has the bits of adding each draw's table,
+    # square, fourth power, X_{n/2} mean and squared mean in draw order
+    grid = np.linspace(0.3, 3.0, times)
+    sums = spindyn.anticon._ensemble_sums(kind, n, grid, num_J, Rng(41), threads=1)
+    basis = natural_basis(kind, n)
+    rows = basis.pos[spindyn.core.hamming_class_states(n, n // 2)]
+    p, p2, p4 = (np.zeros((rows.size, times)) for _ in range(3))
+    mean, mean2 = np.zeros(times), np.zeros(times)
+    for j in range(num_J):
+        spec = HamiltonianSpec(kind, sample_coupling(n, Rng(41).substream(j)))
+        (table,) = probability_tables([spec], basis, grid, rows)
+        sq = table * table
+        p += table
+        p2 += sq
+        p4 += sq * sq
+        draw_mean = table.mean(axis=0)
+        mean += draw_mean
+        mean2 += draw_mean * draw_mean
+    for got, want in zip(sums[2:], (p, p2, p4, mean, mean2)):
+        assert np.array_equal(got, want)
 
 
 def test_failed_guard_names_the_coupling_draw(monkeypatch):

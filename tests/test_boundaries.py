@@ -8,8 +8,10 @@ only names that their module's `__all__` lists.  scipy.sparse, slow to
 import, loads only in the one CSR builder, `hamiltonian._csr`.  Only `cli`
 touches the disk or renders CSV: every other module returns values.  The
 one evolution engine is the Chebyshev recurrence: H's dense
-eigendecomposition serves only the Trotter error algebra and the exact
-`Propagator.norm_bound`.
+eigendecomposition serves only the Trotter error algebra, and its
+eigenvalues alone the exact `Propagator.norm_bound`.  Only
+`core.one_blas_thread` talks to OpenBLAS, and no module sets a BLAS
+thread variable.
 """
 
 import ast
@@ -197,18 +199,111 @@ def calls_of(tree, name):
 
 def test_only_trotter_and_the_norm_bound_decompose_h():
     # a lone Propagator reads its tables from the recurrence at every
-    # dimension; spectral_parts serves the Trotter algebra and the exact
-    # norm within _DENSE_LIMIT
+    # dimension; spectral_parts serves the Trotter algebra, and the
+    # eigenvalues-only operator_norm the exact norm within _DENSE_LIMIT
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    allowed = {"spectral_parts": "trotter", "operator_norm": "evolve"}
+    found = {name: {stem: calls_of(tree, name) for stem, tree in trees.items()} for name in allowed}
+    stray = [
+        f"{stem}.py calls {name} in {scope}"
+        for name, calls in found.items()
+        for stem, scopes in calls.items()
+        for scope in scopes
+        if stem != allowed[name]
+    ]
+    assert stray == []
+    assert found["operator_norm"]["evolve"] == ["Propagator.norm_bound"]
+    assert found["spectral_parts"]["trotter"]
+
+
+OPENBLAS_NAMES = ("scipy_openblas", "set_num_threads", "get_num_threads")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_touches(tree):
+    """(line, scope, what) of every import of ctypes, every string outside
+    a docstring that names an OpenBLAS library or thread call, and every write of a BLAS
+    or OMP thread variable into os.environ (a subscript store, a call of
+    its setdefault or update, or os.putenv)."""
+    found = []
+
+    def names_var(node):
+        return any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str)
+            and any(var in c.value for var in THREAD_VARS)
+            for c in ast.walk(node)
+        )
+
+    def visit(node, scope):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            return  # a docstring names no symbol
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "ctypes" for a in node.names):
+            found.append((node.lineno, scope, "imports ctypes"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes":
+            found.append((node.lineno, scope, "imports ctypes"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and any(
+            name in node.value for name in OPENBLAS_NAMES
+        ):
+            found.append((node.lineno, scope, f"names {node.value!r}"))
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.ctx, ast.Store)
+            and ast.unparse(node.value).endswith("environ")
+            and names_var(node.slice)
+        ):
+            found.append((node.lineno, scope, "sets a thread variable"))
+        elif isinstance(node, ast.Call) and names_var(node):
+            func = ast.unparse(node.func)
+            if func.endswith(("environ.setdefault", "environ.update", "putenv")):
+                found.append((node.lineno, scope, "sets a thread variable"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_core_pin_talks_to_openblas():
+    # one helper holds numpy's OpenBLAS at one thread; a module that set
+    # a thread variable would act only before numpy loads, and silently
     found = {
-        p.stem: calls_of(ast.parse(p.read_text(), filename=str(p)), "spectral_parts")
+        p.stem: blas_touches(ast.parse(p.read_text(), filename=str(p)))
         for p in sorted(SRC.glob("*.py"))
     }
     stray = [
-        f"{stem}.py calls spectral_parts in {scope}"
-        for stem, scopes in found.items()
-        for scope in scopes
-        if stem != "trotter" and (stem, scope) != ("evolve", "Propagator.norm_bound")
+        f"{stem}.py:{line} {what} in {scope or 'the module body'}"
+        for stem, touches in found.items()
+        for line, scope, what in touches
+        if stem != "core" or what == "sets a thread variable"
     ]
     assert stray == []
-    assert found["evolve"] == ["Propagator.norm_bound"]
-    assert found["trotter"]
+    # in core: the ctypes import, and the names only the locator reads
+    assert {what for _, _, what in found["core"]} >= {"imports ctypes"}
+    named = {scope for _, scope, what in found["core"] if what.startswith("names")}
+    assert named == {None}  # the module-level constants
+    assert "_openblas_threads" in {
+        scope for scope in calls_of(ast.parse((SRC / "core.py").read_text()), "CDLL")
+    }
+
+
+def test_blas_touches_sees_each_form():
+    tree = ast.parse(
+        "import ctypes\n"
+        "import os\n"
+        "os.environ['OPENBLAS_NUM_THREADS'] = '1'\n"
+        "def f():\n"
+        "    'the OpenBLAS set_num_threads call'\n"
+        "    os.environ.setdefault('OMP_NUM_THREADS', '1')\n"
+        "    os.environ.update({'MKL_NUM_THREADS': '2'})\n"
+        "    lib.scipy_openblas_set_num_threads64_(1)\n"
+        "    return 'libscipy_openblas64_'\n"
+    )
+    assert [(line, what) for line, _, what in blas_touches(tree)] == [
+        (1, "imports ctypes"),
+        (3, "sets a thread variable"),
+        (6, "sets a thread variable"),
+        (7, "sets a thread variable"),
+        (9, "names 'libscipy_openblas64_'"),
+    ]

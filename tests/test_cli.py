@@ -14,10 +14,12 @@ from pathlib import Path
 
 import pytest
 
+import spindyn.core
+import spindyn.evolve
 from spindyn import cli
 from spindyn.anticon import equilibration_curve
 from spindyn.cli import main
-from spindyn.core import BitString, Rng
+from spindyn.core import BitString, Rng, hamming_class_bits, one_blas_thread
 
 
 def run_cli(args, outdir):
@@ -108,8 +110,10 @@ def test_manifest_schema(tmp_path):
     run_dir = only_run_dir(tmp_path, "anticon")
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert set(manifest) == {
-        "command", "args", "seed", "git_describe", "started_at", "outputs"
+        "command", "args", "seed", "git_describe", "started_at", "outputs", "blas_pin"
     }
+    with one_blas_thread() as pin:
+        assert manifest["blas_pin"] == {"pinned": pin.pinned, "detail": pin.detail}
     assert manifest["command"] == "anticon"
     assert manifest["seed"] == 3
     assert "--outdir" not in manifest["args"]
@@ -541,11 +545,97 @@ def test_sweeps_report_their_engine_on_stderr(tmp_path, capsys):
     ]
     for args, want in cases:
         assert run_cli(args, tmp_path / args[0]) == 0
-        assert capsys.readouterr().err.strip() == f"engine: {want}"
+        assert capsys.readouterr().err.strip() == f"engine: {want}, 1 worker"
     # the report goes to stderr only: a replay's outputs stay byte-identical
     for command in ("anticon", "equilibrate"):
         for d in (tmp_path / command).glob(f"{command}-*"):
             assert not any(b"engine" in f.read_bytes() for f in d.iterdir())
+
+
+def test_sweeps_report_their_workers(tmp_path, monkeypatch, capsys):
+    # chunks of several draws run on the calling thread at any --threads;
+    # chunks of one draw go to a pool of at most --threads workers
+    args = ["anticon", "--model", "H3", "--n", "2", "--num-j", "16", "--threads", "3"]
+    assert run_cli(args, tmp_path / "chunks") == 0
+    assert capsys.readouterr().err.strip() == "engine: chebyshev chiral 2+4, dense products, 1 worker"
+    monkeypatch.setattr(spindyn.evolve, "_CHUNK_BYTES", 1)
+    assert run_cli(args, tmp_path / "one") == 0
+    assert capsys.readouterr().err.strip() == "engine: chebyshev chiral 2+4, dense products, 3 workers"
+    one, chunks = (only_run_dir(tmp_path / d, "anticon") for d in ("one", "chunks"))
+    for name in ("moments.csv", "ratio.csv"):
+        assert (one / name).read_bytes() == (chunks / name).read_bytes()
+
+
+def test_labels_read_the_class_bits():
+    for n in range(1, 7):
+        for m in range(n + 1):
+            rows = hamming_class_bits(n, m).tolist()
+            assert cli._labels(n, m) == ["".join(map(str, row)) for row in rows]
+
+
+def test_an_unpinned_run_says_so_in_its_manifest(tmp_path, monkeypatch):
+    def missing():
+        raise OSError("no libscipy_openblas64_*.so in nowhere")
+
+    monkeypatch.setattr(spindyn.core, "_openblas_threads", missing)
+    with pytest.warns(RuntimeWarning, match="BLAS threads not pinned: no libscipy_openblas64_"):
+        assert run_cli(["bounds"], tmp_path) == 0
+    manifest = json.loads((only_run_dir(tmp_path, "bounds") / "manifest.json").read_text())
+    assert manifest["blas_pin"] == {
+        "pinned": False, "detail": "not pinned: no libscipy_openblas64_*.so in nowhere"
+    }
+
+
+# one argv per experiment, with the sizes where OpenBLAS rounds
+# differently on 1 and 2 threads: the Trotter blocks of H3 at n = 5
+# (d = 252, real) and of H4 at n = 4 (d = 70, complex SVD)
+EVERY_EXPERIMENT = (
+    ["moments-check", "--model", "H4", "--n", "4", "--draws", "2"],
+    ["equilibrate", "--model", "H4", "--n", "4", "--num-j", "16", "--points", "5"],
+    ["anticon", "--model", "H3", "--n", "8", "--num-j", "16", "--t-mult", "2"],
+    ["extract-permanent", "--model", "H1", "--n", "3"],
+    ["worst-to-average", "--m", "4"],
+    ["trotter-plan", "--n", "10", "--t0-mult", "1", "--eps", "0.1"],
+    ["trotter-error", "--model", "H3", "--n", "5", "--orders", "2", "--m-grid", "8",
+     "--seed", "3"],
+    ["trotter-error", "--model", "H4", "--n", "4", "--m-grid", "1,2,3,3,8"],
+    ["bw-demo", "--degree", "6", "--errors", "3"],
+    ["bounds"],
+)
+
+
+def test_no_output_depends_on_the_thread_counts(tmp_path):
+    # every output but the manifest has one sha256 at OPENBLAS_NUM_THREADS
+    # 1 and 2, and the sweeps at --threads 1 and 3
+    assert {args[0] for args in EVERY_EXPERIMENT} == set(HANDLER_ARGV)
+    script = (
+        "import sys\n"
+        "from spindyn import cli\n"
+        f"for k, args in enumerate({list(EVERY_EXPERIMENT)!r}):\n"
+        "    sweep = args[0] in ('anticon', 'equilibrate')\n"
+        "    for threads in (('1', '3') if sweep else ('',)):\n"
+        "        argv = [*args, *(['--threads', threads] if threads else [])]\n"
+        "        assert cli.main([*argv, '--outdir', f'{sys.argv[1]}/{k}/t{threads}']) == 0\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / f"b{blas}")],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+    for k, args in enumerate(EVERY_EXPERIMENT):
+        runs = list(tmp_path.glob(f"b*/{k}/t*/{args[0]}-*"))
+        assert len(runs) == (4 if args[0] in ("anticon", "equilibrate") else 2), args
+        digests = {
+            tuple((f.name, hashlib.sha256(f.read_bytes()).hexdigest())
+                  for f in sorted(d.iterdir()) if f.name != "manifest.json")
+            for d in runs
+        }
+        assert len(digests) == 1, args
+        assert digests != {()}, args
 
 
 @pytest.mark.parametrize(
@@ -627,8 +717,9 @@ def test_moments_check_guards_name_the_first_offending_row(tmp_path, monkeypatch
 
 # sha256 of trotter_error.csv with one BLAS thread, from the one-(order, M)
 # at-a-time block algebra the stacked grid replaced.  H4's complex blocks
-# of 70 rows at n = 4 round differently on 1 and 2 OpenBLAS threads, so
-# the pins run in a subprocess with one.
+# of 70 rows at n = 4 round differently on 1 and 2 OpenBLAS threads, and
+# `trotter_error_grid` runs them on one, so the pins hold in subprocesses
+# started with either.
 TROTTER_CSV_SHA256 = {
     "--n 3 --seed 0": "30bc5aac728f8f17640c59e2cdeb5cd60535c4f847138bf8d875d32a26e3354f",
     "--n 3 --seed 1": "30aafad8ab2e1bacbaf1abea04158254526e63498667836ae404fa7e04402cac",
@@ -654,15 +745,17 @@ def test_trotter_error_csv_is_pinned(tmp_path):
         "    assert cli.main(argv) == 0, argv\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr
-    for k, (args, sha256) in enumerate(TROTTER_CSV_SHA256.items()):
-        csv_path = only_run_dir(tmp_path / str(k), "trotter-error") / "trotter_error.csv"
-        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256, args
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"b{blas}"
+        run = subprocess.run(
+            [sys.executable, "-c", script, str(out)], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        for k, (args, sha256) in enumerate(TROTTER_CSV_SHA256.items()):
+            csv_path = only_run_dir(out / str(k), "trotter-error") / "trotter_error.csv"
+            assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == sha256, (blas, args)
 
 
 def test_anticon_and_equilibrate_csv_headers(tmp_path):

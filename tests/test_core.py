@@ -1,9 +1,11 @@
 import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import spindyn.core
 from spindyn.core import (
     Basis,
     BitString,
@@ -20,6 +22,7 @@ from spindyn.core import (
     hamming_class_members,
     hamming_class_states,
     model_class,
+    one_blas_thread,
     sample_coupling,
 )
 
@@ -264,3 +267,56 @@ def test_sample_set_validation():
         SampleSet(np.array([0.1, 0.2]), np.array([1.5]))
     s = SampleSet([0.1, 0.2], [1.5, -2.25])
     assert len(s) == 2 and s.t.dtype == s.y.dtype == np.float64
+
+
+# -------------------------------------------------------------- BLAS pin
+
+
+def test_one_blas_thread_nests_and_restores_the_callers_count():
+    set_threads, get_threads, name = spindyn.core._openblas_threads()
+    caller = get_threads()
+    set_threads(2)
+    try:
+        with one_blas_thread() as outer:
+            assert outer.pinned and name in outer.detail
+            assert get_threads() == 1
+            with one_blas_thread() as inner:
+                assert inner == outer
+                assert get_threads() == 1
+            assert get_threads() == 1  # only the outermost exit restores
+        assert get_threads() == 2
+        # entries from other threads nest with the caller's: the count
+        # comes back only when the last of them exits
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with one_blas_thread():
+                entered.set()
+                release.wait(10)
+
+        with one_blas_thread():
+            worker = threading.Thread(target=hold)
+            worker.start()
+            assert entered.wait(10)
+        assert get_threads() == 1
+        release.set()
+        worker.join(10)
+        assert get_threads() == 2
+        # an exception leaves the pin as a normal exit does
+        with pytest.raises(KeyError), one_blas_thread():
+            raise KeyError("inside")
+        assert get_threads() == 2
+    finally:
+        set_threads(caller)
+
+
+def test_one_blas_thread_reports_a_missing_library(monkeypatch):
+    def missing():
+        raise OSError("no libscipy_openblas64_*.so in nowhere")
+
+    monkeypatch.setattr(spindyn.core, "_openblas_threads", missing)
+    with pytest.warns(RuntimeWarning, match="not pinned: no libscipy_openblas64_"):
+        with one_blas_thread() as pin:
+            assert not pin.pinned
+            assert pin.detail == "not pinned: no libscipy_openblas64_*.so in nowhere"
+            assert np.linalg.eigvalsh(np.eye(3)).tolist() == [1.0, 1.0, 1.0]

@@ -569,8 +569,8 @@ def test_dense_chunked_tables_match_each_draw_alone(kind, n, fields, monkeypatch
 
 
 def test_failed_eigh_raises_decomposition_error(monkeypatch):
-    # Propagator.norm_bound names a failed eigh; no table read decomposes
-    # H, and a lone Propagator's table is its chunk's, bit for bit
+    # Propagator.norm_bound names a failed eigvalsh; no table read
+    # decomposes H, and a lone Propagator's table is its chunk's, bit for bit
     basis = natural_basis(Kind.H4, 2)
     specs = [random_spec(Kind.H4, 2, 83 + j) for j in range(3)]
 
@@ -578,6 +578,7 @@ def test_failed_eigh_raises_decomposition_error(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     prop = Propagator(specs[1], basis=basis)
     assert prop.dense
     with pytest.raises(DecompositionError, match="eigendecomposition failed") as err:
